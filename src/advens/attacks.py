@@ -1,10 +1,11 @@
 """Perturbation search inside the l-inf ball B(x, eps) = {x' : ||x'-x||_inf <= eps} ∩ [0,1]^d.
 
-Iterative sign-gradient attacks (PGD / BIM / MIM), targeted and
-multi-targeted protocols, and a gradient-free SPSA attack. Targets may be
-a single Model or an Ensemble; against an ensemble the objective is the
-cross-entropy of the *averaged* probability, so the attacker differentiates
-through the combination rule (the adaptive attack).
+One search loop serves every protocol: run_attack (untargeted), targeted
+and multi_targeted all call it, and spec.family picks how it steps
+(PGD / BIM / MIM sign-gradient steps, or gradient-free SPSA estimates).
+Targets may be a single Model or an Ensemble; against an ensemble the
+objective is the cross-entropy of the *averaged* probability, so the
+attacker differentiates through the combination rule (the adaptive attack).
 
 Query accounting: queries counts target evaluations per example (the usual
 black-box budget metric). PGD/BIM/MIM spend steps+1 (final success check
@@ -88,7 +89,8 @@ def fgsm_step(x, input_grad, eta, x_origin, epsilon):
     return np.clip(balled, 0.0, 1.0)
 
 
-def _validate_inputs(target, x, y, num_classes):
+def _validate_inputs(target, x, y):
+    num_classes = target.num_classes
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeError("attack inputs must be a 2-d batch")
@@ -102,88 +104,64 @@ def _validate_inputs(target, x, y, num_classes):
     return x, y.astype(np.int64)
 
 
-def _random_start(x, eps, rng):
-    offset = rng.uniform(-eps, eps, size=x.shape)
-    return np.clip(x + offset, 0.0, 1.0)
-
-
-def _iterate_gradient(target, x, y, spec, objective_labels, ascent, use_momentum, random_start):
-    """Shared PGD/BIM/MIM loop. Returns (adversarial, final_probs, trace, queries)."""
+def _search(target, x, labels, spec, ascent):
+    """The one iterative search behind every protocol; the loop follows
+    spec.family. Ascends the cross-entropy against labels when ascent is
+    set, descends it otherwise. Returns (adversarial, final_probs, trace,
+    queries)."""
     rng = np.random.default_rng(spec.seed)
-    cur = _random_start(x, spec.epsilon, rng) if random_start else x.copy()
-    cur = np.clip(cur, x - spec.epsilon, x + spec.epsilon)
+    if spec.family == "pgd" and spec.random_start:
+        cur = np.clip(x + rng.uniform(-spec.epsilon, spec.epsilon, size=x.shape), 0.0, 1.0)
+        cur = np.clip(cur, x - spec.epsilon, x + spec.epsilon)
+    else:
+        cur = x.copy()
+    sign = 1.0 if ascent else -1.0
     g_acc = np.zeros_like(x)
     trace = []
-    sign = 1.0 if ascent else -1.0
+    queries = 1  # the final success check
     for step in range(spec.steps):
-        values, grad = ce_values_and_input_grad(target, cur, objective_labels)
-        if not np.all(np.isfinite(grad)):
-            raise DivergenceError(f"non-finite attack gradient at step {step}")
-        trace.append(float(np.mean(values)))
+        if spec.family == "spsa":
+            grad, used = spsa_gradient_estimate(
+                target, cur, labels, spec.spsa_samples, spec.spsa_delta, rng
+            )
+            queries += used
+        else:
+            values, grad = ce_values_and_input_grad(target, cur, labels)
+            if not np.all(np.isfinite(grad)):
+                raise DivergenceError(f"non-finite attack gradient at step {step}")
+            trace.append(float(np.mean(values)))
+            queries += 1
         grad = sign * grad
-        if use_momentum:
+        if spec.family == "mim":
             norms = np.abs(grad).sum(axis=1, keepdims=True)
             live = norms[:, 0] > 0.0
             g_acc = spec.momentum * g_acc
             g_acc[live] += grad[live] / norms[live]
-            direction = g_acc
-        else:
-            direction = grad
-        cur = fgsm_step(cur, direction, spec.eta, x, spec.epsilon)
+            grad = g_acc
+        cur = fgsm_step(cur, grad, spec.eta, x, spec.epsilon)
     probs = predict_probs(target, cur)
-    trace.append(float(np.mean(nn.cross_entropy_per_example(probs, objective_labels))))
-    return cur, probs, tuple(trace), spec.steps + 1
+    trace.append(float(np.mean(nn.cross_entropy_per_example(probs, labels))))
+    return cur, probs, tuple(trace), queries
 
 
-def pgd(target, x, y, spec):
-    """Projected gradient ascent on the cross-entropy against y, with a
-    uniform random start inside the ball when spec.random_start is set."""
-    if spec.family != "pgd":
-        raise ConfigError(f"pgd called with family {spec.family!r}")
-    m = _num_classes(target)
-    x, y = _validate_inputs(target, x, y, m)
-    adv, probs, trace, queries = _iterate_gradient(
-        target, x, y, spec, y, ascent=True, use_momentum=False,
-        random_start=spec.random_start,
-    )
-    return AttackResult(
-        adversarial=adv,
-        success_mask=np.argmax(probs, axis=1) != y,
-        queries=queries,
-        spec=spec,
-        loss_trace=trace,
-    )
+def run_attack(target, x, y, spec, multi=False):
+    """Untargeted attack on the cross-entropy against y; success iff the
+    final prediction differs from y. multi=True runs the multi-targeted
+    protocol instead.
 
-
-def bim(target, x, y, spec):
-    """PGD without the random start."""
-    if spec.family != "bim":
-        raise ConfigError(f"bim called with family {spec.family!r}")
-    m = _num_classes(target)
-    x, y = _validate_inputs(target, x, y, m)
-    adv, probs, trace, queries = _iterate_gradient(
-        target, x, y, spec, y, ascent=True, use_momentum=False, random_start=False
-    )
-    return AttackResult(
-        adversarial=adv,
-        success_mask=np.argmax(probs, axis=1) != y,
-        queries=queries,
-        spec=spec,
-        loss_trace=trace,
-    )
-
-
-def mim(target, x, y, spec):
-    """Momentum iterative attack: g <- mu*g + grad/||grad||_1 per example
-    (rows with zero gradient leave g unchanged), step by sign(g). Starts
-    at x; random_start is ignored."""
-    if spec.family != "mim":
-        raise ConfigError(f"mim called with family {spec.family!r}")
-    m = _num_classes(target)
-    x, y = _validate_inputs(target, x, y, m)
-    adv, probs, trace, queries = _iterate_gradient(
-        target, x, y, spec, y, ascent=True, use_momentum=True, random_start=False
-    )
+    The family picks the loop:
+      pgd   signed gradient ascent, from a uniform random point of the
+            ball when spec.random_start is set, else from x.
+      bim   the pgd loop, always from x.
+      mim   momentum: g <- mu*g + grad/||grad||_1 per example, step by
+            sign(g), from x. Rows with a zero gradient leave g unchanged.
+      spsa  ascent along simultaneous-perturbation estimates of the
+            gradient, from x; only forward passes of the target are used.
+    """
+    if multi:
+        return multi_targeted(target, x, y, spec)
+    x, y = _validate_inputs(target, x, y)
+    adv, probs, trace, queries = _search(target, x, y, spec, ascent=True)
     return AttackResult(
         adversarial=adv,
         success_mask=np.argmax(probs, axis=1) != y,
@@ -196,28 +174,17 @@ def mim(target, x, y, spec):
 def targeted(target, x, t, spec):
     """Descend the cross-entropy toward class t; success iff the final
     prediction is exactly t."""
-    m = _num_classes(target)
     t_arr = np.asarray(t)
     if t_arr.ndim == 0:
         t_arr = np.full(np.asarray(x).shape[0], int(t_arr))
-    x, t_arr = _validate_inputs(target, x, t_arr, m)
-    adv, probs, trace, queries = _run_targeted(target, x, t_arr, spec)
+    x, t_arr = _validate_inputs(target, x, t_arr)
+    adv, probs, trace, queries = _search(target, x, t_arr, spec, ascent=False)
     return AttackResult(
         adversarial=adv,
         success_mask=np.argmax(probs, axis=1) == t_arr,
         queries=queries,
         spec=spec,
         loss_trace=trace,
-    )
-
-
-def _run_targeted(target, x, t_arr, spec):
-    if spec.family == "spsa":
-        return _iterate_spsa(target, x, t_arr, spec, ascent=False)
-    return _iterate_gradient(
-        target, x, t_arr, spec, t_arr, ascent=False,
-        use_momentum=spec.family == "mim",
-        random_start=spec.family == "pgd" and spec.random_start,
     )
 
 
@@ -228,8 +195,8 @@ def multi_targeted(target, x, y, spec):
     adversarial point is the first success (lowest t), falling back to the
     candidate with the highest cross-entropy against the true label.
     """
-    m = _num_classes(target)
-    x, y = _validate_inputs(target, x, y, m)
+    m = target.num_classes
+    x, y = _validate_inputs(target, x, y)
     if m < 2:
         raise ConfigError("multi-targeted attack needs at least 2 classes")
     b = x.shape[0]
@@ -242,8 +209,7 @@ def multi_targeted(target, x, y, spec):
         valid = y != t
         if not valid.any():
             continue
-        t_arr = np.full(b, t)
-        adv, probs, _, per_run = _run_targeted(target, x, t_arr, spec)
+        adv, probs, _, per_run = _search(target, x, np.full(b, t), spec, ascent=False)
         hit = valid & (np.argmax(probs, axis=1) == t)
         newly = hit & ~success
         chosen[newly] = adv[newly]
@@ -276,53 +242,6 @@ def spsa_gradient_estimate(target, x, labels, samples, delta, rng):
         # Rademacher entries are +-1 so the elementwise inverse is bump itself
         est += ((lp - ln) / (2.0 * delta))[:, None] * bump
     return est / samples, 2 * samples
-
-
-def _iterate_spsa(target, x, labels, spec, ascent):
-    rng = np.random.default_rng(spec.seed)
-    cur = x.copy()
-    queries = 0
-    sign = 1.0 if ascent else -1.0
-    for _ in range(spec.steps):
-        est, used = spsa_gradient_estimate(
-            target, cur, labels, spec.spsa_samples, spec.spsa_delta, rng
-        )
-        queries += used
-        cur = fgsm_step(cur, sign * est, spec.eta, x, spec.epsilon)
-    probs = predict_probs(target, cur)
-    queries += 1
-    trace = (float(np.mean(nn.cross_entropy_per_example(probs, labels))),)
-    return cur, probs, trace, queries
-
-
-def spsa(target, x, y, spec):
-    """Gradient-free ascent using simultaneous-perturbation estimates;
-    only forward evaluations of the target are used."""
-    if spec.family != "spsa":
-        raise ConfigError(f"spsa called with family {spec.family!r}")
-    m = _num_classes(target)
-    x, y = _validate_inputs(target, x, y, m)
-    adv, probs, trace, queries = _iterate_spsa(target, x, y, spec, ascent=True)
-    return AttackResult(
-        adversarial=adv,
-        success_mask=np.argmax(probs, axis=1) != y,
-        queries=queries,
-        spec=spec,
-        loss_trace=trace,
-    )
-
-
-def run_attack(target, x, y, spec, multi=False):
-    """Family dispatch; multi=True routes to the multi-targeted protocol."""
-    if multi:
-        return multi_targeted(target, x, y, spec)
-    return {"pgd": pgd, "bim": bim, "mim": mim, "spsa": spsa}[spec.family](
-        target, x, y, spec
-    )
-
-
-def _num_classes(target):
-    return target.num_classes
 
 
 def save_attack_csv(result, x_original, path, preamble=""):

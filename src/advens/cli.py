@@ -24,6 +24,8 @@ import os
 import re
 import sys
 
+import numpy as np
+
 from . import analysis, data, training
 from .attacks import AttackSpec, run_attack
 from .ensembles import load_ensemble, partition, save_ensemble, save_partition_csv
@@ -285,19 +287,22 @@ def _load_checkpoint(path, ds):
     return ens
 
 
-def _single_checkpoint(args):
+def _analysis_setup(args, single=True):
+    """Set-up shared by the analysis subcommands: parse the config, build
+    the dataset, load the checkpoint(s) and create the output directory.
+    Returns (cfg, dataset, ensembles, first eval attack spec)."""
+    cfg = parse_config(args.config, args.seed, args.out)
+    ds = build_dataset(cfg)
     paths = args.checkpoint or []
-    if len(paths) != 1:
+    if single and len(paths) != 1:
         raise ConfigError("this subcommand needs exactly one --checkpoint")
-    return paths[0]
-
-
-def _first_eval_attack(cfg):
-    evals = cfg["eval_attacks"]
-    if not evals:
+    if not paths:
+        raise ConfigError("transfer needs at least one --checkpoint")
+    if not cfg["eval_attacks"]:
         raise ConfigError("config has no eval_attacks block")
-    name = next(iter(evals))
-    return name, AttackSpec(**evals[name])
+    ensembles = [_load_checkpoint(p, ds) for p in paths]
+    os.makedirs(cfg["out"], exist_ok=True)
+    return cfg, ds, ensembles, AttackSpec(**next(iter(cfg["eval_attacks"].values())))
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +315,9 @@ def cmd_train(args):
     init = training.init_ensemble(
         ds.dim, cfg["model"]["hidden"], ds.num_classes, cfg["model"]["members"], seed=cfg["seed"]
     )
-    report = training.train(init, ds, build_train_config(cfg), cfg["method"]["name"])
+    # divergence surfaces as DivergenceError (exit 3), not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = training.train(init, ds, build_train_config(cfg), cfg["method"]["name"])
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
     ckpt = os.path.join(out, "ensemble.json")
@@ -325,13 +332,8 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    cfg = parse_config(args.config, args.seed, args.out)
-    ds = build_dataset(cfg)
-    ens = _load_checkpoint(_single_checkpoint(args), ds)
-    if not cfg["eval_attacks"]:
-        raise ConfigError("config has no eval_attacks block")
+    cfg, ds, (ens,), _ = _analysis_setup(args)
     out = cfg["out"]
-    os.makedirs(out, exist_ok=True)
     targets = [(f"f{i + 1}", m) for i, m in enumerate(ens.members)]
     targets.append(("en", ens))
     for name, spec_dict in cfg["eval_attacks"].items():
@@ -349,18 +351,12 @@ def cmd_eval(args):
 
 
 def cmd_transfer(args):
-    cfg = parse_config(args.config, args.seed, args.out)
-    ds = build_dataset(cfg)
-    paths = args.checkpoint or []
-    if not paths:
-        raise ConfigError("transfer needs at least one --checkpoint")
-    _, spec = _first_eval_attack(cfg)
+    cfg, ds, ensembles, spec = _analysis_setup(args, single=False)
     out = cfg["out"]
-    os.makedirs(out, exist_ok=True)
     emitted = []
 
-    if len(paths) == 1:
-        ens = _load_checkpoint(paths[0], ds)
+    if len(ensembles) == 1:
+        ens = ensembles[0]
         if len(ens.members) < 2:
             raise ConfigError("transfer over one checkpoint needs an ensemble with >= 2 members")
         targets = list(ens.members) + [ens]
@@ -384,7 +380,6 @@ def cmd_transfer(args):
             )
             metrics.update({tag: part.cardinalities[tag] for tag in ("S11", "S01", "S10", "S00")})
     else:
-        ensembles = [_load_checkpoint(p, ds) for p in paths]
         labels = [f"c{i + 1}" for i in range(len(ensembles))]
         mat = analysis.cross_matrix(ensembles, ds, spec, labels=labels)
         metrics = {
@@ -403,14 +398,10 @@ def cmd_transfer(args):
 
 
 def cmd_detect(args):
-    cfg = parse_config(args.config, args.seed, args.out)
-    ds = build_dataset(cfg)
-    ens = _load_checkpoint(_single_checkpoint(args), ds)
-    _, spec = _first_eval_attack(cfg)
+    cfg, ds, (ens,), spec = _analysis_setup(args)
     adv = run_attack(ens, ds.inputs, ds.labels, spec).adversarial
     report = analysis.detect(ens, ds.inputs, adv)
     out = cfg["out"]
-    os.makedirs(out, exist_ok=True)
     roc_csv = os.path.join(out, "detect_roc.csv")
     analysis.save_detection_csv(report, roc_csv, preamble=_preamble(cfg))
     summary_json = os.path.join(out, "detect.json")
@@ -421,10 +412,7 @@ def cmd_detect(args):
 
 
 def cmd_surface(args):
-    cfg = parse_config(args.config, args.seed, args.out)
-    ds = build_dataset(cfg)
-    ens = _load_checkpoint(_single_checkpoint(args), ds)
-    _, spec = _first_eval_attack(cfg)
+    cfg, ds, (ens,), spec = _analysis_setup(args)
     sconf = cfg["surface"]
     index = int(sconf["index"])
     if not 0 <= index < len(ds):
@@ -443,9 +431,7 @@ def cmd_surface(args):
         target, x_a, int(y[0]), radius_steps=int(sconf["radius_steps"]),
         step=float(sconf["step"]), seed=cfg["seed"],
     )
-    out = cfg["out"]
-    os.makedirs(out, exist_ok=True)
-    path = os.path.join(out, "surface.csv")
+    path = os.path.join(cfg["out"], "surface.csv")
     analysis.save_surface_csv(grid, path, preamble=_preamble(cfg))
     print(path)
     return 0

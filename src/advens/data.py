@@ -6,6 +6,7 @@ MNIST-format files. Every dataset this module emits has inputs in [0,1]^d.
 """
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -121,10 +122,12 @@ def gen_rings(seed, n_per_class, num_classes, noise):
 
 
 def _read_exact(f, n, path):
-    buf = f.read(n)
-    if len(buf) != n:
-        raise TruncatedFileError(f"{path}: expected {n} more bytes, got {len(buf)}")
-    return buf
+    # check a header-declared size against the file before asking for it,
+    # so an untrusted header cannot request an arbitrary allocation
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if left < n:
+        raise TruncatedFileError(f"{path}: expected {n} more bytes, got {left}")
+    return f.read(n)
 
 
 def load_idx(images_path, labels_path):

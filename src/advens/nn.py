@@ -251,7 +251,7 @@ def _term_weight(term, batch_size):
     return w
 
 
-def _accumulate_terms(probs, terms):
+def accumulate_terms(probs, terms):
     """Total loss value and dLoss/dprobs for a list of LossTerms."""
     b, m = probs.shape
     loss = 0.0
@@ -306,7 +306,7 @@ def backward(model, batch, terms):
     batch means.
     """
     probs, cache = forward_cached(model, batch)
-    loss, g_probs = _accumulate_terms(probs, terms)
+    loss, g_probs = accumulate_terms(probs, terms)
     param_grads, input_grad = backprop(model, cache, g_probs)
     return BackwardResult(loss=loss, param_grads=param_grads, input_grad=input_grad)
 

@@ -1,15 +1,17 @@
 """Adversarial training losses and the training loop.
 
-Four methods share one loop:
+Four methods share one loop, and two per-member training steps:
 
-  ADV     every member independently minimizes clean CE + CE on its own
-          adversarial examples.
+  ADV     a CCE member trained alone: every member independently
+          minimizes clean CE + CE on its own adversarial examples, with
+          no crossing terms.
   ADV_EN  the ensemble is treated as one model: adversarial examples are
           generated against the averaged probability and the loss is the
           cross-entropy of that average (clean + adversarial).
   ADP     ADV_EN plus a subtracted diversity regularizer
           alpha*H(mean probs) + beta*log(ensemble diversity), applied at
-          both the clean and the adversarial batch.
+          both the clean and the adversarial batch, on the forward passes
+          the ADV_EN terms already made.
   CCE     collaborative training: each member sees every member's
           adversarial batch. On its own batch it minimizes CE (the direct
           promote term); on another member's batch a soft gate p(true
@@ -27,7 +29,9 @@ total = clean_ce + dpo_ce + cpo_ce - do_h (+ method-specific extras):
 
 Every stochastic choice (batch order, per-batch attack seeds, evaluation
 attacks) derives from the master seed via named seed lineage, so a run is
-reproducible bit for bit.
+reproducible bit for bit. A non-finite value met inside the loop (inputs
+are validated before it starts) raises DivergenceError naming the epoch
+and the batch.
 """
 from __future__ import annotations
 
@@ -38,7 +42,7 @@ import numpy as np
 from . import data, nn
 from .attacks import AttackSpec, run_attack
 from .ensembles import Ensemble, ensemble_predict, predict_labels
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, DomainError
 
 METHODS = ("ADV", "ADV_EN", "ADP", "CCE")
 MODES = {"RM": (1.0, 1.0), "DM": (0.0, 5.0), "Base": (0.0, 0.0)}
@@ -186,34 +190,35 @@ def member_collab_loss(n, ens, x, y, adv_set, lambda_pm, lambda_dm, indicators=N
 
 def _member_collab_grads(n, members, x, y, adv_set, lambda_pm, lambda_dm, indicators=None):
     """(total, parts, param_grads) for member n; gates enter the backward
-    pass as constant per-example weights."""
+    pass as constant per-example weights.
+
+    Member n is forwarded once per batch: the gate, the backward pass and
+    the reported terms of a crossing batch all come from one forward. With
+    a single member there are no crossing partners and no gates, which is
+    per-member adversarial training (ADV); parts then holds only the four
+    loss terms.
+    """
     f = members[n]
-    share = 1.0 / (len(members) - 1)
     res_clean = nn.backward(f, x, [nn.LossTerm(kind="ce", labels=y)])
     res_own = nn.backward(f, adv_set[n], [nn.LossTerm(kind="ce", labels=y)])
-    grads = [
-        (gw1 + gw2, gb1 + gb2)
-        for (gw1, gb1), (gw2, gb2) in zip(res_clean.param_grads, res_own.param_grads)
-    ]
+    grads = _add_grads(res_clean.param_grads, res_own.param_grads)
+    others = [i for i in range(len(members)) if i != n]
     cpo_ce = 0.0
     do_h = 0.0
     gate_sum = 0.0
-    for i in range(len(members)):
-        if i == n:
-            continue
+    for i in others:
+        share = 1.0 / len(others)
+        probs, cache = nn.forward_cached(f, adv_set[i])
         if indicators is not None:
             gate = indicators[i]
         else:
-            gate = soft_indicator(f, adv_set[i], y)
+            gate = probs[np.arange(probs.shape[0]), np.asarray(y, dtype=np.int64)]
         terms = [
             nn.LossTerm(kind="ce", labels=y, weight=share * lambda_pm * gate),
             nn.LossTerm(kind="entropy", weight=-share * lambda_dm * (1.0 - gate)),
         ]
-        res = nn.backward(f, adv_set[i], terms)
-        grads = [
-            (gw + dw, gb + db) for (gw, gb), (dw, db) in zip(grads, res.param_grads)
-        ]
-        probs = nn.forward(f, adv_set[i])
+        _, g_probs = nn.accumulate_terms(probs, terms)
+        grads = _add_grads(grads, nn.backprop(f, cache, g_probs)[0])
         cpo_ce += share * lambda_pm * float(
             np.mean(gate * nn.cross_entropy_per_example(probs, y))
         )
@@ -225,9 +230,9 @@ def _member_collab_grads(n, members, x, y, adv_set, lambda_pm, lambda_dm, indica
         "dpo_ce": res_own.loss,
         "cpo_ce": cpo_ce,
         "do_h": do_h,
-        "cpo_gate": gate_sum,
-        "do_gate": 1.0 - gate_sum,
     }
+    if others:
+        parts.update(cpo_gate=gate_sum, do_gate=1.0 - gate_sum)
     return total, parts, grads
 
 
@@ -239,8 +244,9 @@ def ensemble_adv_loss(ens, x, y, x_a_en):
     return clean + adv, {"clean_ce": clean, "dpo_ce": adv, "cpo_ce": 0.0, "do_h": 0.0}
 
 
-def _mean_ce_grads_per_member(members, x, y, weight=1.0):
-    """CE of the averaged probability: value plus per-member param grads."""
+def _mean_ce_grads_per_member(members, x, y):
+    """CE of the averaged probability: value, per-member param grads and
+    the members' forward caches."""
     caches = [nn.forward_cached(m, x)[1] for m in members]
     mean_probs = np.mean([c.probs for c in caches], axis=0)
     value = nn.cross_entropy(mean_probs, y)
@@ -250,10 +256,10 @@ def _mean_ce_grads_per_member(members, x, y, weight=1.0):
     p_y = mean_probs[idx, y]
     g_mean = np.zeros_like(mean_probs)
     live = p_y > nn.LOG_FLOOR
-    g_mean[idx, y] = np.where(live, -weight / (b * np.maximum(p_y, nn.LOG_FLOOR)), 0.0)
+    g_mean[idx, y] = np.where(live, -1.0 / (b * np.maximum(p_y, nn.LOG_FLOOR)), 0.0)
     share = g_mean / len(members)
     grads = [nn.backprop(m, c, share)[0] for m, c in zip(members, caches)]
-    return value, grads, caches, mean_probs
+    return value, grads, caches
 
 
 def _add_grads(a, b):
@@ -261,8 +267,8 @@ def _add_grads(a, b):
 
 
 def _ensemble_adv_grads(members, x, y, x_a_en):
-    v1, g1, _, _ = _mean_ce_grads_per_member(members, x, y)
-    v2, g2, _, _ = _mean_ce_grads_per_member(members, x_a_en, y)
+    v1, g1, _ = _mean_ce_grads_per_member(members, x, y)
+    v2, g2, _ = _mean_ce_grads_per_member(members, x_a_en, y)
     parts = {"clean_ce": v1, "dpo_ce": v2, "cpo_ce": 0.0, "do_h": 0.0}
     return v1 + v2, parts, [_add_grads(a, b) for a, b in zip(g1, g2)]
 
@@ -352,21 +358,22 @@ def _diversity_value_and_grads(member_probs, y, alpha, beta):
 
 
 def _adp_grads(members, x, y, x_a_en, alpha, beta):
-    """ADV_EN loss minus the regularizer at the clean and attacked batch."""
-    total, parts, grads = _ensemble_adv_grads(members, x, y, x_a_en)
+    """ADV_EN loss minus the regularizer at the clean and attacked batch.
+    The regularizer reuses the forward caches of the ADV_EN terms."""
+    v1, g1, c1 = _mean_ce_grads_per_member(members, x, y)
+    v2, g2, c2 = _mean_ce_grads_per_member(members, x_a_en, y)
+    total = v1 + v2
+    parts = {"clean_ce": v1, "dpo_ce": v2, "cpo_ce": 0.0, "do_h": 0.0}
+    grads = [_add_grads(a, b) for a, b in zip(g1, g2)]
     clamped = 0
-    reg_parts = {}
-    for tag, batch in (("clean", x), ("adv", x_a_en)):
-        caches = [nn.forward_cached(m, batch)[1] for m in members]
+    for tag, caches in (("clean", c1), ("adv", c2)):
         probs = np.stack([c.probs for c in caches])
         value, g_probs, flag = _diversity_value_and_grads(probs, y, alpha, beta)
         clamped += flag
-        reg_parts[f"adp_reg_{tag}"] = value
+        parts[f"adp_reg_{tag}"] = value
         total -= value
         for i, (m, c) in enumerate(zip(members, caches)):
-            g, _ = nn.backprop(m, c, -g_probs[i])
-            grads[i] = _add_grads(grads[i], g)
-    parts.update(reg_parts)
+            grads[i] = _add_grads(grads[i], nn.backprop(m, c, -g_probs[i])[0])
     return total, parts, grads, clamped
 
 
@@ -479,87 +486,83 @@ def train(ens_init, dataset, config, method):
         sums = [dict() for _ in range(n)]
         seen = 0
         shuffle_seed = derive_seed(config.seed, _TAG_SHUFFLE, epoch)
-        for b_idx, (bx, by) in enumerate(
-            data.batches(dataset, config.batch_size, seed=shuffle_seed)
-        ):
-            snapshot = Ensemble(members=tuple(members))
-            if method in ("ADV", "CCE"):
-                adv_set = [
-                    run_attack(
-                        members[i],
+        stage = "batch 0"
+        try:
+            for b_idx, (bx, by) in enumerate(
+                data.batches(dataset, config.batch_size, seed=shuffle_seed)
+            ):
+                stage = f"batch {b_idx}"
+                if method in ("ADV", "CCE"):
+                    adv_set = [
+                        run_attack(
+                            members[i],
+                            bx,
+                            by,
+                            replace(
+                                config.attack,
+                                seed=derive_seed(config.seed, _TAG_ATTACK, epoch, b_idx, i),
+                            ),
+                        ).adversarial
+                        for i in range(n)
+                    ]
+                else:
+                    adv_en = run_attack(
+                        Ensemble(members=tuple(members)),
                         bx,
                         by,
                         replace(
                             config.attack,
-                            seed=derive_seed(config.seed, _TAG_ATTACK, epoch, b_idx, i),
+                            seed=derive_seed(config.seed, _TAG_ENS_ATTACK, epoch, b_idx),
                         ),
                     ).adversarial
-                    for i in range(n)
-                ]
-            else:
-                adv_en = run_attack(
-                    snapshot,
-                    bx,
-                    by,
-                    replace(
-                        config.attack,
-                        seed=derive_seed(config.seed, _TAG_ENS_ATTACK, epoch, b_idx),
-                    ),
-                ).adversarial
 
-            if method == "ADV":
-                per_member = []
-                for i in range(n):
-                    res_c = nn.backward(members[i], bx, [nn.LossTerm(kind="ce", labels=by)])
-                    res_a = nn.backward(
-                        members[i], adv_set[i], [nn.LossTerm(kind="ce", labels=by)]
-                    )
-                    parts = {
-                        "clean_ce": res_c.loss,
-                        "dpo_ce": res_a.loss,
-                        "cpo_ce": 0.0,
-                        "do_h": 0.0,
-                    }
-                    per_member.append(
-                        (res_c.loss + res_a.loss, parts, _add_grads(res_c.param_grads, res_a.param_grads))
-                    )
-            elif method == "CCE":
-                per_member = [
-                    _member_collab_grads(
-                        i, members, bx, by, adv_set, config.lambda_pm, config.lambda_dm
-                    )
-                    for i in range(n)
-                ]
-            elif method == "ADV_EN":
-                total, parts, grads = _ensemble_adv_grads(members, bx, by, adv_en)
-                per_member = [(total, parts, grads[i]) for i in range(n)]
-            else:  # ADP
-                total, parts, grads, flag = _adp_grads(
-                    members, bx, by, adv_en, config.alpha, config.beta
-                )
-                clamped += flag
-                per_member = [(total, parts, grads[i]) for i in range(n)]
+                if method == "ADV":  # each member alone: CCE without crossing partners
+                    per_member = [
+                        _member_collab_grads(
+                            0, members[i : i + 1], bx, by, adv_set[i : i + 1], 0.0, 0.0
+                        )
+                        for i in range(n)
+                    ]
+                elif method == "CCE":
+                    per_member = [
+                        _member_collab_grads(
+                            i, members, bx, by, adv_set, config.lambda_pm, config.lambda_dm
+                        )
+                        for i in range(n)
+                    ]
+                else:
+                    if method == "ADV_EN":
+                        total, parts, grads = _ensemble_adv_grads(members, bx, by, adv_en)
+                    else:
+                        total, parts, grads, flag = _adp_grads(
+                            members, bx, by, adv_en, config.alpha, config.beta
+                        )
+                        clamped += flag
+                    per_member = [(total, parts, grads[i]) for i in range(n)]
 
-            for i, (total, parts, grads) in enumerate(per_member):
-                if not np.isfinite(total):
-                    raise DivergenceError(
-                        f"non-finite loss for member {i} at epoch {epoch} batch {b_idx}"
-                    )
-                for key, v in parts.items():
-                    sums[i][key] = sums[i].get(key, 0.0) + v * len(by)
-            seen += len(by)
-            for i, (_, _, grads) in enumerate(per_member):
-                members[i], states[i] = nn.adam_step(members[i], grads, states[i])
+                for i, (total, parts, grads) in enumerate(per_member):
+                    if not np.isfinite(total):
+                        raise DivergenceError(f"non-finite loss for member {i}")
+                    for key, v in parts.items():
+                        sums[i][key] = sums[i].get(key, 0.0) + v * len(by)
+                seen += len(by)
+                for i, (_, _, grads) in enumerate(per_member):
+                    members[i], states[i] = nn.adam_step(members[i], grads, states[i])
 
-        ens_now = Ensemble(members=tuple(members))
-        nat_acc = 100.0 * float(
-            np.mean(predict_labels(ens_now, dataset.inputs) == dataset.labels)
-        )
-        eval_spec = replace(config.attack, seed=derive_seed(config.seed, _TAG_EVAL, epoch))
-        adv_eval = run_attack(ens_now, dataset.inputs, dataset.labels, eval_spec)
-        rob_acc = 100.0 * float(
-            np.mean(predict_labels(ens_now, adv_eval.adversarial) == dataset.labels)
-        )
+            stage = "evaluation"
+            ens_now = Ensemble(members=tuple(members))
+            nat_acc = 100.0 * float(
+                np.mean(predict_labels(ens_now, dataset.inputs) == dataset.labels)
+            )
+            eval_spec = replace(config.attack, seed=derive_seed(config.seed, _TAG_EVAL, epoch))
+            adv_eval = run_attack(ens_now, dataset.inputs, dataset.labels, eval_spec)
+            rob_acc = 100.0 * float(
+                np.mean(predict_labels(ens_now, adv_eval.adversarial) == dataset.labels)
+            )
+        except (DomainError, DivergenceError) as e:
+            # inputs were validated up front, so a non-finite value here is
+            # one that training itself produced
+            raise DivergenceError(f"epoch {epoch} {stage}: {e}") from e
         member_terms = tuple(
             {k: v / seen for k, v in sums[i].items()} for i in range(n)
         )

@@ -54,8 +54,6 @@ def test_attack_spec_validation():
         AttackSpec(family="pgd", epsilon=0.01, eta=0.5)
     spec = AttackSpec(family="pgd")
     assert (spec.steps, spec.epsilon, spec.eta) == (10, 8 / 255, 2 / 255)
-    with pytest.raises(ConfigError):
-        attacks.pgd(logistic_1d(1, -1), np.array([[0.5]]), np.array([0]), AttackSpec(family="bim"))
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +63,7 @@ def test_attack_spec_validation():
 def test_pgd_zero_epsilon_returns_x_exactly():
     ds, model = blobs_and_model(seed=1)
     spec = AttackSpec(family="pgd", steps=5, epsilon=0.0, eta=0.01, seed=3)
-    res = attacks.pgd(model, ds.inputs[:32], ds.labels[:32], spec)
+    res = attacks.run_attack(model, ds.inputs[:32], ds.labels[:32], spec)
     assert np.array_equal(res.adversarial, ds.inputs[:32])
     wrong = predict_labels(model, ds.inputs[:32]) != ds.labels[:32]
     assert np.array_equal(res.success_mask, wrong)
@@ -83,7 +81,7 @@ def test_pgd_matches_grid_search_on_1d_logistic():
         )
         x = np.array([[x0]])
         y = np.array([0])
-        res = attacks.pgd(model, x, y, spec)
+        res = attacks.run_attack(model, x, y, spec)
         grid = np.clip(np.linspace(x0 - eps, x0 + eps, 2001), 0.0, 1.0)
         losses = nn.cross_entropy_per_example(
             nn.forward(model, grid[:, None]), np.zeros(2001, dtype=np.int64)
@@ -120,7 +118,7 @@ def test_pgd_success_monotone_in_epsilon():
             family="pgd", steps=20, epsilon=eps, eta=max(eps / 4, 1e-4),
             random_start=False, seed=0,
         )
-        rates.append(attacks.pgd(model, x, y, spec).success_mask.mean())
+        rates.append(attacks.run_attack(model, x, y, spec).success_mask.mean())
     assert all(a <= b + 1e-12 for a, b in zip(rates, rates[1:])), rates
 
 
@@ -128,11 +126,11 @@ def test_bim_equals_pgd_without_random_start():
     ds, model = blobs_and_model(seed=4)
     x, y = ds.inputs[:16], ds.labels[:16]
     kw = dict(steps=6, epsilon=0.05, eta=0.01)
-    res_b = attacks.bim(model, x, y, AttackSpec(family="bim", **kw))
-    res_p = attacks.pgd(model, x, y, AttackSpec(family="pgd", random_start=False, **kw))
+    res_b = attacks.run_attack(model, x, y, AttackSpec(family="bim", **kw))
+    res_p = attacks.run_attack(model, x, y, AttackSpec(family="pgd", random_start=False, **kw))
     assert np.array_equal(res_b.adversarial, res_p.adversarial)
     # mim with zero momentum follows the same trajectory
-    res_m = attacks.mim(model, x, y, AttackSpec(family="mim", momentum=0.0, **kw))
+    res_m = attacks.run_attack(model, x, y, AttackSpec(family="mim", momentum=0.0, **kw))
     assert np.allclose(res_m.adversarial, res_b.adversarial, atol=1e-12)
 
 
@@ -140,7 +138,7 @@ def test_bim_trajectory_loss_nondecreasing_with_small_steps():
     ds, model = blobs_and_model(seed=5)
     eps = 0.05
     spec = AttackSpec(family="bim", steps=10, epsilon=eps, eta=eps / 10)
-    res = attacks.bim(model, ds.inputs[:64], ds.labels[:64], spec)
+    res = attacks.run_attack(model, ds.inputs[:64], ds.labels[:64], spec)
     trace = np.array(res.loss_trace)
     decreasing = np.sum(trace[1:] < trace[:-1] - 1e-12)
     assert decreasing <= max(1, int(0.05 * len(trace)))
@@ -150,11 +148,11 @@ def test_attack_determinism():
     ds, model = blobs_and_model(seed=6)
     spec = AttackSpec(family="pgd", steps=6, epsilon=0.05, eta=0.01, seed=77)
     x, y = ds.inputs[:20], ds.labels[:20]
-    r1 = attacks.pgd(model, x, y, spec)
-    r2 = attacks.pgd(model, x, y, spec)
+    r1 = attacks.run_attack(model, x, y, spec)
+    r2 = attacks.run_attack(model, x, y, spec)
     assert np.array_equal(r1.adversarial, r2.adversarial)
     assert np.array_equal(r1.success_mask, r2.success_mask)
-    r3 = attacks.pgd(model, x, y, AttackSpec(family="pgd", steps=6, epsilon=0.05, eta=0.01, seed=78))
+    r3 = attacks.run_attack(model, x, y, AttackSpec(family="pgd", steps=6, epsilon=0.05, eta=0.01, seed=78))
     assert not np.array_equal(r1.adversarial, r3.adversarial)
 
 
@@ -167,7 +165,7 @@ def test_mim_matches_hand_unrolled_recurrence():
     x, y = ds.inputs[:8], ds.labels[:8]
     mu, eta, eps = 0.8, 0.02, 0.06
     spec = AttackSpec(family="mim", steps=2, epsilon=eps, eta=eta, momentum=mu)
-    res = attacks.mim(model, x, y, spec)
+    res = attacks.run_attack(model, x, y, spec)
 
     cur = x.copy()
     g = np.zeros_like(x)
@@ -188,7 +186,7 @@ def test_mim_zero_gradient_rows_keep_accumulator():
     x = np.array([[0.5, 0.5]])
     y = np.array([0])
     spec = AttackSpec(family="mim", steps=3, epsilon=0.1, eta=0.02, momentum=0.9)
-    res = attacks.mim(flat, x, y, spec)
+    res = attacks.run_attack(flat, x, y, spec)
     # no gradient anywhere: the attack must not move the point
     assert np.array_equal(res.adversarial, x)
 
@@ -261,7 +259,7 @@ def test_multi_targeted_dominates_pgd_and_counts_queries():
     x, y = ds.inputs, ds.labels
     spec = AttackSpec(family="pgd", steps=10, epsilon=0.06, eta=0.015, seed=2, random_start=False)
     multi = attacks.multi_targeted(model, x, y, spec)
-    plain = attacks.pgd(model, x, y, spec)
+    plain = attacks.run_attack(model, x, y, spec)
     # every multi-targeted adversarial is a real misprediction
     got = predict_labels(model, multi.adversarial)
     assert np.all(got[multi.success_mask] != y[multi.success_mask])
@@ -276,7 +274,7 @@ def test_multi_targeted_dominates_pgd_and_counts_queries():
 def test_spsa_zero_epsilon_and_query_accounting():
     ds, model = blobs_and_model(seed=14)
     spec = AttackSpec(family="spsa", steps=3, epsilon=0.0, eta=0.01, spsa_samples=4)
-    res = attacks.spsa(model, ds.inputs[:5], ds.labels[:5], spec)
+    res = attacks.run_attack(model, ds.inputs[:5], ds.labels[:5], spec)
     assert np.array_equal(res.adversarial, ds.inputs[:5])
     assert res.queries == 3 * 2 * 4 + 1
 
@@ -305,7 +303,7 @@ def test_spsa_moves_toward_higher_loss():
     ds, model = blobs_and_model(seed=15, separation=3)
     x, y = ds.inputs[:40], ds.labels[:40]
     spec = AttackSpec(family="spsa", steps=10, epsilon=0.06, eta=0.015, spsa_samples=32, seed=6)
-    res = attacks.spsa(model, x, y, spec)
+    res = attacks.run_attack(model, x, y, spec)
     before = nn.cross_entropy_per_example(predict_probs(model, x), y).mean()
     after = nn.cross_entropy_per_example(predict_probs(model, res.adversarial), y).mean()
     assert after > before
@@ -339,7 +337,7 @@ def test_attack_csv_export(tmp_path):
     ds, model = blobs_and_model(seed=18)
     x, y = ds.inputs[:5], ds.labels[:5]
     spec = AttackSpec(family="pgd", steps=4, epsilon=0.05, eta=0.02, seed=0)
-    res = attacks.pgd(model, x, y, spec)
+    res = attacks.run_attack(model, x, y, spec)
     path = tmp_path / "attack.csv"
     attacks.save_attack_csv(res, x, path)
     lines = path.read_text().splitlines()

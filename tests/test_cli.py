@@ -3,6 +3,7 @@
 import copy
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -192,6 +193,28 @@ def test_divergence_maps_to_exit_3(tmp_path, monkeypatch, capsys):
     path, _ = make_config(tmp_path)
     assert run(["train", "--config", path]) == 3
     assert "non-finite" in capsys.readouterr().err
+
+
+def test_real_divergence_exits_3(tmp_path, capsys):
+    # no mock: a huge learning rate blows the parameters up after the first
+    # step, and the next batch's forward pass turns non-finite
+    train = dict(BASE["train"], lr=1e300)
+    path, cfg = make_config(tmp_path, train=train)
+    assert run(["train", "--config", path]) == 3
+    err = capsys.readouterr().err
+    assert "epoch 0 batch 1" in err and "non-finite" in err
+    assert not os.path.exists(os.path.join(cfg["out"], "ensemble.json"))
+
+
+def test_idx_header_larger_than_file_exits_2(tmp_path, capsys):
+    imgs, labs = str(tmp_path / "img.idx"), str(tmp_path / "lab.idx")
+    with open(imgs, "wb") as f:
+        f.write(struct.pack(">IIII", data.IDX_IMAGES_MAGIC, *(3 * [0xFFFFFFFF])))
+    with open(labs, "wb") as f:
+        f.write(struct.pack(">II", data.IDX_LABELS_MAGIC, 0))
+    path, _ = make_config(tmp_path, dataset={"idx_images": imgs, "idx_labels": labs})
+    assert run(["train", "--config", path]) == 2
+    assert "expected" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

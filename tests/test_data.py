@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -138,6 +139,28 @@ def test_idx_error_paths(tmp_path):
     with pytest.raises(TruncatedFileError):
         data.load_idx(truncated, lab)
     assert issubclass(TruncatedFileError, OSError)
+
+
+def test_idx_header_sizes_checked_before_reading(tmp_path):
+    # headers claiming 0xFFFFFFFF in every size field must fail on the file
+    # size, before anything of the declared size is requested
+    huge = 0xFFFFFFFF
+    pixels = np.zeros((2, 4), dtype=np.uint8)
+    img, lab = write_idx_pair(tmp_path, pixels, np.zeros(2, dtype=np.uint8), 2, 2)
+    big_img = tmp_path / "big_img.idx"
+    big_img.write_bytes(struct.pack(">IIII", 0x00000803, huge, huge, huge))
+    big_lab = tmp_path / "big_lab.idx"
+    big_lab.write_bytes(struct.pack(">II", 0x00000801, huge))
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncatedFileError, match=str(huge**3)):
+            data.load_idx(big_img, lab)
+        with pytest.raises(TruncatedFileError, match=str(huge)):
+            data.load_idx(img, big_lab)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------

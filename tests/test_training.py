@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -404,6 +405,39 @@ def test_train_validation_and_divergence(monkeypatch):
     monkeypatch.setattr(training, "_member_collab_grads", explode)
     with pytest.raises(DivergenceError, match="epoch 0 batch 0"):
         training.train(ens, ds, cfg, "CCE")
+
+
+@pytest.mark.parametrize(
+    "method, forwards",
+    [
+        ("CCE", lambda n: n + n + n * (n - 1)),  # clean, own, crossing
+        ("ADV", lambda n: 2 * n),
+        ("ADP", lambda n: 2 * n),
+    ],
+)
+def test_one_step_forwards_each_member_batch_pair_once(monkeypatch, method, forwards):
+    # one epoch of one batch; the attacks and the epoch evaluation are
+    # stubbed out, so every counted forward belongs to the training step
+    n = 3
+    ds = data.gen_blobs(seed=0, n_per_class=4, num_classes=4, dim=3, separation=3)
+    ens = training.init_ensemble(3, [8], 4, n, seed=0)
+    cfg = TrainConfig(attack=quick_attack(), epochs=1, batch_size=len(ds), seed=0, mode="RM")
+    monkeypatch.setattr(
+        training, "run_attack",
+        lambda target, x, y, spec: SimpleNamespace(adversarial=np.clip(x + 0.01, 0.0, 1.0)),
+    )
+    monkeypatch.setattr(training, "predict_labels", lambda target, x: np.zeros(len(x), dtype=int))
+    calls = []
+    forward_cached = nn.forward_cached
+
+    def counting(model, batch):
+        calls.append((model, batch))  # holding both keeps their ids unique
+        return forward_cached(model, batch)
+
+    monkeypatch.setattr(nn, "forward_cached", counting)
+    training.train(ens, ds, cfg, method)
+    assert len({(id(m), id(b)) for m, b in calls}) == len(calls)
+    assert len(calls) == forwards(n)
 
 
 def test_member_seed_lineage_and_derive_seed():
