@@ -16,7 +16,7 @@ import numpy as np
 
 from . import nn
 from .attacks import run_attack
-from .ensembles import Ensemble, ce_values_and_input_grad, predict_labels, predict_probs
+from .ensembles import Ensemble, ce_values_and_input_grad, members_of, predict_labels, predict_probs
 from .errors import (
     ConfigError,
     ConsistencyWarning,
@@ -47,10 +47,12 @@ def robust_accuracy(target, dataset, spec):
 @dataclass(frozen=True)
 class CrossMatrix:
     """Robust accuracies a[i, j]: attack built against model i (rows),
-    evaluated on model j (columns)."""
+    evaluated on model j (columns). adversarial holds each row's attacked
+    batch when the matrix came from cross_matrix."""
 
     a: np.ndarray
     labels: tuple
+    adversarial: tuple = ()
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=np.float64)
@@ -77,7 +79,7 @@ def _default_labels(targets):
 
 
 def cross_matrix(targets, dataset, spec, labels=None):
-    """Every target attacks the dataset; every target is scored on each
+    """Every target attacks the dataset once; every target is scored on each
     attack's output. Diagonal entries are the white-box robust accuracies.
     """
     targets = list(targets)
@@ -86,12 +88,13 @@ def cross_matrix(targets, dataset, spec, labels=None):
     labels = _default_labels(targets) if labels is None else tuple(labels)
     n = len(targets)
     a = np.zeros((n, n))
+    advs = []
     for i, source in enumerate(targets):
-        adv = run_attack(source, dataset.inputs, dataset.labels, spec).adversarial
+        advs.append(run_attack(source, dataset.inputs, dataset.labels, spec).adversarial)
         for j, scored in enumerate(targets):
-            ok = predict_labels(scored, adv) == dataset.labels
+            ok = predict_labels(scored, advs[-1]) == dataset.labels
             a[i, j] = np.mean(ok) * 100.0
-    return CrossMatrix(a=a, labels=labels)
+    return CrossMatrix(a=a, labels=labels, adversarial=tuple(advs))
 
 
 def transferability_T(matrix, first=0, second=1):
@@ -185,13 +188,16 @@ def auc_from_scores(benign, adv):
 
 
 def _entropy_scores(target, x):
-    probs = predict_probs(target, x)
-    ens_h = nn.entropy(probs)
-    if isinstance(target, Ensemble):
-        member_h = np.mean([nn.entropy(nn.forward(m, x)) for m in target.members], axis=0)
-    else:
-        member_h = ens_h.copy()
-    return ens_h, member_h
+    """Entropy of the averaged prediction and the mean member entropy, from
+    one forward per member."""
+    probs = [nn.forward(m, x) for m in members_of(target)]
+    return nn.entropy(np.mean(probs, axis=0)), np.mean([nn.entropy(p) for p in probs], axis=0)
+
+
+def _share_at_or_above(scores, thresholds):
+    """Share of scores >= each threshold, by binary search in the sorted
+    scores; equal bit for bit to np.mean(scores >= t)."""
+    return (scores.size - np.searchsorted(np.sort(scores), thresholds)) / scores.size
 
 
 def detect(target, benign_x, adv_x):
@@ -211,8 +217,8 @@ def detect(target, benign_x, adv_x):
     distinct = np.unique(np.concatenate([b_scores, a_scores]))
     mids = (distinct[:-1] + distinct[1:]) / 2.0
     thresholds = np.concatenate(([np.inf], mids[::-1], [-np.inf]))
-    fpr = np.array([np.mean(b_scores >= t) for t in thresholds])
-    tpr = np.array([np.mean(a_scores >= t) for t in thresholds])
+    fpr = _share_at_or_above(b_scores, thresholds)
+    tpr = _share_at_or_above(a_scores, thresholds)
 
     return DetectionReport(
         benign_scores=b_scores,

@@ -144,10 +144,10 @@ def _search(target, x, labels, spec, ascent):
     return cur, probs, tuple(trace), queries
 
 
-def run_attack(target, x, y, spec, multi=False):
+def run_attack(target, x, y, spec):
     """Untargeted attack on the cross-entropy against y; success iff the
-    final prediction differs from y. multi=True runs the multi-targeted
-    protocol instead.
+    final prediction differs from y. multi_targeted runs the multi-targeted
+    protocol.
 
     The family picks the loop:
       pgd   signed gradient ascent, from a uniform random point of the
@@ -158,8 +158,6 @@ def run_attack(target, x, y, spec, multi=False):
       spsa  ascent along simultaneous-perturbation estimates of the
             gradient, from x; only forward passes of the target are used.
     """
-    if multi:
-        return multi_targeted(target, x, y, spec)
     x, y = _validate_inputs(target, x, y)
     adv, probs, trace, queries = _search(target, x, y, spec, ascent=True)
     return AttackResult(

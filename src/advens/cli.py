@@ -362,8 +362,7 @@ def cmd_transfer(args):
         targets = list(ens.members) + [ens]
         labels = [f"f{i + 1}" for i in range(len(ens.members))] + ["en"]
         mat = analysis.cross_matrix(targets, ds, spec, labels=labels)
-
-        adv = run_attack(ens, ds.inputs, ds.labels, spec).adversarial
+        adv = mat.adversarial[-1]  # the ensemble's attacked batch
         metrics = {"a_en_en": mat.a[-1, -1]}
         for i in range(len(ens.members)):
             for j in range(i + 1, len(ens.members)):

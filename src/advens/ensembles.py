@@ -68,6 +68,11 @@ def ensemble_predict(ens, batch):
     return np.mean(probs, axis=0)
 
 
+def members_of(target):
+    """The members of an Ensemble; a Model is an ensemble of one."""
+    return target.members if isinstance(target, Ensemble) else (target,)
+
+
 def predict_probs(target, batch):
     """Probability rows of a Model or an Ensemble."""
     if isinstance(target, Ensemble):
@@ -79,34 +84,36 @@ def predict_labels(target, batch):
     return np.argmax(predict_probs(target, batch), axis=1)
 
 
+def averaged_ce_backprop(members, x, labels):
+    """CE of the members' averaged probability rows, forwarding each member
+    once. Returns (per-example CE, forward caches, one nn.backprop result per
+    member for the batch-mean CE): gradients flow through the combination
+    rule. A single member skips the average and the 1/N share (exact).
+    """
+    caches = [nn.forward_cached(m, x)[1] for m in members]
+    probs = caches[0].probs if len(caches) == 1 else np.mean([c.probs for c in caches], axis=0)
+    values = nn.cross_entropy_per_example(probs, labels)
+    b = probs.shape[0]
+    rows = np.arange(b)
+    p_y = probs[rows, labels]
+    g_probs = np.zeros(probs.shape)  # zeros_like costs more at attack-step sizes
+    live = p_y > nn.LOG_FLOOR
+    g_probs[rows, labels] = np.where(live, -1.0 / (b * np.maximum(p_y, nn.LOG_FLOOR)), 0.0)
+    if len(caches) > 1:
+        g_probs = g_probs / len(caches)
+    return values, caches, [nn.backprop(m, c, g_probs) for m, c in zip(members, caches)]
+
+
 def ce_values_and_input_grad(target, x, labels):
     """Per-example cross-entropy and the input gradient of its batch mean.
 
     For an Ensemble the loss is the cross-entropy of the *averaged*
-    probability (the adaptive-attack objective), so gradients flow through
-    the combination rule, not through per-member losses.
+    probability (the adaptive-attack objective).
     """
-    b = x.shape[0]
-    if isinstance(target, Ensemble):
-        caches = [nn.forward_cached(m, x)[1] for m in target.members]
-        probs = np.mean([c.probs for c in caches], axis=0)
-    else:
-        probs, cache = nn.forward_cached(target, x)
-        caches = [cache]
-    values = nn.cross_entropy_per_example(probs, labels)
-    p_y = probs[np.arange(b), labels]
-    g_probs = np.zeros_like(probs)
-    live = p_y > nn.LOG_FLOOR
-    g_probs[np.arange(b), labels] = np.where(
-        live, -1.0 / (b * np.maximum(p_y, nn.LOG_FLOOR)), 0.0
-    )
-    if isinstance(target, Ensemble):
-        share = g_probs / len(target.members)
-        grad = np.zeros_like(x)
-        for m, c in zip(target.members, caches):
-            grad += nn.backprop(m, c, share)[1]
-    else:
-        grad = nn.backprop(target, caches[0], g_probs)[1]
+    values, _, results = averaged_ce_backprop(members_of(target), x, labels)
+    grad = results[0][1]  # a fresh array, so summing in place is safe
+    for _, g in results[1:]:
+        grad += g
     return values, grad
 
 

@@ -11,7 +11,10 @@ Four methods share one loop, and two per-member training steps:
   ADP     ADV_EN plus a subtracted diversity regularizer
           alpha*H(mean probs) + beta*log(ensemble diversity), applied at
           both the clean and the adversarial batch, on the forward passes
-          the ADV_EN terms already made.
+          the ADV_EN terms already made. A Gram determinant below ED_FLOOR
+          (a zero row gives exactly 0) is clamped: no log-det gradient,
+          counted in adp_clamped. More members than num_classes - 1 make
+          every Gram matrix singular, so train rejects them.
   CCE     collaborative training: each member sees every member's
           adversarial batch. On its own batch it minimizes CE (the direct
           promote term); on another member's batch a soft gate p(true
@@ -41,7 +44,7 @@ import numpy as np
 
 from . import data, nn
 from .attacks import AttackSpec, run_attack
-from .ensembles import Ensemble, ensemble_predict, predict_labels
+from .ensembles import Ensemble, averaged_ce_backprop, ensemble_predict, predict_labels
 from .errors import ConfigError, DivergenceError, DomainError
 
 METHODS = ("ADV", "ADV_EN", "ADP", "CCE")
@@ -244,33 +247,24 @@ def ensemble_adv_loss(ens, x, y, x_a_en):
     return clean + adv, {"clean_ce": clean, "dpo_ce": adv, "cpo_ce": 0.0, "do_h": 0.0}
 
 
-def _mean_ce_grads_per_member(members, x, y):
-    """CE of the averaged probability: value, per-member param grads and
-    the members' forward caches."""
-    caches = [nn.forward_cached(m, x)[1] for m in members]
-    mean_probs = np.mean([c.probs for c in caches], axis=0)
-    value = nn.cross_entropy(mean_probs, y)
-    b = x.shape[0]
-    idx = np.arange(b)
-    y = np.asarray(y, dtype=np.int64)
-    p_y = mean_probs[idx, y]
-    g_mean = np.zeros_like(mean_probs)
-    live = p_y > nn.LOG_FLOOR
-    g_mean[idx, y] = np.where(live, -1.0 / (b * np.maximum(p_y, nn.LOG_FLOOR)), 0.0)
-    share = g_mean / len(members)
-    grads = [nn.backprop(m, c, share)[0] for m, c in zip(members, caches)]
-    return value, grads, caches
-
-
 def _add_grads(a, b):
     return [(gw + dw, gb + db) for (gw, gb), (dw, db) in zip(a, b)]
 
 
+def _ensemble_adv_terms(members, x, y, x_a_en):
+    """ADV_EN: CE of the averaged probability on the clean and on the
+    attacked batch. Returns (total, parts, per-member param grads, the
+    members' forward caches of each batch)."""
+    v1, c1, r1 = averaged_ce_backprop(members, x, y)
+    v2, c2, r2 = averaged_ce_backprop(members, x_a_en, y)
+    clean, adv = float(np.mean(v1)), float(np.mean(v2))
+    parts = {"clean_ce": clean, "dpo_ce": adv, "cpo_ce": 0.0, "do_h": 0.0}
+    grads = [_add_grads(a[0], b[0]) for a, b in zip(r1, r2)]
+    return clean + adv, parts, grads, (c1, c2)
+
+
 def _ensemble_adv_grads(members, x, y, x_a_en):
-    v1, g1, _ = _mean_ce_grads_per_member(members, x, y)
-    v2, g2, _ = _mean_ce_grads_per_member(members, x_a_en, y)
-    parts = {"clean_ce": v1, "dpo_ce": v2, "cpo_ce": 0.0, "do_h": 0.0}
-    return v1 + v2, parts, [_add_grads(a, b) for a, b in zip(g1, g2)]
+    return _ensemble_adv_terms(members, x, y, x_a_en)[:3]
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +302,6 @@ def _diversity_value_and_grads(member_probs, y, alpha, beta):
     if y.ndim == 0:
         y = np.full(b, int(y))
     y = y.astype(np.int64)
-    idx = np.arange(b)
 
     grads = np.zeros_like(probs)
     mean_p = probs.mean(axis=0)
@@ -317,36 +310,28 @@ def _diversity_value_and_grads(member_probs, y, alpha, beta):
     g_h = np.where(mean_p > 0.0, -(np.log(np.maximum(mean_p, nn.LOG_FLOOR)) + 1.0), 0.0)
     grads += alpha * g_h[None, :, :] / n
 
-    keep = np.ones(m, dtype=bool)
-    log_ed = np.zeros(b)
-    clamped = 0
-    for e in range(b):
-        keep[:] = True
-        keep[y[e]] = False
-        v = probs[:, e, :][:, keep]  # (N, M-1)
-        r = np.sqrt((v * v).sum(axis=1))
-        if np.any(r == 0.0):
-            log_ed[e] = np.log(ED_FLOOR)
-            clamped += 1
-            continue
-        vt = v / r[:, None]
-        gram = vt @ vt.T
-        det = float(np.linalg.det(gram))
-        if det < ED_FLOOR:
-            log_ed[e] = np.log(ED_FLOOR)
-            clamped += 1
-            continue
-        log_ed[e] = np.log(det)
-        try:
-            g_vt = 2.0 * np.linalg.solve(gram, vt)  # d log det / d vt
-        except np.linalg.LinAlgError:
-            clamped += 1
-            continue
-        # back through the row normalization
-        g_v = (g_vt - vt * (vt * g_vt).sum(axis=1, keepdims=True)) / r[:, None]
-        scatter = np.zeros((n, m))
-        scatter[:, keep] = beta * g_v
-        grads[:, e, :] += scatter
+    # per example, the member rows without the true-label entry: (B, N, M-1),
+    # members innermost in memory so sums over M-1 add as on one example
+    keep = np.ones((b, m, n), dtype=bool)
+    keep[np.arange(b), y, :] = False
+    v = probs.transpose(1, 2, 0)[keep].reshape(b, m - 1, n).transpose(0, 2, 1)
+    r = np.sqrt((v * v).sum(axis=2))
+    # a zero row gives a zero row of the Gram matrix: det is exactly 0 and clamps
+    vt = v / np.where(r == 0.0, 1.0, r)[:, :, None]
+    gram = vt @ vt.transpose(0, 2, 1)
+    det = np.linalg.det(gram)
+    live = ~(det < ED_FLOOR)
+    clamped = int(b - np.count_nonzero(live))
+    log_ed = np.full(b, np.log(ED_FLOOR))
+    log_ed[live] = np.log(det[live])
+    # det >= ED_FLOOR leaves every LU pivot non-zero, so solve cannot fail
+    vt, r = vt[live], r[live]
+    g_vt = 2.0 * np.linalg.solve(gram[live], vt)  # d log det / d vt
+    # back through the row normalization
+    g_v = (g_vt - vt * (vt * g_vt).sum(axis=2, keepdims=True)) / r[:, :, None]
+    scatter = np.zeros((len(vt), m, n))
+    scatter[keep[live]] = (beta * g_v).transpose(0, 2, 1).ravel()
+    grads[:, live, :] += scatter.transpose(2, 0, 1)
 
     values = alpha * h_vals + beta * log_ed
     # batch-mean reduction
@@ -359,14 +344,10 @@ def _diversity_value_and_grads(member_probs, y, alpha, beta):
 
 def _adp_grads(members, x, y, x_a_en, alpha, beta):
     """ADV_EN loss minus the regularizer at the clean and attacked batch.
-    The regularizer reuses the forward caches of the ADV_EN terms."""
-    v1, g1, c1 = _mean_ce_grads_per_member(members, x, y)
-    v2, g2, c2 = _mean_ce_grads_per_member(members, x_a_en, y)
-    total = v1 + v2
-    parts = {"clean_ce": v1, "dpo_ce": v2, "cpo_ce": 0.0, "do_h": 0.0}
-    grads = [_add_grads(a, b) for a, b in zip(g1, g2)]
+    The regularizer reuses the ADV_EN terms' values, grads and caches."""
+    total, parts, grads, batch_caches = _ensemble_adv_terms(members, x, y, x_a_en)
     clamped = 0
-    for tag, caches in (("clean", c1), ("adv", c2)):
+    for tag, caches in zip(("clean", "adv"), batch_caches):
         probs = np.stack([c.probs for c in caches])
         value, g_probs, flag = _diversity_value_and_grads(probs, y, alpha, beta)
         clamped += flag
@@ -478,6 +459,11 @@ def train(ens_init, dataset, config, method):
     n = len(ens_init)
     if method in ("CCE", "ADP") and n < 2:
         raise ConfigError(f"{method} needs at least 2 members")
+    if method == "ADP" and n > dataset.num_classes - 1:
+        raise ConfigError(
+            f"ADP needs members <= num_classes - 1, got {n} members for {dataset.num_classes} "
+            "classes: every Gram matrix of its diversity term would be singular"
+        )
     members = list(ens_init.members)
     states = [nn.adam_init(m, lr=config.lr) for m in members]
     clamped = 0

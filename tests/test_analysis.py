@@ -221,6 +221,46 @@ def test_roc_sweep_structure():
     assert area == pytest.approx(report.auc, abs=1e-12)
 
 
+def test_roc_rates_equal_exhaustive_threshold_sweep_with_ties():
+    # oracle: the share of scores >= t, counted threshold by threshold
+    rng = np.random.default_rng(11)
+    for trial in range(200):
+        levels = int(rng.integers(1, 6))  # few levels, so many scores tie
+        b_scores = rng.integers(0, levels, size=int(rng.integers(1, 40))) / 3.0
+        a_scores = rng.integers(0, levels, size=int(rng.integers(1, 40))) / 3.0
+        distinct = np.unique(np.concatenate([b_scores, a_scores]))
+        mids = (distinct[:-1] + distinct[1:]) / 2.0
+        thresholds = np.concatenate(([np.inf], distinct, mids[::-1], [-np.inf]))
+        for scores in (b_scores, a_scores):
+            oracle = np.array([np.mean(scores >= t) for t in thresholds])
+            swept = analysis._share_at_or_above(scores, thresholds)
+            assert swept.tobytes() == oracle.tobytes()
+
+    model = detector_model()
+    benign = np.round(rng.random((40, 1)), 1)  # repeated inputs tie their scores
+    adv = np.round(rng.random((30, 1)) * 0.5, 1)
+    report = analysis.detect(model, benign, adv)
+    for scores, rates in ((report.benign_scores, report.fpr), (report.adv_scores, report.tpr)):
+        oracle = np.array([np.mean(scores >= t) for t in report.thresholds])
+        assert rates.tobytes() == oracle.tobytes()
+
+
+@pytest.mark.parametrize("n_members", [1, 2, 3])
+def test_detect_forwards_each_member_once_per_batch(monkeypatch, n_members):
+    ds, m1 = blobs_and_model(seed=6)
+    ens = Ensemble(members=(m1,) + tuple(fit_plain(ds, seed=8 + i, steps=5) for i in range(n_members - 1)))
+    calls = []
+    forward_cached = nn.forward_cached
+
+    def counting(model, batch):
+        calls.append(model)
+        return forward_cached(model, batch)
+
+    monkeypatch.setattr(nn, "forward_cached", counting)
+    analysis.detect(ens, ds.inputs[:10], ds.inputs[10:20])
+    assert len(calls) == 2 * n_members
+
+
 def test_detect_member_mean_scores():
     ds, m1 = blobs_and_model(seed=6)
     m2 = fit_plain(ds, seed=8)

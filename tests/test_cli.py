@@ -8,7 +8,7 @@ import struct
 import numpy as np
 import pytest
 
-from advens import cli, data, training
+from advens import analysis, cli, data, training
 from advens.errors import ConfigError, DivergenceError
 
 BASE = {
@@ -217,6 +217,14 @@ def test_idx_header_larger_than_file_exits_2(tmp_path, capsys):
     assert "expected" in capsys.readouterr().err
 
 
+def test_adp_with_more_members_than_classes_minus_one_exits_2(tmp_path, capsys):
+    path, _ = make_config(
+        tmp_path, model={"hidden": [8], "members": 3}, method={"name": "ADP"}
+    )
+    assert run(["train", "--config", path]) == 2
+    assert "3 members for 3 classes" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # eval
 
@@ -310,6 +318,23 @@ def test_transfer_single_ensemble_artifacts(tmp_path):
     assert abs(metrics["a_single"] - (metrics["a_en_en"] - metrics["S11"])) < 0.3
     lines = read_lines(os.path.join(tr, "partition.csv"))
     assert lines[0].startswith("# seed=7,")
+
+
+def test_transfer_attacks_each_target_once(tmp_path, monkeypatch):
+    # the partition reuses the ensemble's attacked batch from the cross matrix
+    path, cfg, ckpt = trained(tmp_path)
+    seen = []
+    attack = analysis.run_attack
+
+    def recording(target, *args, **kwargs):
+        seen.append(type(target).__name__)
+        return attack(target, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "run_attack", recording)
+    monkeypatch.setattr(cli, "run_attack", recording)
+    tr = str(tmp_path / "tr")
+    assert run(["transfer", "--config", path, "--checkpoint", ckpt, "--out", tr]) == 0
+    assert seen == ["Model", "Model", "Ensemble"]
 
 
 def test_transfer_across_checkpoints(tmp_path):

@@ -347,7 +347,8 @@ def small_setup(seed=0, n_per_class=12, num_classes=2, dim=3):
 
 
 def test_train_smoke_all_methods():
-    ds, ens = small_setup()
+    # 3 classes: ADP rejects more members than num_classes - 1
+    ds, ens = small_setup(num_classes=3)
     cfg = TrainConfig(attack=quick_attack(), epochs=2, batch_size=12, seed=5, mode="RM", lr=0.01)
     for method in training.METHODS:
         report = training.train(ens, ds, cfg, method)
@@ -405,6 +406,16 @@ def test_train_validation_and_divergence(monkeypatch):
     monkeypatch.setattr(training, "_member_collab_grads", explode)
     with pytest.raises(DivergenceError, match="epoch 0 batch 0"):
         training.train(ens, ds, cfg, "CCE")
+
+
+def test_adp_rejects_more_members_than_classes_minus_one():
+    # the Gram matrix of N rows with num_classes - 1 entries is singular for N > num_classes - 1
+    ds, ens = small_setup(num_classes=3)
+    cfg = TrainConfig(attack=quick_attack(), epochs=1, batch_size=12, seed=0, mode="RM")
+    three = training.init_ensemble(3, [8], 3, 3, seed=0)
+    with pytest.raises(ConfigError, match="3 members for 3 classes"):
+        training.train(three, ds, cfg, "ADP")
+    assert training.train(ens, ds, cfg, "ADP").method == "ADP"  # 2 members, 3 classes
 
 
 @pytest.mark.parametrize(
