@@ -8,6 +8,7 @@ Submodules:
   training   collaborative / baseline adversarial training losses and loop
   analysis   robust accuracy, transfer metrics, entropy detector, surfaces
   cli        experiment runner (train / eval / transfer / detect / surface)
+  atomic     tmp-file + os.replace writes shared by every artifact writer
 """
 
 from . import analysis, attacks, data, ensembles, nn, training  # noqa: F401

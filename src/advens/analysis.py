@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
+from .atomic import atomic_write
 from .attacks import run_attack
 from .ensembles import Ensemble, ce_values_and_input_grad, members_of, predict_labels, predict_probs
 from .errors import (
@@ -60,7 +61,7 @@ class CrossMatrix:
             raise ShapeError(f"cross matrix must be square, got {a.shape}")
         if len(self.labels) != a.shape[0]:
             raise ShapeError("one label per row required")
-        if not np.all(np.isfinite(a)) or a.min() < 0 or a.max() > 100:
+        if not np.isfinite(a).all() or a.min() < 0 or a.max() > 100:
             raise DomainError("cross-matrix entries must be percentages in [0, 100]")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
@@ -178,7 +179,7 @@ def auc_from_scores(benign, adv):
     a = np.asarray(adv, dtype=np.float64).ravel()
     if b.size == 0 or a.size == 0:
         raise ContractError("both score sets must be non-empty")
-    if not (np.all(np.isfinite(b)) and np.all(np.isfinite(a))):
+    if not (np.isfinite(b).all() and np.isfinite(a).all()):
         raise DomainError("scores must be finite")
     b = np.sort(b)
     wins = np.searchsorted(b, a, side="left")
@@ -280,7 +281,7 @@ def surface_grid(target, x_a, y, radius_steps, step, seed=0):
     d = x_a.size
     if d < 2:
         raise ConfigError("surface grids need input dimension >= 2")
-    if not np.all(np.isfinite(x_a)) or x_a.min() < 0 or x_a.max() > 1:
+    if not np.isfinite(x_a).all() or x_a.min() < 0 or x_a.max() > 1:
         raise DomainError("x_a must lie in the data box [0, 1]^d")
     if not (isinstance(radius_steps, (int, np.integer)) and radius_steps >= 1):
         raise ConfigError(f"radius_steps must be an integer >= 1, got {radius_steps!r}")
@@ -330,7 +331,7 @@ def surface_grid(target, x_a, y, radius_steps, step, seed=0):
 
 def save_cross_csv(matrix, path, preamble=""):
     """Labeled matrix CSV, entries rounded to one decimal."""
-    with open(path, "w", newline="") as f:
+    with atomic_write(path, newline="") as f:
         f.write(preamble)
         f.write("source," + ",".join(matrix.labels) + "\n")
         for label, row in zip(matrix.labels, matrix.a):
@@ -339,7 +340,7 @@ def save_cross_csv(matrix, path, preamble=""):
 
 def save_detection_csv(report, path, preamble=""):
     """ROC curve as (fpr, tpr) rows, ordered by descending threshold."""
-    with open(path, "w", newline="") as f:
+    with atomic_write(path, newline="") as f:
         f.write(preamble)
         f.write("fpr,tpr\n")
         for fp, tp in zip(report.fpr, report.tpr):
@@ -357,7 +358,7 @@ def detection_summary(report):
 def save_detection_json(report, path, extra=None):
     payload = dict(extra or {})
     payload.update(detection_summary(report))
-    with open(path, "w") as f:
+    with atomic_write(path) as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
 
@@ -365,7 +366,7 @@ def save_detection_json(report, path, extra=None):
 def save_surface_csv(grid, path, preamble=""):
     """Long-format grid: i, j, loss, label with i, j in [-r, r]."""
     r = grid.radius_steps
-    with open(path, "w", newline="") as f:
+    with atomic_write(path, newline="") as f:
         f.write(preamble)
         f.write("i,j,loss,label\n")
         for i in range(-r, r + 1):

@@ -1,11 +1,18 @@
 """Perturbation search inside the l-inf ball B(x, eps) = {x' : ||x'-x||_inf <= eps} ∩ [0,1]^d.
 
-One search loop serves every protocol: run_attack (untargeted), targeted
-and multi_targeted all call it, and spec.family picks how it steps
-(PGD / BIM / MIM sign-gradient steps, or gradient-free SPSA estimates).
-Targets may be a single Model or an Ensemble; against an ensemble the
-objective is the cross-entropy of the *averaged* probability, so the
-attacker differentiates through the combination rule (the adaptive attack).
+One search loop serves every protocol: run_attack (untargeted), targeted,
+multi_targeted and run_member_attacks all call it, and spec.family picks
+how it steps (PGD / BIM / MIM sign-gradient steps, or gradient-free SPSA
+estimates). Targets may be a single Model or an Ensemble; against an
+ensemble the objective is the cross-entropy of the *averaged* probability,
+so the attacker differentiates through the combination rule (the adaptive
+attack).
+
+The loop works on stacked members (ensembles.MemberStack): run_member_attacks
+runs K lone attacks, one per member, in lockstep on a (K, B, d) stack, and a
+Model is the stack of one. Each gradient step is one stacked forward and one
+backward that forms only the input gradient; every attack keeps its own
+seeded generator, so its result equals a lone run_attack bit for bit.
 
 Query accounting: queries counts target evaluations per example (the usual
 black-box budget metric). PGD/BIM/MIM spend steps+1 (final success check
@@ -21,8 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
+from .atomic import atomic_write
+from .ensembles import Ensemble, ce_values_and_input_grad, member_stack, predict_probs
 from .errors import ConfigError, DivergenceError, DomainError, ShapeError
-from .ensembles import ce_values_and_input_grad, predict_probs
 
 FAMILIES = ("pgd", "bim", "mim", "spsa")
 
@@ -94,7 +102,7 @@ def _validate_inputs(target, x, y):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeError("attack inputs must be a 2-d batch")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise DomainError("attack inputs contain non-finite values")
     y = np.asarray(y)
     if y.shape != (x.shape[0],):
@@ -104,50 +112,75 @@ def _validate_inputs(target, x, y):
     return x, y.astype(np.int64)
 
 
-def _search(target, x, labels, spec, ascent):
-    """The one iterative search behind every protocol; the loop follows
-    spec.family. Ascends the cross-entropy against labels when ascent is
-    set, descends it otherwise. Returns (adversarial, final_probs, trace,
-    queries)."""
-    rng = np.random.default_rng(spec.seed)
+def _search(target, x, labels, specs, ascent):
+    """The one iterative search behind every protocol; the loop follows the
+    family of specs, which differ only in their seeds.
+
+    An Ensemble target is attacked as one, through its averaged
+    prediction, with specs[0]. Any other target (a Model, a MemberStack)
+    is stacked once per call and its member k is attacked alone with
+    specs[k]. The attacks advance in lockstep, one stacked step for all of
+    them, and attack k draws from its own default_rng(specs[k].seed) in
+    the order a lone attack would. Ascends the cross-entropy against labels
+    when ascent is set, descends it otherwise. Returns (adversarial
+    (A, B, d), final probs (A, B, M), one loss trace per attack, queries).
+    """
+    spec = specs[0]
+    rngs = [np.random.default_rng(s.seed) for s in specs]
+    per_member = not isinstance(target, Ensemble)
+    if per_member:
+        target = member_stack(target)
     if spec.family == "pgd" and spec.random_start:
-        cur = np.clip(x + rng.uniform(-spec.epsilon, spec.epsilon, size=x.shape), 0.0, 1.0)
-        cur = np.clip(cur, x - spec.epsilon, x + spec.epsilon)
+        starts = [
+            np.clip(x + rng.uniform(-spec.epsilon, spec.epsilon, size=x.shape), 0.0, 1.0)
+            for rng in rngs
+        ]
+        cur = np.clip(np.stack(starts), x - spec.epsilon, x + spec.epsilon)
     else:
-        cur = x.copy()
+        cur = np.repeat(x[None], len(specs), axis=0)
+    origin = np.broadcast_to(x, cur.shape)
+
+    def batch(a):  # what the target takes: the stack, or one ensemble batch
+        return a if per_member else a[0]
+
     sign = 1.0 if ascent else -1.0
-    g_acc = np.zeros_like(x)
-    trace = []
+    g_acc = np.zeros_like(cur)
+    traces = [[] for _ in specs]
     queries = 1  # the final success check
     for step in range(spec.steps):
         if spec.family == "spsa":
             grad, used = spsa_gradient_estimate(
-                target, cur, labels, spec.spsa_samples, spec.spsa_delta, rng
+                target, batch(cur), labels, spec.spsa_samples, spec.spsa_delta,
+                rngs if per_member else rngs[0],
             )
             queries += used
         else:
-            values, grad = ce_values_and_input_grad(target, cur, labels)
-            if not np.all(np.isfinite(grad)):
+            values, grad = ce_values_and_input_grad(target, batch(cur), labels)
+            if not np.isfinite(grad).all():
                 raise DivergenceError(f"non-finite attack gradient at step {step}")
-            trace.append(float(np.mean(values)))
+            # one np.mean per attack: the (K, B) values are not C-ordered, and
+            # a mean over their axis 1 can sum the rows in another order
+            for trace, v in zip(traces, values.reshape(len(specs), -1)):
+                trace.append(float(np.mean(v)))
             queries += 1
-        grad = sign * grad
+        grad = sign * grad.reshape(cur.shape)
         if spec.family == "mim":
-            norms = np.abs(grad).sum(axis=1, keepdims=True)
-            live = norms[:, 0] > 0.0
+            norms = np.abs(grad).sum(axis=-1, keepdims=True)
+            live = norms[..., 0] > 0.0
             g_acc = spec.momentum * g_acc
             g_acc[live] += grad[live] / norms[live]
             grad = g_acc
-        cur = fgsm_step(cur, grad, spec.eta, x, spec.epsilon)
-    probs = predict_probs(target, cur)
-    trace.append(float(np.mean(nn.cross_entropy_per_example(probs, labels))))
-    return cur, probs, tuple(trace), queries
+        cur = fgsm_step(cur, grad, spec.eta, origin, spec.epsilon)
+    probs = predict_probs(target, batch(cur)).reshape(cur.shape[:2] + (-1,))
+    for trace, v in zip(traces, nn.cross_entropy_per_example(probs, labels)):
+        trace.append(float(np.mean(v)))
+    return cur, probs, [tuple(t) for t in traces], queries
 
 
 def run_attack(target, x, y, spec):
     """Untargeted attack on the cross-entropy against y; success iff the
     final prediction differs from y. multi_targeted runs the multi-targeted
-    protocol.
+    protocol, run_member_attacks many lone member attacks at once.
 
     The family picks the loop:
       pgd   signed gradient ascent, from a uniform random point of the
@@ -159,14 +192,41 @@ def run_attack(target, x, y, spec):
             gradient, from x; only forward passes of the target are used.
     """
     x, y = _validate_inputs(target, x, y)
-    adv, probs, trace, queries = _search(target, x, y, spec, ascent=True)
+    adv, probs, traces, queries = _search(target, x, y, [spec], ascent=True)
     return AttackResult(
-        adversarial=adv,
-        success_mask=np.argmax(probs, axis=1) != y,
+        adversarial=adv[0],
+        success_mask=np.argmax(probs[0], axis=1) != y,
         queries=queries,
         spec=spec,
-        loss_trace=trace,
+        loss_trace=traces[0],
     )
+
+
+def run_member_attacks(members, x, y, specs):
+    """run_attack against each member alone, members[k] with specs[k], in
+    lockstep: one stacked step per iteration serves every member. Returns
+    one AttackResult per member, equal bit for bit to the lone run_attack
+    calls. The specs may differ only in their seeds; the members may
+    differ in layer shapes.
+    """
+    members, specs = tuple(members), tuple(specs)
+    if len(specs) != len(members):
+        raise ConfigError(f"{len(specs)} attack specs for {len(members)} members")
+    if any(vars(s) | {"seed": 0} != vars(specs[0]) | {"seed": 0} for s in specs):
+        raise ConfigError("member attack specs may differ only in their seeds")
+    stack = Ensemble(members=members).stack  # the members must agree on classes and inputs
+    x, y = _validate_inputs(stack, x, y)
+    adv, probs, traces, queries = _search(stack, x, y, specs, ascent=True)
+    return [
+        AttackResult(
+            adversarial=a,
+            success_mask=np.argmax(p, axis=1) != y,
+            queries=queries,
+            spec=s,
+            loss_trace=t,
+        )
+        for a, p, s, t in zip(adv, probs, specs, traces)
+    ]
 
 
 def targeted(target, x, t, spec):
@@ -176,13 +236,13 @@ def targeted(target, x, t, spec):
     if t_arr.ndim == 0:
         t_arr = np.full(np.asarray(x).shape[0], int(t_arr))
     x, t_arr = _validate_inputs(target, x, t_arr)
-    adv, probs, trace, queries = _search(target, x, t_arr, spec, ascent=False)
+    adv, probs, traces, queries = _search(target, x, t_arr, [spec], ascent=False)
     return AttackResult(
-        adversarial=adv,
-        success_mask=np.argmax(probs, axis=1) == t_arr,
+        adversarial=adv[0],
+        success_mask=np.argmax(probs[0], axis=1) == t_arr,
         queries=queries,
         spec=spec,
-        loss_trace=trace,
+        loss_trace=traces[0],
     )
 
 
@@ -207,7 +267,8 @@ def multi_targeted(target, x, y, spec):
         valid = y != t
         if not valid.any():
             continue
-        adv, probs, _, per_run = _search(target, x, np.full(b, t), spec, ascent=False)
+        adv, probs, _, per_run = _search(target, x, np.full(b, t), [spec], ascent=False)
+        adv, probs = adv[0], probs[0]
         hit = valid & (np.argmax(probs, axis=1) == t)
         newly = hit & ~success
         chosen[newly] = adv[newly]
@@ -229,23 +290,27 @@ def multi_targeted(target, x, y, spec):
 
 def spsa_gradient_estimate(target, x, labels, samples, delta, rng):
     """Two-point Rademacher estimate of the input gradient of the mean
-    cross-entropy. Returns (estimate, loss_evaluations)."""
+    cross-entropy. Returns (estimate, loss_evaluations). As in
+    ce_values_and_input_grad, x is one batch (B, d) against the averaged
+    prediction, its bumps drawn from rng, or a stack (K, B, d) whose slice
+    k is against member k alone, its bumps drawn from rng[k]."""
+    rngs = [rng] if np.ndim(x) == 2 else rng
     est = np.zeros_like(x)
     for _ in range(samples):
-        bump = rng.integers(0, 2, size=x.shape) * 2.0 - 1.0
+        bump = np.reshape([r.integers(0, 2, size=x.shape[-2:]) for r in rngs], x.shape) * 2.0 - 1.0
         up = np.clip(x + delta * bump, 0.0, 1.0)
         dn = np.clip(x - delta * bump, 0.0, 1.0)
         lp = nn.cross_entropy_per_example(predict_probs(target, up), labels)
         ln = nn.cross_entropy_per_example(predict_probs(target, dn), labels)
         # Rademacher entries are +-1 so the elementwise inverse is bump itself
-        est += ((lp - ln) / (2.0 * delta))[:, None] * bump
+        est += ((lp - ln) / (2.0 * delta))[..., None] * bump
     return est / samples, 2 * samples
 
 
 def save_attack_csv(result, x_original, path, preamble=""):
     """CSV export: example_id, success, linf_norm, queries."""
     gaps = np.abs(result.adversarial - np.asarray(x_original, dtype=np.float64)).max(axis=1)
-    with open(path, "w", newline="") as f:
+    with atomic_write(path, newline="") as f:
         f.write(preamble)
         f.write("example_id,success,linf_norm,queries\n")
         for i, (s, g) in enumerate(zip(result.success_mask, gaps)):

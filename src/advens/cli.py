@@ -27,6 +27,7 @@ import sys
 import numpy as np
 
 from . import analysis, data, training
+from .atomic import atomic_write
 from .attacks import AttackSpec, run_attack
 from .ensembles import load_ensemble, partition, save_ensemble, save_partition_csv
 from .errors import ConfigError, DivergenceError
@@ -269,7 +270,7 @@ def _meta(cfg):
 
 
 def _write_json(path, payload):
-    with open(path, "w") as f:
+    with atomic_write(path) as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
 
@@ -339,7 +340,7 @@ def cmd_eval(args):
     for name, spec_dict in cfg["eval_attacks"].items():
         spec = AttackSpec(**spec_dict)
         path = os.path.join(out, f"eval_{name}.csv")
-        with open(path, "w", newline="") as f:
+        with atomic_write(path, newline="") as f:
             f.write(_preamble(cfg))
             f.write("model,nat_acc,rob_acc\n")
             for label, target in targets:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import atomic_write
 from .errors import ConsistencyError, DomainError, FormatError, ShapeError, TruncatedFileError
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -36,7 +37,7 @@ class Dataset:
             raise ConsistencyError(
                 f"{x.shape[0]} input rows but {y.shape[0]} labels"
             )
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise DomainError("inputs contain non-finite values")
         if x.size and (x.min() < 0.0 or x.max() > 1.0):
             raise DomainError("inputs must lie in [0, 1]")
@@ -175,10 +176,10 @@ def save_idx(dataset, images_path, labels_path, rows, cols):
     if dataset.num_classes > 256 or (len(dataset) and dataset.labels.max() > 255):
         raise DomainError("IDX labels are single bytes; labels must be < 256")
     pixels = np.round(dataset.inputs * 255.0).astype(np.uint8)
-    with open(images_path, "wb") as f:
+    with atomic_write(images_path, "wb") as f:
         f.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, len(dataset), rows, cols))
         f.write(pixels.tobytes())
-    with open(labels_path, "wb") as f:
+    with atomic_write(labels_path, "wb") as f:
         f.write(struct.pack(">II", IDX_LABELS_MAGIC, len(dataset)))
         f.write(dataset.labels.astype(np.uint8).tobytes())
 
@@ -222,7 +223,7 @@ def split(dataset, fraction, seed):
 def save_csv(dataset, path):
     """Export as CSV with header x0,...,x{d-1},label."""
     d = dataset.dim
-    with open(path, "w", newline="") as f:
+    with atomic_write(path, newline="") as f:
         f.write(",".join([f"x{i}" for i in range(d)] + ["label"]) + "\n")
         for row, label in zip(dataset.inputs, dataset.labels):
             f.write(",".join(repr(float(v)) for v in row) + f",{label}\n")

@@ -1,6 +1,9 @@
 """Ensembles of classifiers and ball-security bookkeeping.
 
 An Ensemble predicts the unweighted mean of its members' probability rows.
+It also holds its members as stacked parameters (MemberStack, built once
+per ensemble), so its forward and its input gradient take one stacked pass
+per run of same-shaped members.
 Security of a prediction is always judged inside an l-inf ball around a
 clean point: a probe is secure for a model when the model still assigns
 the true label there (argmax, lowest index on ties).
@@ -12,12 +15,13 @@ member 1 wrong, member 2 right.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import nn
+from .atomic import atomic_write
 from .errors import ConfigError, ContractError, FormatError, ShapeError
 
 BALL_TOL = 1e-9
@@ -61,11 +65,36 @@ class Ensemble:
     def __len__(self):
         return len(self.members)
 
+    @cached_property
+    def stack(self):
+        """The members' parameters as a MemberStack, stacked once per ensemble."""
+        return stack_members(self.members)
 
-def ensemble_predict(ens, batch):
-    """Mean of member probability rows; rows still sum to 1."""
-    probs = [nn.forward(m, batch) for m in ens.members]
-    return np.mean(probs, axis=0)
+
+@dataclass(frozen=True)
+class MemberStack:
+    """Members held as stacked parameters. Consecutive members of one layer
+    shape form one nn.ModelStack run, in member order, so K members of
+    mixed shapes take one stacked pass per run."""
+
+    runs: tuple
+    num_classes: int
+
+    def __len__(self):
+        return sum(run.size for run in self.runs)
+
+
+def stack_members(members):
+    """The MemberStack of a sequence of Models."""
+    groups = []
+    for m in members:
+        if groups and nn.same_shape(groups[-1][-1], m):
+            groups[-1].append(m)
+        else:
+            groups.append([m])
+    return MemberStack(
+        runs=tuple(nn.stack_models(g) for g in groups), num_classes=members[0].num_classes
+    )
 
 
 def members_of(target):
@@ -73,11 +102,51 @@ def members_of(target):
     return target.members if isinstance(target, Ensemble) else (target,)
 
 
-def predict_probs(target, batch):
-    """Probability rows of a Model or an Ensemble."""
+def member_stack(target):
+    """target's members as a MemberStack: an Ensemble's own (stacked once
+    per ensemble), a Model as a stack of one, a MemberStack as it is."""
+    if isinstance(target, MemberStack):
+        return target
     if isinstance(target, Ensemble):
-        return ensemble_predict(target, batch)
-    return nn.forward(target, batch)
+        return target.stack
+    return stack_members((target,))
+
+
+def _member_forward(stack, batch, keep_masks=False):
+    """Every member's probability rows (K, B, M), one stacked forward per
+    run; batch is (B, d) for every member or (K, B, d), slice k for member
+    k. Returns (probs, one list of relu masks per run, or None)."""
+    if np.ndim(batch) == 3 and len(batch) != len(stack):
+        raise ShapeError(f"{len(batch)} batch slices for {len(stack)} members")
+    probs, masks, k = [], [], 0
+    for run in stack.runs:
+        part = batch if np.ndim(batch) == 2 else batch[k : k + run.size]
+        p, m = nn.stacked_forward(run, part, keep_masks)
+        probs.append(p)
+        masks.append(m)
+        k += run.size
+    return (probs[0] if len(probs) == 1 else np.concatenate(probs)), masks
+
+
+def member_probs(target, batch):
+    """Each member's probability rows, (K, B, M): of one batch (B, d) for
+    every member, or of slice k of a stack (K, B, d) for member k."""
+    return _member_forward(member_stack(target), batch)[0]
+
+
+def ensemble_predict(ens, batch):
+    """Mean of member probability rows; rows still sum to 1."""
+    return member_probs(ens, batch).mean(axis=0)
+
+
+def predict_probs(target, batch):
+    """Probability rows of a Model, or the averaged rows of an Ensemble;
+    for a (K, B, d) stack, member k's rows of slice k (member_probs)."""
+    if np.ndim(batch) == 3:
+        return member_probs(target, batch)
+    if isinstance(target, nn.Model):
+        return nn.forward(target, batch)
+    return ensemble_predict(target, batch)
 
 
 def predict_labels(target, batch):
@@ -92,27 +161,43 @@ def averaged_ce_backprop(members, x, labels):
     """
     caches = [nn.forward_cached(m, x)[1] for m in members]
     probs = caches[0].probs if len(caches) == 1 else np.mean([c.probs for c in caches], axis=0)
-    values = nn.cross_entropy_per_example(probs, labels)
-    b = probs.shape[0]
-    rows = np.arange(b)
-    p_y = probs[rows, labels]
-    g_probs = np.zeros(probs.shape)  # zeros_like costs more at attack-step sizes
-    live = p_y > nn.LOG_FLOOR
-    g_probs[rows, labels] = np.where(live, -1.0 / (b * np.maximum(p_y, nn.LOG_FLOOR)), 0.0)
+    values, g_probs = nn.ce_values_and_prob_grad(probs, labels)
     if len(caches) > 1:
         g_probs = g_probs / len(caches)
     return values, caches, [nn.backprop(m, c, g_probs) for m, c in zip(members, caches)]
 
 
 def ce_values_and_input_grad(target, x, labels):
-    """Per-example cross-entropy and the input gradient of its batch mean.
+    """Per-example cross-entropy and the input gradient of its batch mean,
+    from one stacked forward and a backward that forms only the input
+    gradient. target is a Model, an Ensemble or a MemberStack.
 
-    For an Ensemble the loss is the cross-entropy of the *averaged*
-    probability (the adaptive-attack objective).
+    x of shape (B, d) is one batch against the *averaged* probability (the
+    adaptive-attack objective; a Model is an ensemble of one): values (B,),
+    gradient (B, d). x of shape (K, B, d) holds K independent batches, slice
+    k against member k alone: values (K, B), gradient (K, B, d).
     """
-    values, _, results = averaged_ce_backprop(members_of(target), x, labels)
-    grad = results[0][1]  # a fresh array, so summing in place is safe
-    for _, g in results[1:]:
+    stack = member_stack(target)
+    probs, masks = _member_forward(stack, x, keep_masks=True)
+    if np.ndim(x) == 3:
+        values, g_probs = nn.ce_values_and_prob_grad(probs, labels)
+    elif len(probs) == 1:  # one member skips the average and the 1/N share (exact)
+        values, g_probs = nn.ce_values_and_prob_grad(probs[0], labels)
+    else:
+        values, g_probs = nn.ce_values_and_prob_grad(probs.mean(axis=0), labels)
+        g_probs = g_probs / len(probs)
+    grads, k = [], 0
+    for run, run_masks in zip(stack.runs, masks):
+        part = g_probs if g_probs.ndim == 2 else g_probs[k : k + run.size]
+        grads.append(nn.stacked_input_grad(run, probs[k : k + run.size], run_masks, part))
+        k += run.size
+    if np.ndim(x) == 3:
+        return values, grads[0] if len(grads) == 1 else np.concatenate(grads)
+    rows = [g for run_grads in grads for g in run_grads]
+    if len(rows) == 1:
+        return values, rows[0]
+    grad = rows[0] + rows[1]  # in member order, as a sum of separate backprops adds up
+    for g in rows[2:]:
         grad += g
     return values, grad
 
@@ -199,7 +284,7 @@ def joint_security_violations(f1, f2, probes, x, y, eps):
 
 def save_partition_csv(part, path, preamble=""):
     """CSV export: example_id, tag."""
-    with open(path, "w", newline="") as f:
+    with atomic_write(path, newline="") as f:
         f.write(preamble)
         f.write("example_id,tag\n")
         for i, tag in enumerate(part.assignments):
@@ -216,10 +301,8 @@ def save_ensemble(ens, path, meta=None):
     }
     if meta:
         obj.update(meta)
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as f:
+    with atomic_write(path) as f:
         json.dump(obj, f)
-    os.replace(tmp, path)
 
 
 def load_ensemble(path):

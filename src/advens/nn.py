@@ -8,6 +8,10 @@ and entropy terms in closed form, which keeps gradients reproducible to
 the last bit and lets callers attach per-example coefficients that are
 treated as constants (no gradient flows through them).
 
+A ModelStack holds K same-shaped models with their parameters stacked on
+a leading axis. Its forward runs all K at once, and its backward forms only
+the input gradient; slice k keeps the bits of model k on its own.
+
 Log arguments are clamped at ``LOG_FLOOR``; the clamp only matters where a
 probability has underflowed to ~0, and the reported gradient is the exact
 gradient of the clamped loss.
@@ -15,11 +19,11 @@ gradient of the clamped loss.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .atomic import atomic_write
 from .errors import DomainError, FormatError, ShapeError, UnsupportedLossError
 
 LOG_FLOOR = 1e-12
@@ -28,7 +32,7 @@ ACTIVATIONS = ("relu", "id")
 
 def _as_f64(x, name="array"):
     a = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise DomainError(f"{name} contains non-finite values")
     return a
 
@@ -73,7 +77,7 @@ class Model:
                 raise ShapeError(
                     f"layer {i}: expects {layer.w.shape[0]} inputs, previous layer emits {prev}"
                 )
-            if not (np.all(np.isfinite(layer.w)) and np.all(np.isfinite(layer.b))):
+            if not (np.isfinite(layer.w).all() and np.isfinite(layer.b).all()):
                 raise DomainError(f"layer {i}: non-finite parameters")
             prev = layer.w.shape[1]
         if prev != self.num_classes:
@@ -169,6 +173,83 @@ def predict(model, batch):
 
 
 # ---------------------------------------------------------------------------
+# stacked models
+
+
+@dataclass(frozen=True)
+class ModelStack:
+    """K models of one layer shape with their parameters stacked on a
+    leading axis: per layer, w is (K, d_in, d_out) and b is (K, 1, d_out)."""
+
+    weights: tuple
+    biases: tuple
+    acts: tuple
+
+    @property
+    def size(self):
+        return self.weights[0].shape[0]
+
+
+def same_shape(a, b):
+    """True iff models a and b have the same layer shapes and activations."""
+    return len(a.layers) == len(b.layers) and all(
+        la.w.shape == lb.w.shape and la.act == lb.act for la, lb in zip(a.layers, b.layers)
+    )
+
+
+def stack_models(models):
+    """One ModelStack of same-shaped models, in the given order."""
+    models = tuple(models)
+    if not models or not all(same_shape(models[0], m) for m in models[1:]):
+        raise ShapeError("a model stack needs one or more models of one layer shape")
+    per_layer = list(zip(*(m.layers for m in models)))
+    return ModelStack(
+        weights=tuple(np.stack([layer.w for layer in ls]) for ls in per_layer),
+        biases=tuple(np.stack([layer.b for layer in ls])[:, None, :] for ls in per_layer),
+        acts=tuple(layer.act for layer in models[0].layers),
+    )
+
+
+def stacked_forward(stack, batch, keep_masks=False):
+    """Probability rows of every stacked model, (K, B, M). batch is one
+    (B, d) batch that every model sees, or a (K, B, d) stack whose slice k
+    model k sees. Slice k has the bits of forward(model k, its batch).
+
+    With keep_masks, also returns the list of relu masks (None for an
+    identity layer) that stacked_input_grad consumes; else None.
+    """
+    a = _as_f64(batch, "batch")
+    k, d = stack.size, stack.weights[0].shape[1]
+    if a.ndim not in (2, 3) or a.shape[-1] != d or (a.ndim == 3 and a.shape[0] != k):
+        raise ShapeError(f"batch shape {a.shape} fits neither (B, {d}) nor ({k}, B, {d})")
+    masks = [] if keep_masks else None
+    for w, b, act in zip(stack.weights, stack.biases, stack.acts):
+        z = a @ w
+        z += b
+        if keep_masks:
+            masks.append(z > 0.0 if act == "relu" else None)
+        a = np.maximum(z, 0.0, out=z) if act == "relu" else z
+    return softmax(a), masks
+
+
+def stacked_input_grad(stack, probs, masks, g_probs):
+    """dLoss/dinputs of every stacked model, (K, B, d), and nothing else: no
+    parameter gradient is formed. probs and masks come from the forward;
+    g_probs is dLoss/dprobs, (K, B, M) or one (B, M) shared by every model.
+    Pops each mask once it is used, so the stacked intermediates go as the
+    pass moves back.
+    """
+    # softmax jacobian-vector product
+    g = probs * (g_probs - (g_probs * probs).sum(axis=-1, keepdims=True))
+    for w in reversed(stack.weights):
+        mask = masks.pop()
+        if mask is not None:
+            g *= mask
+        g = g @ w.transpose(0, 2, 1)
+    return g
+
+
+# ---------------------------------------------------------------------------
 # losses
 
 
@@ -187,18 +268,39 @@ def _check_labels(labels, batch_size, num_classes):
 
 def _check_probs(probs):
     p = _as_f64(probs, "probs")
-    if p.ndim != 2:
-        raise ShapeError("probs must be 2-d")
-    if p.size and (p.min() < -1e-9 or np.abs(p.sum(axis=1) - 1.0).max() > 1e-4):
+    if p.ndim < 2:
+        raise ShapeError("probs must hold rows: ndim >= 2")
+    if p.size and (p.min() < -1e-9 or np.abs(p.sum(axis=-1) - 1.0).max() > 1e-4):
         raise DomainError("probs rows must be distributions summing to 1")
     return p
 
 
-def cross_entropy_per_example(probs, labels):
-    """-log p_y per row, with the log argument clamped at LOG_FLOOR."""
+def _label_entries(probs, labels):
+    """Checked probability rows (..., B, M), the (rows, labels) index of
+    each row's label entry, and those entries p_y."""
     p = _check_probs(probs)
-    y = _check_labels(labels, p.shape[0], p.shape[1])
-    return -np.log(np.maximum(p[np.arange(p.shape[0]), y], LOG_FLOOR))
+    rows = np.arange(p.shape[-2])
+    y = _check_labels(labels, len(rows), p.shape[-1])
+    return p, (rows, y), p[..., rows, y]
+
+
+def cross_entropy_per_example(probs, labels):
+    """-log p_y per row, with the log argument clamped at LOG_FLOOR. probs
+    may carry leading stack axes, (..., B, M)."""
+    return -np.log(np.maximum(_label_entries(probs, labels)[2], LOG_FLOOR))
+
+
+def ce_values_and_prob_grad(probs, labels):
+    """Per-example cross-entropy and the gradient of its batch mean with
+    respect to probs: -1/(B p_y) at each label entry, 0 where p_y is under
+    the clamp. probs may carry leading stack axes, (..., B, M); each slice
+    is then its own batch."""
+    p, (rows, y), p_y = _label_entries(probs, labels)
+    floored = np.maximum(p_y, LOG_FLOOR)
+    g = np.zeros(p.shape)  # zeros_like costs more at attack-step sizes
+    # d(-log max(p_y, floor))/dp_y is -1/p_y above the clamp, 0 below
+    g[..., rows, y] = np.where(p_y > LOG_FLOOR, -1.0 / (len(rows) * floored), 0.0)
+    return -np.log(floored), g
 
 
 def cross_entropy(probs, labels):
@@ -210,7 +312,7 @@ def entropy(probs):
     """Shannon entropy per row, in nats; 0*log(0) counts as 0."""
     p = _check_probs(probs)
     plogp = np.where(p > 0.0, p * np.log(np.maximum(p, LOG_FLOOR)), 0.0)
-    return -plogp.sum(axis=1)
+    return -plogp.sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +348,7 @@ def _term_weight(term, batch_size):
         return np.full(batch_size, float(w))
     if w.shape != (batch_size,):
         raise ShapeError(f"term weight shape {w.shape} != ({batch_size},)")
-    if not np.all(np.isfinite(w)):
+    if not np.isfinite(w).all():
         raise DomainError("term weight contains non-finite values")
     return w
 
@@ -287,7 +389,7 @@ def backprop(model, cache, g_probs):
     if g_probs.shape != p.shape:
         raise ShapeError(f"g_probs shape {g_probs.shape} != probs shape {p.shape}")
     # softmax jacobian-vector product
-    g = p * (g_probs - np.sum(g_probs * p, axis=1, keepdims=True))
+    g = p * (g_probs - (g_probs * p).sum(axis=1, keepdims=True))
     param_grads = [None] * len(model.layers)
     for i in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[i]
@@ -354,7 +456,7 @@ def adam_step(model, param_grads, state):
     ):
         if gw.shape != layer.w.shape or gb.shape != layer.b.shape:
             raise ShapeError("gradient shape does not match parameter shape")
-        if not (np.all(np.isfinite(gw)) and np.all(np.isfinite(gb))):
+        if not (np.isfinite(gw).all() and np.isfinite(gb).all()):
             raise DomainError("non-finite gradient")
         mw2 = b1 * mw + (1 - b1) * gw
         mb2 = b1 * mb + (1 - b1) * gb
@@ -416,10 +518,8 @@ def model_from_obj(obj):
 
 
 def save_model(model, path):
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as f:
+    with atomic_write(path) as f:
         f.write(model_to_json(model))
-    os.replace(tmp, path)
 
 
 def load_model(path):

@@ -43,7 +43,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import data, nn
-from .attacks import AttackSpec, run_attack
+from .atomic import atomic_write
+from .attacks import AttackSpec, run_attack, run_member_attacks
 from .ensembles import Ensemble, averaged_ce_backprop, ensemble_predict, predict_labels
 from .errors import ConfigError, DivergenceError, DomainError
 
@@ -408,7 +409,7 @@ def report_rows(report):
 
 
 def save_report_csv(report, path, preamble=""):
-    with open(path, "w", newline="") as f:
+    with atomic_write(path, newline="") as f:
         if preamble:
             f.write(preamble)
         f.write(",".join(CSV_COLUMNS) + "\n")
@@ -443,8 +444,8 @@ def train(ens_init, dataset, config, method):
     """Run the training loop; returns a TrainReport with the final ensemble.
 
     Per batch: adversarial batches are generated against the current
-    members (per member for ADV/CCE, against the averaged prediction for
-    ADV_EN/ADP) with fresh per-batch attack seeds derived from the master
+    members (per member for ADV/CCE, the members' attacks run in lockstep,
+    against the averaged prediction for ADV_EN/ADP) with fresh per-batch attack seeds derived from the master
     seed; every member's gradient is computed against the same parameter
     snapshot; all members step together.
     """
@@ -479,18 +480,14 @@ def train(ens_init, dataset, config, method):
             ):
                 stage = f"batch {b_idx}"
                 if method in ("ADV", "CCE"):
-                    adv_set = [
-                        run_attack(
-                            members[i],
-                            bx,
-                            by,
-                            replace(
-                                config.attack,
-                                seed=derive_seed(config.seed, _TAG_ATTACK, epoch, b_idx, i),
-                            ),
-                        ).adversarial
+                    specs = [
+                        replace(
+                            config.attack,
+                            seed=derive_seed(config.seed, _TAG_ATTACK, epoch, b_idx, i),
+                        )
                         for i in range(n)
                     ]
+                    adv_set = [r.adversarial for r in run_member_attacks(members, bx, by, specs)]
                 else:
                     adv_en = run_attack(
                         Ensemble(members=tuple(members)),

@@ -4,6 +4,7 @@ import copy
 import json
 import os
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -418,3 +419,25 @@ def test_missing_required_flag_is_an_argparse_exit(tmp_path):
     with pytest.raises(SystemExit) as e:
         run(["train"])
     assert e.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "write, good, bad",
+    [
+        (cli._write_json, {"a": 1}, {"a": 2, "b": object()}),  # json.dump fails after "a"
+        (
+            lambda path, report: analysis.save_detection_csv(report, path),
+            SimpleNamespace(fpr=[0.0, 1.0], tpr=[0.0, 1.0]),
+            SimpleNamespace(fpr=[0.5, "x"], tpr=[0.5, 1.0]),  # float("x") fails on row 2
+        ),
+    ],
+    ids=["json", "csv"],
+)
+def test_failed_artifact_write_keeps_previous_file_and_leaves_no_tmp(tmp_path, write, good, bad):
+    path = tmp_path / "artifact"
+    write(str(path), good)
+    before = path.read_bytes()
+    with pytest.raises((TypeError, ValueError)):
+        write(str(path), bad)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["artifact"]

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from advens import data, nn, training
+from advens import attacks, data, nn, training
 from advens.attacks import AttackSpec
 from advens.ensembles import Ensemble
 from advens.errors import ConfigError, DivergenceError
@@ -437,6 +437,12 @@ def test_one_step_forwards_each_member_batch_pair_once(monkeypatch, method, forw
         training, "run_attack",
         lambda target, x, y, spec: SimpleNamespace(adversarial=np.clip(x + 0.01, 0.0, 1.0)),
     )
+    monkeypatch.setattr(
+        training, "run_member_attacks",
+        lambda members, x, y, specs: [
+            SimpleNamespace(adversarial=np.clip(x + 0.01, 0.0, 1.0)) for _ in members
+        ],
+    )
     monkeypatch.setattr(training, "predict_labels", lambda target, x: np.zeros(len(x), dtype=int))
     calls = []
     forward_cached = nn.forward_cached
@@ -449,6 +455,47 @@ def test_one_step_forwards_each_member_batch_pair_once(monkeypatch, method, forw
     training.train(ens, ds, cfg, method)
     assert len({(id(m), id(b)) for m, b in calls}) == len(calls)
     assert len(calls) == forwards(n)
+
+
+@pytest.mark.parametrize("method", ["CCE", "ADV"])
+def test_member_attacks_of_a_batch_take_steps_stacked_steps_and_no_backprop(monkeypatch, method):
+    # one epoch of one batch: the members' attacks advance together, one
+    # stacked input-gradient step per attack step, and form no parameter
+    # gradient; the epoch evaluation is stubbed out
+    n, steps = 3, 4
+    ds = data.gen_blobs(seed=0, n_per_class=4, num_classes=4, dim=3, separation=3)
+    ens = training.init_ensemble(3, [8], 4, n, seed=0)
+    cfg = TrainConfig(
+        attack=quick_attack(steps=steps), epochs=1, batch_size=len(ds), seed=0, mode="RM"
+    )
+    monkeypatch.setattr(training, "run_attack", lambda target, x, y, spec: SimpleNamespace(adversarial=x))
+    monkeypatch.setattr(training, "predict_labels", lambda target, x: np.zeros(len(x), dtype=int))
+    inside, step_shapes, backprop_inside = [], [], []
+
+    def wrap(fn, record):
+        def counted(*args):
+            record(args)
+            return fn(*args)
+        return counted
+
+    member_attacks = training.run_member_attacks
+
+    def attacking(*args):
+        inside.append(True)
+        try:
+            return member_attacks(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(training, "run_member_attacks", attacking)
+    monkeypatch.setattr(
+        attacks, "ce_values_and_input_grad",
+        wrap(attacks.ce_values_and_input_grad, lambda args: step_shapes.append(np.shape(args[1]))),
+    )
+    monkeypatch.setattr(nn, "backprop", wrap(nn.backprop, lambda args: backprop_inside.append(bool(inside))))
+    training.train(ens, ds, cfg, method)
+    assert step_shapes == [(n, len(ds), 3)] * steps
+    assert backprop_inside and not any(backprop_inside)  # the training step backprops, the attacks do not
 
 
 def test_member_seed_lineage_and_derive_seed():
