@@ -17,7 +17,7 @@ import numpy as np
 from . import nn
 from .atomic import atomic_write
 from .attacks import run_attack
-from .ensembles import Ensemble, ce_values_and_input_grad, members_of, predict_labels, predict_probs
+from .ensembles import Ensemble, ce_values_and_input_grad, member_probs, predict_labels, predict_probs
 from .errors import (
     ConfigError,
     ConsistencyWarning,
@@ -190,9 +190,9 @@ def auc_from_scores(benign, adv):
 
 def _entropy_scores(target, x):
     """Entropy of the averaged prediction and the mean member entropy, from
-    one forward per member."""
-    probs = [nn.forward(m, x) for m in members_of(target)]
-    return nn.entropy(np.mean(probs, axis=0)), np.mean([nn.entropy(p) for p in probs], axis=0)
+    one stacked forward of the members."""
+    probs = member_probs(target, x)
+    return nn.entropy(probs.mean(axis=0)), nn.entropy(probs).mean(axis=0)
 
 
 def _share_at_or_above(scores, thresholds):

@@ -158,10 +158,8 @@ def _search(target, x, labels, specs, ascent):
             values, grad = ce_values_and_input_grad(target, batch(cur), labels)
             if not np.isfinite(grad).all():
                 raise DivergenceError(f"non-finite attack gradient at step {step}")
-            # one np.mean per attack: the (K, B) values are not C-ordered, and
-            # a mean over their axis 1 can sum the rows in another order
-            for trace, v in zip(traces, values.reshape(len(specs), -1)):
-                trace.append(float(np.mean(v)))
+            for trace, v in zip(traces, values.reshape(len(specs), -1).mean(axis=-1)):
+                trace.append(float(v))
             queries += 1
         grad = sign * grad.reshape(cur.shape)
         if spec.family == "mim":
@@ -172,8 +170,8 @@ def _search(target, x, labels, specs, ascent):
             grad = g_acc
         cur = fgsm_step(cur, grad, spec.eta, origin, spec.epsilon)
     probs = predict_probs(target, batch(cur)).reshape(cur.shape[:2] + (-1,))
-    for trace, v in zip(traces, nn.cross_entropy_per_example(probs, labels)):
-        trace.append(float(np.mean(v)))
+    for trace, v in zip(traces, nn.cross_entropy_per_example(probs, labels).mean(axis=-1)):
+        trace.append(float(v))
     return cur, probs, [tuple(t) for t in traces], queries
 
 
@@ -191,15 +189,25 @@ def run_attack(target, x, y, spec):
       spsa  ascent along simultaneous-perturbation estimates of the
             gradient, from x; only forward passes of the target are used.
     """
-    x, y = _validate_inputs(target, x, y)
-    adv, probs, traces, queries = _search(target, x, y, [spec], ascent=True)
-    return AttackResult(
-        adversarial=adv[0],
-        success_mask=np.argmax(probs[0], axis=1) != y,
-        queries=queries,
-        spec=spec,
-        loss_trace=traces[0],
-    )
+    return _results(target, x, y, [spec], ascent=True)[0]
+
+
+def _results(target, x, labels, specs, ascent):
+    """One AttackResult per attack of _search. An ascent (untargeted)
+    succeeds where the final prediction differs from the label, a descent
+    (targeted) where it equals it."""
+    x, labels = _validate_inputs(target, x, labels)
+    adv, probs, traces, queries = _search(target, x, labels, specs, ascent)
+    return [
+        AttackResult(
+            adversarial=a,
+            success_mask=(np.argmax(p, axis=1) == labels) != ascent,
+            queries=queries,
+            spec=s,
+            loss_trace=t,
+        )
+        for a, p, s, t in zip(adv, probs, specs, traces)
+    ]
 
 
 def run_member_attacks(members, x, y, specs):
@@ -214,19 +222,8 @@ def run_member_attacks(members, x, y, specs):
         raise ConfigError(f"{len(specs)} attack specs for {len(members)} members")
     if any(vars(s) | {"seed": 0} != vars(specs[0]) | {"seed": 0} for s in specs):
         raise ConfigError("member attack specs may differ only in their seeds")
-    stack = Ensemble(members=members).stack  # the members must agree on classes and inputs
-    x, y = _validate_inputs(stack, x, y)
-    adv, probs, traces, queries = _search(stack, x, y, specs, ascent=True)
-    return [
-        AttackResult(
-            adversarial=a,
-            success_mask=np.argmax(p, axis=1) != y,
-            queries=queries,
-            spec=s,
-            loss_trace=t,
-        )
-        for a, p, s, t in zip(adv, probs, specs, traces)
-    ]
+    # the members must agree on classes and inputs
+    return _results(Ensemble(members=members).stack, x, y, specs, ascent=True)
 
 
 def targeted(target, x, t, spec):
@@ -235,15 +232,7 @@ def targeted(target, x, t, spec):
     t_arr = np.asarray(t)
     if t_arr.ndim == 0:
         t_arr = np.full(np.asarray(x).shape[0], int(t_arr))
-    x, t_arr = _validate_inputs(target, x, t_arr)
-    adv, probs, traces, queries = _search(target, x, t_arr, [spec], ascent=False)
-    return AttackResult(
-        adversarial=adv[0],
-        success_mask=np.argmax(probs[0], axis=1) == t_arr,
-        queries=queries,
-        spec=spec,
-        loss_trace=traces[0],
-    )
+    return _results(target, x, t_arr, [spec], ascent=False)[0]
 
 
 def multi_targeted(target, x, y, spec):

@@ -143,6 +143,8 @@ def load_idx(images_path, labels_path):
         if magic != IDX_IMAGES_MAGIC:
             raise FormatError(f"{images_path}: bad images magic 0x{magic:08x}")
         rows, cols = struct.unpack(">II", _read_exact(f, 8, images_path))
+        if 0 in (count, rows, cols):
+            raise FormatError(f"{images_path}: header declares {count} images of {rows}x{cols} pixels")
         raw = _read_exact(f, count * rows * cols, images_path)
         pixels = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols)
     with open(labels_path, "rb") as f:

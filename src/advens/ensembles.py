@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import accumulate
 
 import numpy as np
 
@@ -83,23 +84,24 @@ class MemberStack:
     def __len__(self):
         return sum(run.size for run in self.runs)
 
+    def per_run(self, a):
+        """a, which has one leading entry per member, cut into one part per run."""
+        bounds = [0, *accumulate(run.size for run in self.runs)]
+        return [a[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def shape_runs(members):
+    """The runs of consecutive same-shaped members, as ranges of indices."""
+    starts = [k for k, m in enumerate(members) if k == 0 or not nn.same_shape(members[k - 1], m)]
+    return [range(a, b) for a, b in zip(starts, starts[1:] + [len(members)])]
+
 
 def stack_members(members):
     """The MemberStack of a sequence of Models."""
-    groups = []
-    for m in members:
-        if groups and nn.same_shape(groups[-1][-1], m):
-            groups[-1].append(m)
-        else:
-            groups.append([m])
     return MemberStack(
-        runs=tuple(nn.stack_models(g) for g in groups), num_classes=members[0].num_classes
+        runs=tuple(nn.stack_models(members[r.start : r.stop]) for r in shape_runs(members)),
+        num_classes=members[0].num_classes,
     )
-
-
-def members_of(target):
-    """The members of an Ensemble; a Model is an ensemble of one."""
-    return target.members if isinstance(target, Ensemble) else (target,)
 
 
 def member_stack(target):
@@ -112,20 +114,16 @@ def member_stack(target):
     return stack_members((target,))
 
 
-def _member_forward(stack, batch, keep_masks=False):
-    """Every member's probability rows (K, B, M), one stacked forward per
+def _member_forward(stack, batch, keep=None):
+    """Every member's probability rows (K, B, M), one nn.forward_cached per
     run; batch is (B, d) for every member or (K, B, d), slice k for member
-    k. Returns (probs, one list of relu masks per run, or None)."""
+    k. Returns (probs, one ForwardCache per run, holding what keep asks)."""
     if np.ndim(batch) == 3 and len(batch) != len(stack):
         raise ShapeError(f"{len(batch)} batch slices for {len(stack)} members")
-    probs, masks, k = [], [], 0
-    for run in stack.runs:
-        part = batch if np.ndim(batch) == 2 else batch[k : k + run.size]
-        p, m = nn.stacked_forward(run, part, keep_masks)
-        probs.append(p)
-        masks.append(m)
-        k += run.size
-    return (probs[0] if len(probs) == 1 else np.concatenate(probs)), masks
+    parts = [batch] * len(stack.runs) if np.ndim(batch) == 2 else stack.per_run(batch)
+    caches = [nn.forward_cached(run, part, keep)[1] for run, part in zip(stack.runs, parts)]
+    probs = [c.probs for c in caches]
+    return (probs[0] if len(probs) == 1 else np.concatenate(probs)), caches
 
 
 def member_probs(target, batch):
@@ -135,17 +133,17 @@ def member_probs(target, batch):
 
 
 def ensemble_predict(ens, batch):
-    """Mean of member probability rows; rows still sum to 1."""
-    return member_probs(ens, batch).mean(axis=0)
+    """Mean of member probability rows; rows still sum to 1. A Model is an
+    ensemble of one, whose rows are its own (the mean is skipped: exact)."""
+    probs = member_probs(ens, batch)
+    return probs[0] if len(probs) == 1 else probs.mean(axis=0)
 
 
 def predict_probs(target, batch):
-    """Probability rows of a Model, or the averaged rows of an Ensemble;
-    for a (K, B, d) stack, member k's rows of slice k (member_probs)."""
+    """The averaged probability rows of target (a Model is an ensemble of
+    one); for a (K, B, d) stack, member k's rows of slice k (member_probs)."""
     if np.ndim(batch) == 3:
         return member_probs(target, batch)
-    if isinstance(target, nn.Model):
-        return nn.forward(target, batch)
     return ensemble_predict(target, batch)
 
 
@@ -153,18 +151,28 @@ def predict_labels(target, batch):
     return np.argmax(predict_probs(target, batch), axis=1)
 
 
-def averaged_ce_backprop(members, x, labels):
-    """CE of the members' averaged probability rows, forwarding each member
-    once. Returns (per-example CE, forward caches, one nn.backprop result per
-    member for the batch-mean CE): gradients flow through the combination
-    rule. A single member skips the average and the 1/N share (exact).
+def _averaged_ce(probs, labels):
+    """Per-example CE of the averaged rows of member probs (K, B, M), and
+    its gradient with respect to each member's rows (one (B, M) shared by
+    all, the 1/K share included). One member skips the average and the
+    share (exact)."""
+    if len(probs) == 1:
+        return nn.ce_values_and_prob_grad(probs[0], labels)
+    values, g_probs = nn.ce_values_and_prob_grad(probs.mean(axis=0), labels)
+    return values, g_probs / len(probs)
+
+
+def averaged_ce_backprop(stack, x, labels):
+    """CE of the members' averaged probability rows on one batch x, from
+    one stacked forward per run of a MemberStack. Returns (per-example CE,
+    the members' probability rows (K, B, M), the forward cache of each run,
+    each run's stacked parameter gradients of the batch-mean CE):
+    gradients flow through the combination rule.
     """
-    caches = [nn.forward_cached(m, x)[1] for m in members]
-    probs = caches[0].probs if len(caches) == 1 else np.mean([c.probs for c in caches], axis=0)
-    values, g_probs = nn.ce_values_and_prob_grad(probs, labels)
-    if len(caches) > 1:
-        g_probs = g_probs / len(caches)
-    return values, caches, [nn.backprop(m, c, g_probs) for m, c in zip(members, caches)]
+    probs, caches = _member_forward(stack, x, keep="inputs")
+    values, g_probs = _averaged_ce(probs, labels)
+    grads = [nn.backprop(run, c, g_probs)[0] for run, c in zip(stack.runs, caches)]
+    return values, probs, caches, grads
 
 
 def ce_values_and_input_grad(target, x, labels):
@@ -178,28 +186,20 @@ def ce_values_and_input_grad(target, x, labels):
     k against member k alone: values (K, B), gradient (K, B, d).
     """
     stack = member_stack(target)
-    probs, masks = _member_forward(stack, x, keep_masks=True)
+    probs, caches = _member_forward(stack, x, keep="masks")
     if np.ndim(x) == 3:
         values, g_probs = nn.ce_values_and_prob_grad(probs, labels)
-    elif len(probs) == 1:  # one member skips the average and the 1/N share (exact)
-        values, g_probs = nn.ce_values_and_prob_grad(probs[0], labels)
     else:
-        values, g_probs = nn.ce_values_and_prob_grad(probs.mean(axis=0), labels)
-        g_probs = g_probs / len(probs)
-    grads, k = [], 0
-    for run, run_masks in zip(stack.runs, masks):
-        part = g_probs if g_probs.ndim == 2 else g_probs[k : k + run.size]
-        grads.append(nn.stacked_input_grad(run, probs[k : k + run.size], run_masks, part))
-        k += run.size
+        values, g_probs = _averaged_ce(probs, labels)
+    parts = [g_probs] * len(stack.runs) if g_probs.ndim == 2 else stack.per_run(g_probs)
+    grads = [
+        nn.stacked_input_grad(run, cache.probs, cache.masks, part)
+        for run, cache, part in zip(stack.runs, caches, parts)
+    ]
     if np.ndim(x) == 3:
         return values, grads[0] if len(grads) == 1 else np.concatenate(grads)
-    rows = [g for run_grads in grads for g in run_grads]
-    if len(rows) == 1:
-        return values, rows[0]
-    grad = rows[0] + rows[1]  # in member order, as a sum of separate backprops adds up
-    for g in rows[2:]:
-        grad += g
-    return values, grad
+    # in member order, as a sum of separate backprops adds up
+    return values, reduce(np.add, (g for run_grads in grads for g in run_grads))
 
 
 # ---------------------------------------------------------------------------

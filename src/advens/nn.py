@@ -9,8 +9,12 @@ the last bit and lets callers attach per-example coefficients that are
 treated as constants (no gradient flows through them).
 
 A ModelStack holds K same-shaped models with their parameters stacked on
-a leading axis. Its forward runs all K at once, and its backward forms only
-the input gradient; slice k keeps the bits of model k on its own.
+a leading axis (a model may appear more than once). The forward, the loss
+terms and the backward take a Model or a ModelStack: a stack runs all K
+at once, slice k has the bits of model k on its own, and the losses come
+one per slice. The backward either forms the parameter and input
+gradients (backprop) or the input gradient alone (stacked_input_grad,
+for attacks, which keeps only boolean relu masks from the forward).
 
 Log arguments are clamped at ``LOG_FLOOR``; the clamp only matters where a
 probability has underflowed to ~0, and the reported gradient is the exact
@@ -43,7 +47,8 @@ def _as_f64(x, name="array"):
 
 @dataclass(frozen=True)
 class Layer:
-    """One affine layer. w[i, j] connects input unit i to output unit j."""
+    """One affine layer. w[i, j] connects input unit i to output unit j. In
+    a ModelStack w and b carry a leading stack axis."""
 
     w: np.ndarray
     b: np.ndarray
@@ -110,6 +115,46 @@ def init_model(input_dim, hidden, num_classes, seed):
 
 
 # ---------------------------------------------------------------------------
+# stacked models
+
+
+@dataclass(frozen=True)
+class ModelStack:
+    """K models of one layer shape: a Model's layers with a leading K axis,
+    each w stacked to (K, d_in, d_out) and each b to (K, 1, d_out)."""
+
+    layers: tuple
+
+    @property
+    def size(self):
+        return self.layers[0].w.shape[0]
+
+
+def same_shape(a, b):
+    """True iff models a and b have the same layer shapes and activations."""
+    return len(a.layers) == len(b.layers) and all(
+        la.w.shape == lb.w.shape and la.act == lb.act for la, lb in zip(a.layers, b.layers)
+    )
+
+
+def stack_models(models):
+    """One ModelStack of same-shaped models, in the given order; a model may
+    appear more than once. A stack of one holds views of its model's
+    parameters (np.stack would copy them on every call)."""
+    models = tuple(models)
+    if not models or not all(same_shape(models[0], m) for m in models[1:]):
+        raise ShapeError("a model stack needs one or more models of one layer shape")
+    if len(models) == 1:
+        return ModelStack(
+            layers=tuple(Layer(la.w[None], la.b[None, None], la.act) for la in models[0].layers)
+        )
+    return ModelStack(layers=tuple(
+        Layer(np.stack([la.w for la in ls]), np.stack([la.b for la in ls])[:, None, :], ls[0].act)
+        for ls in zip(*(m.layers for m in models))
+    ))
+
+
+# ---------------------------------------------------------------------------
 # forward
 
 
@@ -121,132 +166,61 @@ def softmax(z):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def relu(z):
-    return np.maximum(z, 0.0)
-
-
 @dataclass(frozen=True)
 class ForwardCache:
-    """Intermediate state kept for the backward pass."""
+    """What a backward pass needs from the forward: each layer's input
+    (None unless kept), each layer's relu mask (None for an identity
+    layer; the list is None unless kept) and the probabilities."""
 
-    inputs: np.ndarray
-    layer_inputs: tuple  # activation input of each layer
-    preacts: tuple  # pre-activation of each layer
+    layer_inputs: list | None
+    masks: list | None
     probs: np.ndarray
 
 
 def _check_batch(model, batch):
     x = _as_f64(batch, "batch")
-    if x.ndim != 2:
-        raise ShapeError(f"batch must be 2-d (got ndim={x.ndim})")
-    if x.shape[1] != model.input_dim:
-        raise ShapeError(
-            f"batch has {x.shape[1]} features, model expects {model.input_dim}"
-        )
+    w = model.layers[0].w  # (d, h) for a Model, (K, d, h) for a ModelStack
+    if x.ndim not in (2, w.ndim) or x.shape[-1] != w.shape[-2] or (x.ndim == 3 and len(x) != len(w)):
+        raise ShapeError(f"batch of shape {x.shape} does not fit first-layer weights {w.shape}")
     return x
 
 
-def forward_cached(model, batch):
-    x = _check_batch(model, batch)
-    a = x
-    layer_inputs, preacts = [], []
+def forward_cached(model, batch, keep="inputs"):
+    """Probability rows and a ForwardCache for the backward pass.
+
+    model is a Model, with batch (B, d) and probs (B, M), or a ModelStack
+    of K models, with batch one (B, d) batch that every model sees or a
+    (K, B, d) stack whose slice k model k sees, and probs (K, B, M). Slice
+    k has the bits of model k's own forward on its batch.
+
+    keep says what the cache holds: "inputs" every layer's input and relu
+    mask (for backprop), "masks" the relu masks alone (for
+    stacked_input_grad), None nothing (a plain forward).
+    """
+    a = _check_batch(model, batch)
+    layer_inputs = [] if keep == "inputs" else None
+    masks = [] if keep else None
     for layer in model.layers:
-        z = a @ layer.w + layer.b
-        layer_inputs.append(a)
-        preacts.append(z)
-        a = relu(z) if layer.act == "relu" else z
+        if layer_inputs is not None:
+            layer_inputs.append(a)
+        z = a @ layer.w
+        z += layer.b
+        if masks is not None:
+            masks.append(z > 0.0 if layer.act == "relu" else None)
+        a = np.maximum(z, 0.0, out=z) if layer.act == "relu" else z
     probs = softmax(a)
-    return probs, ForwardCache(
-        inputs=x, layer_inputs=tuple(layer_inputs), preacts=tuple(preacts), probs=probs
-    )
+    return probs, ForwardCache(layer_inputs=layer_inputs, masks=masks, probs=probs)
 
 
 def forward(model, batch):
-    """Class probabilities, shape (batch, num_classes). Rows sum to 1."""
-    probs, _ = forward_cached(model, batch)
-    return probs
+    """Class probabilities, (B, M) for a Model, (K, B, M) for a ModelStack
+    (see forward_cached). Rows sum to 1."""
+    return forward_cached(model, batch, keep=None)[0]
 
 
 def predict(model, batch):
     """Predicted labels; argmax breaks ties toward the lowest index."""
-    return np.argmax(forward(model, batch), axis=1)
-
-
-# ---------------------------------------------------------------------------
-# stacked models
-
-
-@dataclass(frozen=True)
-class ModelStack:
-    """K models of one layer shape with their parameters stacked on a
-    leading axis: per layer, w is (K, d_in, d_out) and b is (K, 1, d_out)."""
-
-    weights: tuple
-    biases: tuple
-    acts: tuple
-
-    @property
-    def size(self):
-        return self.weights[0].shape[0]
-
-
-def same_shape(a, b):
-    """True iff models a and b have the same layer shapes and activations."""
-    return len(a.layers) == len(b.layers) and all(
-        la.w.shape == lb.w.shape and la.act == lb.act for la, lb in zip(a.layers, b.layers)
-    )
-
-
-def stack_models(models):
-    """One ModelStack of same-shaped models, in the given order."""
-    models = tuple(models)
-    if not models or not all(same_shape(models[0], m) for m in models[1:]):
-        raise ShapeError("a model stack needs one or more models of one layer shape")
-    per_layer = list(zip(*(m.layers for m in models)))
-    return ModelStack(
-        weights=tuple(np.stack([layer.w for layer in ls]) for ls in per_layer),
-        biases=tuple(np.stack([layer.b for layer in ls])[:, None, :] for ls in per_layer),
-        acts=tuple(layer.act for layer in models[0].layers),
-    )
-
-
-def stacked_forward(stack, batch, keep_masks=False):
-    """Probability rows of every stacked model, (K, B, M). batch is one
-    (B, d) batch that every model sees, or a (K, B, d) stack whose slice k
-    model k sees. Slice k has the bits of forward(model k, its batch).
-
-    With keep_masks, also returns the list of relu masks (None for an
-    identity layer) that stacked_input_grad consumes; else None.
-    """
-    a = _as_f64(batch, "batch")
-    k, d = stack.size, stack.weights[0].shape[1]
-    if a.ndim not in (2, 3) or a.shape[-1] != d or (a.ndim == 3 and a.shape[0] != k):
-        raise ShapeError(f"batch shape {a.shape} fits neither (B, {d}) nor ({k}, B, {d})")
-    masks = [] if keep_masks else None
-    for w, b, act in zip(stack.weights, stack.biases, stack.acts):
-        z = a @ w
-        z += b
-        if keep_masks:
-            masks.append(z > 0.0 if act == "relu" else None)
-        a = np.maximum(z, 0.0, out=z) if act == "relu" else z
-    return softmax(a), masks
-
-
-def stacked_input_grad(stack, probs, masks, g_probs):
-    """dLoss/dinputs of every stacked model, (K, B, d), and nothing else: no
-    parameter gradient is formed. probs and masks come from the forward;
-    g_probs is dLoss/dprobs, (K, B, M) or one (B, M) shared by every model.
-    Pops each mask once it is used, so the stacked intermediates go as the
-    pass moves back.
-    """
-    # softmax jacobian-vector product
-    g = probs * (g_probs - (g_probs * probs).sum(axis=-1, keepdims=True))
-    for w in reversed(stack.weights):
-        mask = masks.pop()
-        if mask is not None:
-            g *= mask
-        g = g @ w.transpose(0, 2, 1)
-    return g
+    return np.argmax(forward(model, batch), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -275,13 +249,22 @@ def _check_probs(probs):
     return p
 
 
+def label_probs(probs, labels):
+    """Each row's entry at its integer label, (..., B), unchecked and
+    C-ordered: numpy gathers probs[..., rows, labels] in Fortran order for
+    stacked rows, and a mean over the last axis of that sums each row in
+    another order than np.mean of the row alone."""
+    rows = np.arange(probs.shape[-2])
+    return np.ascontiguousarray(probs[..., rows, np.asarray(labels, dtype=np.int64)])
+
+
 def _label_entries(probs, labels):
     """Checked probability rows (..., B, M), the (rows, labels) index of
-    each row's label entry, and those entries p_y."""
+    each row's label entry, and those entries p_y, (..., B)."""
     p = _check_probs(probs)
     rows = np.arange(p.shape[-2])
     y = _check_labels(labels, len(rows), p.shape[-1])
-    return p, (rows, y), p[..., rows, y]
+    return p, (rows, y), label_probs(p, y)
 
 
 def cross_entropy_per_example(probs, labels):
@@ -308,11 +291,15 @@ def cross_entropy(probs, labels):
     return float(np.mean(cross_entropy_per_example(probs, labels)))
 
 
-def entropy(probs):
-    """Shannon entropy per row, in nats; 0*log(0) counts as 0."""
-    p = _check_probs(probs)
+def entropy_rows(p):
+    """Shannon entropy per row, in nats, of unchecked rows; 0*log(0) counts as 0."""
     plogp = np.where(p > 0.0, p * np.log(np.maximum(p, LOG_FLOOR)), 0.0)
     return -plogp.sum(axis=-1)
+
+
+def entropy(probs):
+    """Shannon entropy per row, in nats; 0*log(0) counts as 0."""
+    return entropy_rows(_check_probs(probs))
 
 
 # ---------------------------------------------------------------------------
@@ -337,72 +324,100 @@ class LossTerm:
 
 @dataclass(frozen=True)
 class BackwardResult:
-    loss: float
-    param_grads: tuple  # (gw, gb) per layer
+    loss: object  # a float, or one value per slice (K,) for a ModelStack
+    param_grads: tuple  # (gw, gb) per layer, shaped like the layer's w and b
     input_grad: np.ndarray
 
 
-def _term_weight(term, batch_size):
+def _term_weight(term, shape):
     w = np.asarray(term.weight, dtype=np.float64)
     if w.ndim == 0:
-        return np.full(batch_size, float(w))
-    if w.shape != (batch_size,):
-        raise ShapeError(f"term weight shape {w.shape} != ({batch_size},)")
+        return np.full(shape, float(w))
+    if w.shape != shape:
+        raise ShapeError(f"term weight shape {w.shape} != {shape}")
     if not np.isfinite(w).all():
         raise DomainError("term weight contains non-finite values")
     return w
 
 
 def accumulate_terms(probs, terms):
-    """Total loss value and dLoss/dprobs for a list of LossTerms."""
-    b, m = probs.shape
-    loss = 0.0
+    """Total loss value and dLoss/dprobs for a list of LossTerms.
+
+    probs is (B, M), or (K, B, M) for K stacked slices: the loss is then
+    one value per slice, (K,), and a per-example term weight is (K, B).
+    """
+    b, m = probs.shape[-2:]
+    rows = np.arange(b)
+    loss = np.zeros(probs.shape[:-2])
     g_probs = np.zeros_like(probs)
     for term in terms:
-        w = _term_weight(term, b)
+        w = _term_weight(term, probs.shape[:-1])
         if term.kind == "ce":
             if term.labels is None:
                 raise UnsupportedLossError("ce term needs labels")
             y = _check_labels(term.labels, b, m)
-            p_y = probs[np.arange(b), y]
-            loss += float(np.mean(w * -np.log(np.maximum(p_y, LOG_FLOOR))))
+            p_y = label_probs(probs, y)
+            loss += (w * -np.log(np.maximum(p_y, LOG_FLOOR))).mean(axis=-1)
             # d(-log max(p_y, floor))/dp_y is -1/p_y above the clamp, 0 below
             live = p_y > LOG_FLOOR
-            g_probs[np.arange(b), y] += np.where(live, -w / (b * np.maximum(p_y, LOG_FLOOR)), 0.0)
+            g_probs[..., rows, y] += np.where(live, -w / (b * np.maximum(p_y, LOG_FLOOR)), 0.0)
         elif term.kind == "entropy":
-            plogp = np.where(probs > 0.0, probs * np.log(np.maximum(probs, LOG_FLOOR)), 0.0)
-            h = -plogp.sum(axis=1)
-            loss += float(np.mean(w * h))
+            loss += (w * entropy_rows(probs)).mean(axis=-1)
             g = np.where(probs > 0.0, -(np.log(np.maximum(probs, LOG_FLOOR)) + 1.0), 0.0)
-            g_probs += (w / b)[:, None] * g
+            g_probs += (w / b)[..., None] * g
         else:
             raise UnsupportedLossError(f"unknown loss term kind {term.kind!r}")
-    return loss, g_probs
+    return (float(loss) if loss.ndim == 0 else loss), g_probs
+
+
+def _softmax_jvp(probs, g_probs):
+    return probs * (g_probs - (g_probs * probs).sum(axis=-1, keepdims=True))
 
 
 def backprop(model, cache, g_probs):
-    """Backpropagate dLoss/dprobs through softmax and every layer.
+    """Backpropagate dLoss/dprobs through softmax and every layer of a
+    Model or a ModelStack; cache comes from forward_cached(model, ...) with
+    keep="inputs". g_probs has the shape of the probs; for a stack it may
+    also be one (B, M) shared by every slice.
 
-    Returns ((gw, gb) per layer, dLoss/dinputs).
+    Returns ((gw, gb) per layer, shaped like the layer's w and b,
+    dLoss/dinputs). For a stack, slice k of each is model k's gradient of
+    slice k's loss, with the bits of model k's own backprop.
     """
     p = cache.probs
-    if g_probs.shape != p.shape:
+    if g_probs.shape not in (p.shape, p.shape[-2:]):
         raise ShapeError(f"g_probs shape {g_probs.shape} != probs shape {p.shape}")
-    # softmax jacobian-vector product
-    g = p * (g_probs - (g_probs * p).sum(axis=1, keepdims=True))
+    g = _softmax_jvp(p, g_probs)
     param_grads = [None] * len(model.layers)
-    for i in range(len(model.layers) - 1, -1, -1):
+    for i in range(len(param_grads) - 1, -1, -1):
+        if cache.masks[i] is not None:
+            g = g * cache.masks[i]
         layer = model.layers[i]
-        if layer.act == "relu":
-            g = g * (cache.preacts[i] > 0.0)
-        a_in = cache.layer_inputs[i]
-        param_grads[i] = (a_in.T @ g, g.sum(axis=0))
-        g = g @ layer.w.T
+        gw = cache.layer_inputs[i].swapaxes(-1, -2) @ g
+        param_grads[i] = (gw, g.sum(axis=-2).reshape(layer.b.shape))
+        g = g @ layer.w.swapaxes(-1, -2)
     return tuple(param_grads), g
 
 
+def stacked_input_grad(stack, probs, masks, g_probs):
+    """dLoss/dinputs of every stacked model, (K, B, d), and nothing else: no
+    parameter gradient is formed. probs and masks come from forward_cached
+    with keep="masks"; g_probs is dLoss/dprobs, (K, B, M) or one (B, M)
+    shared by every model. Pops each mask once it is used, so the stacked
+    intermediates go as the pass moves back.
+    """
+    g = _softmax_jvp(probs, g_probs)
+    for layer in reversed(stack.layers):
+        mask = masks.pop()
+        if mask is not None:
+            g *= mask
+        g = g @ layer.w.transpose(0, 2, 1)
+    return g
+
+
 def backward(model, batch, terms):
-    """Loss value plus exact parameter and input gradients.
+    """Loss value plus exact parameter and input gradients of a Model, or of
+    each slice of a ModelStack (see forward_cached for the batch forms).
 
     terms is a sequence of LossTerm; the loss is the sum of their weighted
     batch means.

@@ -1,6 +1,8 @@
 """Adversarial training losses and the training loop.
 
-Four methods share one loop, and two per-member training steps:
+Four methods share one loop and two training steps (_collab_step for
+ADV/CCE, _ensemble_adv_step for ADV_EN/ADP), each stacked over the
+members' (member, batch) slices; Adam then steps each member:
 
   ADV     a CCE member trained alone: every member independently
           minimizes clean CE + CE on its own adversarial examples, with
@@ -45,7 +47,7 @@ import numpy as np
 from . import data, nn
 from .atomic import atomic_write
 from .attacks import AttackSpec, run_attack, run_member_attacks
-from .ensembles import Ensemble, averaged_ce_backprop, ensemble_predict, predict_labels
+from .ensembles import Ensemble, averaged_ce_backprop, ensemble_predict, predict_labels, shape_runs
 from .errors import ConfigError, DivergenceError, DomainError
 
 METHODS = ("ADV", "ADV_EN", "ADP", "CCE")
@@ -141,8 +143,7 @@ def soft_indicator(f, x_a, y):
     them); the training loop realizes that by feeding them to the backward
     pass as fixed per-example weights.
     """
-    probs = nn.forward(f, x_a)
-    return probs[np.arange(probs.shape[0]), np.asarray(y, dtype=np.int64)]
+    return nn.label_probs(nn.forward(f, x_a), y)
 
 
 def member_collab_loss(n, ens, x, y, adv_set, lambda_pm, lambda_dm, indicators=None):
@@ -170,11 +171,7 @@ def member_collab_loss(n, ens, x, y, adv_set, lambda_pm, lambda_dm, indicators=N
         if i == n:
             continue
         probs = nn.forward(f, adv_set[i])
-        gate = (
-            indicators[i]
-            if indicators is not None
-            else probs[np.arange(probs.shape[0]), np.asarray(y, dtype=np.int64)]
-        )
+        gate = indicators[i] if indicators is not None else nn.label_probs(probs, y)
         ce = nn.cross_entropy_per_example(probs, y)
         h = nn.entropy(probs)
         cpo_ce += share * lambda_pm * float(np.mean(gate * ce))
@@ -192,52 +189,82 @@ def member_collab_loss(n, ens, x, y, adv_set, lambda_pm, lambda_dm, indicators=N
     return total, parts
 
 
-def _member_collab_grads(n, members, x, y, adv_set, lambda_pm, lambda_dm, indicators=None):
-    """(total, parts, param_grads) for member n; gates enter the backward
-    pass as constant per-example weights.
+def _member_grads(run_slices):
+    """Each member's (gw, gb) list, in member order. run_slices holds, per
+    run of stacked members, the stacked gradients of each of its slices;
+    they are added left to right, then cut per member."""
+    out = []
+    for slices in run_slices:
+        total = slices[0]
+        for more in slices[1:]:
+            total = [(gw + dw, gb + db) for (gw, gb), (dw, db) in zip(total, more)]
+        out += [[(gw[k], gb[k, 0]) for gw, gb in total] for k in range(len(total[0][0]))]
+    return out
 
-    Member n is forwarded once per batch: the gate, the backward pass and
-    the reported terms of a crossing batch all come from one forward. With
-    a single member there are no crossing partners and no gates, which is
-    per-member adversarial training (ADV); parts then holds only the four
-    loss terms.
+
+def _collab_step(members, x, y, adv_set, lambda_pm, lambda_dm, crossing=True, gates=None):
+    """(total, parts, param_grads) of every member: CE on the clean batch
+    and on its own adversarial batch, plus, with crossing, the gated
+    promote/demote terms on every other member's batch. Without crossing
+    (ADV) parts holds only the four loss terms.
+
+    Each run of same-shaped members takes one nn.backward over its direct
+    (member, batch) slices (clean, own) and one forward_cached/backprop
+    pass over its crossing slices, member weights repeated along the stack
+    axis. The gate, the backward pass and the reported terms of a crossing
+    slice come from that one forward; gates enter the backward pass as
+    constant per-example weights. A member's gradient and terms are summed
+    clean + own, then the crossings with the batch index ascending. gates
+    optionally overrides the soft gates, gates[n][i] for member n on batch
+    i: a testing seam for the gates-as-constants contract.
     """
-    f = members[n]
-    res_clean = nn.backward(f, x, [nn.LossTerm(kind="ce", labels=y)])
-    res_own = nn.backward(f, adv_set[n], [nn.LossTerm(kind="ce", labels=y)])
-    grads = _add_grads(res_clean.param_grads, res_own.param_grads)
-    others = [i for i in range(len(members)) if i != n]
-    cpo_ce = 0.0
-    do_h = 0.0
-    gate_sum = 0.0
-    for i in others:
-        share = 1.0 / len(others)
-        probs, cache = nn.forward_cached(f, adv_set[i])
-        if indicators is not None:
-            gate = indicators[i]
-        else:
-            gate = probs[np.arange(probs.shape[0]), np.asarray(y, dtype=np.int64)]
-        terms = [
-            nn.LossTerm(kind="ce", labels=y, weight=share * lambda_pm * gate),
-            nn.LossTerm(kind="entropy", weight=-share * lambda_dm * (1.0 - gate)),
-        ]
-        _, g_probs = nn.accumulate_terms(probs, terms)
-        grads = _add_grads(grads, nn.backprop(f, cache, g_probs)[0])
-        cpo_ce += share * lambda_pm * float(
-            np.mean(gate * nn.cross_entropy_per_example(probs, y))
+    out = []
+    for run in shape_runs(members):
+        direct = [(k, b) for k in run for b in (x, adv_set[k])]
+        res = nn.backward(
+            nn.stack_models(members[k] for k, _ in direct),
+            np.stack([b for _, b in direct]),
+            [nn.LossTerm(kind="ce", labels=y)],
         )
-        do_h += share * lambda_dm * float(np.mean((1.0 - gate) * nn.entropy(probs)))
-        gate_sum += share * float(np.mean(gate))
-    total = res_clean.loss + res_own.loss + cpo_ce - do_h
-    parts = {
-        "clean_ce": res_clean.loss,
-        "dpo_ce": res_own.loss,
-        "cpo_ce": cpo_ce,
-        "do_h": do_h,
-    }
-    if others:
-        parts.update(cpo_gate=gate_sum, do_gate=1.0 - gate_sum)
-    return total, parts, grads
+        slice_grads = [[(gw[j::2], gb[j::2]) for gw, gb in res.param_grads] for j in (0, 1)]
+        pairs = [(k, i) for k in run for i in range(len(members)) if i != k] if crossing else []
+        p = len(pairs) // len(run)
+        sums = np.zeros((3, len(run)))  # cpo_ce, do_h and the mean gate, over the crossings
+        if pairs:
+            share = 1.0 / p
+            stack = nn.stack_models(members[k] for k, _ in pairs)
+            probs, cache = nn.forward_cached(stack, np.stack([adv_set[i] for _, i in pairs]))
+            gate = nn.label_probs(probs, y)
+            if gates is not None:
+                gate = np.stack([gates[k][i] if k in gates else g for (k, i), g in zip(pairs, gate)])
+            terms = [
+                nn.LossTerm(kind="ce", labels=y, weight=share * lambda_pm * gate),
+                nn.LossTerm(kind="entropy", weight=-share * lambda_dm * (1.0 - gate)),
+            ]
+            cross = nn.backprop(stack, cache, nn.accumulate_terms(probs, terms)[1])[0]
+            slice_grads += [[(gw[j::p], gb[j::p]) for gw, gb in cross] for j in range(p)]
+            per_pair = np.stack([
+                share * lambda_pm * (gate * nn.cross_entropy_per_example(probs, y)).mean(axis=-1),
+                share * lambda_dm * ((1.0 - gate) * nn.entropy(probs)).mean(axis=-1),
+                share * gate.mean(axis=-1),
+            ]).reshape(3, len(run), p)
+            for j in range(p):
+                sums += per_pair[..., j]
+        rows = zip(res.loss[0::2].tolist(), res.loss[1::2].tolist(), *sums.tolist())
+        for (clean_ce, dpo_ce, cpo_ce, do_h, gate_sum), grads in zip(rows, _member_grads([slice_grads])):
+            parts = {"clean_ce": clean_ce, "dpo_ce": dpo_ce, "cpo_ce": cpo_ce, "do_h": do_h}
+            if p:
+                parts.update(cpo_gate=gate_sum, do_gate=1.0 - gate_sum)
+            out.append((clean_ce + dpo_ce + cpo_ce - do_h, parts, grads))
+    return out
+
+
+def _member_collab_grads(n, members, x, y, adv_set, lambda_pm, lambda_dm, indicators=None):
+    """(total, parts, param_grads) of member n in the collaborative step;
+    indicators optionally overrides its gates, one array per other member
+    keyed by member index."""
+    gates = None if indicators is None else {n: indicators}
+    return _collab_step(members, x, y, adv_set, lambda_pm, lambda_dm, gates=gates)[n]
 
 
 def ensemble_adv_loss(ens, x, y, x_a_en):
@@ -248,33 +275,35 @@ def ensemble_adv_loss(ens, x, y, x_a_en):
     return clean + adv, {"clean_ce": clean, "dpo_ce": adv, "cpo_ce": 0.0, "do_h": 0.0}
 
 
-def _add_grads(a, b):
-    return [(gw + dw, gb + db) for (gw, gb), (dw, db) in zip(a, b)]
-
-
-def _ensemble_adv_terms(members, x, y, x_a_en):
-    """ADV_EN: CE of the averaged probability on the clean and on the
-    attacked batch. Returns (total, parts, per-member param grads, the
-    members' forward caches of each batch)."""
-    v1, c1, r1 = averaged_ce_backprop(members, x, y)
-    v2, c2, r2 = averaged_ce_backprop(members, x_a_en, y)
-    clean, adv = float(np.mean(v1)), float(np.mean(v2))
-    parts = {"clean_ce": clean, "dpo_ce": adv, "cpo_ce": 0.0, "do_h": 0.0}
-    grads = [_add_grads(a[0], b[0]) for a, b in zip(r1, r2)]
-    return clean + adv, parts, grads, (c1, c2)
+def _ensemble_adv_step(stack, x, y, x_a_en, adp=None):
+    """ADV_EN, or ADP with adp = (alpha, beta), for the members of a
+    MemberStack: CE of the averaged probability on the clean and on the
+    attacked batch, for ADP minus the regularizer at both batches. The
+    regularizer reuses the CE terms' probabilities and caches, and its
+    (N, B, M) gradient goes back through one backprop per run and batch.
+    Returns (total, parts, per-member param grads, clamped count)."""
+    batches = [averaged_ce_backprop(stack, b, y) for b in (x, x_a_en)]
+    clean, adv = (float(np.mean(values)) for values, *_ in batches)
+    total, parts = clean + adv, {"clean_ce": clean, "dpo_ce": adv, "cpo_ce": 0.0, "do_h": 0.0}
+    slices = [list(pair) for pair in zip(batches[0][3], batches[1][3])]  # per run: clean, adv
+    clamped = 0
+    for tag, (_, probs, caches, _) in zip(("clean", "adv"), batches if adp else ()):
+        value, g_probs, flag = _diversity_value_and_grads(probs, y, *adp)
+        clamped += flag
+        parts[f"adp_reg_{tag}"] = value
+        total -= value
+        for run_slices, run, c, g in zip(slices, stack.runs, caches, stack.per_run(-g_probs)):
+            run_slices.append(nn.backprop(run, c, g)[0])
+    return total, parts, _member_grads(slices), clamped
 
 
 def _ensemble_adv_grads(members, x, y, x_a_en):
-    return _ensemble_adv_terms(members, x, y, x_a_en)[:3]
+    """(total, parts, per-member param grads) of the ADV_EN loss."""
+    return _ensemble_adv_step(Ensemble(members=tuple(members)).stack, x, y, x_a_en)[:3]
 
 
 # ---------------------------------------------------------------------------
 # diversity regularizer (ADP baseline)
-
-
-def _entropy_rows(p):
-    plogp = np.where(p > 0.0, p * np.log(np.maximum(p, nn.LOG_FLOOR)), 0.0)
-    return -plogp.sum(axis=-1)
 
 
 def diversity_regularizer(member_probs, y, alpha, beta):
@@ -306,7 +335,7 @@ def _diversity_value_and_grads(member_probs, y, alpha, beta):
 
     grads = np.zeros_like(probs)
     mean_p = probs.mean(axis=0)
-    h_vals = _entropy_rows(mean_p)
+    h_vals = nn.entropy_rows(mean_p)
     # d(alpha*H(mean))/dp^n = alpha/N * -(log mean_p + 1) where mean_p > 0
     g_h = np.where(mean_p > 0.0, -(np.log(np.maximum(mean_p, nn.LOG_FLOOR)) + 1.0), 0.0)
     grads += alpha * g_h[None, :, :] / n
@@ -341,22 +370,6 @@ def _diversity_value_and_grads(member_probs, y, alpha, beta):
     if single:
         grads = grads[:, 0, :]
     return value, grads, clamped
-
-
-def _adp_grads(members, x, y, x_a_en, alpha, beta):
-    """ADV_EN loss minus the regularizer at the clean and attacked batch.
-    The regularizer reuses the ADV_EN terms' values, grads and caches."""
-    total, parts, grads, batch_caches = _ensemble_adv_terms(members, x, y, x_a_en)
-    clamped = 0
-    for tag, caches in zip(("clean", "adv"), batch_caches):
-        probs = np.stack([c.probs for c in caches])
-        value, g_probs, flag = _diversity_value_and_grads(probs, y, alpha, beta)
-        clamped += flag
-        parts[f"adp_reg_{tag}"] = value
-        total -= value
-        for i, (m, c) in enumerate(zip(members, caches)):
-            grads[i] = _add_grads(grads[i], nn.backprop(m, c, -g_probs[i])[0])
-    return total, parts, grads, clamped
 
 
 # ---------------------------------------------------------------------------
@@ -443,11 +456,12 @@ def report_to_dict(report):
 def train(ens_init, dataset, config, method):
     """Run the training loop; returns a TrainReport with the final ensemble.
 
-    Per batch: adversarial batches are generated against the current
-    members (per member for ADV/CCE, the members' attacks run in lockstep,
-    against the averaged prediction for ADV_EN/ADP) with fresh per-batch attack seeds derived from the master
-    seed; every member's gradient is computed against the same parameter
-    snapshot; all members step together.
+    Per batch, adversarial batches are generated against the current
+    members, with fresh attack seeds derived from the master seed: one
+    attack per member for ADV/CCE (the attacks run in lockstep), one
+    against the averaged prediction for ADV_EN/ADP. Every member's gradient
+    comes from one stacked step against the same parameter snapshot, and
+    all members take their Adam step together.
     """
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -479,49 +493,24 @@ def train(ens_init, dataset, config, method):
                 data.batches(dataset, config.batch_size, seed=shuffle_seed)
             ):
                 stage = f"batch {b_idx}"
-                if method in ("ADV", "CCE"):
+                if method in ("ADV", "CCE"):  # ADV: each member alone, no crossing terms
                     specs = [
-                        replace(
-                            config.attack,
-                            seed=derive_seed(config.seed, _TAG_ATTACK, epoch, b_idx, i),
-                        )
+                        replace(config.attack, seed=derive_seed(config.seed, _TAG_ATTACK, epoch, b_idx, i))
                         for i in range(n)
                     ]
                     adv_set = [r.adversarial for r in run_member_attacks(members, bx, by, specs)]
+                    per_member = _collab_step(
+                        members, bx, by, adv_set, config.lambda_pm, config.lambda_dm,
+                        crossing=method == "CCE",
+                    )
                 else:
-                    adv_en = run_attack(
-                        Ensemble(members=tuple(members)),
-                        bx,
-                        by,
-                        replace(
-                            config.attack,
-                            seed=derive_seed(config.seed, _TAG_ENS_ATTACK, epoch, b_idx),
-                        ),
-                    ).adversarial
-
-                if method == "ADV":  # each member alone: CCE without crossing partners
-                    per_member = [
-                        _member_collab_grads(
-                            0, members[i : i + 1], bx, by, adv_set[i : i + 1], 0.0, 0.0
-                        )
-                        for i in range(n)
-                    ]
-                elif method == "CCE":
-                    per_member = [
-                        _member_collab_grads(
-                            i, members, bx, by, adv_set, config.lambda_pm, config.lambda_dm
-                        )
-                        for i in range(n)
-                    ]
-                else:
-                    if method == "ADV_EN":
-                        total, parts, grads = _ensemble_adv_grads(members, bx, by, adv_en)
-                    else:
-                        total, parts, grads, flag = _adp_grads(
-                            members, bx, by, adv_en, config.alpha, config.beta
-                        )
-                        clamped += flag
-                    per_member = [(total, parts, grads[i]) for i in range(n)]
+                    ens_now = Ensemble(members=tuple(members))
+                    seed = derive_seed(config.seed, _TAG_ENS_ATTACK, epoch, b_idx)
+                    adv_en = run_attack(ens_now, bx, by, replace(config.attack, seed=seed)).adversarial
+                    adp = (config.alpha, config.beta) if method == "ADP" else None
+                    total, parts, grads, flag = _ensemble_adv_step(ens_now.stack, bx, by, adv_en, adp)
+                    clamped += flag
+                    per_member = [(total, parts, g) for g in grads]
 
                 for i, (total, parts, grads) in enumerate(per_member):
                     if not np.isfinite(total):

@@ -249,16 +249,16 @@ def test_roc_rates_equal_exhaustive_threshold_sweep_with_ties():
 def test_detect_forwards_each_member_once_per_batch(monkeypatch, n_members):
     ds, m1 = blobs_and_model(seed=6)
     ens = Ensemble(members=(m1,) + tuple(fit_plain(ds, seed=8 + i, steps=5) for i in range(n_members - 1)))
-    calls = []
+    slices = []
     forward_cached = nn.forward_cached
 
-    def counting(model, batch):
-        calls.append(model)
-        return forward_cached(model, batch)
+    def counting(model, batch, *args, **kwargs):
+        slices.append(len(batch) if np.ndim(batch) == 3 else len(model.layers[0].w))
+        return forward_cached(model, batch, *args, **kwargs)
 
     monkeypatch.setattr(nn, "forward_cached", counting)
     analysis.detect(ens, ds.inputs[:10], ds.inputs[10:20])
-    assert len(calls) == 2 * n_members
+    assert slices == [n_members, n_members]  # one stacked forward of every member per batch
 
 
 def test_detect_member_mean_scores():

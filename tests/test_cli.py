@@ -218,6 +218,21 @@ def test_idx_header_larger_than_file_exits_2(tmp_path, capsys):
     assert "expected" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("count, rows, cols", [(0, 2, 2), (4, 0, 2), (4, 2, 0)])
+def test_idx_header_with_a_zero_size_exits_2(tmp_path, capsys, count, rows, cols):
+    imgs, labs = str(tmp_path / "img.idx"), str(tmp_path / "lab.idx")
+    with open(imgs, "wb") as f:
+        f.write(struct.pack(">IIII", data.IDX_IMAGES_MAGIC, count, rows, cols))
+        f.write(bytes(count * rows * cols))
+    with open(labs, "wb") as f:
+        f.write(struct.pack(">II", data.IDX_LABELS_MAGIC, count))
+        f.write(bytes(count))
+    path, _ = make_config(tmp_path, dataset={"idx_images": imgs, "idx_labels": labs})
+    assert run(["train", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert imgs in err and f"{count} images of {rows}x{cols} pixels" in err
+
+
 def test_adp_with_more_members_than_classes_minus_one_exits_2(tmp_path, capsys):
     path, _ = make_config(
         tmp_path, model={"hidden": [8], "members": 3}, method={"name": "ADP"}

@@ -117,6 +117,23 @@ def test_cross_entropy_clamps_zero_probability():
     assert v == pytest.approx(-math.log(1e-12))
 
 
+def test_stacked_ce_values_are_c_ordered_so_slice_means_match_row_means():
+    # numpy gathers stacked label entries in Fortran order; a mean over the
+    # last axis of such values sums each row in another order than np.mean
+    # of that row alone, which changes the last bit of most random cases
+    rng = np.random.default_rng(0)
+    mismatched = 0
+    for _ in range(300):
+        k, b, m = rng.integers(2, 5), rng.integers(1, 60), rng.integers(2, 8)
+        p = nn.softmax(rng.normal(0.0, 3.0, size=(k, b, m)))
+        y = rng.integers(0, m, size=b)
+        for values in (nn.cross_entropy_per_example(p, y), nn.ce_values_and_prob_grad(p, y)[0]):
+            assert values.flags.c_contiguous
+            rows = [np.mean(nn.cross_entropy_per_example(p[i], y)) for i in range(k)]
+            mismatched += values.mean(axis=-1).tobytes() != np.array(rows).tobytes()
+    assert mismatched == 0
+
+
 def test_cross_entropy_label_validation():
     p = np.full((2, 3), 1 / 3)
     with pytest.raises(DomainError):

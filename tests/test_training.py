@@ -398,12 +398,15 @@ def test_train_validation_and_divergence(monkeypatch):
     with pytest.raises(ConfigError):
         training.train(ens, wrong_m, cfg, "ADV")
 
-    def explode(*args, **kwargs):
-        return np.inf, {"clean_ce": np.inf, "dpo_ce": 0.0, "cpo_ce": 0.0, "do_h": 0.0}, [
-            (np.zeros_like(l.w), np.zeros_like(l.b)) for l in ens.members[0].layers
+    def explode(members, *args, **kwargs):
+        return [
+            (np.inf, {"clean_ce": np.inf, "dpo_ce": 0.0, "cpo_ce": 0.0, "do_h": 0.0}, [
+                (np.zeros_like(l.w), np.zeros_like(l.b)) for l in m.layers
+            ])
+            for m in members
         ]
 
-    monkeypatch.setattr(training, "_member_collab_grads", explode)
+    monkeypatch.setattr(training, "_collab_step", explode)
     with pytest.raises(DivergenceError, match="epoch 0 batch 0"):
         training.train(ens, ds, cfg, "CCE")
 
@@ -421,14 +424,15 @@ def test_adp_rejects_more_members_than_classes_minus_one():
 @pytest.mark.parametrize(
     "method, forwards",
     [
-        ("CCE", lambda n: n + n + n * (n - 1)),  # clean, own, crossing
-        ("ADV", lambda n: 2 * n),
-        ("ADP", lambda n: 2 * n),
+        ("CCE", lambda n: [n + n, n * (n - 1)]),  # clean and own, then crossing
+        ("ADV", lambda n: [2 * n]),
+        ("ADP", lambda n: [n, n]),  # clean, adversarial
     ],
 )
 def test_one_step_forwards_each_member_batch_pair_once(monkeypatch, method, forwards):
     # one epoch of one batch; the attacks and the epoch evaluation are
-    # stubbed out, so every counted forward belongs to the training step
+    # stubbed out, so every forwarded (member, batch) slice belongs to the
+    # training step
     n = 3
     ds = data.gen_blobs(seed=0, n_per_class=4, num_classes=4, dim=3, separation=3)
     ens = training.init_ensemble(3, [8], 4, n, seed=0)
@@ -444,17 +448,17 @@ def test_one_step_forwards_each_member_batch_pair_once(monkeypatch, method, forw
         ],
     )
     monkeypatch.setattr(training, "predict_labels", lambda target, x: np.zeros(len(x), dtype=int))
-    calls = []
+    slices = []
     forward_cached = nn.forward_cached
 
-    def counting(model, batch):
-        calls.append((model, batch))  # holding both keeps their ids unique
-        return forward_cached(model, batch)
+    def counting(model, batch, *args, **kwargs):
+        slices.append(len(batch) if np.ndim(batch) == 3 else len(model.layers[0].w))
+        return forward_cached(model, batch, *args, **kwargs)
 
     monkeypatch.setattr(nn, "forward_cached", counting)
     training.train(ens, ds, cfg, method)
-    assert len({(id(m), id(b)) for m, b in calls}) == len(calls)
-    assert len(calls) == forwards(n)
+    assert slices == forwards(n)  # one stacked forward per slice group
+    assert sum(slices) == {"CCE": n * (n + 1), "ADV": 2 * n, "ADP": 2 * n}[method]
 
 
 @pytest.mark.parametrize("method", ["CCE", "ADV"])
