@@ -10,9 +10,13 @@ attack).
 
 The loop works on stacked members (ensembles.MemberStack): run_member_attacks
 runs K lone attacks, one per member, in lockstep on a (K, B, d) stack, and a
-Model is the stack of one. Each gradient step is one stacked forward and one
-backward that forms only the input gradient; every attack keeps its own
-seeded generator, so its result equals a lone run_attack bit for bit.
+Model is the stack of one. What stays fixed over the steps is done once per
+call: x and the labels are checked, the target is stacked, and the labels
+become an nn.LabelIndex. Each gradient step is then one stacked forward and
+one backward that forms only the input gradient
+(ensembles.ce_values_and_input_grad), and a sign step with ball and box
+projection taken in place; every attack keeps its own seeded generator, so
+its result equals a lone run_attack bit for bit.
 
 Query accounting: queries counts target evaluations per example (the usual
 black-box budget metric). PGD/BIM/MIM spend steps+1 (final success check
@@ -29,7 +33,7 @@ import numpy as np
 
 from . import nn
 from .atomic import atomic_write
-from .ensembles import Ensemble, ce_values_and_input_grad, member_stack, predict_probs
+from .ensembles import Ensemble, MemberStack, ce_values_and_input_grad, member_stack, predict_probs
 from .errors import ConfigError, DivergenceError, DomainError, ShapeError
 
 FAMILIES = ("pgd", "bim", "mim", "spsa")
@@ -84,50 +88,51 @@ class AttackResult:
     loss_trace: tuple = ()
 
 
-def fgsm_step(x, input_grad, eta, x_origin, epsilon):
+def fgsm_step(x, input_grad, eta, x_origin, epsilon, out=None):
     """One signed ascent step, then ball and box projection.
 
     x_next = clip_[0,1]( clip_B(x_origin, eps)( x + eta * sign(input_grad) ) );
-    sign(0) = 0, so zero-gradient coordinates hold still.
+    sign(0) = 0, so zero-gradient coordinates hold still. out, which may be
+    x itself, takes the step in place.
     """
-    if x.shape != input_grad.shape or x.shape != np.asarray(x_origin).shape:
+    if x.shape != input_grad.shape or x.shape != np.shape(x_origin):
         raise ShapeError("x, input_grad and x_origin must share a shape")
-    stepped = x + eta * np.sign(input_grad)
-    balled = np.clip(stepped, x_origin - epsilon, x_origin + epsilon)
-    return np.clip(balled, 0.0, 1.0)
+    step = np.sign(input_grad)
+    step *= eta
+    out = np.add(x, step, out=out)
+    out.clip(x_origin - epsilon, x_origin + epsilon, out=out)
+    return out.clip(0.0, 1.0, out=out)
 
 
 def _validate_inputs(target, x, y):
-    num_classes = target.num_classes
+    """x as a float64 (B, d) batch and y as the nn.LabelIndex of its labels:
+    one integer in [0, num_classes) per row. The one check of x and the
+    labels in an attack call."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeError("attack inputs must be a 2-d batch")
     if not np.isfinite(x).all():
         raise DomainError("attack inputs contain non-finite values")
-    y = np.asarray(y)
-    if y.shape != (x.shape[0],):
-        raise ShapeError(f"labels shape {y.shape} != ({x.shape[0]},)")
-    if y.size and (y.min() < 0 or y.max() >= num_classes):
-        raise DomainError(f"labels must lie in [0, {num_classes})")
-    return x, y.astype(np.int64)
+    return x, nn.label_index(y, len(x), target.num_classes)
 
 
-def _search(target, x, labels, specs, ascent):
+def _search(target, x, labels, specs, ascent, per_member):
     """The one iterative search behind every protocol; the loop follows the
-    family of specs, which differ only in their seeds.
+    family of specs, which differ only in their seeds. labels is the
+    nn.LabelIndex of _validate_inputs.
 
-    An Ensemble target is attacked as one, through its averaged
-    prediction, with specs[0]. Any other target (a Model, a MemberStack)
-    is stacked once per call and its member k is attacked alone with
-    specs[k]. The attacks advance in lockstep, one stacked step for all of
-    them, and attack k draws from its own default_rng(specs[k].seed) in
-    the order a lone attack would. Ascends the cross-entropy against labels
-    when ascent is set, descends it otherwise. Returns (adversarial
-    (A, B, d), final probs (A, B, M), one loss trace per attack, queries).
+    With per_member, target (a Model or a MemberStack) is stacked once per
+    call and its member k is attacked alone with specs[k]: the attacks
+    advance in lockstep, one stacked step for all of them, and attack k
+    draws from its own default_rng(specs[k].seed) in the order a lone
+    attack would. Otherwise target (an Ensemble or a MemberStack) is
+    attacked as one, through its averaged prediction, with specs[0].
+    Ascends the cross-entropy against labels when ascent is set, descends
+    it otherwise. Returns (adversarial (A, B, d), final probs (A, B, M),
+    one loss trace per attack, queries).
     """
     spec = specs[0]
     rngs = [np.random.default_rng(s.seed) for s in specs]
-    per_member = not isinstance(target, Ensemble)
     if per_member:
         target = member_stack(target)
     if spec.family == "pgd" and spec.random_start:
@@ -143,9 +148,8 @@ def _search(target, x, labels, specs, ascent):
     def batch(a):  # what the target takes: the stack, or one ensemble batch
         return a if per_member else a[0]
 
-    sign = 1.0 if ascent else -1.0
-    g_acc = np.zeros_like(cur)
-    traces = [[] for _ in specs]
+    g_acc = np.zeros_like(cur) if spec.family == "mim" else None
+    sums = []  # per step, each attack's summed objective: the trace, times B
     queries = 1  # the final success check
     for step in range(spec.steps):
         if spec.family == "spsa":
@@ -158,20 +162,22 @@ def _search(target, x, labels, specs, ascent):
             values, grad = ce_values_and_input_grad(target, batch(cur), labels)
             if not np.isfinite(grad).all():
                 raise DivergenceError(f"non-finite attack gradient at step {step}")
-            for trace, v in zip(traces, values.reshape(len(specs), -1).mean(axis=-1)):
-                trace.append(float(v))
+            sums.append(values.reshape(len(specs), -1).sum(axis=-1))
             queries += 1
-        grad = sign * grad.reshape(cur.shape)
-        if spec.family == "mim":
+        grad = grad.reshape(cur.shape)
+        if not ascent:
+            grad = -grad
+        if g_acc is not None:
             norms = np.abs(grad).sum(axis=-1, keepdims=True)
             live = norms[..., 0] > 0.0
-            g_acc = spec.momentum * g_acc
+            g_acc *= spec.momentum
             g_acc[live] += grad[live] / norms[live]
             grad = g_acc
-        cur = fgsm_step(cur, grad, spec.eta, origin, spec.epsilon)
+        fgsm_step(cur, grad, spec.eta, origin, spec.epsilon, out=cur)
     probs = predict_probs(target, batch(cur)).reshape(cur.shape[:2] + (-1,))
-    for trace, v in zip(traces, nn.cross_entropy_per_example(probs, labels).mean(axis=-1)):
-        trace.append(float(v))
+    sums.append(nn.cross_entropy_per_example(probs, labels).sum(axis=-1))
+    # each a mean as np.mean takes it: the sum, then one division by B
+    traces = (np.array(sums) / len(x)).T.tolist()
     return cur, probs, [tuple(t) for t in traces], queries
 
 
@@ -189,19 +195,19 @@ def run_attack(target, x, y, spec):
       spsa  ascent along simultaneous-perturbation estimates of the
             gradient, from x; only forward passes of the target are used.
     """
-    return _results(target, x, y, [spec], ascent=True)[0]
+    return _results(target, x, y, [spec], ascent=True, per_member=isinstance(target, nn.Model))[0]
 
 
-def _results(target, x, labels, specs, ascent):
+def _results(target, x, labels, specs, ascent, per_member):
     """One AttackResult per attack of _search. An ascent (untargeted)
     succeeds where the final prediction differs from the label, a descent
     (targeted) where it equals it."""
     x, labels = _validate_inputs(target, x, labels)
-    adv, probs, traces, queries = _search(target, x, labels, specs, ascent)
+    adv, probs, traces, queries = _search(target, x, labels, specs, ascent, per_member)
     return [
         AttackResult(
             adversarial=a,
-            success_mask=(np.argmax(p, axis=1) == labels) != ascent,
+            success_mask=(np.argmax(p, axis=1) == labels.labels) != ascent,
             queries=queries,
             spec=s,
             loss_trace=t,
@@ -212,18 +218,19 @@ def _results(target, x, labels, specs, ascent):
 
 def run_member_attacks(members, x, y, specs):
     """run_attack against each member alone, members[k] with specs[k], in
-    lockstep: one stacked step per iteration serves every member. Returns
-    one AttackResult per member, equal bit for bit to the lone run_attack
-    calls. The specs may differ only in their seeds; the members may
-    differ in layer shapes.
+    lockstep: one stacked step per iteration serves every member. members
+    is a sequence of Models or a MemberStack. Returns one AttackResult per
+    member, equal bit for bit to the lone run_attack calls. The specs may
+    differ only in their seeds; the members may differ in layer shapes.
     """
-    members, specs = tuple(members), tuple(specs)
+    specs = tuple(specs)
+    if not isinstance(members, MemberStack):  # the members must agree on classes and inputs
+        members = Ensemble(members=tuple(members)).stack
     if len(specs) != len(members):
         raise ConfigError(f"{len(specs)} attack specs for {len(members)} members")
     if any(vars(s) | {"seed": 0} != vars(specs[0]) | {"seed": 0} for s in specs):
         raise ConfigError("member attack specs may differ only in their seeds")
-    # the members must agree on classes and inputs
-    return _results(Ensemble(members=members).stack, x, y, specs, ascent=True)
+    return _results(members, x, y, specs, ascent=True, per_member=True)
 
 
 def targeted(target, x, t, spec):
@@ -231,8 +238,8 @@ def targeted(target, x, t, spec):
     prediction is exactly t."""
     t_arr = np.asarray(t)
     if t_arr.ndim == 0:
-        t_arr = np.full(np.asarray(x).shape[0], int(t_arr))
-    return _results(target, x, t_arr, [spec], ascent=False)[0]
+        t_arr = np.full(np.asarray(x).shape[0], t_arr)
+    return _results(target, x, t_arr, [spec], ascent=False, per_member=isinstance(target, nn.Model))[0]
 
 
 def multi_targeted(target, x, y, spec):
@@ -251,12 +258,14 @@ def multi_targeted(target, x, y, spec):
     chosen = np.array(x, copy=True)
     fallback = np.array(x, copy=True)
     fallback_loss = np.full(b, -np.inf)
+    per_member = isinstance(target, nn.Model)
     per_run = 0
     for t in range(m):
-        valid = y != t
+        valid = y.labels != t
         if not valid.any():
             continue
-        adv, probs, _, per_run = _search(target, x, np.full(b, t), [spec], ascent=False)
+        toward = nn.LabelIndex(y.rows, np.full(b, t, dtype=np.int64))
+        adv, probs, _, per_run = _search(target, x, toward, [spec], False, per_member)
         adv, probs = adv[0], probs[0]
         hit = valid & (np.argmax(probs, axis=1) == t)
         newly = hit & ~success

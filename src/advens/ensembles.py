@@ -3,7 +3,8 @@
 An Ensemble predicts the unweighted mean of its members' probability rows.
 It also holds its members as stacked parameters (MemberStack, built once
 per ensemble), so its forward and its input gradient take one stacked pass
-per run of same-shaped members.
+per run of same-shaped members. Training holds its members as a
+MemberStack throughout and makes Models of them only to evaluate and report.
 Security of a prediction is always judged inside an l-inf ball around a
 clean point: a probe is secure for a model when the model still assigns
 the true label there (argmax, lowest index on ties).
@@ -81,13 +82,31 @@ class MemberStack:
     runs: tuple
     num_classes: int
 
+    @cached_property
+    def bounds(self):
+        """The index of each run's first member, then the member count."""
+        return (0, *accumulate(run.size for run in self.runs))
+
     def __len__(self):
-        return sum(run.size for run in self.runs)
+        return self.bounds[-1]
 
     def per_run(self, a):
         """a, which has one leading entry per member, cut into one part per run."""
-        bounds = [0, *accumulate(run.size for run in self.runs)]
-        return [a[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+        b = self.bounds
+        return [a] if len(b) == 2 else [a[lo:hi] for lo, hi in zip(b[:-1], b[1:])]
+
+    def ensemble(self, seeds):
+        """The members as an Ensemble of Models, member k seeded seeds[k]
+        (a Model's parameters are views of its slice of the stack)."""
+        layers = [
+            tuple(nn.Layer(la.w[k], la.b[k, 0], la.act) for la in run.layers)
+            for run in self.runs
+            for k in range(run.size)
+        ]
+        return Ensemble(members=tuple(
+            nn.Model(layers=ls, num_classes=self.num_classes, seed=seed)
+            for ls, seed in zip(layers, seeds, strict=True)
+        ))
 
 
 def shape_runs(members):
@@ -184,6 +203,13 @@ def ce_values_and_input_grad(target, x, labels):
     adaptive-attack objective; a Model is an ensemble of one): values (B,),
     gradient (B, d). x of shape (K, B, d) holds K independent batches, slice
     k against member k alone: values (K, B), gradient (K, B, d).
+
+    This is the attack step. What stays fixed over an attack's steps is
+    made once per call of the attack and passed in: the target as a
+    MemberStack (or an Ensemble, which holds its own; the transposed
+    weights are made once per stack) and labels as an nn.LabelIndex. Each
+    step still checks that x and the probabilities are finite and that
+    the probability rows sum to 1.
     """
     stack = member_stack(target)
     probs, caches = _member_forward(stack, x, keep="masks")

@@ -10,11 +10,15 @@ treated as constants (no gradient flows through them).
 
 A ModelStack holds K same-shaped models with their parameters stacked on
 a leading axis (a model may appear more than once). The forward, the loss
-terms and the backward take a Model or a ModelStack: a stack runs all K
-at once, slice k has the bits of model k on its own, and the losses come
-one per slice. The backward either forms the parameter and input
+terms, the backward and Adam take a Model or a ModelStack: a stack runs
+all K at once, slice k has the bits of model k on its own, and the losses
+come one per slice. The backward either forms the parameter and input
 gradients (backprop) or the input gradient alone (stacked_input_grad,
 for attacks, which keeps only boolean relu masks from the forward).
+
+Label-taking functions accept integer labels, checked on every call, or a
+LabelIndex of them, checked once for the many calls of a loop over one
+batch (an attack's steps).
 
 Log arguments are clamped at ``LOG_FLOOR``; the clamp only matters where a
 probability has underflowed to ~0, and the reported gradient is the exact
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -129,6 +134,17 @@ class ModelStack:
     def size(self):
         return self.layers[0].w.shape[0]
 
+    @cached_property
+    def transposed(self):
+        """Each layer's w with its last two axes swapped, (K, d_out, d_in):
+        views, made once per stack, for the input-gradient backward."""
+        return tuple(layer.w.transpose(0, 2, 1) for layer in self.layers)
+
+    def take(self, idx):
+        """The stack of models idx (a sequence of indices; repeats allowed),
+        in that order."""
+        return ModelStack(layers=tuple(Layer(la.w[idx], la.b[idx], la.act) for la in self.layers))
+
 
 def same_shape(a, b):
     """True iff models a and b have the same layer shapes and activations."""
@@ -158,12 +174,13 @@ def stack_models(models):
 # forward
 
 
-def softmax(z):
-    """Row-wise stable softmax."""
+def softmax(z, out=None):
+    """Row-wise stable softmax; out=z computes it in place."""
     z = np.asarray(z, dtype=np.float64)
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.subtract(z, z.max(axis=-1, keepdims=True), out=out)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 @dataclass(frozen=True)
@@ -208,7 +225,7 @@ def forward_cached(model, batch, keep="inputs"):
         if masks is not None:
             masks.append(z > 0.0 if layer.act == "relu" else None)
         a = np.maximum(z, 0.0, out=z) if layer.act == "relu" else z
-    probs = softmax(a)
+    probs = softmax(a, out=a)  # a is this pass's own last activation
     return probs, ForwardCache(layer_inputs=layer_inputs, masks=masks, probs=probs)
 
 
@@ -241,12 +258,35 @@ def _check_labels(labels, batch_size, num_classes):
 
 
 def _check_probs(probs):
-    p = _as_f64(probs, "probs")
+    """probs as float64 rows (..., B, M) of finite non-negative entries that
+    sum to 1, else DomainError (ShapeError for fewer than 2 axes)."""
+    p = np.asarray(probs, dtype=np.float64)
+    # a non-finite entry makes its row sum non-finite, which fails the sum
+    # test, so rows that pass both tests are finite
+    if p.ndim >= 2 and (not p.size or (np.abs(p.sum(axis=-1) - 1.0).max() <= 1e-4 and p.min() >= -1e-9)):
+        return p
+    _as_f64(p, "probs")
     if p.ndim < 2:
         raise ShapeError("probs must hold rows: ndim >= 2")
-    if p.size and (p.min() < -1e-9 or np.abs(p.sum(axis=-1) - 1.0).max() > 1e-4):
-        raise DomainError("probs rows must be distributions summing to 1")
-    return p
+    raise DomainError("probs rows must be distributions summing to 1")
+
+
+@dataclass(frozen=True)
+class LabelIndex:
+    """Checked integer labels of a batch and the (rows, labels) index of
+    each row's label entry. Every function here that takes labels takes
+    one in their place and skips the check."""
+
+    rows: np.ndarray
+    labels: np.ndarray
+
+
+def label_index(labels, batch_size, num_classes):
+    """The LabelIndex of a batch's labels: one integer in [0, num_classes)
+    per row, else ShapeError or DomainError."""
+    if isinstance(labels, LabelIndex):
+        return labels
+    return LabelIndex(np.arange(batch_size), _check_labels(labels, batch_size, num_classes))
 
 
 def label_probs(probs, labels):
@@ -254,17 +294,17 @@ def label_probs(probs, labels):
     C-ordered: numpy gathers probs[..., rows, labels] in Fortran order for
     stacked rows, and a mean over the last axis of that sums each row in
     another order than np.mean of the row alone."""
-    rows = np.arange(probs.shape[-2])
-    return np.ascontiguousarray(probs[..., rows, np.asarray(labels, dtype=np.int64)])
+    if not isinstance(labels, LabelIndex):
+        labels = LabelIndex(np.arange(probs.shape[-2]), np.asarray(labels, dtype=np.int64))
+    return np.ascontiguousarray(probs[..., labels.rows, labels.labels])
 
 
 def _label_entries(probs, labels):
-    """Checked probability rows (..., B, M), the (rows, labels) index of
-    each row's label entry, and those entries p_y, (..., B)."""
+    """Checked probability rows (..., B, M), the LabelIndex of the labels
+    and each row's label entry p_y, (..., B)."""
     p = _check_probs(probs)
-    rows = np.arange(p.shape[-2])
-    y = _check_labels(labels, len(rows), p.shape[-1])
-    return p, (rows, y), label_probs(p, y)
+    index = label_index(labels, p.shape[-2], p.shape[-1])
+    return p, index, label_probs(p, index)
 
 
 def cross_entropy_per_example(probs, labels):
@@ -278,11 +318,11 @@ def ce_values_and_prob_grad(probs, labels):
     respect to probs: -1/(B p_y) at each label entry, 0 where p_y is under
     the clamp. probs may carry leading stack axes, (..., B, M); each slice
     is then its own batch."""
-    p, (rows, y), p_y = _label_entries(probs, labels)
+    p, index, p_y = _label_entries(probs, labels)
     floored = np.maximum(p_y, LOG_FLOOR)
     g = np.zeros(p.shape)  # zeros_like costs more at attack-step sizes
     # d(-log max(p_y, floor))/dp_y is -1/p_y above the clamp, 0 below
-    g[..., rows, y] = np.where(p_y > LOG_FLOOR, -1.0 / (len(rows) * floored), 0.0)
+    g[..., index.rows, index.labels] = np.where(p_y > LOG_FLOOR, -1.0 / (len(index.rows) * floored), 0.0)
     return -np.log(floored), g
 
 
@@ -347,7 +387,6 @@ def accumulate_terms(probs, terms):
     one value per slice, (K,), and a per-example term weight is (K, B).
     """
     b, m = probs.shape[-2:]
-    rows = np.arange(b)
     loss = np.zeros(probs.shape[:-2])
     g_probs = np.zeros_like(probs)
     for term in terms:
@@ -355,12 +394,12 @@ def accumulate_terms(probs, terms):
         if term.kind == "ce":
             if term.labels is None:
                 raise UnsupportedLossError("ce term needs labels")
-            y = _check_labels(term.labels, b, m)
-            p_y = label_probs(probs, y)
+            index = label_index(term.labels, b, m)
+            p_y = label_probs(probs, index)
             loss += (w * -np.log(np.maximum(p_y, LOG_FLOOR))).mean(axis=-1)
             # d(-log max(p_y, floor))/dp_y is -1/p_y above the clamp, 0 below
             live = p_y > LOG_FLOOR
-            g_probs[..., rows, y] += np.where(live, -w / (b * np.maximum(p_y, LOG_FLOOR)), 0.0)
+            g_probs[..., index.rows, index.labels] += np.where(live, -w / (b * np.maximum(p_y, LOG_FLOOR)), 0.0)
         elif term.kind == "entropy":
             loss += (w * entropy_rows(probs)).mean(axis=-1)
             g = np.where(probs > 0.0, -(np.log(np.maximum(probs, LOG_FLOOR)) + 1.0), 0.0)
@@ -407,11 +446,11 @@ def stacked_input_grad(stack, probs, masks, g_probs):
     intermediates go as the pass moves back.
     """
     g = _softmax_jvp(probs, g_probs)
-    for layer in reversed(stack.layers):
+    for w_t in reversed(stack.transposed):
         mask = masks.pop()
         if mask is not None:
             g *= mask
-        g = g @ layer.w.transpose(0, 2, 1)
+        g = g @ w_t
     return g
 
 
@@ -444,6 +483,7 @@ class OptimState:
 
 
 def adam_init(model, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Zero moments for a Model or a ModelStack."""
     if not np.isfinite(lr) or lr < 0:
         raise DomainError(f"lr must be a finite non-negative real, got {lr}")
     zeros = tuple(
@@ -453,11 +493,15 @@ def adam_init(model, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
 
 
 def adam_step(model, param_grads, state):
-    """One Adam update. Returns (new model, new state); inputs untouched.
+    """One Adam update of a Model or of every model of a ModelStack (the
+    gradients shaped like its parameters). Returns (new model, new state);
+    inputs untouched. Adam is elementwise, so slice k of a stack's update
+    has the bits of model k's own.
 
     A gradient that is exactly zero in every coordinate of a tensor leaves
     that tensor exactly unchanged on the first step and whenever its moment
-    estimates are still zero.
+    estimates are still zero. A non-finite gradient or updated parameter
+    raises DomainError.
     """
     if len(param_grads) != len(model.layers):
         raise ShapeError("gradient list length does not match layer count")
@@ -482,9 +526,12 @@ def adam_step(model, param_grads, state):
         new_layers.append(Layer(w=w2, b=bb2, act=layer.act))
         new_m.append((mw2, mb2))
         new_v.append((vw2, vb2))
-    new_model = Model(layers=tuple(new_layers), num_classes=model.num_classes, seed=model.seed)
     new_state = replace(state, step=t, m=tuple(new_m), v=tuple(new_v))
-    return new_model, new_state
+    if isinstance(model, ModelStack):  # a Model checks its own parameters
+        if not all(np.isfinite(la.w).all() and np.isfinite(la.b).all() for la in new_layers):
+            raise DomainError("non-finite parameters")
+        return ModelStack(layers=tuple(new_layers)), new_state
+    return replace(model, layers=tuple(new_layers)), new_state
 
 
 # ---------------------------------------------------------------------------

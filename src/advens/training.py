@@ -2,7 +2,11 @@
 
 Four methods share one loop and two training steps (_collab_step for
 ADV/CCE, _ensemble_adv_step for ADV_EN/ADP), each stacked over the
-members' (member, batch) slices; Adam then steps each member:
+members' (member, batch) slices. The loop holds the members as a
+MemberStack for the whole run: the attacks and the steps take it as it
+is, each step returns every run's stacked parameter gradients, and Adam
+steps each run of same-shaped members at once. Models are made from the
+stack only for each epoch's evaluation and for the report.
 
   ADV     a CCE member trained alone: every member independently
           minimizes clean CE + CE on its own adversarial examples, with
@@ -47,7 +51,7 @@ import numpy as np
 from . import data, nn
 from .atomic import atomic_write
 from .attacks import AttackSpec, run_attack, run_member_attacks
-from .ensembles import Ensemble, averaged_ce_backprop, ensemble_predict, predict_labels, shape_runs
+from .ensembles import Ensemble, averaged_ce_backprop, ensemble_predict, predict_labels, stack_members
 from .errors import ConfigError, DivergenceError, DomainError
 
 METHODS = ("ADV", "ADV_EN", "ADP", "CCE")
@@ -189,74 +193,82 @@ def member_collab_loss(n, ens, x, y, adv_set, lambda_pm, lambda_dm, indicators=N
     return total, parts
 
 
-def _member_grads(run_slices):
-    """Each member's (gw, gb) list, in member order. run_slices holds, per
-    run of stacked members, the stacked gradients of each of its slices;
-    they are added left to right, then cut per member."""
-    out = []
-    for slices in run_slices:
-        total = slices[0]
-        for more in slices[1:]:
-            total = [(gw + dw, gb + db) for (gw, gb), (dw, db) in zip(total, more)]
-        out += [[(gw[k], gb[k, 0]) for gw, gb in total] for k in range(len(total[0][0]))]
-    return out
+def _sum_slices(slices):
+    """The stacked parameter gradients of one run: its slices' gradients,
+    each (gw, gb) per layer, added left to right."""
+    total = slices[0]
+    for more in slices[1:]:
+        total = [(gw + dw, gb + db) for (gw, gb), (dw, db) in zip(total, more)]
+    return total
 
 
-def _collab_step(members, x, y, adv_set, lambda_pm, lambda_dm, crossing=True, gates=None):
-    """(total, parts, param_grads) of every member: CE on the clean batch
-    and on its own adversarial batch, plus, with crossing, the gated
-    promote/demote terms on every other member's batch. Without crossing
-    (ADV) parts holds only the four loss terms.
+def _per_member(run_grads):
+    """Each member's (gw, gb) list, in member order, cut from the stacked
+    gradients of every run."""
+    return [
+        [(gw[k], gb[k, 0]) for gw, gb in grads] for grads in run_grads for k in range(len(grads[0][0]))
+    ]
+
+
+def _collab_step(stack, x, y, adv_set, lambda_pm, lambda_dm, crossing=True, gates=None):
+    """The collaborative step of the members of a MemberStack: CE on the
+    clean batch and on each member's own adversarial batch, plus, with
+    crossing, the gated promote/demote terms on every other member's
+    batch. Returns ((total, parts) of every member, each run's stacked
+    parameter gradients). Without crossing (ADV) parts holds only the four
+    loss terms.
 
     Each run of same-shaped members takes one nn.backward over its direct
     (member, batch) slices (clean, own) and one forward_cached/backprop
-    pass over its crossing slices, member weights repeated along the stack
-    axis. The gate, the backward pass and the reported terms of a crossing
-    slice come from that one forward; gates enter the backward pass as
-    constant per-example weights. A member's gradient and terms are summed
-    clean + own, then the crossings with the batch index ascending. gates
-    optionally overrides the soft gates, gates[n][i] for member n on batch
-    i: a testing seam for the gates-as-constants contract.
+    pass over its crossing slices, the slices' weights taken from the
+    run's stacked weights. The gate, the backward pass and the reported
+    terms of a crossing slice come from that one forward; gates enter the
+    backward pass as constant per-example weights. A member's gradient and
+    terms are summed clean + own, then the crossings with the batch index
+    ascending. gates optionally overrides the soft gates, gates[n][i] for
+    member n on batch i: a testing seam for the gates-as-constants
+    contract.
     """
-    out = []
-    for run in shape_runs(members):
-        direct = [(k, b) for k in run for b in (x, adv_set[k])]
+    terms, run_grads = [], []
+    for run, lo in zip(stack.runs, stack.bounds):
+        ks = range(lo, lo + run.size)
         res = nn.backward(
-            nn.stack_models(members[k] for k, _ in direct),
-            np.stack([b for _, b in direct]),
+            run.take([k - lo for k in ks for _ in (0, 1)]),
+            np.stack([b for k in ks for b in (x, adv_set[k])]),
             [nn.LossTerm(kind="ce", labels=y)],
         )
         slice_grads = [[(gw[j::2], gb[j::2]) for gw, gb in res.param_grads] for j in (0, 1)]
-        pairs = [(k, i) for k in run for i in range(len(members)) if i != k] if crossing else []
-        p = len(pairs) // len(run)
-        sums = np.zeros((3, len(run)))  # cpo_ce, do_h and the mean gate, over the crossings
+        pairs = [(k, i) for k in ks for i in range(len(stack)) if i != k] if crossing else []
+        p = len(pairs) // run.size
+        sums = np.zeros((3, run.size))  # cpo_ce, do_h and the mean gate, over the crossings
         if pairs:
             share = 1.0 / p
-            stack = nn.stack_models(members[k] for k, _ in pairs)
-            probs, cache = nn.forward_cached(stack, np.stack([adv_set[i] for _, i in pairs]))
+            cross_stack = run.take([k - lo for k, _ in pairs])
+            probs, cache = nn.forward_cached(cross_stack, np.stack([adv_set[i] for _, i in pairs]))
             gate = nn.label_probs(probs, y)
             if gates is not None:
                 gate = np.stack([gates[k][i] if k in gates else g for (k, i), g in zip(pairs, gate)])
-            terms = [
+            loss_terms = [
                 nn.LossTerm(kind="ce", labels=y, weight=share * lambda_pm * gate),
                 nn.LossTerm(kind="entropy", weight=-share * lambda_dm * (1.0 - gate)),
             ]
-            cross = nn.backprop(stack, cache, nn.accumulate_terms(probs, terms)[1])[0]
+            cross = nn.backprop(cross_stack, cache, nn.accumulate_terms(probs, loss_terms)[1])[0]
             slice_grads += [[(gw[j::p], gb[j::p]) for gw, gb in cross] for j in range(p)]
             per_pair = np.stack([
                 share * lambda_pm * (gate * nn.cross_entropy_per_example(probs, y)).mean(axis=-1),
                 share * lambda_dm * ((1.0 - gate) * nn.entropy(probs)).mean(axis=-1),
                 share * gate.mean(axis=-1),
-            ]).reshape(3, len(run), p)
+            ]).reshape(3, run.size, p)
             for j in range(p):
                 sums += per_pair[..., j]
         rows = zip(res.loss[0::2].tolist(), res.loss[1::2].tolist(), *sums.tolist())
-        for (clean_ce, dpo_ce, cpo_ce, do_h, gate_sum), grads in zip(rows, _member_grads([slice_grads])):
+        for clean_ce, dpo_ce, cpo_ce, do_h, gate_sum in rows:
             parts = {"clean_ce": clean_ce, "dpo_ce": dpo_ce, "cpo_ce": cpo_ce, "do_h": do_h}
             if p:
                 parts.update(cpo_gate=gate_sum, do_gate=1.0 - gate_sum)
-            out.append((clean_ce + dpo_ce + cpo_ce - do_h, parts, grads))
-    return out
+            terms.append((clean_ce + dpo_ce + cpo_ce - do_h, parts))
+        run_grads.append(_sum_slices(slice_grads))
+    return terms, run_grads
 
 
 def _member_collab_grads(n, members, x, y, adv_set, lambda_pm, lambda_dm, indicators=None):
@@ -264,7 +276,10 @@ def _member_collab_grads(n, members, x, y, adv_set, lambda_pm, lambda_dm, indica
     indicators optionally overrides its gates, one array per other member
     keyed by member index."""
     gates = None if indicators is None else {n: indicators}
-    return _collab_step(members, x, y, adv_set, lambda_pm, lambda_dm, gates=gates)[n]
+    terms, run_grads = _collab_step(
+        stack_members(tuple(members)), x, y, adv_set, lambda_pm, lambda_dm, gates=gates
+    )
+    return (*terms[n], _per_member(run_grads)[n])
 
 
 def ensemble_adv_loss(ens, x, y, x_a_en):
@@ -281,7 +296,7 @@ def _ensemble_adv_step(stack, x, y, x_a_en, adp=None):
     attacked batch, for ADP minus the regularizer at both batches. The
     regularizer reuses the CE terms' probabilities and caches, and its
     (N, B, M) gradient goes back through one backprop per run and batch.
-    Returns (total, parts, per-member param grads, clamped count)."""
+    Returns (total, parts, each run's stacked param grads, clamped count)."""
     batches = [averaged_ce_backprop(stack, b, y) for b in (x, x_a_en)]
     clean, adv = (float(np.mean(values)) for values, *_ in batches)
     total, parts = clean + adv, {"clean_ce": clean, "dpo_ce": adv, "cpo_ce": 0.0, "do_h": 0.0}
@@ -294,12 +309,13 @@ def _ensemble_adv_step(stack, x, y, x_a_en, adp=None):
         total -= value
         for run_slices, run, c, g in zip(slices, stack.runs, caches, stack.per_run(-g_probs)):
             run_slices.append(nn.backprop(run, c, g)[0])
-    return total, parts, _member_grads(slices), clamped
+    return total, parts, [_sum_slices(run_slices) for run_slices in slices], clamped
 
 
 def _ensemble_adv_grads(members, x, y, x_a_en):
     """(total, parts, per-member param grads) of the ADV_EN loss."""
-    return _ensemble_adv_step(Ensemble(members=tuple(members)).stack, x, y, x_a_en)[:3]
+    total, parts, run_grads, _ = _ensemble_adv_step(stack_members(tuple(members)), x, y, x_a_en)
+    return total, parts, _per_member(run_grads)
 
 
 # ---------------------------------------------------------------------------
@@ -459,9 +475,10 @@ def train(ens_init, dataset, config, method):
     Per batch, adversarial batches are generated against the current
     members, with fresh attack seeds derived from the master seed: one
     attack per member for ADV/CCE (the attacks run in lockstep), one
-    against the averaged prediction for ADV_EN/ADP. Every member's gradient
-    comes from one stacked step against the same parameter snapshot, and
-    all members take their Adam step together.
+    against the averaged prediction for ADV_EN/ADP. The members are held
+    as a MemberStack for the whole run. Every member's gradient comes from
+    one stacked step against the same parameter snapshot, and Adam steps
+    each run of same-shaped members in one call.
     """
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -479,8 +496,9 @@ def train(ens_init, dataset, config, method):
             f"ADP needs members <= num_classes - 1, got {n} members for {dataset.num_classes} "
             "classes: every Gram matrix of its diversity term would be singular"
         )
-    members = list(ens_init.members)
-    states = [nn.adam_init(m, lr=config.lr) for m in members]
+    seeds = tuple(m.seed for m in ens_init.members)
+    stack = ens_init.stack
+    states = [nn.adam_init(run, lr=config.lr) for run in stack.runs]
     clamped = 0
     stats = []
     for epoch in range(config.epochs):
@@ -498,31 +516,31 @@ def train(ens_init, dataset, config, method):
                         replace(config.attack, seed=derive_seed(config.seed, _TAG_ATTACK, epoch, b_idx, i))
                         for i in range(n)
                     ]
-                    adv_set = [r.adversarial for r in run_member_attacks(members, bx, by, specs)]
-                    per_member = _collab_step(
-                        members, bx, by, adv_set, config.lambda_pm, config.lambda_dm,
+                    adv_set = [r.adversarial for r in run_member_attacks(stack, bx, by, specs)]
+                    terms, run_grads = _collab_step(
+                        stack, bx, by, adv_set, config.lambda_pm, config.lambda_dm,
                         crossing=method == "CCE",
                     )
                 else:
-                    ens_now = Ensemble(members=tuple(members))
                     seed = derive_seed(config.seed, _TAG_ENS_ATTACK, epoch, b_idx)
-                    adv_en = run_attack(ens_now, bx, by, replace(config.attack, seed=seed)).adversarial
+                    adv_en = run_attack(stack, bx, by, replace(config.attack, seed=seed)).adversarial
                     adp = (config.alpha, config.beta) if method == "ADP" else None
-                    total, parts, grads, flag = _ensemble_adv_step(ens_now.stack, bx, by, adv_en, adp)
+                    total, parts, run_grads, flag = _ensemble_adv_step(stack, bx, by, adv_en, adp)
                     clamped += flag
-                    per_member = [(total, parts, g) for g in grads]
+                    terms = [(total, parts)] * n
 
-                for i, (total, parts, grads) in enumerate(per_member):
+                for i, (total, parts) in enumerate(terms):
                     if not np.isfinite(total):
                         raise DivergenceError(f"non-finite loss for member {i}")
                     for key, v in parts.items():
                         sums[i][key] = sums[i].get(key, 0.0) + v * len(by)
                 seen += len(by)
-                for i, (_, _, grads) in enumerate(per_member):
-                    members[i], states[i] = nn.adam_step(members[i], grads, states[i])
+                steps = [nn.adam_step(run, g, st) for run, g, st in zip(stack.runs, run_grads, states)]
+                stack = replace(stack, runs=tuple(run for run, _ in steps))
+                states = [st for _, st in steps]
 
             stage = "evaluation"
-            ens_now = Ensemble(members=tuple(members))
+            ens_now = stack.ensemble(seeds)
             nat_acc = 100.0 * float(
                 np.mean(predict_labels(ens_now, dataset.inputs) == dataset.labels)
             )
@@ -548,9 +566,9 @@ def train(ens_init, dataset, config, method):
         lambda_pm=float(config.lambda_pm),
         lambda_dm=float(config.lambda_dm),
         seed=config.seed,
-        member_seeds=tuple(m.seed for m in ens_init.members),
+        member_seeds=seeds,
         attack=config.attack,
         epochs=tuple(stats),
-        ensemble=Ensemble(members=tuple(members)),
+        ensemble=ens_now,
         adp_clamped=clamped,
     )

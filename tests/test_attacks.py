@@ -4,7 +4,7 @@ import pytest
 from advens import attacks, data, nn
 from advens.attacks import AttackSpec
 from advens.ensembles import Ensemble, ce_values_and_input_grad, predict_labels, predict_probs
-from advens.errors import ConfigError, ShapeError
+from advens.errors import ConfigError, DomainError, ShapeError
 from helpers import blobs_and_model, fit_plain
 
 
@@ -346,3 +346,80 @@ def test_attack_csv_export(tmp_path):
     row = lines[1].split(",")
     assert row[0] == "0" and row[1] in {"0", "1"}
     assert float(row[2]) <= 0.05 + 1e-9 and int(row[3]) == res.queries
+
+
+# ---------------------------------------------------------------------------
+# where the checks run
+
+
+@pytest.mark.parametrize("labels", [[0.5, 1.7, 2.2, 0, 1], [True, False, True, True, False]])
+def test_attacks_reject_labels_that_are_not_integers(labels):
+    # a float label used to be truncated toward zero and a bool one taken as 0/1
+    ds, model = blobs_and_model(seed=9)
+    x = ds.inputs[:5]
+    spec = AttackSpec(family="pgd", steps=2, epsilon=0.05, eta=0.02)
+    ens = Ensemble(members=(model, model))
+    calls = [
+        lambda: attacks.run_attack(model, x, labels, spec),
+        lambda: attacks.run_attack(ens, x, labels, spec),
+        lambda: attacks.targeted(model, x, labels, spec),
+        lambda: attacks.multi_targeted(model, x, labels, spec),
+        lambda: attacks.run_member_attacks([model, model], x, labels, [spec, spec]),
+        lambda: attacks.run_member_attacks(ens.stack, x, labels, [spec, spec]),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="labels must be integers"):
+            call()
+    with pytest.raises(DomainError, match="labels must be integers"):
+        attacks.targeted(model, x, 1.7, spec)  # a scalar target class too
+
+
+def test_attack_inputs_are_validated_once_per_call(monkeypatch):
+    ds, model = blobs_and_model(seed=10)
+    x, y = ds.inputs[:12], ds.labels[:12]
+    ens = Ensemble(members=(model, model))
+    spec = AttackSpec(family="mim", steps=6, epsilon=0.05, eta=0.02)
+    validated = []
+    validate = attacks._validate_inputs
+
+    def counting(*args):
+        validated.append(args[0])
+        return validate(*args)
+
+    monkeypatch.setattr(attacks, "_validate_inputs", counting)
+    calls = [
+        lambda: attacks.run_attack(model, x, y, spec),
+        lambda: attacks.run_attack(ens, x, y, spec),
+        lambda: attacks.targeted(ens, x, 0, spec),
+        lambda: attacks.multi_targeted(model, x, y, spec),
+        lambda: attacks.run_member_attacks([model, model], x, y, [spec, spec]),
+    ]
+    for call in calls:
+        validated.clear()
+        call()
+        assert len(validated) == 1  # one check per call, none per step
+
+
+def overflowing_model(threshold, scale):
+    """One input, two classes: logit 0 is x plus scale * relu(scale * (x -
+    threshold)), logit 1 is 0. Below the threshold the logits are small;
+    past it logit 0 overflows to inf."""
+    layers = (
+        nn.Layer(w=np.array([[1.0, scale]]), b=np.array([0.0, -scale * threshold]), act="relu"),
+        nn.Layer(w=np.array([[1.0, 0.0], [0.0, scale]]), b=np.zeros(2), act="relu"),
+        nn.Layer(w=np.array([[1.0, 0.0], [1.0, 0.0]]), b=np.zeros(2), act="id"),
+    )
+    return nn.Model(layers=layers, num_classes=2)
+
+
+@pytest.mark.parametrize("family", ["pgd", "bim", "mim"])
+def test_logits_that_overflow_partway_through_an_attack_raise_domain_error(family):
+    # the ascent against label 1 raises logit 0: the first step's forward is
+    # finite, the second's overflows and its probabilities turn NaN
+    model = overflowing_model(threshold=0.45, scale=1e200)
+    x, y = np.array([[0.4]]), np.array([1])
+    assert np.isfinite(predict_probs(model, x)).all()
+    spec = AttackSpec(family=family, steps=3, epsilon=0.2, eta=0.1, random_start=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DomainError, match="non-finite"):
+            attacks.run_attack(model, x, y, spec)

@@ -1,15 +1,21 @@
 """Property tests: the batched ADP regulariser against its per-example
 definition, a Model as an ensemble of one, the stacked attack core against
-lone attacks and per-member backprops, and the stacked training step and
-backward against a per-model forward/backprop oracle kept in this file."""
+lone attacks, per-member backprops and a one-model-at-a-time attack oracle,
+the stacked training step, backward and Adam against a per-model oracle
+kept in this file, and the invariants of every attack family, of IDX
+parsing and of config normalisation."""
+
+import struct
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from advens import nn, training
-from advens.attacks import AttackSpec, run_attack, run_member_attacks
+from advens import cli, data, nn, training
+from advens.attacks import AttackSpec, multi_targeted, run_attack, run_member_attacks, targeted
 from advens.ensembles import Ensemble, ce_values_and_input_grad
+from advens.errors import ConsistencyError, DomainError, FormatError, ShapeError, TruncatedFileError
 
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
 
@@ -224,7 +230,8 @@ def oracle_forward(model, x):
         inputs.append(a)
         preacts.append(z)
         a = np.maximum(z, 0.0) if layer.act == "relu" else z
-    return nn.softmax(a), inputs, preacts
+    e = np.exp(a - a.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True), inputs, preacts
 
 
 def oracle_backprop(model, cache, g_probs):
@@ -356,10 +363,11 @@ def test_stacked_training_step_equals_per_model_oracle(
         indicators = {i: rng.random(b) for i in range(len(members)) if i != n}
         if not with_indicators or method == "ADV":
             indicators = None
-        got = training._collab_step(
-            members, x, y, adv_set, *lambdas, crossing=method == "CCE",
+        terms, run_grads = training._collab_step(
+            Ensemble(members=members).stack, x, y, adv_set, *lambdas, crossing=method == "CCE",
             gates=None if indicators is None else {n: indicators},
         )
+        got = [(*t, g) for t, g in zip(terms, training._per_member(run_grads), strict=True)]
         assert len(got) == len(members)
         for k, step in enumerate(got):
             if method == "ADV":
@@ -376,7 +384,8 @@ def test_stacked_training_step_equals_per_model_oracle(
         adp = (0.5 + rng.random(), 0.2 + rng.random()) if method == "ADP" else None
         if adp:
             stack = Ensemble(members=members).stack
-            total, parts, grads, _ = training._ensemble_adv_step(stack, x, y, adv_set[0], adp)
+            total, parts, run_grads, _ = training._ensemble_adv_step(stack, x, y, adv_set[0], adp)
+            grads = training._per_member(run_grads)
         else:  # the Model-level view used by the gradient checks
             total, parts, grads = training._ensemble_adv_grads(members, x, y, adv_set[0])
         want_total, want_parts, want_grads = oracle_ensemble_adv(members, x, y, adv_set[0], adp)
@@ -424,3 +433,359 @@ def test_backward_of_a_stack_equals_each_models_own(hidden, k, shared, classes, 
             assert same_bits(gw, ow) and same_bits(gb, ob)
             assert same_bits(sw[i], ow) and same_bits(sb[i, 0], ob)
         assert same_bits(nn.forward(model, xi), cache[0])
+
+
+# ---------------------------------------------------------------------------
+# the attack search against a one-step-at-a-time oracle
+
+
+def oracle_attack_step(members, x, y):
+    """The attack step one model at a time: per-example CE of the averaged
+    probability rows (a lone member's own, unaveraged), those rows and the
+    input gradient of the batch-mean CE, the members' input gradients
+    added in member order."""
+    caches = [oracle_forward(m, x) for m in members]
+    probs = caches[0][0] if len(members) == 1 else np.mean([c[0] for c in caches], axis=0)
+    rows = np.arange(len(y))
+    p_y = probs[rows, y]
+    floored = np.maximum(p_y, nn.LOG_FLOOR)
+    g_probs = np.zeros(probs.shape)
+    g_probs[rows, y] = np.where(p_y > nn.LOG_FLOOR, -1.0 / (len(y) * floored), 0.0)
+    if len(members) > 1:
+        g_probs = g_probs / len(members)
+    grad = None
+    for m, c in zip(members, caches):
+        g = oracle_backprop(m, c, g_probs)[1]
+        grad = g if grad is None else grad + g
+    return -np.log(floored), probs, grad
+
+
+def oracle_attack(members, x, y, spec, ascent):
+    """One pgd/bim/mim attack on one model or on the averaged prediction,
+    a step at a time with fresh arrays: (adversarial, final probs, queries,
+    loss trace)."""
+    rng = np.random.default_rng(spec.seed)
+    eps = spec.epsilon
+    if spec.family == "pgd" and spec.random_start:
+        start = np.clip(x + rng.uniform(-eps, eps, size=x.shape), 0.0, 1.0)
+        cur = np.clip(start, x - eps, x + eps)
+    else:
+        cur = x.copy()
+    g_acc = np.zeros_like(x)
+    trace = []
+    for _ in range(spec.steps):
+        values, _, grad = oracle_attack_step(members, cur, y)
+        trace.append(float(np.mean(values)))
+        grad = (1.0 if ascent else -1.0) * grad
+        if spec.family == "mim":
+            norms = np.abs(grad).sum(axis=1, keepdims=True)
+            live = norms[:, 0] > 0.0
+            g_acc = spec.momentum * g_acc
+            g_acc[live] += grad[live] / norms[live]
+            grad = g_acc
+        stepped = cur + spec.eta * np.sign(grad)
+        cur = np.clip(np.clip(stepped, x - eps, x + eps), 0.0, 1.0)
+    probs = oracle_attack_step(members, cur, y)[1]
+    final = -np.log(np.maximum(probs[np.arange(len(y)), y], nn.LOG_FLOOR))
+    return cur, probs, spec.steps + 1, (*trace, float(np.mean(final)))
+
+
+def oracle_multi_targeted(members, x, y, spec):
+    """The multi-targeted protocol over oracle_attack descents:
+    (adversarial, success mask, queries)."""
+    classes = members[0].num_classes
+    b = len(y)
+    success = np.zeros(b, dtype=bool)
+    chosen, fallback = x.copy(), x.copy()
+    fallback_loss = np.full(b, -np.inf)
+    per_run = 0
+    for t in range(classes):
+        valid = y != t
+        if not valid.any():
+            continue
+        adv, probs, per_run, _ = oracle_attack(members, x, np.full(b, t), spec, ascent=False)
+        hit = valid & (np.argmax(probs, axis=1) == t)
+        chosen[hit & ~success] = adv[hit & ~success]
+        success |= hit
+        ce_true = -np.log(np.maximum(probs[np.arange(b), y], nn.LOG_FLOOR))
+        better = valid & ~success & (ce_true > fallback_loss)
+        fallback[better] = adv[better]
+        fallback_loss[better] = ce_true[better]
+    chosen[~success] = fallback[~success]
+    return chosen, success, (classes - 1) * per_run
+
+
+@PROPERTY
+@given(
+    family=st.sampled_from(["pgd", "bim", "mim"]),
+    random_start=st.booleans(),
+    protocol=st.sampled_from(["members", "untargeted", "targeted", "multi_targeted"]),
+    ensemble=st.booleans(),
+    widths=WIDTHS,
+    classes=st.integers(2, 4),
+    d=st.integers(1, 5),
+    b=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_search_equals_the_one_step_at_a_time_oracle(
+    family, random_start, protocol, ensemble, widths, classes, d, b, seed
+):
+    # ascent (members, untargeted) and descent (targeted, multi_targeted), on
+    # lone members, a Model and an Ensemble of mixed widths: adversarial,
+    # success mask, queries and loss trace bit for bit
+    rng = np.random.default_rng(seed)
+    members = mixed_members(d, widths, classes, seed % 1000)
+    x = rng.random((b, d))
+    y = rng.integers(0, classes, size=b)
+    spec = AttackSpec(
+        family=family, steps=3, epsilon=0.1, eta=0.04, momentum=0.8,
+        random_start=random_start, seed=int(rng.integers(2**31)),
+    )
+    target, attacked = (Ensemble(members=members), members) if ensemble else (members[0], members[:1])
+    if protocol == "multi_targeted":
+        got = multi_targeted(target, x, y, spec)
+        adv, success, queries = oracle_multi_targeted(attacked, x, y, spec)
+        assert same_bits(got.adversarial, adv)
+        assert np.array_equal(got.success_mask, success)
+        assert got.queries == queries
+        return
+    if protocol == "members":
+        specs = [AttackSpec(**(vars(spec) | {"seed": int(s)})) for s in rng.integers(0, 2**31, len(members))]
+        got = run_member_attacks(members, x, y, specs)
+        cases = [((m,), s, y, True) for m, s in zip(members, specs)]
+    elif protocol == "untargeted":
+        got = [run_attack(target, x, y, spec)]
+        cases = [(attacked, spec, y, True)]
+    else:
+        t = rng.integers(0, classes, size=b)
+        got = [targeted(target, x, t, spec)]
+        cases = [(attacked, spec, t, False)]
+    assert len(got) == len(cases)
+    for result, (models, s, labels, ascent) in zip(got, cases):
+        adv, probs, queries, trace = oracle_attack(models, x, labels, s, ascent)
+        assert same_bits(result.adversarial, adv)
+        assert np.array_equal(result.success_mask, (np.argmax(probs, axis=1) == labels) != ascent)
+        assert result.queries == queries
+        assert same_bits(result.loss_trace, trace)
+
+
+# ---------------------------------------------------------------------------
+# Adam on a stack
+
+
+@PROPERTY
+@given(
+    hidden=st.sampled_from([(), (3,), (5, 4)]),
+    k=st.integers(1, 4),
+    steps=st.integers(1, 4),
+    classes=st.integers(2, 5),
+    d=st.integers(1, 5),
+    zero_share=st.sampled_from([0.0, 0.3, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_adam_on_a_stack_equals_each_models_own(hidden, k, steps, classes, d, zero_share, seed):
+    # slice k of a stacked update has the bits of model k's own, moments
+    # included; a tensor whose gradient is exactly zero on the first step
+    # stays exactly as it was
+    rng = np.random.default_rng(seed)
+    models = [nn.init_model(d, list(hidden), classes, seed=seed % 1000 + i) for i in range(k)]
+    lr = float(rng.choice([0.0, 1e-3, 0.05]))
+    stack = nn.stack_models(models)
+    stack_state = nn.adam_init(stack, lr=lr)
+    states = [nn.adam_init(m, lr=lr) for m in models]
+    first = [m.layers for m in models]
+    for step in range(steps):
+        grads = [
+            [
+                tuple(
+                    np.zeros(a.shape) if step == 0 and rng.random() < zero_share else rng.normal(size=a.shape)
+                    for a in (la.w, la.b)
+                )
+                for la in m.layers
+            ]
+            for m in models
+        ]
+        if step == 0:
+            zero = [[[not g.any() for g in pair] for pair in gs] for gs in grads]
+        stacked = [
+            (np.stack([gs[i][0] for gs in grads]), np.stack([gs[i][1] for gs in grads])[:, None, :])
+            for i in range(len(hidden) + 1)
+        ]
+        stack, stack_state = nn.adam_step(stack, stacked, stack_state)
+        for j in range(k):
+            models[j], states[j] = nn.adam_step(models[j], grads[j], states[j])
+        assert isinstance(stack, nn.ModelStack) and stack_state.step == step + 1
+        for j, (model, state) in enumerate(zip(models, states)):
+            for i, (sl, ml) in enumerate(zip(stack.layers, model.layers)):
+                assert same_bits(sl.w[j], ml.w) and same_bits(sl.b[j, 0], ml.b)
+                for moment, own in ((stack_state.m, state.m), (stack_state.v, state.v)):
+                    assert same_bits(moment[i][0][j], own[i][0]) and same_bits(moment[i][1][j, 0], own[i][1])
+                if step == 0:
+                    for a, before, was_zero in zip((sl.w[j], sl.b[j, 0]), (first[j][i].w, first[j][i].b), zero[j][i]):
+                        assert not was_zero or same_bits(a, before)
+    bad = [(gw.copy(), gb) for gw, gb in stacked]
+    bad[0][0][-1, 0, 0] = np.nan
+    with pytest.raises(DomainError, match="non-finite gradient"):
+        nn.adam_step(stack, bad, stack_state)
+
+
+def test_adam_on_a_stack_rejects_wrong_shapes_and_non_finite_parameters():
+    models = [nn.init_model(3, [4], 2, seed=i) for i in range(2)]
+    stack = nn.stack_models(models)
+    state = nn.adam_init(stack, lr=1e308)
+    grads = [(np.ones(la.w.shape), np.ones(la.b.shape)) for la in stack.layers]
+    with pytest.raises(ShapeError):
+        nn.adam_step(stack, [(gw[0], gb[0]) for gw, gb in grads], state)
+    with np.errstate(over="ignore"):  # the update overflows the parameters
+        stack, state = nn.adam_step(stack, grads, state)
+        with pytest.raises(DomainError, match="non-finite parameters"):
+            nn.adam_step(stack, grads, state)
+
+
+# ---------------------------------------------------------------------------
+# invariants of every attack family, of IDX parsing and of config normalisation
+
+
+@PROPERTY
+@given(
+    family=st.sampled_from(["pgd", "bim", "mim", "spsa"]),
+    protocol=st.sampled_from(["members", "model", "ensemble", "targeted", "multi_targeted"]),
+    random_start=st.booleans(),
+    epsilon=st.sampled_from([0.0, 1e-3, 0.05, 0.3]),
+    eta_share=st.floats(0.05, 1.0),
+    steps=st.integers(1, 4),
+    widths=WIDTHS,
+    classes=st.integers(2, 4),
+    d=st.integers(1, 5),
+    b=st.integers(1, 10),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_every_attack_stays_inside_the_ball_and_the_box(
+    family, protocol, random_start, epsilon, eta_share, steps, widths, classes, d, b, seed
+):
+    # the in-place step projects onto B(x, eps) and then [0, 1]^d; x sits near
+    # the box faces so both projections bite. eta <= eps: a larger step warns
+    rng = np.random.default_rng(seed)
+    members = mixed_members(d, widths, classes, seed % 1000)
+    x = np.clip(rng.random((b, d)) * 1.2 - 0.1, 0.0, 1.0)
+    y = rng.integers(0, classes, size=b)
+    spec = AttackSpec(
+        family=family, steps=steps, epsilon=epsilon, eta=(epsilon or 0.1) * eta_share,
+        spsa_samples=2, random_start=random_start, seed=int(rng.integers(2**31)),
+    )
+    ens = Ensemble(members=members)
+    if protocol == "members":
+        advs = [r.adversarial for r in run_member_attacks(members, x, y, [spec] * len(members))]
+    elif protocol == "model":
+        advs = [run_attack(members[0], x, y, spec).adversarial]
+    elif protocol == "ensemble":
+        advs = [run_attack(ens, x, y, spec).adversarial]
+    elif protocol == "targeted":
+        advs = [targeted(ens, x, rng.integers(0, classes, size=b), spec).adversarial]
+    else:
+        advs = [multi_targeted(ens, x, y, spec).adversarial]
+    for adv in advs:
+        assert adv.shape == x.shape
+        assert (adv >= x - epsilon).all() and (adv <= x + epsilon).all()
+        assert (adv >= 0.0).all() and (adv <= 1.0).all()
+
+
+IDX_ERRORS = (FormatError, TruncatedFileError, ConsistencyError, DomainError, ShapeError)
+
+
+@st.composite
+def idx_pair(draw):
+    """Bytes of an images and a labels file: sometimes random through and
+    through, mostly a right or wrong magic, a header of small or huge
+    sizes and a random payload."""
+    def header(magic, sizes):
+        head = struct.pack(">I", draw(st.sampled_from([magic, magic ^ 1, 0])))
+        for _ in range(sizes):
+            head += struct.pack(">I", draw(st.sampled_from([0, 1, 2, 3, 7, 2**32 - 1])))
+        return head[: draw(st.integers(0, len(head)))] if draw(st.booleans()) else head
+
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.binary(max_size=64)), draw(st.binary(max_size=64))
+    images = header(data.IDX_IMAGES_MAGIC, 3) + draw(st.binary(max_size=128))
+    labels = header(data.IDX_LABELS_MAGIC, 1) + draw(st.binary(max_size=32))
+    return images, labels
+
+
+@PROPERTY
+@given(pair=idx_pair())
+def test_random_idx_bytes_raise_only_typed_errors(tmp_path_factory, pair):
+    folder = tmp_path_factory.mktemp("idx")
+    paths = [str(folder / "images.idx"), str(folder / "labels.idx")]
+    for path, blob in zip(paths, pair):
+        with open(path, "wb") as f:
+            f.write(blob)
+    try:
+        ds = data.load_idx(*paths)
+    except IDX_ERRORS:
+        return
+    assert len(ds) >= 1 and ds.inputs.min() >= 0.0 and ds.inputs.max() <= 1.0
+
+
+ATTACK_BLOCKS = st.fixed_dictionaries(
+    {"family": st.sampled_from(["pgd", "bim", "mim", "spsa"]), "epsilon": st.sampled_from([0.1, 0.2])},
+    optional={
+        "steps": st.integers(1, 50),
+        "eta": st.sampled_from([0.01, 0.05, 0.1]),
+        "momentum": st.floats(0.0, 2.0),
+        "spsa_samples": st.integers(1, 8),
+        "spsa_delta": st.sampled_from([0.001, 0.01]),
+        "random_start": st.booleans(),
+        "seed": st.integers(0, 2**31),
+    },
+)
+METHOD_BLOCKS = st.one_of(
+    st.sampled_from([{"name": "RM"}, {"name": "DM"}, {"name": "Base"}, {"name": "ADV"}, {"name": "ADV_EN"}]),
+    st.fixed_dictionaries({"name": st.just("CCE"), "mode": st.sampled_from(["RM", "DM", "Base"])}),
+    st.fixed_dictionaries({
+        "name": st.just("CCE"), "mode": st.just("custom"),
+        "lambda_pm": st.floats(0.0, 5.0), "lambda_dm": st.integers(0, 5),
+    }),
+    st.fixed_dictionaries({"name": st.just("ADP")}, optional={"alpha": st.floats(0.0, 3.0), "beta": st.integers(0, 2)}),
+)
+DATASET_BLOCKS = st.one_of(
+    st.fixed_dictionaries(
+        {"generator": st.just("blobs"), "n_per_class": st.integers(1, 50), "num_classes": st.integers(2, 5),
+         "dim": st.integers(1, 8), "separation": st.floats(0.0, 10.0)},
+        optional={"seed": st.integers(0, 100)},
+    ),
+    st.fixed_dictionaries(
+        {"generator": st.just("rings"), "n_per_class": st.integers(1, 50), "num_classes": st.integers(2, 5),
+         "noise": st.floats(0.0, 0.2)},
+        optional={"seed": st.integers(0, 100)},
+    ),
+)
+
+
+@PROPERTY
+@given(
+    config=st.fixed_dictionaries(
+        {
+            "dataset": DATASET_BLOCKS,
+            "model": st.fixed_dictionaries({"hidden": st.lists(st.integers(1, 64), max_size=3), "members": st.integers(1, 4)}),
+            "method": METHOD_BLOCKS,
+            "train": st.fixed_dictionaries(
+                {"epochs": st.integers(1, 100), "batch_size": st.integers(1, 256), "attack": ATTACK_BLOCKS},
+                optional={"lr": st.sampled_from([0.001, 0.03, 1])},
+            ),
+            "out": st.text("abc/_-", min_size=1, max_size=12),
+            "seed": st.integers(0, 2**31),
+        },
+        optional={
+            "eval_attacks": st.dictionaries(st.sampled_from(["pgd", "a-1", "B_2"]), ATTACK_BLOCKS, max_size=3),
+            "surface": st.fixed_dictionaries({}, optional={
+                "radius_steps": st.integers(1, 30), "step": st.sampled_from([0.01, 0.2]),
+                "index": st.integers(0, 9), "target": st.sampled_from(["en", "f1"]),
+            }),
+        },
+    ),
+    seed_override=st.one_of(st.none(), st.integers(0, 100)),
+    out_override=st.one_of(st.none(), st.just("elsewhere")),
+)
+def test_normalize_config_is_idempotent(config, seed_override, out_override):
+    once = cli.normalize_config(config, seed_override=seed_override, out_override=out_override)
+    assert cli.normalize_config(once) == once

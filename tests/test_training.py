@@ -398,13 +398,9 @@ def test_train_validation_and_divergence(monkeypatch):
     with pytest.raises(ConfigError):
         training.train(ens, wrong_m, cfg, "ADV")
 
-    def explode(members, *args, **kwargs):
-        return [
-            (np.inf, {"clean_ce": np.inf, "dpo_ce": 0.0, "cpo_ce": 0.0, "do_h": 0.0}, [
-                (np.zeros_like(l.w), np.zeros_like(l.b)) for l in m.layers
-            ])
-            for m in members
-        ]
+    def explode(stack, *args, **kwargs):
+        terms = [(np.inf, {"clean_ce": np.inf, "dpo_ce": 0.0, "cpo_ce": 0.0, "do_h": 0.0})] * len(stack)
+        return terms, [[(np.zeros_like(l.w), np.zeros_like(l.b)) for l in run.layers] for run in stack.runs]
 
     monkeypatch.setattr(training, "_collab_step", explode)
     with pytest.raises(DivergenceError, match="epoch 0 batch 0"):
@@ -444,7 +440,7 @@ def test_one_step_forwards_each_member_batch_pair_once(monkeypatch, method, forw
     monkeypatch.setattr(
         training, "run_member_attacks",
         lambda members, x, y, specs: [
-            SimpleNamespace(adversarial=np.clip(x + 0.01, 0.0, 1.0)) for _ in members
+            SimpleNamespace(adversarial=np.clip(x + 0.01, 0.0, 1.0)) for _ in range(len(members))
         ],
     )
     monkeypatch.setattr(training, "predict_labels", lambda target, x: np.zeros(len(x), dtype=int))
