@@ -11,12 +11,14 @@ attack).
 The loop works on stacked members (ensembles.MemberStack): run_member_attacks
 runs K lone attacks, one per member, in lockstep on a (K, B, d) stack, and a
 Model is the stack of one. What stays fixed over the steps is done once per
-call: x and the labels are checked, the target is stacked, and the labels
-become an nn.LabelIndex. Each gradient step is then one stacked forward and
-one backward that forms only the input gradient
-(ensembles.ce_values_and_input_grad), and a sign step with ball and box
-projection taken in place; every attack keeps its own seeded generator, so
-its result equals a lone run_attack bit for bit.
+call: x and the labels are checked, the target is stacked, the labels
+become an nn.LabelIndex and the ball ∩ box bounds are made (ball_box). Each
+gradient step is then one stacked forward, whose softmax checks its rows,
+and one backward that forms only the input gradient
+(ensembles.ce_values_and_input_grad), and a sign step clipped to the
+bounds in place; the loss trace is summed once, when the call ends. Every
+attack keeps its own seeded generator, so its result equals a lone
+run_attack bit for bit.
 
 Query accounting: queries counts target evaluations per example (the usual
 black-box budget metric). PGD/BIM/MIM spend steps+1 (final success check
@@ -26,6 +28,7 @@ wrong label.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -54,12 +57,22 @@ class AttackSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ConfigError(f"unknown attack family {self.family!r}")
-        if self.steps < 1:
-            raise ConfigError("steps must be >= 1")
+        for name in ("steps", "spsa_samples", "seed"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {v!r}")
         for name in ("epsilon", "eta", "momentum", "spsa_delta"):
             v = getattr(self, name)
-            if not np.isfinite(v):
+            if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
+                raise ConfigError(f"{name} must be a real number, got {v!r}")
+            if not math.isfinite(v):
                 raise ConfigError(f"{name} must be finite")
+        if not isinstance(self.random_start, (bool, np.bool_)):
+            raise ConfigError(f"random_start must be true or false, got {self.random_start!r}")
+        if self.steps < 1:
+            raise ConfigError("steps must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.epsilon < 0:
             raise ConfigError("epsilon must be >= 0")
         if self.eta <= 0:
@@ -88,20 +101,30 @@ class AttackResult:
     loss_trace: tuple = ()
 
 
-def fgsm_step(x, input_grad, eta, x_origin, epsilon, out=None):
+def ball_box(x_origin, epsilon):
+    """The bounds (lo, hi) of B(x_origin, eps) ∩ [0,1]^d: clip_[0,1](x_origin
+    ∓ eps). Clipping to them equals clipping to the ball, then to the box,
+    for any finite x_origin (inside the box or not) and eps >= 0, since
+    clip_[0,1] o clip_[a,b] = clip_[clip_[0,1](a), clip_[0,1](b)] for a <= b;
+    bit for bit unless a -0.0 meets a bound of 0.0, where numpy's clips
+    themselves disagree on the sign of the zero."""
+    return np.clip(x_origin - epsilon, 0.0, 1.0), np.clip(x_origin + epsilon, 0.0, 1.0)
+
+
+def fgsm_step(x, input_grad, eta, lo, hi, out=None):
     """One signed ascent step, then ball and box projection.
 
-    x_next = clip_[0,1]( clip_B(x_origin, eps)( x + eta * sign(input_grad) ) );
-    sign(0) = 0, so zero-gradient coordinates hold still. out, which may be
-    x itself, takes the step in place.
+    x_next = clip_[lo,hi]( x + eta * sign(input_grad) ) with (lo, hi) =
+    ball_box(x_origin, eps), made once per attack; sign(0) = 0, so
+    zero-gradient coordinates hold still. out, which may be x itself,
+    takes the step in place.
     """
-    if x.shape != input_grad.shape or x.shape != np.shape(x_origin):
-        raise ShapeError("x, input_grad and x_origin must share a shape")
+    if x.shape != input_grad.shape or x.shape != np.shape(lo) or x.shape != np.shape(hi):
+        raise ShapeError("x, input_grad and the bounds must share a shape")
     step = np.sign(input_grad)
     step *= eta
     out = np.add(x, step, out=out)
-    out.clip(x_origin - epsilon, x_origin + epsilon, out=out)
-    return out.clip(0.0, 1.0, out=out)
+    return out.clip(lo, hi, out=out)
 
 
 def _validate_inputs(target, x, y):
@@ -136,20 +159,18 @@ def _search(target, x, labels, specs, ascent, per_member):
     if per_member:
         target = member_stack(target)
     if spec.family == "pgd" and spec.random_start:
-        starts = [
-            np.clip(x + rng.uniform(-spec.epsilon, spec.epsilon, size=x.shape), 0.0, 1.0)
-            for rng in rngs
-        ]
+        starts = [np.clip(x + r.uniform(-spec.epsilon, spec.epsilon, size=x.shape), 0.0, 1.0) for r in rngs]
         cur = np.clip(np.stack(starts), x - spec.epsilon, x + spec.epsilon)
+        del starts  # the loop holds only cur and the bounds
     else:
         cur = np.repeat(x[None], len(specs), axis=0)
-    origin = np.broadcast_to(x, cur.shape)
+    lo, hi = ball_box(np.broadcast_to(x, cur.shape), spec.epsilon)
 
     def batch(a):  # what the target takes: the stack, or one ensemble batch
         return a if per_member else a[0]
 
     g_acc = np.zeros_like(cur) if spec.family == "mim" else None
-    sums = []  # per step, each attack's summed objective: the trace, times B
+    values_seen = []  # per step, the per-example objective: the trace's rows
     queries = 1  # the final success check
     for step in range(spec.steps):
         if spec.family == "spsa":
@@ -162,7 +183,7 @@ def _search(target, x, labels, specs, ascent, per_member):
             values, grad = ce_values_and_input_grad(target, batch(cur), labels)
             if not np.isfinite(grad).all():
                 raise DivergenceError(f"non-finite attack gradient at step {step}")
-            sums.append(values.reshape(len(specs), -1).sum(axis=-1))
+            values_seen.append(values)
             queries += 1
         grad = grad.reshape(cur.shape)
         if not ascent:
@@ -173,11 +194,13 @@ def _search(target, x, labels, specs, ascent, per_member):
             g_acc *= spec.momentum
             g_acc[live] += grad[live] / norms[live]
             grad = g_acc
-        fgsm_step(cur, grad, spec.eta, origin, spec.epsilon, out=cur)
+        fgsm_step(cur, grad, spec.eta, lo, hi, out=cur)
+        del grad  # not held through the next step's forward and backward
     probs = predict_probs(target, batch(cur)).reshape(cur.shape[:2] + (-1,))
-    sums.append(nn.cross_entropy_per_example(probs, labels).sum(axis=-1))
-    # each a mean as np.mean takes it: the sum, then one division by B
-    traces = (np.array(sums) / len(x)).T.tolist()
+    final = nn.cross_entropy_per_example(probs, labels, _checked=True)
+    rows = np.concatenate([np.reshape(values_seen, (-1, *final.shape)), final[None]])
+    # each a mean as np.mean takes it: the sum of a row, then one division by B
+    traces = (rows.sum(axis=-1) / len(x)).T.tolist()
     return cur, probs, [tuple(t) for t in traces], queries
 
 
@@ -272,7 +295,7 @@ def multi_targeted(target, x, y, spec):
         chosen[newly] = adv[newly]
         success |= hit
         # untargeted quality of this candidate, for examples never hit
-        ce_true = nn.cross_entropy_per_example(probs, y)
+        ce_true = nn.cross_entropy_per_example(probs, y, _checked=True)
         better = valid & ~success & (ce_true > fallback_loss)
         fallback[better] = adv[better]
         fallback_loss[better] = ce_true[better]
@@ -293,13 +316,16 @@ def spsa_gradient_estimate(target, x, labels, samples, delta, rng):
     prediction, its bumps drawn from rng, or a stack (K, B, d) whose slice
     k is against member k alone, its bumps drawn from rng[k]."""
     rngs = [rng] if np.ndim(x) == 2 else rng
+
+    def loss_at(bumped):  # clipped in place: one bumped batch is alive at a time
+        bumped.clip(0.0, 1.0, out=bumped)
+        return nn.cross_entropy_per_example(predict_probs(target, bumped), labels, _checked=True)
+
     est = np.zeros_like(x)
     for _ in range(samples):
         bump = np.reshape([r.integers(0, 2, size=x.shape[-2:]) for r in rngs], x.shape) * 2.0 - 1.0
-        up = np.clip(x + delta * bump, 0.0, 1.0)
-        dn = np.clip(x - delta * bump, 0.0, 1.0)
-        lp = nn.cross_entropy_per_example(predict_probs(target, up), labels)
-        ln = nn.cross_entropy_per_example(predict_probs(target, dn), labels)
+        lp = loss_at(x + delta * bump)
+        ln = loss_at(x - delta * bump)
         # Rademacher entries are +-1 so the elementwise inverse is bump itself
         est += ((lp - ln) / (2.0 * delta))[..., None] * bump
     return est / samples, 2 * samples

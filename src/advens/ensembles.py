@@ -174,10 +174,10 @@ def _averaged_ce(probs, labels):
     """Per-example CE of the averaged rows of member probs (K, B, M), and
     its gradient with respect to each member's rows (one (B, M) shared by
     all, the 1/K share included). One member skips the average and the
-    share (exact)."""
+    share (exact). probs come from a forward, whose softmax checked them."""
     if len(probs) == 1:
-        return nn.ce_values_and_prob_grad(probs[0], labels)
-    values, g_probs = nn.ce_values_and_prob_grad(probs.mean(axis=0), labels)
+        return nn.ce_values_and_prob_grad(probs[0], labels, _checked=True)
+    values, g_probs = nn.ce_values_and_prob_grad(probs.mean(axis=0), labels, _checked=True)
     return values, g_probs / len(probs)
 
 
@@ -208,13 +208,13 @@ def ce_values_and_input_grad(target, x, labels):
     made once per call of the attack and passed in: the target as a
     MemberStack (or an Ensemble, which holds its own; the transposed
     weights are made once per stack) and labels as an nn.LabelIndex. Each
-    step still checks that x and the probabilities are finite and that
-    the probability rows sum to 1.
+    step still checks that x is finite, and the forward's softmax checks
+    that every probability row is a distribution.
     """
     stack = member_stack(target)
     probs, caches = _member_forward(stack, x, keep="masks")
     if np.ndim(x) == 3:
-        values, g_probs = nn.ce_values_and_prob_grad(probs, labels)
+        values, g_probs = nn.ce_values_and_prob_grad(probs, labels, _checked=True)
     else:
         values, g_probs = _averaged_ce(probs, labels)
     parts = [g_probs] * len(stack.runs) if g_probs.ndim == 2 else stack.per_run(g_probs)

@@ -18,7 +18,9 @@ for attacks, which keeps only boolean relu masks from the forward).
 
 Label-taking functions accept integer labels, checked on every call, or a
 LabelIndex of them, checked once for the many calls of a loop over one
-batch (an attack's steps).
+batch (an attack's steps). The softmax checks its own rows, so the
+package's own consumers of forward output skip the probability check
+(_checked=True) that caller-supplied probabilities get.
 
 Log arguments are clamped at ``LOG_FLOOR``; the clamp only matters where a
 probability has underflowed to ~0, and the reported gradient is the exact
@@ -175,11 +177,17 @@ def stack_models(models):
 
 
 def softmax(z, out=None):
-    """Row-wise stable softmax; out=z computes it in place."""
+    """Row-wise stable softmax; out=z computes it in place. Checks its own
+    rows: the largest term of each row is exp(0) = 1, so a finite row
+    denominator makes the row a distribution, and a non-finite one (an
+    inf or nan logit; a row of -inf) raises DomainError."""
     z = np.asarray(z, dtype=np.float64)
     e = np.subtract(z, z.max(axis=-1, keepdims=True), out=out)
     np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
+    total = e.sum(axis=-1, keepdims=True)
+    if not np.isfinite(total).all():
+        raise DomainError("softmax of non-finite logits")
+    e /= total
     return e
 
 
@@ -299,26 +307,28 @@ def label_probs(probs, labels):
     return np.ascontiguousarray(probs[..., labels.rows, labels.labels])
 
 
-def _label_entries(probs, labels):
-    """Checked probability rows (..., B, M), the LabelIndex of the labels
-    and each row's label entry p_y, (..., B)."""
-    p = _check_probs(probs)
+def _label_entries(probs, labels, checked):
+    """Probability rows (..., B, M), checked unless the caller vouches that
+    they came from this module's forward (checked), the LabelIndex of the
+    labels and each row's label entry p_y, (..., B)."""
+    p = probs if checked else _check_probs(probs)
     index = label_index(labels, p.shape[-2], p.shape[-1])
     return p, index, label_probs(p, index)
 
 
-def cross_entropy_per_example(probs, labels):
+def cross_entropy_per_example(probs, labels, *, _checked=False):
     """-log p_y per row, with the log argument clamped at LOG_FLOOR. probs
-    may carry leading stack axes, (..., B, M)."""
-    return -np.log(np.maximum(_label_entries(probs, labels)[2], LOG_FLOOR))
+    may carry leading stack axes, (..., B, M). The package's own callers
+    pass _checked=True for rows of a forward, whose softmax checked them."""
+    return -np.log(np.maximum(_label_entries(probs, labels, _checked)[2], LOG_FLOOR))
 
 
-def ce_values_and_prob_grad(probs, labels):
+def ce_values_and_prob_grad(probs, labels, *, _checked=False):
     """Per-example cross-entropy and the gradient of its batch mean with
     respect to probs: -1/(B p_y) at each label entry, 0 where p_y is under
     the clamp. probs may carry leading stack axes, (..., B, M); each slice
-    is then its own batch."""
-    p, index, p_y = _label_entries(probs, labels)
+    is then its own batch. _checked as in cross_entropy_per_example."""
+    p, index, p_y = _label_entries(probs, labels, _checked)
     floored = np.maximum(p_y, LOG_FLOOR)
     g = np.zeros(p.shape)  # zeros_like costs more at attack-step sizes
     # d(-log max(p_y, floor))/dp_y is -1/p_y above the clamp, 0 below
@@ -367,6 +377,7 @@ class BackwardResult:
     loss: object  # a float, or one value per slice (K,) for a ModelStack
     param_grads: tuple  # (gw, gb) per layer, shaped like the layer's w and b
     input_grad: np.ndarray
+    rows: tuple = ()  # each term's unweighted per-example values, (..., B)
 
 
 def _term_weight(term, shape):
@@ -381,32 +392,36 @@ def _term_weight(term, shape):
 
 
 def accumulate_terms(probs, terms):
-    """Total loss value and dLoss/dprobs for a list of LossTerms.
+    """Total loss value, dLoss/dprobs and each term's unweighted
+    per-example values (CE or entropy rows) for a list of LossTerms.
 
     probs is (B, M), or (K, B, M) for K stacked slices: the loss is then
-    one value per slice, (K,), and a per-example term weight is (K, B).
+    one value per slice, (K,), and a per-example term weight and a term's
+    rows are (K, B).
     """
     b, m = probs.shape[-2:]
     loss = np.zeros(probs.shape[:-2])
     g_probs = np.zeros_like(probs)
+    rows = []
     for term in terms:
         w = _term_weight(term, probs.shape[:-1])
         if term.kind == "ce":
             if term.labels is None:
                 raise UnsupportedLossError("ce term needs labels")
             index = label_index(term.labels, b, m)
-            p_y = label_probs(probs, index)
-            loss += (w * -np.log(np.maximum(p_y, LOG_FLOOR))).mean(axis=-1)
+            floored = np.maximum(label_probs(probs, index), LOG_FLOOR)
+            v = -np.log(floored)
             # d(-log max(p_y, floor))/dp_y is -1/p_y above the clamp, 0 below
-            live = p_y > LOG_FLOOR
-            g_probs[..., index.rows, index.labels] += np.where(live, -w / (b * np.maximum(p_y, LOG_FLOOR)), 0.0)
+            g_probs[..., index.rows, index.labels] += np.where(floored > LOG_FLOOR, -w / (b * floored), 0.0)
         elif term.kind == "entropy":
-            loss += (w * entropy_rows(probs)).mean(axis=-1)
+            v = entropy_rows(probs)
             g = np.where(probs > 0.0, -(np.log(np.maximum(probs, LOG_FLOOR)) + 1.0), 0.0)
             g_probs += (w / b)[..., None] * g
         else:
             raise UnsupportedLossError(f"unknown loss term kind {term.kind!r}")
-    return (float(loss) if loss.ndim == 0 else loss), g_probs
+        loss += (w * v).mean(axis=-1)
+        rows.append(v)
+    return (float(loss) if loss.ndim == 0 else loss), g_probs, tuple(rows)
 
 
 def _softmax_jvp(probs, g_probs):
@@ -456,15 +471,18 @@ def stacked_input_grad(stack, probs, masks, g_probs):
 
 def backward(model, batch, terms):
     """Loss value plus exact parameter and input gradients of a Model, or of
-    each slice of a ModelStack (see forward_cached for the batch forms).
+    each slice of a ModelStack (see forward_cached for the batch forms),
+    and each term's unweighted per-example values (rows).
 
-    terms is a sequence of LossTerm; the loss is the sum of their weighted
+    terms is a sequence of LossTerm, or a callable that builds one from
+    this pass's probabilities (for weights computed from them, which stay
+    constants to the backward); the loss is the sum of the terms' weighted
     batch means.
     """
     probs, cache = forward_cached(model, batch)
-    loss, g_probs = accumulate_terms(probs, terms)
+    loss, g_probs, rows = accumulate_terms(probs, terms(probs) if callable(terms) else terms)
     param_grads, input_grad = backprop(model, cache, g_probs)
-    return BackwardResult(loss=loss, param_grads=param_grads, input_grad=input_grad)
+    return BackwardResult(loss=loss, param_grads=param_grads, input_grad=input_grad, rows=rows)
 
 
 # ---------------------------------------------------------------------------

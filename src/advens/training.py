@@ -5,8 +5,9 @@ ADV/CCE, _ensemble_adv_step for ADV_EN/ADP), each stacked over the
 members' (member, batch) slices. The loop holds the members as a
 MemberStack for the whole run: the attacks and the steps take it as it
 is, each step returns every run's stacked parameter gradients, and Adam
-steps each run of same-shaped members at once. Models are made from the
-stack only for each epoch's evaluation and for the report.
+steps each run of same-shaped members at once. Each epoch's evaluation
+attacks the stack as one ensemble; Models are made from it only for the
+report.
 
   ADV     a CCE member trained alone: every member independently
           minimizes clean CE + CE on its own adversarial examples, with
@@ -218,50 +219,64 @@ def _collab_step(stack, x, y, adv_set, lambda_pm, lambda_dm, crossing=True, gate
     parameter gradients). Without crossing (ADV) parts holds only the four
     loss terms.
 
-    Each run of same-shaped members takes one nn.backward over its direct
-    (member, batch) slices (clean, own) and one forward_cached/backprop
-    pass over its crossing slices, the slices' weights taken from the
-    run's stacked weights. The gate, the backward pass and the reported
-    terms of a crossing slice come from that one forward; gates enter the
-    backward pass as constant per-example weights. A member's gradient and
-    terms are summed clean + own, then the crossings with the batch index
-    ascending. gates optionally overrides the soft gates, gates[n][i] for
-    member n on batch i: a testing seam for the gates-as-constants
-    contract.
+    Each run of same-shaped members takes one nn.backward over all its
+    (member, batch) slices, the slices' weights taken from the run's
+    stacked weights: per member, the clean batch, its own batch and, with
+    crossing, every other member's batch with the index ascending. A
+    direct slice carries CE weight 1 and entropy weight 0, which leaves its
+    bits alone (x + 0.0 = x). A crossing slice's gate comes from the pass's
+    own probabilities and enters as a constant per-example weight, and its
+    reported terms reuse the pass's CE and entropy rows. A member's
+    gradient and terms are summed clean + own, then the crossings with the
+    batch index ascending. gates optionally overrides the soft gates,
+    gates[n][i] for member n on batch i: a testing seam for the
+    gates-as-constants contract.
     """
+    n, b = len(stack), len(x)
+    y = nn.label_index(y, b, stack.num_classes)
+    others = [[i for i in range(n) if i != k] if crossing else [] for k in range(n)]
+    p = len(others[0])
+    share = 1.0 / p if p else 0.0
+    s = 2 + p  # slices per member
     terms, run_grads = [], []
     for run, lo in zip(stack.runs, stack.bounds):
         ks = range(lo, lo + run.size)
-        res = nn.backward(
-            run.take([k - lo for k in ks for _ in (0, 1)]),
-            np.stack([b for k in ks for b in (x, adv_set[k])]),
-            [nn.LossTerm(kind="ce", labels=y)],
-        )
-        slice_grads = [[(gw[j::2], gb[j::2]) for gw, gb in res.param_grads] for j in (0, 1)]
-        pairs = [(k, i) for k in ks for i in range(len(stack)) if i != k] if crossing else []
-        p = len(pairs) // run.size
-        sums = np.zeros((3, run.size))  # cpo_ce, do_h and the mean gate, over the crossings
-        if pairs:
-            share = 1.0 / p
-            cross_stack = run.take([k - lo for k, _ in pairs])
-            probs, cache = nn.forward_cached(cross_stack, np.stack([adv_set[i] for _, i in pairs]))
-            gate = nn.label_probs(probs, y)
+        used = []  # the crossing gates of the pass, (members, p, B)
+
+        def loss_terms(probs):
+            gate = nn.label_probs(probs, y).reshape(run.size, s, b)[:, 2:]
             if gates is not None:
-                gate = np.stack([gates[k][i] if k in gates else g for (k, i), g in zip(pairs, gate)])
-            loss_terms = [
-                nn.LossTerm(kind="ce", labels=y, weight=share * lambda_pm * gate),
-                nn.LossTerm(kind="entropy", weight=-share * lambda_dm * (1.0 - gate)),
+                gate = np.array([
+                    [gates[k][i] if k in gates else g for i, g in zip(others[k], row)]
+                    for k, row in zip(ks, gate)
+                ])
+            used.append(gate)
+            ce_w, h_w = np.ones((run.size, s, b)), np.zeros((run.size, s, b))
+            ce_w[:, 2:] = share * lambda_pm * gate
+            h_w[:, 2:] = -share * lambda_dm * (1.0 - gate)
+            return [
+                nn.LossTerm(kind="ce", labels=y, weight=ce_w.reshape(-1, b)),
+                nn.LossTerm(kind="entropy", weight=h_w.reshape(-1, b)),
             ]
-            cross = nn.backprop(cross_stack, cache, nn.accumulate_terms(probs, loss_terms)[1])[0]
-            slice_grads += [[(gw[j::p], gb[j::p]) for gw, gb in cross] for j in range(p)]
+
+        res = nn.backward(
+            run.take([k - lo for k in ks for _ in range(s)]),
+            np.stack([a for k in ks for a in (x, adv_set[k], *(adv_set[i] for i in others[k]))]),
+            loss_terms if p else [nn.LossTerm(kind="ce", labels=y)],
+        )
+        slice_grads = [[(gw[j::s], gb[j::s]) for gw, gb in res.param_grads] for j in range(s)]
+        sums = np.zeros((3, run.size))  # cpo_ce, do_h and the mean gate, over the crossings
+        if p:
+            gate = used[0]
+            ce, h = (v.reshape(run.size, s, b)[:, 2:] for v in res.rows)
             per_pair = np.stack([
-                share * lambda_pm * (gate * nn.cross_entropy_per_example(probs, y)).mean(axis=-1),
-                share * lambda_dm * ((1.0 - gate) * nn.entropy(probs)).mean(axis=-1),
+                share * lambda_pm * (gate * ce).mean(axis=-1),
+                share * lambda_dm * ((1.0 - gate) * h).mean(axis=-1),
                 share * gate.mean(axis=-1),
-            ]).reshape(3, run.size, p)
+            ])
             for j in range(p):
                 sums += per_pair[..., j]
-        rows = zip(res.loss[0::2].tolist(), res.loss[1::2].tolist(), *sums.tolist())
+        rows = zip(res.loss[0::s].tolist(), res.loss[1::s].tolist(), *sums.tolist())
         for clean_ce, dpo_ce, cpo_ce, do_h, gate_sum in rows:
             parts = {"clean_ce": clean_ce, "dpo_ce": dpo_ce, "cpo_ce": cpo_ce, "do_h": do_h}
             if p:
@@ -476,9 +491,10 @@ def train(ens_init, dataset, config, method):
     members, with fresh attack seeds derived from the master seed: one
     attack per member for ADV/CCE (the attacks run in lockstep), one
     against the averaged prediction for ADV_EN/ADP. The members are held
-    as a MemberStack for the whole run. Every member's gradient comes from
-    one stacked step against the same parameter snapshot, and Adam steps
-    each run of same-shaped members in one call.
+    as a MemberStack for the whole run; each epoch's evaluation attacks
+    that stack as one ensemble. Every member's gradient comes from one
+    stacked step against the same parameter snapshot, and Adam steps each
+    run of same-shaped members in one call.
     """
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -540,15 +556,11 @@ def train(ens_init, dataset, config, method):
                 states = [st for _, st in steps]
 
             stage = "evaluation"
-            ens_now = stack.ensemble(seeds)
-            nat_acc = 100.0 * float(
-                np.mean(predict_labels(ens_now, dataset.inputs) == dataset.labels)
-            )
+            nat_acc = 100.0 * float(np.mean(predict_labels(stack, dataset.inputs) == dataset.labels))
+            # the attack's own final prediction tells which examples it defeated
             eval_spec = replace(config.attack, seed=derive_seed(config.seed, _TAG_EVAL, epoch))
-            adv_eval = run_attack(ens_now, dataset.inputs, dataset.labels, eval_spec)
-            rob_acc = 100.0 * float(
-                np.mean(predict_labels(ens_now, adv_eval.adversarial) == dataset.labels)
-            )
+            adv_eval = run_attack(stack, dataset.inputs, dataset.labels, eval_spec)
+            rob_acc = 100.0 * float(np.mean(~adv_eval.success_mask))
         except (DomainError, DivergenceError) as e:
             # inputs were validated up front, so a non-finite value here is
             # one that training itself produced
@@ -569,6 +581,6 @@ def train(ens_init, dataset, config, method):
         member_seeds=seeds,
         attack=config.attack,
         epochs=tuple(stats),
-        ensemble=ens_now,
+        ensemble=stack.ensemble(seeds),
         adp_clamped=clamped,
     )

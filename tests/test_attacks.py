@@ -20,17 +20,18 @@ def logistic_1d(w0, w1):
 def test_fgsm_step_plain_and_clipped():
     x = np.array([[0.5, 0.5, 1.0]])
     grad = np.array([[1.0, -2.0, 3.0]])
-    out = attacks.fgsm_step(x, grad, 0.1, x, 0.25)
+    bounds = attacks.ball_box(x, 0.25)
+    out = attacks.fgsm_step(x, grad, 0.1, *bounds)
     assert np.allclose(out, [[0.6, 0.4, 1.0]])  # third coord pinned at box
-    assert np.array_equal(attacks.fgsm_step(x, grad, 0.0, x, 0.25), x)
+    assert np.array_equal(attacks.fgsm_step(x, grad, 0.0, *bounds), x)
     # sign(0) = 0 keeps the coordinate still
-    out = attacks.fgsm_step(x, np.zeros_like(x), 0.1, x, 0.25)
+    out = attacks.fgsm_step(x, np.zeros_like(x), 0.1, *bounds)
     assert np.array_equal(out, x)
     # ball clip: large eta cannot leave the ball
-    out = attacks.fgsm_step(x, grad, 5.0, x, 0.25)
+    out = attacks.fgsm_step(x, grad, 5.0, *bounds)
     assert np.abs(out - x).max() <= 0.25 + 1e-12
     with pytest.raises(ShapeError):
-        attacks.fgsm_step(x, grad[:, :2], 0.1, x, 0.25)
+        attacks.fgsm_step(x, grad[:, :2], 0.1, *bounds)
 
 
 # ---------------------------------------------------------------------------

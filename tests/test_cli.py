@@ -110,6 +110,25 @@ def test_config_validation_messages(tmp_path):
             cli.parse_config(path)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("steps", 2.5),
+        ("steps", "3"),
+        ("epsilon", "a"),
+        ("epsilon", None),
+        ("random_start", "no"),
+        ("spsa_samples", 2.5),
+    ],
+)
+def test_attack_fields_of_the_wrong_type_exit_2(tmp_path, capsys, field, value):
+    # each once crashed with a TypeError or was taken silently
+    attack = dict(BASE["train"]["attack"], **{field: value})
+    path, _ = make_config(tmp_path, train=dict(BASE["train"], attack=attack))
+    assert run(["train", "--config", path]) == 2
+    assert f"train.attack: {field} must be" in capsys.readouterr().err
+
+
 def test_malformed_json_reports_line_and_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"dataset": \n !}')

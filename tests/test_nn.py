@@ -42,6 +42,40 @@ def test_forward_matches_hand_softmax():
     assert np.allclose(probs[0], np.array([np.e**2, 1.0]) / (np.e**2 + 1.0))
 
 
+@pytest.mark.parametrize(
+    "row", [[np.inf, 0.0, 1.0], [np.nan, 0.0, 1.0], [-np.inf] * 3, [np.inf, -np.inf, 0.0]]
+)
+def test_softmax_rejects_non_finite_logits(row):
+    # each of these rows leaves a non-finite row denominator
+    z = np.array([[0.5, 1.0, -2.0], row])
+    for logits in (z, np.stack([z, z[::-1]])):
+        with np.errstate(invalid="ignore"), pytest.raises(DomainError, match="non-finite"):
+            nn.softmax(logits)
+
+
+def test_forward_rejects_logits_that_overflow():
+    layers = (
+        nn.Layer(w=np.full((2, 2), 1e200), b=np.zeros(2), act="relu"),
+        nn.Layer(w=np.array([[1e200, -1e200], [1e200, 1e200]]), b=np.zeros(2), act="id"),
+    )
+    model = nn.Model(layers=layers, num_classes=2)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DomainError, match="non-finite"):
+        nn.forward(model, np.ones((3, 2)))
+
+
+def test_softmax_takes_a_lone_minus_inf_logit_as_zero_probability():
+    assert np.array_equal(nn.softmax(np.array([[-np.inf, 0.0, 0.0]])), [[0.0, 0.5, 0.5]])
+
+
+def test_softmax_rows_pass_the_probability_check():
+    rng = np.random.default_rng(3)
+    for shape in [(1, 2), (7, 3), (4, 9, 5)]:
+        z = rng.normal(0.0, 30.0, size=shape)
+        z[..., 0] = 700.0  # exp overflows without the shift
+        p = nn.softmax(z)
+        assert nn._check_probs(p) is p
+
+
 def test_rows_sum_to_one_and_deterministic():
     model = tiny_model(3)
     x = np.random.default_rng(1).random((40, 3))
@@ -244,6 +278,31 @@ def test_gradients_match_finite_differences():
             worst = max(worst, max_rel_err(gw, fw), max_rel_err(gb, fb))
         worst = max(worst, max_rel_err(res.input_grad, fd_x))
     assert worst < 1e-3, f"worst relative error {worst}"
+
+
+def test_backward_builds_its_terms_from_its_own_probabilities():
+    # a callable gets the pass's probabilities once; its weights act as
+    # constants, as the same weights handed in precomputed do
+    model = tiny_model(2)
+    rng = np.random.default_rng(2)
+    x, y = rng.random((6, 3)), rng.integers(0, 4, size=6)
+    probs = nn.forward(model, x)
+
+    def gated(p):
+        seen.append(p)
+        gate = nn.label_probs(p, y)
+        return [nn.LossTerm(kind="ce", labels=y, weight=gate), nn.LossTerm(kind="entropy", weight=gate - 1.0)]
+
+    seen = []
+    got = nn.backward(model, x, gated)
+    assert len(seen) == 1 and np.array_equal(seen[0], probs)
+    want = nn.backward(model, x, gated(probs))
+    assert got.loss == want.loss and np.array_equal(got.input_grad, want.input_grad)
+    for (gw, gb), (ww, wb) in zip(got.param_grads, want.param_grads):
+        assert np.array_equal(gw, ww) and np.array_equal(gb, wb)
+    # the unweighted rows of each term, as the public functions give them
+    assert np.array_equal(got.rows[0], nn.cross_entropy_per_example(probs, y))
+    assert np.array_equal(got.rows[1], nn.entropy(probs))
 
 
 def test_backward_zero_weight_gives_zero_gradients():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from advens import cli, data, nn, training
+from advens import attacks, cli, data, nn, training
 from advens.attacks import AttackSpec, multi_targeted, run_attack, run_member_attacks, targeted
 from advens.ensembles import Ensemble, ce_values_and_input_grad
 from advens.errors import ConsistencyError, DomainError, FormatError, ShapeError, TruncatedFileError
@@ -688,6 +688,38 @@ def test_every_attack_stays_inside_the_ball_and_the_box(
         assert adv.shape == x.shape
         assert (adv >= x - epsilon).all() and (adv <= x + epsilon).all()
         assert (adv >= 0.0).all() and (adv <= 1.0).all()
+
+
+COORD = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(-2.0, 3.0, allow_nan=False))
+
+
+def has_negative_zero(a):
+    return bool(((a == 0.0) & np.signbit(a)).any())
+
+
+@PROPERTY
+@given(
+    cols=st.lists(st.tuples(COORD, COORD, st.sampled_from([-1.5, -0.0, 0.0, 2.0])), min_size=1, max_size=12),
+    epsilon=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+    eta=st.floats(0.0, 1.5),
+)
+def test_hoisted_bounds_equal_the_two_clip_projection(cols, epsilon, eta):
+    # origins x and points inside and outside [0, 1], eps >= 0 (0 included):
+    # one clip to ball_box's bounds is the in-place ball clip, then the box
+    # clip, bit for bit. Where a -0.0 meets a bound of 0.0, numpy's clips
+    # differ among themselves (copying or in place, scalar or array bounds)
+    # in the sign of the zero they return, so with a -0.0 in x or in the
+    # point only the values must agree (an attack's points hold a -0.0
+    # only where its x does).
+    x, cur, grad = (np.array([c[j] for c in cols])[None] for j in range(3))
+    want = cur + eta * np.sign(grad)
+    want.clip(x - epsilon, x + epsilon, out=want)
+    want.clip(0.0, 1.0, out=want)
+    same = np.array_equal if has_negative_zero(x) or has_negative_zero(cur) else same_bits
+    lo, hi = attacks.ball_box(x, epsilon)
+    assert same(attacks.fgsm_step(cur, grad, eta, lo, hi), want)
+    assert same(attacks.fgsm_step(cur, grad, eta, lo, hi, out=cur), want)  # in place
+    assert same(cur, want)
 
 
 IDX_ERRORS = (FormatError, TruncatedFileError, ConsistencyError, DomainError, ShapeError)

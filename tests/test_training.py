@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from advens import attacks, data, nn, training
+from advens import analysis, attacks, data, nn, training
 from advens.attacks import AttackSpec
 from advens.ensembles import Ensemble
 from advens.errors import ConfigError, DivergenceError
@@ -346,6 +346,20 @@ def small_setup(seed=0, n_per_class=12, num_classes=2, dim=3):
     return ds, ens
 
 
+@pytest.mark.parametrize("method", ["CCE", "ADP"])
+def test_epoch_accuracies_equal_the_public_measures_of_the_trained_ensemble(method):
+    # the last epoch evaluates the final weights: its accuracies are the
+    # analysis module's, with the epoch's own attack seed
+    ds, ens = small_setup(num_classes=3)
+    cfg = TrainConfig(attack=quick_attack(epsilon=0.3, eta=0.1), epochs=2, batch_size=12, seed=4, mode="RM")
+    report = training.train(ens, ds, cfg, method)
+    spec = quick_attack(epsilon=0.3, eta=0.1, seed=derive_seed(cfg.seed, training._TAG_EVAL, 1))
+    last = report.epochs[-1]
+    assert last.nat_acc == analysis.natural_accuracy(report.ensemble, ds)
+    assert last.rob_acc == analysis.robust_accuracy(report.ensemble, ds, spec)
+    assert 0.0 < last.rob_acc < last.nat_acc  # the attack defeats some examples, not all
+
+
 def test_train_smoke_all_methods():
     # 3 classes: ADP rejects more members than num_classes - 1
     ds, ens = small_setup(num_classes=3)
@@ -420,7 +434,7 @@ def test_adp_rejects_more_members_than_classes_minus_one():
 @pytest.mark.parametrize(
     "method, forwards",
     [
-        ("CCE", lambda n: [n + n, n * (n - 1)]),  # clean and own, then crossing
+        ("CCE", lambda n: [n * (n + 1)]),  # per member: clean, own, then its crossings
         ("ADV", lambda n: [2 * n]),
         ("ADP", lambda n: [n, n]),  # clean, adversarial
     ],
@@ -435,7 +449,9 @@ def test_one_step_forwards_each_member_batch_pair_once(monkeypatch, method, forw
     cfg = TrainConfig(attack=quick_attack(), epochs=1, batch_size=len(ds), seed=0, mode="RM")
     monkeypatch.setattr(
         training, "run_attack",
-        lambda target, x, y, spec: SimpleNamespace(adversarial=np.clip(x + 0.01, 0.0, 1.0)),
+        lambda target, x, y, spec: SimpleNamespace(
+            adversarial=np.clip(x + 0.01, 0.0, 1.0), success_mask=np.zeros(len(x), dtype=bool)
+        ),
     )
     monkeypatch.setattr(
         training, "run_member_attacks",
@@ -468,7 +484,10 @@ def test_member_attacks_of_a_batch_take_steps_stacked_steps_and_no_backprop(monk
     cfg = TrainConfig(
         attack=quick_attack(steps=steps), epochs=1, batch_size=len(ds), seed=0, mode="RM"
     )
-    monkeypatch.setattr(training, "run_attack", lambda target, x, y, spec: SimpleNamespace(adversarial=x))
+    monkeypatch.setattr(
+        training, "run_attack",
+        lambda target, x, y, spec: SimpleNamespace(adversarial=x, success_mask=np.zeros(len(x), dtype=bool)),
+    )
     monkeypatch.setattr(training, "predict_labels", lambda target, x: np.zeros(len(x), dtype=int))
     inside, step_shapes, backprop_inside = [], [], []
 
