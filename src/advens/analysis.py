@@ -39,10 +39,11 @@ def natural_accuracy(target, dataset):
 
 
 def robust_accuracy(target, dataset, spec):
-    """Percentage of examples still predicted correctly after attack."""
+    """Percentage of examples still predicted correctly after attack: the
+    attack's failures, whose mask comes from its own final prediction of
+    the adversarial batch."""
     result = run_attack(target, dataset.inputs, dataset.labels, spec)
-    ok = predict_labels(target, result.adversarial) == dataset.labels
-    return float(np.mean(ok) * 100.0)
+    return float(np.mean(~result.success_mask) * 100.0)
 
 
 @dataclass(frozen=True)
@@ -80,8 +81,9 @@ def _default_labels(targets):
 
 
 def cross_matrix(targets, dataset, spec, labels=None):
-    """Every target attacks the dataset once; every target is scored on each
-    attack's output. Diagonal entries are the white-box robust accuracies.
+    """Every target attacks the dataset once; every other target is scored
+    on each attack's output. Diagonal entries are the white-box robust
+    accuracies, read off the attacks as robust_accuracy reads them.
     """
     targets = list(targets)
     if len(targets) < 2:
@@ -91,9 +93,10 @@ def cross_matrix(targets, dataset, spec, labels=None):
     a = np.zeros((n, n))
     advs = []
     for i, source in enumerate(targets):
-        advs.append(run_attack(source, dataset.inputs, dataset.labels, spec).adversarial)
+        result = run_attack(source, dataset.inputs, dataset.labels, spec)
+        advs.append(result.adversarial)
         for j, scored in enumerate(targets):
-            ok = predict_labels(scored, advs[-1]) == dataset.labels
+            ok = ~result.success_mask if j == i else predict_labels(scored, advs[-1]) == dataset.labels
             a[i, j] = np.mean(ok) * 100.0
     return CrossMatrix(a=a, labels=labels, adversarial=tuple(advs))
 

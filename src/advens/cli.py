@@ -20,6 +20,7 @@ Exit codes: 0 success, 2 invalid config or inputs, 3 training diverged.
 import argparse
 import hashlib
 import json
+import math
 import os
 import re
 import sys
@@ -68,10 +69,38 @@ def _reject_unknown(block, where, allowed):
             raise ConfigError(f"{where}: unknown field '{key}'")
 
 
-def _norm_attack(block, where):
+def _object(block, where):
     if not isinstance(block, dict):
-        raise ConfigError(f"{where}: attack must be an object")
-    _require(block, where, "family")
+        raise ConfigError(f"{where}: must be an object")
+    return block
+
+
+def _integer(value, where, minimum=None):
+    """value if it is a JSON integer (not a bool, a float or a string) of at
+    least minimum, else ConfigError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where}: must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{where}: must be >= {minimum}, got {value}")
+    return value
+
+
+def _path(value, where):
+    if not isinstance(value, str):
+        raise ConfigError(f"{where}: must be a path, got {value!r}")
+    return value
+
+
+def _real(value, where):
+    """value if it is a finite JSON number (not a bool or a string), else
+    ConfigError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"{where}: must be a finite number, got {value!r}")
+    return value
+
+
+def _norm_attack(block, where):
+    _require(_object(block, where), where, "family")
     _reject_unknown(block, where, {"family"} | set(_ATTACK_DEFAULTS))
     out = {"family": block["family"]}
     for name, default in _ATTACK_DEFAULTS.items():
@@ -85,45 +114,46 @@ def _norm_attack(block, where):
 
 def _norm_dataset(block, master_seed):
     where = "dataset"
-    if not isinstance(block, dict):
-        raise ConfigError(f"{where}: must be an object")
+    _object(block, where)
     if "idx_images" in block or "idx_labels" in block:
         _require(block, where, "idx_images", "idx_labels")
         _reject_unknown(block, where, {"idx_images", "idx_labels"})
         for key in ("idx_images", "idx_labels"):
-            if not os.path.exists(block[key]):
+            if not os.path.exists(_path(block[key], f"{where}.{key}")):
                 raise ConfigError(f"{where}.{key}: file not found: {block[key]}")
         return {"idx_images": block["idx_images"], "idx_labels": block["idx_labels"]}
     _require(block, where, "generator")
     gen = block["generator"]
-    if gen not in _GENERATOR_FIELDS:
+    if not isinstance(gen, str) or gen not in _GENERATOR_FIELDS:
         raise ConfigError(f"{where}.generator: unknown generator {gen!r}")
     fields = _GENERATOR_FIELDS[gen]
     _reject_unknown(block, where, {"generator"} | set(fields))
     out = {"generator": gen}
     for name in fields:
         if name == "seed":
-            out[name] = block.get(name, master_seed)
+            out[name] = _integer(block.get(name, master_seed), f"{where}.seed", 0)
         else:
             _require(block, where, name)
-            out[name] = block[name]
+            check = _real if name in ("separation", "noise") else _integer
+            out[name] = check(block[name], f"{where}.{name}")
     return out
 
 
 def _norm_method(block):
     where = "method"
-    if not isinstance(block, dict):
-        raise ConfigError(f"{where}: must be an object")
-    _require(block, where, "name")
+    _require(_object(block, where), where, "name")
     name = block["name"]
-    if name in MODES:  # a bare mode name is shorthand for CCE in that mode
+    if isinstance(name, str) and name in MODES:  # a bare mode name is shorthand for CCE in that mode
         block = dict(block, name="CCE", mode=name)
         name = "CCE"
     if name == "CCE":
         _reject_unknown(block, where, {"name", "mode", "lambda_pm", "lambda_dm"})
         mode = block.get("mode", "custom")
-        if mode != "custom" and mode not in MODES:
+        if mode != "custom" and (not isinstance(mode, str) or mode not in MODES):
             raise ConfigError(f"{where}.mode: unknown mode {mode!r}")
+        for key in ("lambda_pm", "lambda_dm"):
+            if key in block:
+                _real(block[key], f"{where}.{key}")
         if mode == "custom":
             _require(block, where, "lambda_pm", "lambda_dm")
             pm, dm = block["lambda_pm"], block["lambda_dm"]
@@ -136,8 +166,8 @@ def _norm_method(block):
         _reject_unknown(block, where, {"name", "alpha", "beta"})
         return {
             "name": "ADP",
-            "alpha": float(block.get("alpha", 2.0)),
-            "beta": float(block.get("beta", 0.5)),
+            "alpha": float(_real(block.get("alpha", 2.0), f"{where}.alpha")),
+            "beta": float(_real(block.get("beta", 0.5), f"{where}.beta")),
         }
     if name in ("ADV", "ADV_EN"):
         _reject_unknown(block, where, {"name"})
@@ -158,19 +188,17 @@ def normalize_config(obj, seed_override=None, out_override=None):
     )
     _require(obj, "config", "dataset", "model", "method", "train", "out", "seed")
 
-    seed = int(obj["seed"]) if seed_override is None else int(seed_override)
+    seed = _integer(obj["seed"] if seed_override is None else seed_override, "seed", 0)
 
-    model = obj["model"]
+    model = _object(obj["model"], "model")
     _require(model, "model", "hidden", "members")
     _reject_unknown(model, "model", {"hidden", "members"})
-    hidden = list(model["hidden"])
-    if not all(isinstance(h, int) and h >= 1 for h in hidden):
+    hidden = model["hidden"]
+    if not (isinstance(hidden, list) and all(type(h) is int and h >= 1 for h in hidden)):
         raise ConfigError("model.hidden: widths must be positive integers")
-    members = model["members"]
-    if not (isinstance(members, int) and members >= 1):
-        raise ConfigError("model.members: must be an integer >= 1")
+    members = _integer(model["members"], "model.members", 1)
 
-    train = obj["train"]
+    train = _object(obj["train"], "train")
     _require(train, "train", "epochs", "batch_size", "attack")
     _reject_unknown(train, "train", {"epochs", "batch_size", "lr", "attack"})
 
@@ -183,28 +211,28 @@ def normalize_config(obj, seed_override=None, out_override=None):
             raise ConfigError(f"eval_attacks: name {name!r} must match [A-Za-z0-9_-]+")
         norm_evals[name] = _norm_attack(spec, f"eval_attacks.{name}")
 
-    surface = obj.get("surface", {})
+    surface = _object(obj.get("surface", {}), "surface")
     _reject_unknown(surface, "surface", {"radius_steps", "step", "index", "target"})
     norm_surface = {
-        "radius_steps": surface.get("radius_steps", 5),
-        "step": surface.get("step", 0.01),
-        "index": surface.get("index", 0),
-        "target": surface.get("target", "en"),
+        "radius_steps": _integer(surface.get("radius_steps", 5), "surface.radius_steps"),
+        "step": _real(surface.get("step", 0.01), "surface.step"),
+        "index": _integer(surface.get("index", 0), "surface.index"),
+        "target": surface.get("target", "en"),  # checked against the checkpoint's members
     }
 
     return {
         "dataset": _norm_dataset(obj["dataset"], seed),
-        "model": {"hidden": hidden, "members": members},
+        "model": {"hidden": list(hidden), "members": members},
         "method": _norm_method(obj["method"]),
         "train": {
-            "epochs": int(train["epochs"]),
-            "batch_size": int(train["batch_size"]),
-            "lr": float(train.get("lr", 0.001)),
+            "epochs": _integer(train["epochs"], "train.epochs"),
+            "batch_size": _integer(train["batch_size"], "train.batch_size"),
+            "lr": float(_real(train.get("lr", 0.001), "train.lr")),
             "attack": _norm_attack(train["attack"], "train.attack"),
         },
         "eval_attacks": norm_evals,
         "surface": norm_surface,
-        "out": str(obj["out"]) if out_override is None else str(out_override),
+        "out": _path(obj["out"], "out") if out_override is None else str(out_override),
         "seed": seed,
     }
 
@@ -337,14 +365,14 @@ def cmd_eval(args):
     out = cfg["out"]
     targets = [(f"f{i + 1}", m) for i, m in enumerate(ens.members)]
     targets.append(("en", ens))
+    nats = [analysis.natural_accuracy(target, ds) for _, target in targets]
     for name, spec_dict in cfg["eval_attacks"].items():
         spec = AttackSpec(**spec_dict)
         path = os.path.join(out, f"eval_{name}.csv")
         with atomic_write(path, newline="") as f:
             f.write(_preamble(cfg))
             f.write("model,nat_acc,rob_acc\n")
-            for label, target in targets:
-                nat = analysis.natural_accuracy(target, ds)
+            for (label, target), nat in zip(targets, nats):
                 rob = analysis.robust_accuracy(target, ds, spec)
                 f.write(f"{label},{nat:.1f},{rob:.1f}\n")
         print(path)
@@ -414,21 +442,21 @@ def cmd_detect(args):
 def cmd_surface(args):
     cfg, ds, (ens,), spec = _analysis_setup(args)
     sconf = cfg["surface"]
-    index = int(sconf["index"])
+    index = sconf["index"]
     if not 0 <= index < len(ds):
         raise ConfigError(f"surface.index {index} out of range for {len(ds)} examples")
-    if sconf["target"] == "en":
-        target = ens
-    else:
-        k = int(sconf["target"])
-        if not 0 <= k < len(ens.members):
-            raise ConfigError(f"surface.target member {k} out of range")
-        target = ens.members[k]
+    choices = {"en": ens} | {str(k): m for k, m in enumerate(ens.members)}
+    choice = sconf["target"]
+    if type(choice) not in (int, str) or str(choice) not in choices:
+        raise ConfigError(
+            f"surface.target: must be 'en' or a member index in [0, {len(ens.members)}), got {choice!r}"
+        )
+    target = choices[str(choice)]
     x = ds.inputs[index : index + 1]
     y = ds.labels[index : index + 1]
     x_a = run_attack(target, x, y, spec).adversarial[0]
     grid = analysis.surface_grid(
-        target, x_a, int(y[0]), radius_steps=int(sconf["radius_steps"]),
+        target, x_a, int(y[0]), radius_steps=sconf["radius_steps"],
         step=float(sconf["step"]), seed=cfg["seed"],
     )
     path = os.path.join(cfg["out"], "surface.csv")

@@ -339,6 +339,8 @@ def load_ensemble(path):
             raise FormatError(f"checkpoint is not valid JSON: {e}") from None
     if not isinstance(obj, dict) or "members" not in obj:
         raise FormatError("ensemble checkpoint must be an object with 'members'")
+    if not isinstance(obj["members"], list):
+        raise FormatError(f"checkpoint field 'members' must be a list, got {obj['members']!r}")
     members = tuple(nn.model_from_obj(entry) for entry in obj["members"])
     return Ensemble(members=members)
 

@@ -173,6 +173,46 @@ def stack_models(models):
 
 
 # ---------------------------------------------------------------------------
+# class-axis reductions
+
+# numpy reduces over the last axis with one inner-loop call per row, which
+# sets the cost of a class-axis max or sum once there are many short rows
+# (an evaluation attack's batch). From this many rows per class on, one
+# ufunc call per class over all rows is cheaper.
+_COLUMN_ROWS = 64
+
+
+def _by_columns(a):
+    """Whether a row reduction of a goes class by class: fewer than 8
+    classes (numpy sums 8 or more pairwise) and _COLUMN_ROWS rows per class."""
+    m = a.shape[-1]
+    return 2 <= m < 8 and a.size >= _COLUMN_ROWS * m * m
+
+
+def _row_max(a):
+    """a.max(axis=-1, keepdims=True), bit for bit, signed zeros included. A
+    row with a nan is left to numpy, whose reduce picks the nan's sign its
+    own way."""
+    if not _by_columns(a):
+        return a.max(axis=-1, keepdims=True)
+    out = a[..., :1].copy()
+    for j in range(1, a.shape[-1]):
+        np.maximum(out, a[..., j : j + 1], out=out)
+    return a.max(axis=-1, keepdims=True) if np.isnan(out).any() else out
+
+
+def _row_sum(a):
+    """a.sum(axis=-1, keepdims=True), bit for bit: numpy sums a row of fewer
+    than 8 terms left to right from +0.0, and so do the columns here."""
+    if not _by_columns(a):
+        return a.sum(axis=-1, keepdims=True)
+    out = a[..., :1] + 0.0
+    for j in range(1, a.shape[-1]):
+        out += a[..., j : j + 1]
+    return out
+
+
+# ---------------------------------------------------------------------------
 # forward
 
 
@@ -182,9 +222,9 @@ def softmax(z, out=None):
     denominator makes the row a distribution, and a non-finite one (an
     inf or nan logit; a row of -inf) raises DomainError."""
     z = np.asarray(z, dtype=np.float64)
-    e = np.subtract(z, z.max(axis=-1, keepdims=True), out=out)
+    e = np.subtract(z, _row_max(z), out=out)
     np.exp(e, out=e)
-    total = e.sum(axis=-1, keepdims=True)
+    total = _row_sum(e)
     if not np.isfinite(total).all():
         raise DomainError("softmax of non-finite logits")
     e /= total
@@ -344,7 +384,7 @@ def cross_entropy(probs, labels):
 def entropy_rows(p):
     """Shannon entropy per row, in nats, of unchecked rows; 0*log(0) counts as 0."""
     plogp = np.where(p > 0.0, p * np.log(np.maximum(p, LOG_FLOOR)), 0.0)
-    return -plogp.sum(axis=-1)
+    return -_row_sum(plogp)[..., 0]
 
 
 def entropy(probs):
@@ -425,7 +465,7 @@ def accumulate_terms(probs, terms):
 
 
 def _softmax_jvp(probs, g_probs):
-    return probs * (g_probs - (g_probs * probs).sum(axis=-1, keepdims=True))
+    return probs * (g_probs - _row_sum(g_probs * probs))
 
 
 def backprop(model, cache, g_probs):
@@ -578,9 +618,18 @@ def model_from_json(text):
     return model_from_obj(obj)
 
 
+def _checkpoint_int(obj, key, default=None):
+    value = obj.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise FormatError(f"checkpoint field '{key}' must be an integer, got {value!r}")
+    return value
+
+
 def model_from_obj(obj):
     if not isinstance(obj, dict) or "layers" not in obj or "num_classes" not in obj:
         raise FormatError("checkpoint must be an object with 'layers' and 'num_classes'")
+    if not isinstance(obj["layers"], list):
+        raise FormatError(f"checkpoint field 'layers' must be a list, got {obj['layers']!r}")
     layers = []
     for i, entry in enumerate(obj["layers"]):
         try:
@@ -592,8 +641,8 @@ def model_from_obj(obj):
         layers.append(Layer(w=w, b=b, act=act))
     return Model(
         layers=tuple(layers),
-        num_classes=int(obj["num_classes"]),
-        seed=int(obj.get("seed", 0)),
+        num_classes=_checkpoint_int(obj, "num_classes"),
+        seed=_checkpoint_int(obj, "seed", 0),
     )
 
 

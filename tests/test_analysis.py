@@ -71,6 +71,33 @@ def test_robust_accuracy_complements_success_rate():
     assert rob == pytest.approx(100.0 * (1 - result.success_mask.mean()), abs=1e-9)
 
 
+def test_robust_accuracy_reads_the_attack_and_equals_scoring_its_batch(monkeypatch):
+    ds, model = blobs_and_model(seed=2)
+    ens = Ensemble(members=(model, fit_plain(ds, seed=7)))
+    spec = pgd(epsilon=0.08)
+    for target in (model, ens):
+        adv = run_attack(target, ds.inputs, ds.labels, spec).adversarial
+        scored = float(np.mean(analysis.predict_labels(target, adv) == ds.labels) * 100.0)
+        assert analysis.robust_accuracy(target, ds, spec) == scored
+    # the attack's own final prediction is the score: no second forward
+    monkeypatch.setattr(analysis, "predict_labels", None)
+    analysis.robust_accuracy(ens, ds, spec)
+
+
+def test_cross_matrix_scores_only_the_off_diagonal_pairs(monkeypatch):
+    ds, m1 = blobs_and_model(seed=3)
+    targets = [m1, fit_plain(ds, seed=7), Ensemble(members=(m1, m1))]
+    spec = pgd(epsilon=0.06)
+    scored = []
+    predict = analysis.predict_labels
+    monkeypatch.setattr(analysis, "predict_labels", lambda t, x: scored.append(t) or predict(t, x))
+    mat = analysis.cross_matrix(targets, ds, spec)
+    assert len(scored) == 6
+    for i, t in enumerate(targets):
+        adv = mat.adversarial[i]
+        assert mat.a[i, i] == np.mean(predict(t, adv) == ds.labels) * 100.0
+
+
 # ---------------------------------------------------------------------------
 # cross matrices and derived metrics
 

@@ -9,8 +9,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from advens import analysis, cli, data, training
-from advens.errors import ConfigError, DivergenceError
+from advens import analysis, cli, data, nn, training
+from advens.ensembles import Ensemble, load_ensemble, save_ensemble
+from advens.errors import ConfigError, DivergenceError, FormatError
 
 BASE = {
     "dataset": {
@@ -127,6 +128,56 @@ def test_attack_fields_of_the_wrong_type_exit_2(tmp_path, capsys, field, value):
     path, _ = make_config(tmp_path, train=dict(BASE["train"], attack=attack))
     assert run(["train", "--config", path]) == 2
     assert f"train.attack: {field} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "where, value",
+    [
+        ("model", 5),
+        ("train", 5),
+        ("surface", 3),
+        ("surface", ["radius_steps"]),
+        ("model.hidden", True),
+        ("model.hidden", [True]),
+        ("model.members", True),
+        ("seed", 2.7),
+        ("seed", "3"),
+        ("seed", True),
+        ("seed", -1),
+        ("train.epochs", 2.5),
+        ("train.batch_size", "30"),
+        ("train.lr", "a"),
+        ("method.alpha", "x"),
+        ("method.name", ["RM"]),
+        ("method.mode", ["RM"]),
+        ("dataset.generator", ["blobs"]),
+        ("dataset.n_per_class", 2.5),
+        ("dataset.separation", "3"),
+        ("surface.radius_steps", 2.5),
+        ("surface.index", "x"),
+    ],
+)
+def test_config_fields_of_the_wrong_type_exit_2_naming_the_field(tmp_path, capsys, where, value):
+    # each once crashed with a traceback (exit 1), was coerced or passed
+    # through silently, or failed with a message that named no field
+    cfg = copy.deepcopy(BASE)
+    if where.startswith("method."):
+        cfg["method"] = {"name": "CCE"} if where == "method.mode" else {"name": "ADP"}
+    *blocks, key = where.split(".")
+    block = cfg
+    for name in blocks:
+        block = block[name]
+    block[key] = value
+    path, _ = make_config(tmp_path, **cfg)
+    assert run(["train", "--config", path]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {where}:")
+
+
+@pytest.mark.parametrize("out", [None, 5, ["runs"]])
+def test_out_that_is_not_a_path_is_refused(out):
+    # null once became a directory named "None"
+    with pytest.raises(ConfigError, match="^out: must be a path"):
+        cli.normalize_config(dict(BASE, out=out))
 
 
 def test_malformed_json_reports_line_and_exits_2(tmp_path, capsys):
@@ -268,6 +319,57 @@ def trained(tmp_path, **edits):
     path, cfg = make_config(tmp_path, **edits)
     assert run(["train", "--config", path]) == 0
     return path, cfg, os.path.join(cfg["out"], "ensemble.json")
+
+
+def untrained_checkpoint(tmp_path):
+    """A checkpoint of two fresh members that fits BASE's dataset."""
+    path = str(tmp_path / "fresh.json")
+    members = tuple(nn.init_model(4, [16], 3, seed) for seed in (1, 2))
+    save_ensemble(Ensemble(members=members), path)
+    return path
+
+
+def test_eval_computes_each_natural_accuracy_once(tmp_path, monkeypatch):
+    bim = {"family": "bim", "steps": 2, "epsilon": 0.05, "eta": 0.02}
+    path, _ = make_config(tmp_path, eval_attacks=dict(BASE["eval_attacks"], bim=bim))
+    ckpt = untrained_checkpoint(tmp_path)
+    calls = []
+    natural = analysis.natural_accuracy
+    monkeypatch.setattr(analysis, "natural_accuracy", lambda t, ds: calls.append(t) or natural(t, ds))
+    assert run(["eval", "--config", path, "--checkpoint", ckpt, "--out", str(tmp_path / "ev")]) == 0
+    assert len(calls) == 3  # f1, f2 and en, not once per attack as well
+    rows = [read_lines(str(tmp_path / "ev" / f"eval_{name}.csv"))[2:] for name in ("pgd", "bim")]
+    assert [r.split(",")[:2] for r in rows[0]] == [r.split(",")[:2] for r in rows[1]]
+
+
+@pytest.mark.parametrize(
+    "keys, value",
+    [
+        (("members",), 5),
+        (("members", 0, "layers"), 5),
+        (("members", 0, "num_classes"), "x"),
+        (("members", 0, "num_classes"), 2.7),
+        (("members", 0, "num_classes"), True),
+        (("members", 0, "seed"), "x"),
+    ],
+)
+def test_malformed_checkpoint_exits_2_naming_the_field(tmp_path, capsys, keys, value):
+    # each once crashed with a TypeError (exit 1), raised a bare ValueError
+    # or loaded 2.7 classes as 2
+    path, _ = make_config(tmp_path)
+    ckpt = untrained_checkpoint(tmp_path)
+    with open(ckpt) as f:
+        obj = json.load(f)
+    block = obj
+    for key in keys[:-1]:
+        block = block[key]
+    block[keys[-1]] = value
+    with open(ckpt, "w") as f:
+        json.dump(obj, f)
+    with pytest.raises(FormatError, match=f"'{keys[-1]}'"):
+        load_ensemble(ckpt)
+    assert run(["eval", "--config", path, "--checkpoint", ckpt, "--out", str(tmp_path / "ev")]) == 2
+    assert f"checkpoint field '{keys[-1]}'" in capsys.readouterr().err
 
 
 def test_eval_writes_member_and_ensemble_rows(tmp_path):
@@ -447,6 +549,16 @@ def test_surface_member_target_and_bad_index(tmp_path, capsys):
     assert run(["surface", "--config", bad, "--checkpoint", ckpt,
                 "--out", str(tmp_path / "s2")]) == 2
     assert "out of range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["f1", "2", 2, -1, True, None])
+def test_surface_target_naming_no_member_exits_2(tmp_path, capsys, target):
+    # "f1" once failed with int()'s message; True was taken as member 1
+    surface = dict(BASE["surface"], target=target)
+    path, _ = make_config(tmp_path, surface=surface)
+    ckpt = untrained_checkpoint(tmp_path)
+    assert run(["surface", "--config", path, "--checkpoint", ckpt, "--out", str(tmp_path / "su")]) == 2
+    assert "error: surface.target: must be 'en' or a member index in [0, 2)" in capsys.readouterr().err
 
 
 def test_missing_required_flag_is_an_argparse_exit(tmp_path):

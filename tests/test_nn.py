@@ -53,6 +53,31 @@ def test_softmax_rejects_non_finite_logits(row):
             nn.softmax(logits)
 
 
+@pytest.mark.parametrize(
+    "row", [[np.inf, 0.0, 1.0], [np.nan, 0.0, 1.0], [-np.inf] * 3, [np.inf, -np.inf, 0.0]]
+)
+@pytest.mark.parametrize("shape", [(400, 3), (2, 300, 3)])
+def test_softmax_rejects_non_finite_logits_when_it_reduces_by_columns(row, shape):
+    # the rows of test_softmax_rejects_non_finite_logits, on the other side
+    # of the switch to class-by-class reductions
+    z = np.random.default_rng(0).normal(size=shape)
+    z[..., -1, :] = row
+    assert nn._by_columns(z)
+    with np.errstate(invalid="ignore"), pytest.raises(DomainError, match="non-finite"):
+        nn.softmax(z)
+
+
+def test_class_axis_reductions_go_by_columns_at_evaluation_batch_sizes():
+    # a lockstep training step of two members on 30 rows stays with numpy's
+    # reduce; an evaluation attack on 300 rows (one model or two members)
+    # goes by columns; 8 or more classes never do
+    assert not nn._by_columns(np.zeros((2, 30, 3)))
+    assert nn._by_columns(np.zeros((300, 3))) and nn._by_columns(np.zeros((2, 300, 3)))
+    assert nn._by_columns(np.zeros((64 * 7, 7)))
+    assert not nn._by_columns(np.zeros((64 * 7 - 1, 7)))
+    assert not nn._by_columns(np.zeros((10_000, 8)))
+
+
 def test_forward_rejects_logits_that_overflow():
     layers = (
         nn.Layer(w=np.full((2, 2), 1e200), b=np.zeros(2), act="relu"),

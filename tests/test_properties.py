@@ -2,14 +2,15 @@
 definition, a Model as an ensemble of one, the stacked attack core against
 lone attacks, per-member backprops and a one-model-at-a-time attack oracle,
 the stacked training step, backward and Adam against a per-model oracle
-kept in this file, and the invariants of every attack family, of IDX
-parsing and of config normalisation."""
+kept in this file, the class-axis reductions by column against numpy's
+reduce, and the invariants of every attack family, of IDX parsing and of
+config normalisation."""
 
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from advens import attacks, cli, data, nn, training
@@ -640,6 +641,44 @@ def test_adam_on_a_stack_rejects_wrong_shapes_and_non_finite_parameters():
         stack, state = nn.adam_step(stack, grads, state)
         with pytest.raises(DomainError, match="non-finite parameters"):
             nn.adam_step(stack, grads, state)
+
+
+# ---------------------------------------------------------------------------
+# class-axis reductions by column against numpy's reduce
+
+# entries where the order of a max or a sum shows: signed zeros and ties,
+# infinities that cancel to nan, nans of either sign, overflow, subnormals
+REDUCTION_POOLS = (
+    np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1.0, -1.0, 1e308, -1e308, 0.1, 5e-324]),
+    np.array([0.0, -0.0, -1.0]),
+)
+
+
+@PROPERTY
+@example(m=3, rows_per_class=150, k=2, pool=REDUCTION_POOLS[1], pool_share=1.0, seed=0)
+@example(m=7, rows_per_class=64, k=1, pool=REDUCTION_POOLS[0], pool_share=0.5, seed=1)
+@given(
+    m=st.integers(2, 12),
+    rows_per_class=st.sampled_from([1, 5, 63, 64, 65, 150]),  # both sides of nn._COLUMN_ROWS
+    k=st.integers(1, 3),
+    pool=st.sampled_from(REDUCTION_POOLS),
+    pool_share=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_class_axis_reductions_equal_numpys_bit_for_bit(m, rows_per_class, k, pool, pool_share, seed):
+    # nn._row_max and nn._row_sum are a.max / a.sum over the last axis with
+    # keepdims, byte for byte (the sign of a zero or of a nan included), on
+    # 2-d rows and on stacks, by columns or by numpy's reduce
+    rng = np.random.default_rng(seed)
+    rows = max(1, -(-rows_per_class * m // k))  # k slices of this many rows
+    for shape in ((k * rows, m), (k, rows, m)):
+        a = rng.normal(0.0, 10.0, size=shape)
+        pooled = rng.random(shape) < pool_share
+        a[pooled] = rng.choice(pool, size=int(pooled.sum()))
+        with np.errstate(all="ignore"):
+            for ours, numpys in ((nn._row_max, a.max), (nn._row_sum, a.sum)):
+                got, want = ours(a), numpys(axis=-1, keepdims=True)
+                assert got.shape == want.shape and same_bits(got, want)
 
 
 # ---------------------------------------------------------------------------
