@@ -49,12 +49,14 @@ def robust_accuracy(target, dataset, spec):
 @dataclass(frozen=True)
 class CrossMatrix:
     """Robust accuracies a[i, j]: attack built against model i (rows),
-    evaluated on model j (columns). adversarial holds each row's attacked
-    batch when the matrix came from cross_matrix."""
+    evaluated on model j (columns). When the matrix came from
+    cross_matrix, adversarial holds each row's attacked batch and correct
+    each row's correctness masks, one per column (n, B)."""
 
     a: np.ndarray
     labels: tuple
     adversarial: tuple = ()
+    correct: tuple = ()
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=np.float64)
@@ -80,25 +82,44 @@ def _default_labels(targets):
     return tuple(labels)
 
 
+def _shared_members(targets):
+    """The last target's MemberStack when the targets are its members and
+    then it (a one-checkpoint transfer), else None."""
+    *members, last = targets
+    if isinstance(last, Ensemble) and len(members) == len(last):
+        if all(m is e for m, e in zip(members, last.members)):
+            return last.stack
+    return None
+
+
 def cross_matrix(targets, dataset, spec, labels=None):
     """Every target attacks the dataset once; every other target is scored
     on each attack's output. Diagonal entries are the white-box robust
-    accuracies, read off the attacks as robust_accuracy reads them.
+    accuracies, read off the attacks as robust_accuracy reads them. When
+    the targets are an ensemble's members and then the ensemble, one
+    stacked forward of the members scores each attacked batch for all of
+    them: member k is its slice k, the ensemble their mean.
     """
     targets = list(targets)
     if len(targets) < 2:
         raise ConfigError("cross matrix needs at least 2 models")
     labels = _default_labels(targets) if labels is None else tuple(labels)
-    n = len(targets)
-    a = np.zeros((n, n))
-    advs = []
+    shared = _shared_members(targets)
+    a = np.zeros((len(targets), len(targets)))
+    advs, correct = [], []
     for i, source in enumerate(targets):
         result = run_attack(source, dataset.inputs, dataset.labels, spec)
-        advs.append(result.adversarial)
-        for j, scored in enumerate(targets):
-            ok = ~result.success_mask if j == i else predict_labels(scored, advs[-1]) == dataset.labels
-            a[i, j] = np.mean(ok) * 100.0
-    return CrossMatrix(a=a, labels=labels, adversarial=tuple(advs))
+        adv = result.adversarial
+        if shared is not None:
+            probs = member_probs(shared, adv)
+            predicted = [np.argmax(p, axis=1) for p in (*probs, probs.mean(axis=0))]
+        else:
+            predicted = [None if j == i else predict_labels(t, adv) for j, t in enumerate(targets)]
+        ok = np.array([~result.success_mask if j == i else p == dataset.labels for j, p in enumerate(predicted)])
+        a[i] = ok.mean(axis=1) * 100.0
+        advs.append(adv)
+        correct.append(ok)
+    return CrossMatrix(a=a, labels=labels, adversarial=tuple(advs), correct=tuple(correct))
 
 
 def transferability_T(matrix, first=0, second=1):

@@ -15,8 +15,8 @@ call: x and the labels are checked, the target is stacked, the labels
 become an nn.LabelIndex and the ball ∩ box bounds are made (ball_box). Each
 gradient step is then one stacked forward, whose softmax checks its rows,
 and one backward that forms only the input gradient
-(ensembles.ce_values_and_input_grad), and a sign step clipped to the
-bounds in place; the loss trace is summed once, when the call ends. Every
+(ensembles.ce_values_and_input_grad; row block by row block for a large
+batch), and a sign step clipped to the bounds in place; the loss trace is summed once, when the call ends. Every
 attack keeps its own seeded generator, so its result equals a lone
 run_attack bit for bit.
 
@@ -314,20 +314,33 @@ def spsa_gradient_estimate(target, x, labels, samples, delta, rng):
     cross-entropy. Returns (estimate, loss_evaluations). As in
     ce_values_and_input_grad, x is one batch (B, d) against the averaged
     prediction, its bumps drawn from rng, or a stack (K, B, d) whose slice
-    k is against member k alone, its bumps drawn from rng[k]."""
-    rngs = [rng] if np.ndim(x) == 2 else rng
+    k is against member k alone, its bumps drawn from rng[k].
 
-    def loss_at(bumped):  # clipped in place: one bumped batch is alive at a time
+    Each sample's bump is drawn for the whole batch, one draw per
+    generator; the bumped batches, their clips, both loss evaluations and
+    the update of the estimate then go row block by row block
+    (nn.row_blocks)."""
+    rngs = [rng] if np.ndim(x) == 2 else rng
+    labels = nn.label_index(labels, x.shape[-2], target.num_classes)
+    blocks = nn.row_blocks(x)
+
+    def loss_at(bumped, lo, hi):  # clipped in place
         bumped.clip(0.0, 1.0, out=bumped)
-        return nn.cross_entropy_per_example(predict_probs(target, bumped), labels, _checked=True)
+        return nn.cross_entropy_per_example(predict_probs(target, bumped), labels.block(lo, hi), _checked=True)
 
     est = np.zeros_like(x)
+    bump = np.empty(x.shape)
     for _ in range(samples):
-        bump = np.reshape([r.integers(0, 2, size=x.shape[-2:]) for r in rngs], x.shape) * 2.0 - 1.0
-        lp = loss_at(x + delta * bump)
-        ln = loss_at(x - delta * bump)
-        # Rademacher entries are +-1 so the elementwise inverse is bump itself
-        est += ((lp - ln) / (2.0 * delta))[..., None] * bump
+        for r, out in zip(rngs, bump.reshape(-1, *x.shape[-2:])):
+            np.multiply(r.integers(0, 2, size=out.shape, dtype=np.int32), 2.0, out=out)
+        bump -= 1.0
+        for lo, hi in blocks:
+            rows, b = x[..., lo:hi, :], bump[..., lo:hi, :]
+            step = delta * b
+            lp = loss_at(rows + step, lo, hi)
+            ln = loss_at(np.subtract(rows, step, out=step), lo, hi)
+            # Rademacher entries are +-1 so the elementwise inverse is bump itself
+            est[..., lo:hi, :] += ((lp - ln) / (2.0 * delta))[..., None] * b
     return est / samples, 2 * samples
 
 

@@ -397,7 +397,9 @@ def cmd_transfer(args):
             for j in range(i + 1, len(ens.members)):
                 metrics[f"T_{i + 1}_{j + 1}"] = analysis.transferability_T(mat, i, j)
         if len(ens.members) == 2:
-            part = partition(ens.members[0], ens.members[1], adv, ds.inputs, ds.labels, spec.epsilon)
+            part = partition(
+                *ens.members, adv, ds.inputs, ds.labels, spec.epsilon, correct=mat.correct[-1][:2]
+            )
             part_csv = os.path.join(out, "partition.csv")
             save_partition_csv(part, part_csv, preamble=_preamble(cfg))
             emitted.append(part_csv)

@@ -3,7 +3,7 @@
 An Ensemble predicts the unweighted mean of its members' probability rows.
 It also holds its members as stacked parameters (MemberStack, built once
 per ensemble), so its forward and its input gradient take one stacked pass
-per run of same-shaped members. Training holds its members as a
+per run of same-shaped members (per row block of a large batch). Training holds its members as a
 MemberStack throughout and makes Models of them only to evaluate and report.
 Security of a prediction is always judged inside an l-inf ball around a
 clean point: a probe is secure for a model when the model still assigns
@@ -147,8 +147,16 @@ def _member_forward(stack, batch, keep=None):
 
 def member_probs(target, batch):
     """Each member's probability rows, (K, B, M): of one batch (B, d) for
-    every member, or of slice k of a stack (K, B, d) for member k."""
-    return _member_forward(member_stack(target), batch)[0]
+    every member, or of slice k of a stack (K, B, d) for member k. A large
+    batch goes through in row blocks (nn.row_blocks)."""
+    stack, batch = member_stack(target), np.asarray(batch)
+    blocks = nn.row_blocks(batch)
+    if len(blocks) == 1:
+        return _member_forward(stack, batch)[0]
+    probs = np.empty((len(stack), batch.shape[-2], stack.num_classes))
+    for lo, hi in blocks:
+        probs[:, lo:hi] = _member_forward(stack, batch[..., lo:hi, :])[0]
+    return probs
 
 
 def ensemble_predict(ens, batch):
@@ -209,9 +217,26 @@ def ce_values_and_input_grad(target, x, labels):
     MemberStack (or an Ensemble, which holds its own; the transposed
     weights are made once per stack) and labels as an nn.LabelIndex. Each
     step still checks that x is finite, and the forward's softmax checks
-    that every probability row is a distribution.
+    that every probability row is a distribution. A large batch goes
+    through all of it one row block at a time (nn.row_blocks), each
+    block's CE gradient with the whole batch's 1/B.
     """
-    stack = member_stack(target)
+    stack, x = member_stack(target), np.asarray(x)
+    blocks = nn.row_blocks(x)
+    if len(blocks) == 1:
+        return _ce_and_input_grad(stack, x, labels)
+    labels = nn.label_index(labels, x.shape[-2], stack.num_classes)
+    values, grad = np.empty(x.shape[:-1]), np.empty(x.shape)
+    for lo, hi in blocks:
+        values[..., lo:hi], grad[..., lo:hi, :] = _ce_and_input_grad(
+            stack, x[..., lo:hi, :], labels.block(lo, hi)
+        )
+    return values, grad
+
+
+def _ce_and_input_grad(stack, x, labels):
+    """ce_values_and_input_grad of one pass over x (a row block or the
+    whole batch) against a MemberStack."""
     probs, caches = _member_forward(stack, x, keep="masks")
     if np.ndim(x) == 3:
         values, g_probs = nn.ce_values_and_prob_grad(probs, labels, _checked=True)
@@ -261,9 +286,7 @@ def _security_masks(f1, f2, probes, x, y, eps):
     y = np.asarray(y)
     if y.ndim == 0:
         y = np.full(probes.shape[0], int(y))
-    ok1 = predict_labels(f1, probes) == y
-    ok2 = predict_labels(f2, probes) == y
-    return probes, y, ok1, ok2
+    return probes, y, predict_labels(f1, probes) == y, predict_labels(f2, probes) == y
 
 
 @dataclass(frozen=True)
@@ -279,13 +302,22 @@ class SubsetPartition:
             raise ShapeError(f"cardinalities sum to {total}, not 100")
 
 
-def partition(f1, f2, probes, x, y, eps):
+def partition(f1, f2, probes, x, y, eps, correct=None):
     """Tag every probe S11/S01/S10/S00 by (f1 correct, f2 correct).
 
     x may be a single center shared by all probes or one center per probe;
-    y likewise a scalar or per-probe labels.
+    y likewise a scalar or per-probe labels. correct, when given, holds
+    f1's and f2's correctness masks on the probes, already scored (a
+    transfer's cross matrix scores them); the probes are still checked to
+    lie in the balls.
     """
-    probes, y, ok1, ok2 = _security_masks(f1, f2, probes, x, y, eps)
+    if correct is None:
+        probes, _, ok1, ok2 = _security_masks(f1, f2, probes, x, y, eps)
+    else:
+        probes, _ = _check_in_ball(probes, x, eps)
+        ok1, ok2 = correct
+        if np.shape(ok1) != (len(probes),) or np.shape(ok2) != (len(probes),):
+            raise ShapeError(f"correctness masks of {np.shape(ok1)} and {np.shape(ok2)} for {len(probes)} probes")
     tags = np.array(
         [f"S{int(a)}{int(b)}" for a, b in zip(ok1, ok2)], dtype="U3"
     )
@@ -342,7 +374,12 @@ def load_ensemble(path):
     if not isinstance(obj["members"], list):
         raise FormatError(f"checkpoint field 'members' must be a list, got {obj['members']!r}")
     members = tuple(nn.model_from_obj(entry) for entry in obj["members"])
-    return Ensemble(members=members)
+    ens = Ensemble(members=members)
+    if "num_classes" in obj and nn._checkpoint_int(obj, "num_classes") != ens.num_classes:
+        raise FormatError(
+            f"checkpoint field 'num_classes' is {obj['num_classes']}, the members emit {ens.num_classes} classes"
+        )
+    return ens
 
 
 def partition_summary(part):

@@ -18,7 +18,8 @@ for attacks, which keeps only boolean relu masks from the forward).
 
 Label-taking functions accept integer labels, checked on every call, or a
 LabelIndex of them, checked once for the many calls of a loop over one
-batch (an attack's steps). The softmax checks its own rows, so the
+batch (an attack's steps). Callers take a large batch through a pass in
+row blocks (row_blocks); a block's LabelIndex keeps the whole batch's mean. The softmax checks its own rows, so the
 package's own consumers of forward output skip the probability check
 (_checked=True) that caller-supplied probabilities get.
 
@@ -213,6 +214,27 @@ def _row_sum(a):
 
 
 # ---------------------------------------------------------------------------
+# row blocks
+
+# A pass over a large batch writes each (K, B, width) intermediate to
+# memory and reads it back. Row blocks of at least this many rows stay in
+# cache from the first layer to the input gradient, and are still large
+# enough that OpenBLAS multiplies them with the kernel it takes for the
+# whole batch: at the workloads' shapes every row keeps its bits (other
+# shapes may change in their last bits).
+_BLOCK_ROWS = 2048
+
+
+def row_blocks(batch):
+    """The row ranges (lo, hi) in which a pass takes a batch (..., B, d):
+    the whole batch, or B // _BLOCK_ROWS blocks of near-equal size once B
+    is at least twice _BLOCK_ROWS."""
+    b = batch.shape[-2] if batch.ndim >= 2 else 0
+    n = max(1, b // _BLOCK_ROWS)
+    return [(b * i // n, b * (i + 1) // n) for i in range(n)]
+
+
+# ---------------------------------------------------------------------------
 # forward
 
 
@@ -323,10 +345,18 @@ def _check_probs(probs):
 class LabelIndex:
     """Checked integer labels of a batch and the (rows, labels) index of
     each row's label entry. Every function here that takes labels takes
-    one in their place and skips the check."""
+    one in their place and skips the check. batch_size, when set, is the
+    row count of the whole batch whose mean CE the gradient takes (a row
+    block's index keeps it)."""
 
     rows: np.ndarray
     labels: np.ndarray
+    batch_size: int | None = None
+
+    def block(self, lo, hi):
+        """The index of rows lo:hi, its CE gradient still that of the whole
+        batch's mean."""
+        return LabelIndex(self.rows[: hi - lo], self.labels[lo:hi], self.batch_size or len(self.rows))
 
 
 def label_index(labels, batch_size, num_classes):
@@ -372,7 +402,8 @@ def ce_values_and_prob_grad(probs, labels, *, _checked=False):
     floored = np.maximum(p_y, LOG_FLOOR)
     g = np.zeros(p.shape)  # zeros_like costs more at attack-step sizes
     # d(-log max(p_y, floor))/dp_y is -1/p_y above the clamp, 0 below
-    g[..., index.rows, index.labels] = np.where(p_y > LOG_FLOOR, -1.0 / (len(index.rows) * floored), 0.0)
+    b = index.batch_size or len(index.rows)
+    g[..., index.rows, index.labels] = np.where(p_y > LOG_FLOOR, -1.0 / (b * floored), 0.0)
     return -np.log(floored), g
 
 
@@ -639,11 +670,10 @@ def model_from_obj(obj):
         except (KeyError, TypeError, ValueError) as e:
             raise FormatError(f"checkpoint layer {i} is malformed: {e}") from None
         layers.append(Layer(w=w, b=b, act=act))
-    return Model(
-        layers=tuple(layers),
-        num_classes=_checkpoint_int(obj, "num_classes"),
-        seed=_checkpoint_int(obj, "seed", 0),
-    )
+    seed = _checkpoint_int(obj, "seed", 0)
+    if seed < 0:
+        raise FormatError(f"checkpoint field 'seed' must be >= 0, got {seed}")
+    return Model(layers=tuple(layers), num_classes=_checkpoint_int(obj, "num_classes"), seed=seed)
 
 
 def save_model(model, path):

@@ -6,7 +6,7 @@ import pytest
 
 from advens import analysis, data, nn, training
 from advens.attacks import AttackSpec, run_attack
-from advens.ensembles import Ensemble, partition
+from advens.ensembles import Ensemble, partition, predict_labels
 from advens.errors import (
     ConfigError,
     ConsistencyWarning,
@@ -96,6 +96,33 @@ def test_cross_matrix_scores_only_the_off_diagonal_pairs(monkeypatch):
     for i, t in enumerate(targets):
         adv = mat.adversarial[i]
         assert mat.a[i, i] == np.mean(predict(t, adv) == ds.labels) * 100.0
+
+
+def test_cross_matrix_of_members_then_their_ensemble_scores_each_batch_in_one_pass(monkeypatch):
+    ds = data.gen_blobs(seed=6, n_per_class=30, num_classes=3, dim=3, separation=3)
+    ens = training.init_ensemble(3, [8], 3, 2, seed=6)
+    targets = [*ens.members, ens]
+    passes = []
+    probs = analysis.member_probs
+    monkeypatch.setattr(analysis, "member_probs", lambda t, x: passes.append(t) or probs(t, x))
+    monkeypatch.setattr(analysis, "predict_labels", None)  # no per-target scoring
+    mat = analysis.cross_matrix(targets, ds, pgd(epsilon=0.1))
+    assert passes == [ens.stack] * 3
+    for i, adv in enumerate(mat.adversarial):
+        for j, t in enumerate(targets):
+            ok = predict_labels(t, adv) == ds.labels
+            assert np.array_equal(mat.correct[i][j], ok)
+            assert mat.a[i, j] == np.mean(ok) * 100.0
+    # the partition takes the ensemble row's member masks as they are
+    adv = mat.adversarial[-1]
+    part = partition(*ens.members, adv, ds.inputs, ds.labels, 0.1)
+    shared = partition(*ens.members, adv, ds.inputs, ds.labels, 0.1, correct=mat.correct[-1][:2])
+    assert np.array_equal(shared.assignments, part.assignments)
+    assert shared.cardinalities == part.cardinalities
+    with pytest.raises(ShapeError):
+        partition(*ens.members, adv, ds.inputs, ds.labels, 0.1, correct=mat.correct[-1][:2, 1:])
+    with pytest.raises(ContractError):
+        partition(*ens.members, adv + 0.2, ds.inputs, ds.labels, 0.1, correct=mat.correct[-1][:2])
 
 
 # ---------------------------------------------------------------------------

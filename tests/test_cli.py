@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from advens import analysis, cli, data, nn, training
+from advens import analysis, cli, data, ensembles, nn, training
 from advens.ensembles import Ensemble, load_ensemble, save_ensemble
 from advens.errors import ConfigError, DivergenceError, FormatError
 
@@ -351,6 +351,9 @@ def test_eval_computes_each_natural_accuracy_once(tmp_path, monkeypatch):
         (("members", 0, "num_classes"), 2.7),
         (("members", 0, "num_classes"), True),
         (("members", 0, "seed"), "x"),
+        (("members", 0, "seed"), -1),
+        (("num_classes",), "x"),
+        (("num_classes",), 7),
     ],
 )
 def test_malformed_checkpoint_exits_2_naming_the_field(tmp_path, capsys, keys, value):
@@ -472,6 +475,19 @@ def test_transfer_attacks_each_target_once(tmp_path, monkeypatch):
     tr = str(tmp_path / "tr")
     assert run(["transfer", "--config", path, "--checkpoint", ckpt, "--out", tr]) == 0
     assert seen == ["Model", "Model", "Ensemble"]
+
+
+def test_transfer_scores_each_attacked_batch_once(tmp_path, monkeypatch):
+    # one stacked pass of the members per attacked batch scores f1, f2, en
+    # and the partition; no target is forwarded on its own
+    path, cfg, ckpt = trained(tmp_path)
+    passes = []
+    probs = analysis.member_probs
+    monkeypatch.setattr(analysis, "member_probs", lambda t, x: passes.append(len(t)) or probs(t, x))
+    monkeypatch.setattr(analysis, "predict_labels", None)
+    monkeypatch.setattr(ensembles, "predict_labels", None)
+    assert run(["transfer", "--config", path, "--checkpoint", ckpt, "--out", str(tmp_path / "tr")]) == 0
+    assert passes == [2, 2, 2]
 
 
 def test_transfer_across_checkpoints(tmp_path):

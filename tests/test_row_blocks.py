@@ -1,0 +1,170 @@
+"""Large batches in row blocks (nn.row_blocks): the attack step, the member
+forward and the SPSA estimate against the whole-batch pass, forced by a
+block constant no batch reaches; and the SPSA estimate against its
+definition, with the draws of its generators."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from advens import nn
+from advens.attacks import AttackSpec, run_attack, run_member_attacks, spsa_gradient_estimate
+from advens.ensembles import Ensemble, ce_values_and_input_grad, member_probs, predict_probs
+from advens.errors import DivergenceError, DomainError
+
+WHOLE = 10**9  # a block constant that leaves every batch whole
+
+
+def ensemble_and_batch(b, d, hidden, m, members, seed=0):
+    ens = Ensemble(members=tuple(nn.init_model(d, hidden, m, seed=seed + k) for k in range(members)))
+    rng = np.random.default_rng(seed + 100)
+    return ens, rng.random((b, d)), rng.integers(0, m, size=b)
+
+
+def results(x, labels, ens):
+    """Everything the blocks touch, for one ensemble and one batch."""
+    stacked = np.stack([np.roll(x, k, axis=0) for k in range(len(ens))])
+    est, _ = spsa_gradient_estimate(ens, x, labels, 2, 0.01, np.random.default_rng(3))
+    rngs = [np.random.default_rng(4 + k) for k in range(len(ens))]
+    member_est, _ = spsa_gradient_estimate(ens.stack, stacked, labels, 2, 0.01, rngs)
+    return [
+        *ce_values_and_input_grad(ens, x, labels),
+        *ce_values_and_input_grad(ens.stack, stacked, labels),
+        member_probs(ens, x),
+        member_probs(ens.stack, stacked),
+        est,
+        member_est,
+    ]
+
+
+def attack_results(x, labels, ens):
+    out = []
+    for family in ("pgd", "bim", "mim", "spsa"):
+        spec = AttackSpec(family=family, steps=2, epsilon=0.01, eta=0.0025, spsa_samples=2, seed=7)
+        for target in (ens, ens.members[0]):
+            r = run_attack(target, x, labels, spec)
+            out += [r.adversarial, r.success_mask, np.array(r.loss_trace)]
+    return out
+
+
+def assert_same_bytes(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+def test_blocks_keep_every_bit_at_the_analyze_idx_shape(monkeypatch):
+    # d=64, one hidden layer of 64, 10 classes, 2 members, 10,000 rows: 4 blocks
+    ens, x, labels = ensemble_and_batch(10_000, 64, [64], 10, 2)
+    assert len(nn.row_blocks(x)) == 4
+    blocked = results(x, labels, ens) + attack_results(x, labels, ens)
+    monkeypatch.setattr(nn, "_BLOCK_ROWS", WHOLE)
+    assert_same_bytes(blocked, results(x, labels, ens) + attack_results(x, labels, ens))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    b=st.integers(4096, 9000),
+    d=st.integers(1, 6),
+    hidden=st.lists(st.integers(1, 6), max_size=2),
+    m=st.integers(2, 5),
+    members=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+)
+def test_blocked_results_are_deterministic_and_near_the_whole_pass(b, d, hidden, m, members, seed):
+    ens, x, labels = ensemble_and_batch(b, d, hidden, m, members, seed)
+    blocked = results(x, labels, ens)
+    assert_same_bytes(results(x, labels, ens), blocked)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nn, "_BLOCK_ROWS", WHOLE)
+        whole = results(x, labels, ens)
+    for got, want in zip(blocked, whole):
+        # a block's matmul may take another kernel than the whole batch's,
+        # which moves last bits; a gradient entry summed to near zero moves
+        # by the scale of its terms, hence the tolerance on the array's scale
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
+
+
+def test_a_non_finite_row_in_the_last_block_still_raises():
+    ens, x, labels = ensemble_and_batch(4096, 3, [4], 3, 2)
+    x[-1, 0] = np.nan
+    for call in (lambda: ce_values_and_input_grad(ens, x, labels), lambda: member_probs(ens, x)):
+        with pytest.raises(DomainError, match="^batch contains non-finite values$"):
+            call()
+
+
+def test_a_non_finite_gradient_still_raises_divergence():
+    # at x = 0 the logits are b1 @ w2, of order 1, and the input gradient
+    # runs through w2 and w1 at 1e450 / B: it overflows in every block
+    w1 = np.full((3, 4), 1e300)
+    b1 = np.full(4, 1e-150)
+    w2 = 1e150 * np.array([[1.0, -1.0, 0.5], [0.2, 0.3, -0.7], [-1.0, 0.1, 0.4], [0.6, -0.2, 0.0]])
+    model = nn.Model(layers=(nn.Layer(w1, b1), nn.Layer(w2, np.zeros(3), "id")), num_classes=3)
+    x, labels = np.zeros((4096, 3)), np.arange(4096) % 3
+    with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="^non-finite attack gradient at step 0$"):
+        run_attack(model, x, labels, AttackSpec(family="bim", steps=2, epsilon=0.01, eta=0.005))
+
+
+def test_row_blocks_start_at_twice_the_block_rows(monkeypatch):
+    assert nn.row_blocks(np.zeros((4095, 2))) == [(0, 4095)]
+    assert nn.row_blocks(np.zeros((2, 4096, 2))) == [(0, 2048), (2048, 4096)]
+    assert nn.row_blocks(np.zeros((10_000, 2))) == [(0, 2500), (2500, 5000), (5000, 7500), (7500, 10_000)]
+    ens, x, labels = ensemble_and_batch(4096, 3, [4], 3, 2)
+    calls = []
+    forward = nn.forward_cached
+    monkeypatch.setattr(nn, "forward_cached", lambda *a: calls.append(len(a[1])) or forward(*a))
+    member_probs(ens, x[:4095])
+    ce_values_and_input_grad(ens, x[:4095], labels[:4095])
+    assert calls == [4095, 4095]
+    calls.clear()
+    member_probs(ens, x)
+    ce_values_and_input_grad(ens, x, labels)
+    assert calls == [2048, 2048, 2048, 2048]
+
+
+def test_block_index_keeps_the_whole_batch_mean():
+    index = nn.label_index(np.array([0, 1, 1, 0]), 4, 2)
+    block = index.block(2, 4)
+    assert block.rows.tolist() == [0, 1] and block.labels.tolist() == [1, 0] and block.batch_size == 4
+    assert block.block(1, 2).batch_size == 4
+    probs = np.array([[0.5, 0.5], [0.25, 0.75], [0.75, 0.25], [0.5, 0.5]])
+    whole = nn.ce_values_and_prob_grad(probs, index)[1]
+    assert whole[2:].tobytes() == nn.ce_values_and_prob_grad(probs[2:], block)[1].tobytes()
+
+
+@pytest.mark.parametrize("family", ["pgd", "spsa"])
+def test_member_attacks_equal_lone_attacks_in_blocks(family):
+    ens, x, labels = ensemble_and_batch(4096, 4, [5], 3, 2)
+    specs = [AttackSpec(family=family, steps=2, epsilon=0.02, eta=0.005, spsa_samples=2, seed=s) for s in (1, 2)]
+    together = run_member_attacks(ens.members, x, labels, specs)
+    for member, spec, got in zip(ens.members, specs, together):
+        lone = run_attack(member, x, labels, spec)
+        assert got.adversarial.tobytes() == lone.adversarial.tobytes()
+        assert np.array_equal(got.success_mask, lone.success_mask)
+        assert got.loss_trace == lone.loss_trace and got.queries == lone.queries
+
+
+
+def reference_spsa(target, x, labels, samples, delta, rngs):
+    """The two-point estimate as defined: int64 draws mapped to +-1, both
+    bumped batches whole, one generator per batch slice."""
+    est = np.zeros_like(x)
+    for _ in range(samples):
+        bump = np.reshape([r.integers(0, 2, size=x.shape[-2:]) for r in rngs], x.shape) * 2.0 - 1.0
+        lp = nn.cross_entropy_per_example(predict_probs(target, np.clip(x + delta * bump, 0.0, 1.0)), labels)
+        ln = nn.cross_entropy_per_example(predict_probs(target, np.clip(x - delta * bump, 0.0, 1.0)), labels)
+        est += ((lp - ln) / (2.0 * delta))[..., None] * bump
+    return est / samples
+
+
+@pytest.mark.parametrize("members", [1, 2])
+def test_spsa_estimate_keeps_its_definition_and_the_generator_stream(members):
+    ens, x, labels = ensemble_and_batch(300, 5, [6], 4, members)
+    stacked = np.stack([np.roll(x, k, axis=0) for k in range(members)])
+    for target, batch, k in ((ens, x, 1), (ens.stack, stacked, members)):
+        got_rngs, want_rngs = ([np.random.default_rng(9 + i) for i in range(k)] for _ in range(2))
+        got, used = spsa_gradient_estimate(target, batch, labels, 3, 0.02, got_rngs if batch.ndim == 3 else got_rngs[0])
+        assert used == 6
+        assert got.tobytes() == reference_spsa(target, batch, labels, 3, 0.02, want_rngs).tobytes()
+        assert [r.integers(0, 2**62) for r in got_rngs] == [r.integers(0, 2**62) for r in want_rngs]
