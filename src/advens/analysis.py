@@ -34,8 +34,11 @@ ORTHO_TOL = 1e-9
 
 
 def natural_accuracy(target, dataset):
-    """Percentage of clean examples predicted correctly."""
-    return float(np.mean(predict_labels(target, dataset.inputs) == dataset.labels) * 100.0)
+    """Percentage of clean examples predicted correctly by target, or by the
+    labels a target predicted on them (an array, e.g. a row of
+    member_and_ensemble_labels)."""
+    predicted = target if isinstance(target, np.ndarray) else predict_labels(target, dataset.inputs)
+    return float(np.mean(predicted == dataset.labels) * 100.0)
 
 
 def robust_accuracy(target, dataset, spec):
@@ -83,13 +86,22 @@ def _default_labels(targets):
 
 
 def _shared_members(targets):
-    """The last target's MemberStack when the targets are its members and
-    then it (a one-checkpoint transfer), else None."""
+    """The last target's stack when the targets are its members and then it
+    (a one-checkpoint transfer), else None."""
     *members, last = targets
     if isinstance(last, Ensemble) and len(members) == len(last):
         if all(m is e for m, e in zip(members, last.members)):
             return last.stack
     return None
+
+
+def member_and_ensemble_labels(ens, batch):
+    """The predicted labels of each member of ens (an Ensemble or its stack)
+    and then of ens, (K + 1, B), from one stacked pass of the members: row
+    k is member k's, the last row the argmax of their mean, which is
+    ensemble_predict's bit for bit."""
+    probs = member_probs(ens, batch)
+    return np.argmax(np.concatenate([probs, probs.mean(axis=0)[None]]), axis=-1)
 
 
 def cross_matrix(targets, dataset, spec, labels=None):
@@ -111,8 +123,7 @@ def cross_matrix(targets, dataset, spec, labels=None):
         result = run_attack(source, dataset.inputs, dataset.labels, spec)
         adv = result.adversarial
         if shared is not None:
-            probs = member_probs(shared, adv)
-            predicted = [np.argmax(p, axis=1) for p in (*probs, probs.mean(axis=0))]
+            predicted = member_and_ensemble_labels(shared, adv)
         else:
             predicted = [None if j == i else predict_labels(t, adv) for j, t in enumerate(targets)]
         ok = np.array([~result.success_mask if j == i else p == dataset.labels for j, p in enumerate(predicted)])

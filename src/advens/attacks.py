@@ -8,7 +8,7 @@ ensemble the objective is the cross-entropy of the *averaged* probability,
 so the attacker differentiates through the combination rule (the adaptive
 attack).
 
-The loop works on stacked members (ensembles.MemberStack): run_member_attacks
+The loop works on stacked members (one nn.ModelStack): run_member_attacks
 runs K lone attacks, one per member, in lockstep on a (K, B, d) stack, and a
 Model is the stack of one. What stays fixed over the steps is done once per
 call: x and the labels are checked, the target is stacked, the labels
@@ -36,7 +36,7 @@ import numpy as np
 
 from . import nn
 from .atomic import atomic_write
-from .ensembles import Ensemble, MemberStack, ce_values_and_input_grad, member_stack, predict_probs
+from .ensembles import Ensemble, ce_values_and_input_grad, member_stack, predict_probs
 from .errors import ConfigError, DivergenceError, DomainError, ShapeError
 
 FAMILIES = ("pgd", "bim", "mim", "spsa")
@@ -144,11 +144,11 @@ def _search(target, x, labels, specs, ascent, per_member):
     family of specs, which differ only in their seeds. labels is the
     nn.LabelIndex of _validate_inputs.
 
-    With per_member, target (a Model or a MemberStack) is stacked once per
+    With per_member, target (a Model or a ModelStack) is stacked once per
     call and its member k is attacked alone with specs[k]: the attacks
     advance in lockstep, one stacked step for all of them, and attack k
     draws from its own default_rng(specs[k].seed) in the order a lone
-    attack would. Otherwise target (an Ensemble or a MemberStack) is
+    attack would. Otherwise target (an Ensemble or a ModelStack) is
     attacked as one, through its averaged prediction, with specs[0].
     Ascends the cross-entropy against labels when ascent is set, descends
     it otherwise. Returns (adversarial (A, B, d), final probs (A, B, M),
@@ -242,12 +242,12 @@ def _results(target, x, labels, specs, ascent, per_member):
 def run_member_attacks(members, x, y, specs):
     """run_attack against each member alone, members[k] with specs[k], in
     lockstep: one stacked step per iteration serves every member. members
-    is a sequence of Models or a MemberStack. Returns one AttackResult per
-    member, equal bit for bit to the lone run_attack calls. The specs may
-    differ only in their seeds; the members may differ in layer shapes.
+    is a sequence of Models of one layer shape or an nn.ModelStack. Returns
+    one AttackResult per member, equal bit for bit to the lone run_attack
+    calls. The specs may differ only in their seeds.
     """
     specs = tuple(specs)
-    if not isinstance(members, MemberStack):  # the members must agree on classes and inputs
+    if not isinstance(members, nn.ModelStack):  # the members must agree on classes and inputs
         members = Ensemble(members=tuple(members)).stack
     if len(specs) != len(members):
         raise ConfigError(f"{len(specs)} attack specs for {len(members)} members")
@@ -282,13 +282,13 @@ def multi_targeted(target, x, y, spec):
     fallback = np.array(x, copy=True)
     fallback_loss = np.full(b, -np.inf)
     per_member = isinstance(target, nn.Model)
-    per_run = 0
+    each = 0
     for t in range(m):
         valid = y.labels != t
         if not valid.any():
             continue
         toward = nn.LabelIndex(y.rows, np.full(b, t, dtype=np.int64))
-        adv, probs, _, per_run = _search(target, x, toward, [spec], False, per_member)
+        adv, probs, _, each = _search(target, x, toward, [spec], False, per_member)
         adv, probs = adv[0], probs[0]
         hit = valid & (np.argmax(probs, axis=1) == t)
         newly = hit & ~success
@@ -304,7 +304,7 @@ def multi_targeted(target, x, y, spec):
     return AttackResult(
         adversarial=chosen,
         success_mask=success,
-        queries=(m - 1) * per_run,
+        queries=(m - 1) * each,
         spec=spec,
     )
 

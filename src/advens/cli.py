@@ -365,7 +365,8 @@ def cmd_eval(args):
     out = cfg["out"]
     targets = [(f"f{i + 1}", m) for i, m in enumerate(ens.members)]
     targets.append(("en", ens))
-    nats = [analysis.natural_accuracy(target, ds) for _, target in targets]
+    predicted = analysis.member_and_ensemble_labels(ens, ds.inputs)  # one pass for every target
+    nats = [analysis.natural_accuracy(labels, ds) for labels in predicted]
     for name, spec_dict in cfg["eval_attacks"].items():
         spec = AttackSpec(**spec_dict)
         path = os.path.join(out, f"eval_{name}.csv")

@@ -1,10 +1,13 @@
 """Ensembles of classifiers and ball-security bookkeeping.
 
 An Ensemble predicts the unweighted mean of its members' probability rows.
-It also holds its members as stacked parameters (MemberStack, built once
-per ensemble), so its forward and its input gradient take one stacked pass
-per run of same-shaped members (per row block of a large batch). Training holds its members as a
-MemberStack throughout and makes Models of them only to evaluate and report.
+Its members share one layer shape, as init_ensemble and a checkpoint make
+them, and it holds them as one nn.ModelStack (built once per ensemble), so
+its forward and its input gradient take one stacked pass (per row block of
+a large batch). An Ensemble of members of different shapes still
+constructs, for the value-only losses that take members one at a time, but
+its stack raises ShapeError. Training holds its members as a ModelStack
+throughout and makes Models of them only to evaluate and report.
 Security of a prediction is always judged inside an l-inf ball around a
 clean point: a probe is secure for a model when the model still assigns
 the true label there (argmax, lowest index on ties).
@@ -18,7 +21,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import accumulate
 
 import numpy as np
 
@@ -69,80 +71,30 @@ class Ensemble:
 
     @cached_property
     def stack(self):
-        """The members' parameters as a MemberStack, stacked once per ensemble."""
-        return stack_members(self.members)
+        """The members as one nn.ModelStack, stacked once per ensemble (at its
+        first prediction, attack or training run); members of different
+        layer shapes raise ShapeError here."""
+        return nn.stack_models(self.members)
 
 
-@dataclass(frozen=True)
-class MemberStack:
-    """Members held as stacked parameters. Consecutive members of one layer
-    shape form one nn.ModelStack run, in member order, so K members of
-    mixed shapes take one stacked pass per run."""
-
-    runs: tuple
-    num_classes: int
-
-    @cached_property
-    def bounds(self):
-        """The index of each run's first member, then the member count."""
-        return (0, *accumulate(run.size for run in self.runs))
-
-    def __len__(self):
-        return self.bounds[-1]
-
-    def per_run(self, a):
-        """a, which has one leading entry per member, cut into one part per run."""
-        b = self.bounds
-        return [a] if len(b) == 2 else [a[lo:hi] for lo, hi in zip(b[:-1], b[1:])]
-
-    def ensemble(self, seeds):
-        """The members as an Ensemble of Models, member k seeded seeds[k]
-        (a Model's parameters are views of its slice of the stack)."""
-        layers = [
-            tuple(nn.Layer(la.w[k], la.b[k, 0], la.act) for la in run.layers)
-            for run in self.runs
-            for k in range(run.size)
-        ]
-        return Ensemble(members=tuple(
-            nn.Model(layers=ls, num_classes=self.num_classes, seed=seed)
-            for ls, seed in zip(layers, seeds, strict=True)
-        ))
-
-
-def shape_runs(members):
-    """The runs of consecutive same-shaped members, as ranges of indices."""
-    starts = [k for k, m in enumerate(members) if k == 0 or not nn.same_shape(members[k - 1], m)]
-    return [range(a, b) for a, b in zip(starts, starts[1:] + [len(members)])]
-
-
-def stack_members(members):
-    """The MemberStack of a sequence of Models."""
-    return MemberStack(
-        runs=tuple(nn.stack_models(members[r.start : r.stop]) for r in shape_runs(members)),
-        num_classes=members[0].num_classes,
-    )
+def stack_ensemble(stack, seeds):
+    """The models of an nn.ModelStack as an Ensemble, model k seeded
+    seeds[k] (a Model's parameters are views of its slice of the stack)."""
+    return Ensemble(members=tuple(
+        nn.Model(layers=tuple(nn.Layer(la.w[k], la.b[k, 0], la.act) for la in stack.layers),
+                 num_classes=stack.num_classes, seed=seed)
+        for k, seed in enumerate(seeds)
+    ))
 
 
 def member_stack(target):
-    """target's members as a MemberStack: an Ensemble's own (stacked once
-    per ensemble), a Model as a stack of one, a MemberStack as it is."""
-    if isinstance(target, MemberStack):
+    """target's members as an nn.ModelStack: an Ensemble's own (stacked once
+    per ensemble), a Model as a stack of one, a ModelStack as it is."""
+    if isinstance(target, nn.ModelStack):
         return target
     if isinstance(target, Ensemble):
         return target.stack
-    return stack_members((target,))
-
-
-def _member_forward(stack, batch, keep=None):
-    """Every member's probability rows (K, B, M), one nn.forward_cached per
-    run; batch is (B, d) for every member or (K, B, d), slice k for member
-    k. Returns (probs, one ForwardCache per run, holding what keep asks)."""
-    if np.ndim(batch) == 3 and len(batch) != len(stack):
-        raise ShapeError(f"{len(batch)} batch slices for {len(stack)} members")
-    parts = [batch] * len(stack.runs) if np.ndim(batch) == 2 else stack.per_run(batch)
-    caches = [nn.forward_cached(run, part, keep)[1] for run, part in zip(stack.runs, parts)]
-    probs = [c.probs for c in caches]
-    return (probs[0] if len(probs) == 1 else np.concatenate(probs)), caches
+    return nn.stack_models((target,))
 
 
 def member_probs(target, batch):
@@ -152,10 +104,10 @@ def member_probs(target, batch):
     stack, batch = member_stack(target), np.asarray(batch)
     blocks = nn.row_blocks(batch)
     if len(blocks) == 1:
-        return _member_forward(stack, batch)[0]
+        return nn.forward_cached(stack, batch, None)[0]
     probs = np.empty((len(stack), batch.shape[-2], stack.num_classes))
     for lo, hi in blocks:
-        probs[:, lo:hi] = _member_forward(stack, batch[..., lo:hi, :])[0]
+        probs[:, lo:hi] = nn.forward_cached(stack, batch[..., lo:hi, :], None)[0]
     return probs
 
 
@@ -191,21 +143,20 @@ def _averaged_ce(probs, labels):
 
 def averaged_ce_backprop(stack, x, labels):
     """CE of the members' averaged probability rows on one batch x, from
-    one stacked forward per run of a MemberStack. Returns (per-example CE,
-    the members' probability rows (K, B, M), the forward cache of each run,
-    each run's stacked parameter gradients of the batch-mean CE):
-    gradients flow through the combination rule.
+    one forward and backprop of their nn.ModelStack. Returns (per-example
+    CE, the members' probability rows (K, B, M), the forward cache, the
+    stacked parameter gradients of the batch-mean CE): gradients flow
+    through the combination rule.
     """
-    probs, caches = _member_forward(stack, x, keep="inputs")
+    probs, cache = nn.forward_cached(stack, x)
     values, g_probs = _averaged_ce(probs, labels)
-    grads = [nn.backprop(run, c, g_probs)[0] for run, c in zip(stack.runs, caches)]
-    return values, probs, caches, grads
+    return values, probs, cache, nn.backprop(stack, cache, g_probs)[0]
 
 
 def ce_values_and_input_grad(target, x, labels):
     """Per-example cross-entropy and the input gradient of its batch mean,
     from one stacked forward and a backward that forms only the input
-    gradient. target is a Model, an Ensemble or a MemberStack.
+    gradient. target is a Model, an Ensemble or an nn.ModelStack.
 
     x of shape (B, d) is one batch against the *averaged* probability (the
     adaptive-attack objective; a Model is an ensemble of one): values (B,),
@@ -214,7 +165,7 @@ def ce_values_and_input_grad(target, x, labels):
 
     This is the attack step. What stays fixed over an attack's steps is
     made once per call of the attack and passed in: the target as a
-    MemberStack (or an Ensemble, which holds its own; the transposed
+    ModelStack (or an Ensemble, which holds its own; the transposed
     weights are made once per stack) and labels as an nn.LabelIndex. Each
     step still checks that x is finite, and the forward's softmax checks
     that every probability row is a distribution. A large batch goes
@@ -236,21 +187,16 @@ def ce_values_and_input_grad(target, x, labels):
 
 def _ce_and_input_grad(stack, x, labels):
     """ce_values_and_input_grad of one pass over x (a row block or the
-    whole batch) against a MemberStack."""
-    probs, caches = _member_forward(stack, x, keep="masks")
+    whole batch) against an nn.ModelStack."""
+    probs, cache = nn.forward_cached(stack, x, "masks")
     if np.ndim(x) == 3:
         values, g_probs = nn.ce_values_and_prob_grad(probs, labels, _checked=True)
     else:
         values, g_probs = _averaged_ce(probs, labels)
-    parts = [g_probs] * len(stack.runs) if g_probs.ndim == 2 else stack.per_run(g_probs)
-    grads = [
-        nn.stacked_input_grad(run, cache.probs, cache.masks, part)
-        for run, cache, part in zip(stack.runs, caches, parts)
-    ]
-    if np.ndim(x) == 3:
-        return values, grads[0] if len(grads) == 1 else np.concatenate(grads)
-    # in member order, as a sum of separate backprops adds up
-    return values, reduce(np.add, (g for run_grads in grads for g in run_grads))
+    grad = nn.stacked_input_grad(stack, probs, cache.masks, g_probs)
+    # one batch: the members' gradients added in member order, as a sum of
+    # separate backprops adds up
+    return values, grad if np.ndim(x) == 3 else reduce(np.add, grad)
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +321,10 @@ def load_ensemble(path):
         raise FormatError(f"checkpoint field 'members' must be a list, got {obj['members']!r}")
     members = tuple(nn.model_from_obj(entry) for entry in obj["members"])
     ens = Ensemble(members=members)
+    try:
+        ens.stack
+    except ShapeError as e:
+        raise FormatError(f"checkpoint field 'layers' differs between members: {e}") from None
     if "num_classes" in obj and nn._checkpoint_int(obj, "num_classes") != ens.num_classes:
         raise FormatError(
             f"checkpoint field 'num_classes' is {obj['num_classes']}, the members emit {ens.num_classes} classes"

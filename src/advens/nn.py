@@ -9,10 +9,11 @@ the last bit and lets callers attach per-example coefficients that are
 treated as constants (no gradient flows through them).
 
 A ModelStack holds K same-shaped models with their parameters stacked on
-a leading axis (a model may appear more than once). The forward, the loss
-terms, the backward and Adam take a Model or a ModelStack: a stack runs
-all K at once, slice k has the bits of model k on its own, and the losses
-come one per slice. The backward either forms the parameter and input
+a leading axis (a model may appear more than once); an ensemble's members
+are one ModelStack, whose len and num_classes come from its weights. The
+forward, the loss terms, the backward and Adam take a Model or a
+ModelStack: a stack runs all K at once, slice k has the bits of model k
+on its own, and the losses come one per slice. The backward either forms the parameter and input
 gradients (backprop) or the input gradient alone (stacked_input_grad,
 for attacks, which keeps only boolean relu masks from the forward).
 
@@ -133,9 +134,12 @@ class ModelStack:
 
     layers: tuple
 
-    @property
-    def size(self):
+    def __len__(self):
         return self.layers[0].w.shape[0]
+
+    @property
+    def num_classes(self):
+        return self.layers[-1].w.shape[-1]
 
     @cached_property
     def transposed(self):
@@ -149,20 +153,24 @@ class ModelStack:
         return ModelStack(layers=tuple(Layer(la.w[idx], la.b[idx], la.act) for la in self.layers))
 
 
-def same_shape(a, b):
-    """True iff models a and b have the same layer shapes and activations."""
-    return len(a.layers) == len(b.layers) and all(
-        la.w.shape == lb.w.shape and la.act == lb.act for la, lb in zip(a.layers, b.layers)
-    )
+def _layer_shapes(model):
+    """Each layer's weight shape and activation: models stack when theirs agree."""
+    return [(layer.w.shape, layer.act) for layer in model.layers]
 
 
 def stack_models(models):
     """One ModelStack of same-shaped models, in the given order; a model may
     appear more than once. A stack of one holds views of its model's
-    parameters (np.stack would copy them on every call)."""
+    parameters (np.stack would copy them on every call). ShapeError names
+    the first model whose layer shapes differ from model 0's."""
     models = tuple(models)
-    if not models or not all(same_shape(models[0], m) for m in models[1:]):
-        raise ShapeError("a model stack needs one or more models of one layer shape")
+    if not models:
+        raise ShapeError("a model stack needs one or more models")
+    for i, m in enumerate(models[1:], 1):
+        if _layer_shapes(m) != _layer_shapes(models[0]):
+            raise ShapeError(
+                f"model {i} has layers {_layer_shapes(m)}, model 0 has {_layer_shapes(models[0])}"
+            )
     if len(models) == 1:
         return ModelStack(
             layers=tuple(Layer(la.w[None], la.b[None, None], la.act) for la in models[0].layers)

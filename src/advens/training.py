@@ -2,12 +2,11 @@
 
 Four methods share one loop and two training steps (_collab_step for
 ADV/CCE, _ensemble_adv_step for ADV_EN/ADP), each stacked over the
-members' (member, batch) slices. The loop holds the members as a
-MemberStack for the whole run: the attacks and the steps take it as it
-is, each step returns every run's stacked parameter gradients, and Adam
-steps each run of same-shaped members at once. Each epoch's evaluation
-attacks the stack as one ensemble; Models are made from it only for the
-report.
+members' (member, batch) slices. The loop holds the members as one
+nn.ModelStack for the whole run: the attacks and the steps take it as it
+is, each step returns its stacked parameter gradients, and one Adam step
+updates every member. Each epoch's evaluation attacks the stack as one
+ensemble; Models are made from it only for the report.
 
   ADV     a CCE member trained alone: every member independently
           minimizes clean CE + CE on its own adversarial examples, with
@@ -52,7 +51,7 @@ import numpy as np
 from . import data, nn
 from .atomic import atomic_write
 from .attacks import AttackSpec, run_attack, run_member_attacks
-from .ensembles import Ensemble, averaged_ce_backprop, ensemble_predict, predict_labels, stack_members
+from .ensembles import Ensemble, averaged_ce_backprop, ensemble_predict, predict_labels, stack_ensemble
 from .errors import ConfigError, DivergenceError, DomainError
 
 METHODS = ("ADV", "ADV_EN", "ADP", "CCE")
@@ -195,7 +194,7 @@ def member_collab_loss(n, ens, x, y, adv_set, lambda_pm, lambda_dm, indicators=N
 
 
 def _sum_slices(slices):
-    """The stacked parameter gradients of one run: its slices' gradients,
+    """The stacked parameter gradients of a step: its slices' gradients,
     each (gw, gb) per layer, added left to right."""
     total = slices[0]
     for more in slices[1:]:
@@ -203,34 +202,31 @@ def _sum_slices(slices):
     return total
 
 
-def _per_member(run_grads):
+def _per_member(grads):
     """Each member's (gw, gb) list, in member order, cut from the stacked
-    gradients of every run."""
-    return [
-        [(gw[k], gb[k, 0]) for gw, gb in grads] for grads in run_grads for k in range(len(grads[0][0]))
-    ]
+    gradients."""
+    return [[(gw[k], gb[k, 0]) for gw, gb in grads] for k in range(len(grads[0][0]))]
 
 
 def _collab_step(stack, x, y, adv_set, lambda_pm, lambda_dm, crossing=True, gates=None):
-    """The collaborative step of the members of a MemberStack: CE on the
+    """The collaborative step of the members of an nn.ModelStack: CE on the
     clean batch and on each member's own adversarial batch, plus, with
     crossing, the gated promote/demote terms on every other member's
-    batch. Returns ((total, parts) of every member, each run's stacked
-    parameter gradients). Without crossing (ADV) parts holds only the four
-    loss terms.
+    batch. Returns ((total, parts) of every member, the stacked parameter
+    gradients). Without crossing (ADV) parts holds only the four loss
+    terms.
 
-    Each run of same-shaped members takes one nn.backward over all its
-    (member, batch) slices, the slices' weights taken from the run's
-    stacked weights: per member, the clean batch, its own batch and, with
-    crossing, every other member's batch with the index ascending. A
-    direct slice carries CE weight 1 and entropy weight 0, which leaves its
-    bits alone (x + 0.0 = x). A crossing slice's gate comes from the pass's
-    own probabilities and enters as a constant per-example weight, and its
-    reported terms reuse the pass's CE and entropy rows. A member's
-    gradient and terms are summed clean + own, then the crossings with the
-    batch index ascending. gates optionally overrides the soft gates,
-    gates[n][i] for member n on batch i: a testing seam for the
-    gates-as-constants contract.
+    The step is one nn.backward over all (member, batch) slices, the
+    slices' weights taken from the stacked weights: per member, the clean
+    batch, its own batch and, with crossing, every other member's batch
+    with the index ascending. A direct slice carries CE weight 1 and
+    entropy weight 0, which leaves its bits alone (x + 0.0 = x). A crossing
+    slice's gate comes from the pass's own probabilities and enters as a
+    constant per-example weight, and its reported terms reuse the pass's
+    CE and entropy rows. A member's gradient and terms are summed clean +
+    own, then the crossings with the batch index ascending. gates
+    optionally overrides the soft gates, gates[n][i] for member n on batch
+    i: a testing seam for the gates-as-constants contract.
     """
     n, b = len(stack), len(x)
     y = nn.label_index(y, b, stack.num_classes)
@@ -238,63 +234,62 @@ def _collab_step(stack, x, y, adv_set, lambda_pm, lambda_dm, crossing=True, gate
     p = len(others[0])
     share = 1.0 / p if p else 0.0
     s = 2 + p  # slices per member
-    terms, run_grads = [], []
-    for run, lo in zip(stack.runs, stack.bounds):
-        ks = range(lo, lo + run.size)
-        used = []  # the crossing gates of the pass, (members, p, B)
+    used = []  # the crossing gates of the pass, (members, p, B)
 
-        def loss_terms(probs):
-            gate = nn.label_probs(probs, y).reshape(run.size, s, b)[:, 2:]
-            if gates is not None:
-                gate = np.array([
-                    [gates[k][i] if k in gates else g for i, g in zip(others[k], row)]
-                    for k, row in zip(ks, gate)
-                ])
-            used.append(gate)
-            ce_w, h_w = np.ones((run.size, s, b)), np.zeros((run.size, s, b))
-            ce_w[:, 2:] = share * lambda_pm * gate
-            h_w[:, 2:] = -share * lambda_dm * (1.0 - gate)
-            return [
-                nn.LossTerm(kind="ce", labels=y, weight=ce_w.reshape(-1, b)),
-                nn.LossTerm(kind="entropy", weight=h_w.reshape(-1, b)),
-            ]
-
-        res = nn.backward(
-            run.take([k - lo for k in ks for _ in range(s)]),
-            np.stack([a for k in ks for a in (x, adv_set[k], *(adv_set[i] for i in others[k]))]),
-            loss_terms if p else [nn.LossTerm(kind="ce", labels=y)],
-        )
-        slice_grads = [[(gw[j::s], gb[j::s]) for gw, gb in res.param_grads] for j in range(s)]
-        sums = np.zeros((3, run.size))  # cpo_ce, do_h and the mean gate, over the crossings
-        if p:
-            gate = used[0]
-            ce, h = (v.reshape(run.size, s, b)[:, 2:] for v in res.rows)
-            per_pair = np.stack([
-                share * lambda_pm * (gate * ce).mean(axis=-1),
-                share * lambda_dm * ((1.0 - gate) * h).mean(axis=-1),
-                share * gate.mean(axis=-1),
+    def loss_terms(probs):
+        gate = nn.label_probs(probs, y).reshape(n, s, b)[:, 2:]
+        if gates is not None:
+            gate = np.array([
+                [gates[k][i] if k in gates else g for i, g in zip(others[k], row)]
+                for k, row in enumerate(gate)
             ])
-            for j in range(p):
-                sums += per_pair[..., j]
-        rows = zip(res.loss[0::s].tolist(), res.loss[1::s].tolist(), *sums.tolist())
-        for clean_ce, dpo_ce, cpo_ce, do_h, gate_sum in rows:
-            parts = {"clean_ce": clean_ce, "dpo_ce": dpo_ce, "cpo_ce": cpo_ce, "do_h": do_h}
-            if p:
-                parts.update(cpo_gate=gate_sum, do_gate=1.0 - gate_sum)
-            terms.append((clean_ce + dpo_ce + cpo_ce - do_h, parts))
-        run_grads.append(_sum_slices(slice_grads))
-    return terms, run_grads
+        used.append(gate)
+        ce_w, h_w = np.ones((n, s, b)), np.zeros((n, s, b))
+        ce_w[:, 2:] = share * lambda_pm * gate
+        h_w[:, 2:] = -share * lambda_dm * (1.0 - gate)
+        return [
+            nn.LossTerm(kind="ce", labels=y, weight=ce_w.reshape(-1, b)),
+            nn.LossTerm(kind="entropy", weight=h_w.reshape(-1, b)),
+        ]
+
+    res = nn.backward(
+        stack.take([k for k in range(n) for _ in range(s)]),
+        np.stack([a for k in range(n) for a in (x, adv_set[k], *(adv_set[i] for i in others[k]))]),
+        loss_terms if p else [nn.LossTerm(kind="ce", labels=y)],
+    )
+    slice_grads = [[(gw[j::s], gb[j::s]) for gw, gb in res.param_grads] for j in range(s)]
+    sums = np.zeros((3, n))  # cpo_ce, do_h and the mean gate, over the crossings
+    if p:
+        gate = used[0]
+        ce, h = (v.reshape(n, s, b)[:, 2:] for v in res.rows)
+        per_pair = np.stack([
+            share * lambda_pm * (gate * ce).mean(axis=-1),
+            share * lambda_dm * ((1.0 - gate) * h).mean(axis=-1),
+            share * gate.mean(axis=-1),
+        ])
+        for j in range(p):
+            sums += per_pair[..., j]
+    terms = []
+    rows = zip(res.loss[0::s].tolist(), res.loss[1::s].tolist(), *sums.tolist())
+    for clean_ce, dpo_ce, cpo_ce, do_h, gate_sum in rows:
+        parts = {"clean_ce": clean_ce, "dpo_ce": dpo_ce, "cpo_ce": cpo_ce, "do_h": do_h}
+        if p:
+            parts.update(cpo_gate=gate_sum, do_gate=1.0 - gate_sum)
+        terms.append((clean_ce + dpo_ce + cpo_ce - do_h, parts))
+    return terms, _sum_slices(slice_grads)
 
 
 def _member_collab_grads(n, members, x, y, adv_set, lambda_pm, lambda_dm, indicators=None):
     """(total, parts, param_grads) of member n in the collaborative step;
     indicators optionally overrides its gates, one array per other member
-    keyed by member index."""
+    keyed by member index. The step runs on a stack of member n alone,
+    repeated once per member, and keeps slice n: member n's step reads no
+    other member's weights, so the members may differ in layer shapes."""
     gates = None if indicators is None else {n: indicators}
-    terms, run_grads = _collab_step(
-        stack_members(tuple(members)), x, y, adv_set, lambda_pm, lambda_dm, gates=gates
+    terms, grads = _collab_step(
+        nn.stack_models([members[n]] * len(members)), x, y, adv_set, lambda_pm, lambda_dm, gates=gates
     )
-    return (*terms[n], _per_member(run_grads)[n])
+    return (*terms[n], _per_member(grads)[n])
 
 
 def ensemble_adv_loss(ens, x, y, x_a_en):
@@ -306,31 +301,30 @@ def ensemble_adv_loss(ens, x, y, x_a_en):
 
 
 def _ensemble_adv_step(stack, x, y, x_a_en, adp=None):
-    """ADV_EN, or ADP with adp = (alpha, beta), for the members of a
-    MemberStack: CE of the averaged probability on the clean and on the
+    """ADV_EN, or ADP with adp = (alpha, beta), for the members of an
+    nn.ModelStack: CE of the averaged probability on the clean and on the
     attacked batch, for ADP minus the regularizer at both batches. The
     regularizer reuses the CE terms' probabilities and caches, and its
-    (N, B, M) gradient goes back through one backprop per run and batch.
-    Returns (total, parts, each run's stacked param grads, clamped count)."""
+    (N, B, M) gradient goes back through one more backprop per batch.
+    Returns (total, parts, the stacked param grads, clamped count)."""
     batches = [averaged_ce_backprop(stack, b, y) for b in (x, x_a_en)]
     clean, adv = (float(np.mean(values)) for values, *_ in batches)
     total, parts = clean + adv, {"clean_ce": clean, "dpo_ce": adv, "cpo_ce": 0.0, "do_h": 0.0}
-    slices = [list(pair) for pair in zip(batches[0][3], batches[1][3])]  # per run: clean, adv
+    slices = [grads for *_, grads in batches]  # clean, adv
     clamped = 0
-    for tag, (_, probs, caches, _) in zip(("clean", "adv"), batches if adp else ()):
+    for tag, (_, probs, cache, _) in zip(("clean", "adv"), batches if adp else ()):
         value, g_probs, flag = _diversity_value_and_grads(probs, y, *adp)
         clamped += flag
         parts[f"adp_reg_{tag}"] = value
         total -= value
-        for run_slices, run, c, g in zip(slices, stack.runs, caches, stack.per_run(-g_probs)):
-            run_slices.append(nn.backprop(run, c, g)[0])
-    return total, parts, [_sum_slices(run_slices) for run_slices in slices], clamped
+        slices.append(nn.backprop(stack, cache, -g_probs)[0])
+    return total, parts, _sum_slices(slices), clamped
 
 
 def _ensemble_adv_grads(members, x, y, x_a_en):
     """(total, parts, per-member param grads) of the ADV_EN loss."""
-    total, parts, run_grads, _ = _ensemble_adv_step(stack_members(tuple(members)), x, y, x_a_en)
-    return total, parts, _per_member(run_grads)
+    total, parts, grads, _ = _ensemble_adv_step(nn.stack_models(members), x, y, x_a_en)
+    return total, parts, _per_member(grads)
 
 
 # ---------------------------------------------------------------------------
@@ -491,10 +485,10 @@ def train(ens_init, dataset, config, method):
     members, with fresh attack seeds derived from the master seed: one
     attack per member for ADV/CCE (the attacks run in lockstep), one
     against the averaged prediction for ADV_EN/ADP. The members are held
-    as a MemberStack for the whole run; each epoch's evaluation attacks
+    as one nn.ModelStack for the whole run; each epoch's evaluation attacks
     that stack as one ensemble. Every member's gradient comes from one
-    stacked step against the same parameter snapshot, and Adam steps each
-    run of same-shaped members in one call.
+    stacked step against the same parameter snapshot, and one Adam step
+    updates them all. Members of different layer shapes raise ShapeError.
     """
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -514,7 +508,7 @@ def train(ens_init, dataset, config, method):
         )
     seeds = tuple(m.seed for m in ens_init.members)
     stack = ens_init.stack
-    states = [nn.adam_init(run, lr=config.lr) for run in stack.runs]
+    state = nn.adam_init(stack, lr=config.lr)
     clamped = 0
     stats = []
     for epoch in range(config.epochs):
@@ -533,7 +527,7 @@ def train(ens_init, dataset, config, method):
                         for i in range(n)
                     ]
                     adv_set = [r.adversarial for r in run_member_attacks(stack, bx, by, specs)]
-                    terms, run_grads = _collab_step(
+                    terms, grads = _collab_step(
                         stack, bx, by, adv_set, config.lambda_pm, config.lambda_dm,
                         crossing=method == "CCE",
                     )
@@ -541,7 +535,7 @@ def train(ens_init, dataset, config, method):
                     seed = derive_seed(config.seed, _TAG_ENS_ATTACK, epoch, b_idx)
                     adv_en = run_attack(stack, bx, by, replace(config.attack, seed=seed)).adversarial
                     adp = (config.alpha, config.beta) if method == "ADP" else None
-                    total, parts, run_grads, flag = _ensemble_adv_step(stack, bx, by, adv_en, adp)
+                    total, parts, grads, flag = _ensemble_adv_step(stack, bx, by, adv_en, adp)
                     clamped += flag
                     terms = [(total, parts)] * n
 
@@ -551,9 +545,7 @@ def train(ens_init, dataset, config, method):
                     for key, v in parts.items():
                         sums[i][key] = sums[i].get(key, 0.0) + v * len(by)
                 seen += len(by)
-                steps = [nn.adam_step(run, g, st) for run, g, st in zip(stack.runs, run_grads, states)]
-                stack = replace(stack, runs=tuple(run for run, _ in steps))
-                states = [st for _, st in steps]
+                stack, state = nn.adam_step(stack, grads, state)
 
             stage = "evaluation"
             nat_acc = 100.0 * float(np.mean(predict_labels(stack, dataset.inputs) == dataset.labels))
@@ -581,6 +573,6 @@ def train(ens_init, dataset, config, method):
         member_seeds=seeds,
         attack=config.attack,
         epochs=tuple(stats),
-        ensemble=stack.ensemble(seeds),
+        ensemble=stack_ensemble(stack, seeds),
         adp_clamped=clamped,
     )

@@ -331,13 +331,20 @@ def untrained_checkpoint(tmp_path):
 
 def test_eval_computes_each_natural_accuracy_once(tmp_path, monkeypatch):
     bim = {"family": "bim", "steps": 2, "epsilon": 0.05, "eta": 0.02}
-    path, _ = make_config(tmp_path, eval_attacks=dict(BASE["eval_attacks"], bim=bim))
+    path, cfg = make_config(tmp_path, eval_attacks=dict(BASE["eval_attacks"], bim=bim))
     ckpt = untrained_checkpoint(tmp_path)
+    clean = cli.build_dataset(cli.normalize_config(cfg)).inputs
     calls = []
-    natural = analysis.natural_accuracy
-    monkeypatch.setattr(analysis, "natural_accuracy", lambda t, ds: calls.append(t) or natural(t, ds))
+    forward = nn.forward_cached
+
+    def counted(model, batch, keep="inputs"):
+        if keep is None and np.array_equal(batch, clean):  # a plain forward of the clean batch
+            calls.append(len(model))
+        return forward(model, batch, keep)
+
+    monkeypatch.setattr(nn, "forward_cached", counted)
     assert run(["eval", "--config", path, "--checkpoint", ckpt, "--out", str(tmp_path / "ev")]) == 0
-    assert len(calls) == 3  # f1, f2 and en, not once per attack as well
+    assert calls == [2]  # one stacked pass for f1, f2 and en, not one per target or attack
     rows = [read_lines(str(tmp_path / "ev" / f"eval_{name}.csv"))[2:] for name in ("pgd", "bim")]
     assert [r.split(",")[:2] for r in rows[0]] == [r.split(",")[:2] for r in rows[1]]
 
@@ -354,11 +361,12 @@ def test_eval_computes_each_natural_accuracy_once(tmp_path, monkeypatch):
         (("members", 0, "seed"), -1),
         (("num_classes",), "x"),
         (("num_classes",), 7),
+        (("members", 1, "layers"), json.loads(nn.model_to_json(nn.init_model(4, [8], 3, 0)))["layers"]),
     ],
 )
 def test_malformed_checkpoint_exits_2_naming_the_field(tmp_path, capsys, keys, value):
-    # each once crashed with a TypeError (exit 1), raised a bare ValueError
-    # or loaded 2.7 classes as 2
+    # each once crashed with a TypeError (exit 1), raised a bare ValueError,
+    # loaded 2.7 classes as 2 or loaded members of two layer shapes
     path, _ = make_config(tmp_path)
     ckpt = untrained_checkpoint(tmp_path)
     with open(ckpt) as f:

@@ -130,15 +130,24 @@ def test_model_is_an_ensemble_of_one(d, hidden, classes, b, seed):
     assert same_bits(grad, grad_1)
 
 
-def mixed_members(d, widths, classes, seed):
-    """One member per entry of widths (a tuple of hidden widths, so depth
-    varies too), seeded apart."""
+def init_members(d, widths, classes, seed):
+    """One member per entry of widths (a tuple of hidden widths), seeded
+    apart."""
     return tuple(
         nn.init_model(d, list(hidden), classes, seed=seed + i) for i, hidden in enumerate(widths)
     )
 
 
-WIDTHS = st.lists(st.sampled_from([(), (3,), (5,), (5, 4)]), min_size=1, max_size=3)
+HIDDEN = st.sampled_from([(), (3,), (5,), (5, 4)])
+
+
+def one_shape(max_members):
+    """The hidden widths of an ensemble: 1 to max_members members of one
+    drawn shape, as init_ensemble and checkpoints make them."""
+    return st.builds(lambda hidden, k: [hidden] * k, HIDDEN, st.integers(1, max_members))
+
+
+WIDTHS = one_shape(3)
 
 
 @PROPERTY
@@ -153,7 +162,7 @@ WIDTHS = st.lists(st.sampled_from([(), (3,), (5,), (5, 4)]), min_size=1, max_siz
 )
 def test_member_attacks_equal_lone_attacks(family, random_start, widths, classes, d, b, seed):
     rng = np.random.default_rng(seed)
-    members = mixed_members(d, widths, classes, seed % 1000)
+    members = init_members(d, widths, classes, seed % 1000)
     x = rng.random((b, d))
     y = rng.integers(0, classes, size=b)
     base = AttackSpec(
@@ -202,7 +211,7 @@ def reference_input_grads(members, x, y):
 )
 def test_stacked_input_grad_equals_per_member_backprop(widths, classes, d, b, seed):
     rng = np.random.default_rng(seed)
-    members = mixed_members(d, widths, classes, seed % 1000)
+    members = init_members(d, widths, classes, seed % 1000)
     x = rng.random((b, d))
     y = rng.integers(0, classes, size=b)
     values, grad = ce_values_and_input_grad(Ensemble(members=members), x, y)
@@ -339,7 +348,7 @@ def same_step(got, want):
 @PROPERTY
 @given(
     method=st.sampled_from(["CCE", "ADV", "ADV_EN", "ADP"]),
-    widths=st.lists(st.sampled_from([(), (3,), (5,), (5, 4)]), min_size=1, max_size=4),
+    widths=one_shape(4),
     lambdas=st.sampled_from([(1.0, 1.0), (0.0, 5.0), (0.0, 0.0), (0.7, 2.5)]),
     with_indicators=st.booleans(),
     classes=st.integers(2, 5),
@@ -352,10 +361,10 @@ def test_stacked_training_step_equals_per_model_oracle(
 ):
     rng = np.random.default_rng(seed)
     if method in ("CCE", "ADP") and len(widths) < 2:
-        widths = widths + [(4,)]
+        widths = widths * 2
     if method == "ADP":  # the regulariser needs members <= classes - 1
         classes = max(classes, len(widths) + 1)
-    members = mixed_members(d, widths, classes, seed % 1000)
+    members = init_members(d, widths, classes, seed % 1000)
     x = rng.random((b, d))
     y = rng.integers(0, classes, size=b)
     adv_set = [np.clip(x + rng.uniform(-0.2, 0.2, x.shape), 0.0, 1.0) for _ in members]
@@ -364,11 +373,11 @@ def test_stacked_training_step_equals_per_model_oracle(
         indicators = {i: rng.random(b) for i in range(len(members)) if i != n}
         if not with_indicators or method == "ADV":
             indicators = None
-        terms, run_grads = training._collab_step(
+        terms, grads = training._collab_step(
             Ensemble(members=members).stack, x, y, adv_set, *lambdas, crossing=method == "CCE",
             gates=None if indicators is None else {n: indicators},
         )
-        got = [(*t, g) for t, g in zip(terms, training._per_member(run_grads), strict=True)]
+        got = [(*t, g) for t, g in zip(terms, training._per_member(grads), strict=True)]
         assert len(got) == len(members)
         for k, step in enumerate(got):
             if method == "ADV":
@@ -376,22 +385,46 @@ def test_stacked_training_step_equals_per_model_oracle(
             else:
                 want = oracle_collab(k, members, x, y, adv_set, *lambdas, indicators if k == n else None)
             same_step(step, want)
-        if method == "CCE":  # the Model-level views used by the gradient checks
-            same_step(
-                training._member_collab_grads(n, members, x, y, adv_set, *lambdas, indicators),
-                oracle_collab(n, members, x, y, adv_set, *lambdas, indicators),
-            )
     else:
         adp = (0.5 + rng.random(), 0.2 + rng.random()) if method == "ADP" else None
         if adp:
             stack = Ensemble(members=members).stack
-            total, parts, run_grads, _ = training._ensemble_adv_step(stack, x, y, adv_set[0], adp)
-            grads = training._per_member(run_grads)
+            total, parts, grads, _ = training._ensemble_adv_step(stack, x, y, adv_set[0], adp)
+            grads = training._per_member(grads)
         else:  # the Model-level view used by the gradient checks
             total, parts, grads = training._ensemble_adv_grads(members, x, y, adv_set[0])
         want_total, want_parts, want_grads = oracle_ensemble_adv(members, x, y, adv_set[0], adp)
         for g, want in zip(grads, want_grads, strict=True):
             same_step((total, parts, g), (want_total, want_parts, want))
+
+
+@PROPERTY
+@given(
+    widths=st.lists(HIDDEN, min_size=2, max_size=4),
+    lambdas=st.sampled_from([(1.0, 1.0), (0.0, 5.0), (0.0, 0.0), (0.7, 2.5)]),
+    with_indicators=st.booleans(),
+    classes=st.integers(2, 5),
+    d=st.integers(1, 5),
+    b=st.integers(1, 24),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_member_collab_grads_of_mixed_depths_equal_the_oracle(
+    widths, lambdas, with_indicators, classes, d, b, seed
+):
+    # the Model-level view used by the gradient checks, the one path that
+    # still takes members of different layer shapes: member n's step reads
+    # no other member's weights
+    rng = np.random.default_rng(seed)
+    members = init_members(d, widths, classes, seed % 1000)
+    x = rng.random((b, d))
+    y = rng.integers(0, classes, size=b)
+    adv_set = [np.clip(x + rng.uniform(-0.2, 0.2, x.shape), 0.0, 1.0) for _ in members]
+    n = int(rng.integers(len(members)))
+    indicators = {i: rng.random(b) for i in range(len(members)) if i != n} if with_indicators else None
+    same_step(
+        training._member_collab_grads(n, members, x, y, adv_set, *lambdas, indicators),
+        oracle_collab(n, members, x, y, adv_set, *lambdas, indicators),
+    )
 
 
 @PROPERTY
@@ -532,10 +565,10 @@ def test_search_equals_the_one_step_at_a_time_oracle(
     family, random_start, protocol, ensemble, widths, classes, d, b, seed
 ):
     # ascent (members, untargeted) and descent (targeted, multi_targeted), on
-    # lone members, a Model and an Ensemble of mixed widths: adversarial,
+    # lone members, a Model and an Ensemble of one drawn width: adversarial,
     # success mask, queries and loss trace bit for bit
     rng = np.random.default_rng(seed)
-    members = mixed_members(d, widths, classes, seed % 1000)
+    members = init_members(d, widths, classes, seed % 1000)
     x = rng.random((b, d))
     y = rng.integers(0, classes, size=b)
     spec = AttackSpec(
@@ -705,7 +738,7 @@ def test_every_attack_stays_inside_the_ball_and_the_box(
     # the in-place step projects onto B(x, eps) and then [0, 1]^d; x sits near
     # the box faces so both projections bite. eta <= eps: a larger step warns
     rng = np.random.default_rng(seed)
-    members = mixed_members(d, widths, classes, seed % 1000)
+    members = init_members(d, widths, classes, seed % 1000)
     x = np.clip(rng.random((b, d)) * 1.2 - 0.1, 0.0, 1.0)
     y = rng.integers(0, classes, size=b)
     spec = AttackSpec(

@@ -4,10 +4,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from advens import analysis, attacks, data, nn, training
+from advens import analysis, attacks, data, ensembles, nn, training
 from advens.attacks import AttackSpec
 from advens.ensembles import Ensemble
-from advens.errors import ConfigError, DivergenceError
+from advens.errors import ConfigError, DivergenceError, ShapeError
 from advens.training import TrainConfig, derive_seed
 
 
@@ -414,11 +414,35 @@ def test_train_validation_and_divergence(monkeypatch):
 
     def explode(stack, *args, **kwargs):
         terms = [(np.inf, {"clean_ce": np.inf, "dpo_ce": 0.0, "cpo_ce": 0.0, "do_h": 0.0})] * len(stack)
-        return terms, [[(np.zeros_like(l.w), np.zeros_like(l.b)) for l in run.layers] for run in stack.runs]
+        return terms, [(np.zeros_like(l.w), np.zeros_like(l.b)) for l in stack.layers]
 
     monkeypatch.setattr(training, "_collab_step", explode)
     with pytest.raises(DivergenceError, match="epoch 0 batch 0"):
         training.train(ens, ds, cfg, "CCE")
+
+
+def test_mixed_shape_ensemble_raises_at_its_stack_and_keeps_its_value_losses():
+    # members of two layer shapes still make an Ensemble, for the value-only
+    # losses that take one member at a time; its first prediction, attack
+    # or training run names the first member whose shapes differ
+    ds, ens = small_setup(seed=4)
+    members = (*ens.members, nn.init_model(ds.dim, [5, 4], ds.num_classes, seed=9))
+    mixed = Ensemble(members=members)
+    x, y = ds.inputs[:6], ds.labels[:6]
+    cfg = TrainConfig(attack=quick_attack(), epochs=1, batch_size=8, seed=0, mode="RM")
+    for call in (
+        lambda: ensembles.ensemble_predict(mixed, x),
+        lambda: attacks.run_attack(mixed, x, y, quick_attack()),
+        lambda: training.train(mixed, ds, cfg, "CCE"),
+    ):
+        with pytest.raises(ShapeError, match=r"model 2 has layers \[\(\(3, 5\), 'relu'\)"):
+            call()
+    adv_set = [np.clip(x + 0.01 * k, 0.0, 1.0) for k in range(3)]
+    for n in range(3):
+        total, parts = training.member_collab_loss(n, mixed, x, y, adv_set, 1.0, 1.0)
+        step_total, step_parts, _ = training._member_collab_grads(n, members, x, y, adv_set, 1.0, 1.0)
+        assert np.isfinite(total) and math.isclose(total, step_total, rel_tol=1e-12)
+        assert parts.keys() == step_parts.keys()
 
 
 def test_adp_rejects_more_members_than_classes_minus_one():
