@@ -16,7 +16,7 @@ import numpy as np
 
 from . import nn
 from .atomic import atomic_write
-from .attacks import run_attack
+from .attacks import AttackResult, run_attack, run_member_and_ensemble_attacks
 from .ensembles import Ensemble, ce_values_and_input_grad, member_probs, predict_labels, predict_probs
 from .errors import (
     ConfigError,
@@ -44,8 +44,10 @@ def natural_accuracy(target, dataset):
 def robust_accuracy(target, dataset, spec):
     """Percentage of examples still predicted correctly after attack: the
     attack's failures, whose mask comes from its own final prediction of
-    the adversarial batch."""
-    result = run_attack(target, dataset.inputs, dataset.labels, spec)
+    the adversarial batch. target may also be the AttackResult of an
+    attack with spec already run on the dataset (e.g. one of
+    run_member_and_ensemble_attacks')."""
+    result = target if isinstance(target, AttackResult) else run_attack(target, dataset.inputs, dataset.labels, spec)
     return float(np.mean(~result.success_mask) * 100.0)
 
 
@@ -108,7 +110,8 @@ def cross_matrix(targets, dataset, spec, labels=None):
     """Every target attacks the dataset once; every other target is scored
     on each attack's output. Diagonal entries are the white-box robust
     accuracies, read off the attacks as robust_accuracy reads them. When
-    the targets are an ensemble's members and then the ensemble, one
+    the targets are an ensemble's members and then the ensemble, their
+    attacks run in lockstep (run_member_and_ensemble_attacks), and one
     stacked forward of the members scores each attacked batch for all of
     them: member k is its slice k, the ensemble their mean.
     """
@@ -117,16 +120,23 @@ def cross_matrix(targets, dataset, spec, labels=None):
         raise ConfigError("cross matrix needs at least 2 models")
     labels = _default_labels(targets) if labels is None else tuple(labels)
     shared = _shared_members(targets)
+    if shared is not None:
+        results = run_member_and_ensemble_attacks(shared, dataset.inputs, dataset.labels, spec)
+    else:
+        results = (run_attack(t, dataset.inputs, dataset.labels, spec) for t in targets)
     a = np.zeros((len(targets), len(targets)))
     advs, correct = [], []
-    for i, source in enumerate(targets):
-        result = run_attack(source, dataset.inputs, dataset.labels, spec)
-        adv = result.adversarial
+    for result in results:
+        # the result, with its final rows, is not held through the scoring
+        # and the next attack (enumerate's reused tuple would hold it)
+        i = len(advs)
+        adv, defeated = result.adversarial, result.success_mask
+        del result
         if shared is not None:
             predicted = member_and_ensemble_labels(shared, adv)
         else:
             predicted = [None if j == i else predict_labels(t, adv) for j, t in enumerate(targets)]
-        ok = np.array([~result.success_mask if j == i else p == dataset.labels for j, p in enumerate(predicted)])
+        ok = np.array([~defeated if j == i else p == dataset.labels for j, p in enumerate(predicted)])
         a[i] = ok.mean(axis=1) * 100.0
         advs.append(adv)
         correct.append(ok)
@@ -223,10 +233,9 @@ def auc_from_scores(benign, adv):
     return total / (2 * b.size * a.size)
 
 
-def _entropy_scores(target, x):
+def _entropy_scores(probs):
     """Entropy of the averaged prediction and the mean member entropy, from
-    one stacked forward of the members."""
-    probs = member_probs(target, x)
+    the members' probability rows (K, B, M)."""
     return nn.entropy(probs.mean(axis=0)), nn.entropy(probs).mean(axis=0)
 
 
@@ -236,8 +245,11 @@ def _share_at_or_above(scores, thresholds):
     return (scores.size - np.searchsorted(np.sort(scores), thresholds)) / scores.size
 
 
-def detect(target, benign_x, adv_x):
-    """Score both batches by prediction entropy and build the ROC.
+def detect(target, benign_x, adv_x, adv_probs=None):
+    """Score both batches by prediction entropy and build the ROC. Each
+    batch takes one stacked forward of target's members; adv_probs, when
+    given, are their rows of adv_x already formed (the member_probs of the
+    attack that made adv_x), and adv_x is not forwarded again.
 
     Thresholds are the midpoints between adjacent distinct scores plus
     +/-inf sentinels: every achievable (fpr, tpr) operating point appears
@@ -247,8 +259,10 @@ def detect(target, benign_x, adv_x):
     adv_x = np.asarray(adv_x, dtype=np.float64)
     if benign_x.size == 0 or adv_x.size == 0:
         raise ContractError("both batches must be non-empty")
-    b_scores, b_member = _entropy_scores(target, benign_x)
-    a_scores, a_member = _entropy_scores(target, adv_x)
+    if adv_probs is not None and np.shape(adv_probs)[1:] != (len(adv_x), target.num_classes):
+        raise ShapeError(f"member rows of shape {np.shape(adv_probs)} for {len(adv_x)} adversarial points")
+    b_scores, b_member = _entropy_scores(member_probs(target, benign_x))
+    a_scores, a_member = _entropy_scores(member_probs(target, adv_x) if adv_probs is None else adv_probs)
 
     distinct = np.unique(np.concatenate([b_scores, a_scores]))
     mids = (distinct[:-1] + distinct[1:]) / 2.0

@@ -1,24 +1,30 @@
 """Perturbation search inside the l-inf ball B(x, eps) = {x' : ||x'-x||_inf <= eps} ∩ [0,1]^d.
 
 One search loop serves every protocol: run_attack (untargeted), targeted,
-multi_targeted and run_member_attacks all call it, and spec.family picks
-how it steps (PGD / BIM / MIM sign-gradient steps, or gradient-free SPSA
-estimates). Targets may be a single Model or an Ensemble; against an
-ensemble the objective is the cross-entropy of the *averaged* probability,
-so the attacker differentiates through the combination rule (the adaptive
-attack).
+multi_targeted, run_member_attacks and run_member_and_ensemble_attacks all
+call it, and spec.family picks how it steps (PGD / BIM / MIM sign-gradient
+steps, or gradient-free SPSA estimates). Targets may be a single Model or an
+Ensemble; against an ensemble the objective is the cross-entropy of the
+*averaged* probability, so the attacker differentiates through the
+combination rule (the adaptive attack).
 
-The loop works on stacked members (one nn.ModelStack): run_member_attacks
-runs K lone attacks, one per member, in lockstep on a (K, B, d) stack, and a
-Model is the stack of one. What stays fixed over the steps is done once per
-call: x and the labels are checked, the target is stacked, the labels
-become an nn.LabelIndex and the ball ∩ box bounds are made (ball_box). Each
-gradient step is then one stacked forward, whose softmax checks its rows,
-and one backward that forms only the input gradient
-(ensembles.ce_values_and_input_grad; row block by row block for a large
-batch), and a sign step clipped to the bounds in place; the loss trace is summed once, when the call ends. Every
-attack keeps its own seeded generator, so its result equals a lone
-run_attack bit for bit.
+The loop attacks *heads* (ensembles.Heads) in lockstep: a head is the
+averaged prediction of some members of one nn.ModelStack, one member or all
+of them, and a Model is the stack of one. run_attack attacks one head,
+run_member_attacks one per member, and run_member_and_ensemble_attacks one
+per member and one of all of them (the paper's f1 .. fK and en under one
+attack). What stays fixed over the steps is done once per call: x and the
+labels are checked, the target is stacked, the labels become an
+nn.LabelIndex and the ball ∩ box bounds are made (ball_box). Each gradient
+step is then one forward of the heads' members on the (H, B, d) iterate,
+whose softmax checks its rows, one backward that forms only the input
+gradient (ensembles.ce_values_and_input_grad; row block by row block for a
+large batch), and one sign step clipped to the bounds in place; the loss
+trace is summed once, when the call ends. The iterate is clipped into
+finite bounds and every gradient is checked, so the forwards skip the
+finiteness check of their batch. Every seed has its own generator, which
+the heads of that seed share, so each result equals a lone run_attack bit
+for bit.
 
 Query accounting: queries counts target evaluations per example (the usual
 black-box budget metric). PGD/BIM/MIM spend steps+1 (final success check
@@ -36,7 +42,7 @@ import numpy as np
 
 from . import nn
 from .atomic import atomic_write
-from .ensembles import Ensemble, ce_values_and_input_grad, member_stack, predict_probs
+from .ensembles import Ensemble, Heads, as_heads, ce_values_and_input_grad, member_probs, member_stack
 from .errors import ConfigError, DivergenceError, DomainError, ShapeError
 
 FAMILIES = ("pgd", "bim", "mim", "spsa")
@@ -92,13 +98,16 @@ class AttackSpec:
 class AttackResult:
     """adversarial stays inside B(x, eps) and the box; success_mask marks
     examples the attack objective considers defeated; loss_trace holds the
-    mean objective value before each step plus the final value."""
+    mean objective value before each step plus the final value;
+    member_probs holds each attacked member's probability rows of
+    adversarial, from the final check (a Model's own, one member's)."""
 
     adversarial: np.ndarray
     success_mask: np.ndarray
     queries: int
     spec: AttackSpec
     loss_trace: tuple = ()
+    member_probs: np.ndarray | None = None  # the attacked members' final rows (K, B, M)
 
 
 def ball_box(x_origin, epsilon):
@@ -116,11 +125,13 @@ def fgsm_step(x, input_grad, eta, lo, hi, out=None):
 
     x_next = clip_[lo,hi]( x + eta * sign(input_grad) ) with (lo, hi) =
     ball_box(x_origin, eps), made once per attack; sign(0) = 0, so
-    zero-gradient coordinates hold still. out, which may be x itself,
-    takes the step in place.
+    zero-gradient coordinates hold still. The bounds are shaped like x or,
+    for a stack of iterates (H, B, d) of one origin, like one slice, (B, d)
+    or (1, B, d). out, which may be x itself, takes the step in place.
     """
-    if x.shape != input_grad.shape or x.shape != np.shape(lo) or x.shape != np.shape(hi):
-        raise ShapeError("x, input_grad and the bounds must share a shape")
+    bounds = np.shape(lo)
+    if x.shape != input_grad.shape or bounds != np.shape(hi) or bounds not in (x.shape, x.shape[1:], (1, *x.shape[1:])):
+        raise ShapeError("x and input_grad must share a shape, and the bounds that or a slice's")
     step = np.sign(input_grad)
     step *= eta
     out = np.add(x, step, out=out)
@@ -139,35 +150,48 @@ def _validate_inputs(target, x, y):
     return x, nn.label_index(y, len(x), target.num_classes)
 
 
-def _search(target, x, labels, specs, ascent, per_member):
-    """The one iterative search behind every protocol; the loop follows the
-    family of specs, which differ only in their seeds. labels is the
-    nn.LabelIndex of _validate_inputs.
+def _generators(specs):
+    """One generator per attack, seeded specs[h].seed; attacks of one seed
+    share one generator, whose draws each of them would make alone."""
+    seeded = {}
+    return [seeded.setdefault(s.seed, np.random.default_rng(s.seed)) for s in specs]
 
-    With per_member, target (a Model or a ModelStack) is stacked once per
-    call and its member k is attacked alone with specs[k]: the attacks
-    advance in lockstep, one stacked step for all of them, and attack k
-    draws from its own default_rng(specs[k].seed) in the order a lone
-    attack would. Otherwise target (an Ensemble or a ModelStack) is
-    attacked as one, through its averaged prediction, with specs[0].
-    Ascends the cross-entropy against labels when ascent is set, descends
-    it otherwise. Returns (adversarial (A, B, d), final probs (A, B, M),
-    one loss trace per attack, queries).
+
+def _distinct(rngs):
+    """The distinct generators of rngs, in order, and each entry's index
+    among them: a shared generator draws once for all its attacks."""
+    gens = list({id(r): r for r in rngs}.values())
+    return gens, [gens.index(r) for r in rngs]
+
+
+def _search(heads, x, labels, specs, ascent):
+    """The one iterative search behind every protocol: head h of heads
+    (ensembles.Heads) attacked with specs[h], all heads in lockstep; the
+    loop follows the family of specs, which differ only in their seeds.
+    Each step is one forward of the heads' slots, one input-gradient
+    backward and one sign step of the (H, B, d) iterate against one (B, d)
+    pair of ball ∩ box bounds; the iterate is clipped into finite bounds,
+    so the step vouches for it (_checked). Attack h draws from its seed's
+    generator in the order a lone attack would.
+
+    x and labels are as _validate_inputs returns them. Ascends the
+    cross-entropy against labels when ascent is set, descends it
+    otherwise. Returns, per head, (adversarial (B, d), final averaged
+    probs (B, M), final member probs (K_h, B, M), loss trace), and the
+    queries of each attack.
     """
     spec = specs[0]
-    rngs = [np.random.default_rng(s.seed) for s in specs]
-    if per_member:
-        target = member_stack(target)
+    rngs = _generators(specs)
     if spec.family == "pgd" and spec.random_start:
-        starts = [np.clip(x + r.uniform(-spec.epsilon, spec.epsilon, size=x.shape), 0.0, 1.0) for r in rngs]
-        cur = np.clip(np.stack(starts), x - spec.epsilon, x + spec.epsilon)
+        gens, which = _distinct(rngs)
+        starts = np.stack([np.clip(x + r.uniform(-spec.epsilon, spec.epsilon, size=x.shape), 0.0, 1.0) for r in gens])
+        if len(gens) < len(rngs):
+            starts = starts[which]
+        cur = np.clip(starts, x - spec.epsilon, x + spec.epsilon)
         del starts  # the loop holds only cur and the bounds
     else:
         cur = np.repeat(x[None], len(specs), axis=0)
-    lo, hi = ball_box(np.broadcast_to(x, cur.shape), spec.epsilon)
-
-    def batch(a):  # what the target takes: the stack, or one ensemble batch
-        return a if per_member else a[0]
+    lo, hi = ball_box(x[None], spec.epsilon)  # one pair for every head
 
     g_acc = np.zeros_like(cur) if spec.family == "mim" else None
     values_seen = []  # per step, the per-example objective: the trace's rows
@@ -175,17 +199,15 @@ def _search(target, x, labels, specs, ascent, per_member):
     for step in range(spec.steps):
         if spec.family == "spsa":
             grad, used = spsa_gradient_estimate(
-                target, batch(cur), labels, spec.spsa_samples, spec.spsa_delta,
-                rngs if per_member else rngs[0],
+                heads, cur, labels, spec.spsa_samples, spec.spsa_delta, rngs, _checked=True
             )
             queries += used
         else:
-            values, grad = ce_values_and_input_grad(target, batch(cur), labels)
+            values, grad = ce_values_and_input_grad(heads, cur, labels, _checked=True)
             if not np.isfinite(grad).all():
                 raise DivergenceError(f"non-finite attack gradient at step {step}")
             values_seen.append(values)
             queries += 1
-        grad = grad.reshape(cur.shape)
         if not ascent:
             grad = -grad
         if g_acc is not None:
@@ -196,18 +218,48 @@ def _search(target, x, labels, specs, ascent, per_member):
             grad = g_acc
         fgsm_step(cur, grad, spec.eta, lo, hi, out=cur)
         del grad  # not held through the next step's forward and backward
-    probs = predict_probs(target, batch(cur)).reshape(cur.shape[:2] + (-1,))
+    members = member_probs(heads.slots, heads.batch(cur), _checked=True)
+    probs = heads.average(members)
     final = nn.cross_entropy_per_example(probs, labels, _checked=True)
     rows = np.concatenate([np.reshape(values_seen, (-1, *final.shape)), final[None]])
     # each a mean as np.mean takes it: the sum of a row, then one division by B
     traces = (rows.sum(axis=-1) / len(x)).T.tolist()
-    return cur, probs, [tuple(t) for t in traces], queries
+    return [
+        (a, p, members[start:stop], tuple(t))
+        for a, p, (start, stop), t in zip(cur, probs, heads.spans, traces)
+    ], queries
+
+
+def _results(heads, x, labels, specs, ascent):
+    """One AttackResult per head of _search. An ascent (untargeted)
+    succeeds where the final prediction differs from the label, a descent
+    (targeted) where it equals it."""
+    runs, queries = _search(heads, x, labels, specs, ascent)
+    return [
+        AttackResult(
+            adversarial=a,
+            success_mask=(np.argmax(p, axis=1) == labels.labels) != ascent,
+            queries=queries,
+            spec=s,
+            loss_trace=t,
+            member_probs=m,
+        )
+        for (a, p, m, t), s in zip(runs, specs)
+    ]
+
+
+def _lone(target, x, y, spec, ascent):
+    """The one attack of spec on target's averaged prediction (a Model's own)."""
+    heads = Heads.whole(member_stack(target))
+    return _results(heads, *_validate_inputs(heads, x, y), [spec], ascent)[0]
 
 
 def run_attack(target, x, y, spec):
     """Untargeted attack on the cross-entropy against y; success iff the
     final prediction differs from y. multi_targeted runs the multi-targeted
-    protocol, run_member_attacks many lone member attacks at once.
+    protocol, run_member_attacks many lone member attacks at once and
+    run_member_and_ensemble_attacks the attacks on each member and on
+    their ensemble at once.
 
     The family picks the loop:
       pgd   signed gradient ascent, from a uniform random point of the
@@ -218,25 +270,15 @@ def run_attack(target, x, y, spec):
       spsa  ascent along simultaneous-perturbation estimates of the
             gradient, from x; only forward passes of the target are used.
     """
-    return _results(target, x, y, [spec], ascent=True, per_member=isinstance(target, nn.Model))[0]
+    return _lone(target, x, y, spec, ascent=True)
 
 
-def _results(target, x, labels, specs, ascent, per_member):
-    """One AttackResult per attack of _search. An ascent (untargeted)
-    succeeds where the final prediction differs from the label, a descent
-    (targeted) where it equals it."""
-    x, labels = _validate_inputs(target, x, labels)
-    adv, probs, traces, queries = _search(target, x, labels, specs, ascent, per_member)
-    return [
-        AttackResult(
-            adversarial=a,
-            success_mask=(np.argmax(p, axis=1) == labels.labels) != ascent,
-            queries=queries,
-            spec=s,
-            loss_trace=t,
-        )
-        for a, p, s, t in zip(adv, probs, specs, traces)
-    ]
+def _members(members):
+    """members (Models of one layer shape, an Ensemble or an nn.ModelStack)
+    as one ModelStack."""
+    if isinstance(members, (nn.ModelStack, Ensemble)):
+        return member_stack(members)
+    return Ensemble(members=tuple(members)).stack  # the members must agree on classes and inputs
 
 
 def run_member_attacks(members, x, y, specs):
@@ -246,14 +288,31 @@ def run_member_attacks(members, x, y, specs):
     one AttackResult per member, equal bit for bit to the lone run_attack
     calls. The specs may differ only in their seeds.
     """
-    specs = tuple(specs)
-    if not isinstance(members, nn.ModelStack):  # the members must agree on classes and inputs
-        members = Ensemble(members=tuple(members)).stack
-    if len(specs) != len(members):
-        raise ConfigError(f"{len(specs)} attack specs for {len(members)} members")
+    specs, stack = tuple(specs), _members(members)
+    if len(specs) != len(stack):
+        raise ConfigError(f"{len(specs)} attack specs for {len(stack)} members")
     if any(vars(s) | {"seed": 0} != vars(specs[0]) | {"seed": 0} for s in specs):
         raise ConfigError("member attack specs may differ only in their seeds")
-    return _results(members, x, y, specs, ascent=True, per_member=True)
+    heads = Heads.each(stack)
+    return _results(heads, *_validate_inputs(heads, x, y), specs, ascent=True)
+
+
+def run_member_and_ensemble_attacks(ens, x, y, spec):
+    """run_attack with spec against each member of ens (an Ensemble or an
+    nn.ModelStack) and then against ens itself, in lockstep: each step is
+    one forward of the members, once per member target and once more for
+    the ensemble. Returns an iterator of K + 1 AttackResults, f1 .. fK then
+    en, each equal bit for bit to its lone run_attack (all of them draw
+    from spec.seed, as the lone attacks do). A batch of more than one row
+    block (nn.row_blocks) attacks its targets one after another instead,
+    each when its result is asked for, so that one iterate of it is held
+    at a time."""
+    stack = _members(ens)
+    heads = Heads(stack, Heads.each(stack).groups + Heads.whole(stack).groups)
+    x, labels = _validate_inputs(heads, x, y)
+    if len(nn.row_blocks(x)) == 1:
+        return iter(_results(heads, x, labels, [spec] * len(heads), ascent=True))
+    return (_results(heads.one(h), x, labels, [spec], ascent=True)[0] for h in range(len(heads)))
 
 
 def targeted(target, x, t, spec):
@@ -262,7 +321,7 @@ def targeted(target, x, t, spec):
     t_arr = np.asarray(t)
     if t_arr.ndim == 0:
         t_arr = np.full(np.asarray(x).shape[0], t_arr)
-    return _results(target, x, t_arr, [spec], ascent=False, per_member=isinstance(target, nn.Model))[0]
+    return _lone(target, x, t_arr, spec, ascent=False)
 
 
 def multi_targeted(target, x, y, spec):
@@ -272,8 +331,9 @@ def multi_targeted(target, x, y, spec):
     adversarial point is the first success (lowest t), falling back to the
     candidate with the highest cross-entropy against the true label.
     """
-    m = target.num_classes
-    x, y = _validate_inputs(target, x, y)
+    heads = Heads.whole(member_stack(target))
+    m = heads.num_classes
+    x, y = _validate_inputs(heads, x, y)
     if m < 2:
         raise ConfigError("multi-targeted attack needs at least 2 classes")
     b = x.shape[0]
@@ -281,15 +341,13 @@ def multi_targeted(target, x, y, spec):
     chosen = np.array(x, copy=True)
     fallback = np.array(x, copy=True)
     fallback_loss = np.full(b, -np.inf)
-    per_member = isinstance(target, nn.Model)
     each = 0
     for t in range(m):
         valid = y.labels != t
         if not valid.any():
             continue
         toward = nn.LabelIndex(y.rows, np.full(b, t, dtype=np.int64))
-        adv, probs, _, each = _search(target, x, toward, [spec], False, per_member)
-        adv, probs = adv[0], probs[0]
+        [(adv, probs, _, _)], each = _search(heads, x, toward, [spec], False)
         hit = valid & (np.argmax(probs, axis=1) == t)
         newly = hit & ~success
         chosen[newly] = adv[newly]
@@ -309,39 +367,48 @@ def multi_targeted(target, x, y, spec):
     )
 
 
-def spsa_gradient_estimate(target, x, labels, samples, delta, rng):
+def spsa_gradient_estimate(target, x, labels, samples, delta, rng, *, _checked=False):
     """Two-point Rademacher estimate of the input gradient of the mean
     cross-entropy. Returns (estimate, loss_evaluations). As in
     ce_values_and_input_grad, x is one batch (B, d) against the averaged
-    prediction, its bumps drawn from rng, or a stack (K, B, d) whose slice
-    k is against member k alone, its bumps drawn from rng[k].
+    prediction, its bumps drawn from rng; a stack (K, B, d) whose slice k
+    is against member k alone, its bumps drawn from rng[k]; or the iterate
+    (H, B, d) of Heads, slice h's bumps drawn from rng[h]. Slices of one
+    generator share its draws, which each would make alone. x is checked
+    to be finite unless the caller vouches for it (_checked).
 
     Each sample's bump is drawn for the whole batch, one draw per
     generator; the bumped batches, their clips, both loss evaluations and
     the update of the estimate then go row block by row block
     (nn.row_blocks)."""
-    rngs = [rng] if np.ndim(x) == 2 else rng
-    labels = nn.label_index(labels, x.shape[-2], target.num_classes)
-    blocks = nn.row_blocks(x)
+    heads, cur = as_heads(target, x if _checked else nn._as_f64(x, "batch"))
+    rngs = [rng] if np.ndim(x) == 2 else list(rng)
+    labels = nn.label_index(labels, cur.shape[-2], heads.num_classes)
+    blocks = nn.row_blocks(cur)
+    gens, which = _distinct(rngs)
 
     def loss_at(bumped, lo, hi):  # clipped in place
         bumped.clip(0.0, 1.0, out=bumped)
-        return nn.cross_entropy_per_example(predict_probs(target, bumped), labels.block(lo, hi), _checked=True)
+        probs = member_probs(heads.slots, heads.batch(bumped), _checked=True)
+        return nn.cross_entropy_per_example(heads.average(probs), labels.block(lo, hi), _checked=True)
 
-    est = np.zeros_like(x)
-    bump = np.empty(x.shape)
+    est = np.zeros_like(cur)
+    bump = np.empty((len(gens), *cur.shape[1:]))
     for _ in range(samples):
-        for r, out in zip(rngs, bump.reshape(-1, *x.shape[-2:])):
+        for r, out in zip(gens, bump):
             np.multiply(r.integers(0, 2, size=out.shape, dtype=np.int32), 2.0, out=out)
         bump -= 1.0
+        # each slice's bump: its generator's
+        bumps = bump[which] if 1 < len(gens) < len(rngs) else np.broadcast_to(bump, cur.shape)
         for lo, hi in blocks:
-            rows, b = x[..., lo:hi, :], bump[..., lo:hi, :]
+            rows, b = cur[:, lo:hi], bumps[:, lo:hi]
             step = delta * b
             lp = loss_at(rows + step, lo, hi)
             ln = loss_at(np.subtract(rows, step, out=step), lo, hi)
             # Rademacher entries are +-1 so the elementwise inverse is bump itself
-            est[..., lo:hi, :] += ((lp - ln) / (2.0 * delta))[..., None] * b
-    return est / samples, 2 * samples
+            est[:, lo:hi] += ((lp - ln) / (2.0 * delta))[..., None] * b
+    est /= samples
+    return est[0] if np.ndim(x) == 2 else est, 2 * samples
 
 
 def save_attack_csv(result, x_original, path, preamble=""):

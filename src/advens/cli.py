@@ -29,7 +29,7 @@ import numpy as np
 
 from . import analysis, data, training
 from .atomic import atomic_write
-from .attacks import AttackSpec, run_attack
+from .attacks import AttackSpec, run_attack, run_member_and_ensemble_attacks
 from .ensembles import load_ensemble, partition, save_ensemble, save_partition_csv
 from .errors import ConfigError, DivergenceError
 from .training import MODES
@@ -363,18 +363,21 @@ def cmd_train(args):
 def cmd_eval(args):
     cfg, ds, (ens,), _ = _analysis_setup(args)
     out = cfg["out"]
-    targets = [(f"f{i + 1}", m) for i, m in enumerate(ens.members)]
-    targets.append(("en", ens))
+    names = [f"f{i + 1}" for i in range(len(ens))] + ["en"]
     predicted = analysis.member_and_ensemble_labels(ens, ds.inputs)  # one pass for every target
     nats = [analysis.natural_accuracy(labels, ds) for labels in predicted]
     for name, spec_dict in cfg["eval_attacks"].items():
         spec = AttackSpec(**spec_dict)
+        # every target's attack in lockstep, each equal to its lone run_attack
+        robs = []
+        for result in run_member_and_ensemble_attacks(ens, ds.inputs, ds.labels, spec):
+            robs.append(analysis.robust_accuracy(result, ds, spec))
+            del result  # not held through the next target's attack of a large batch
         path = os.path.join(out, f"eval_{name}.csv")
         with atomic_write(path, newline="") as f:
             f.write(_preamble(cfg))
             f.write("model,nat_acc,rob_acc\n")
-            for (label, target), nat in zip(targets, nats):
-                rob = analysis.robust_accuracy(target, ds, spec)
+            for label, nat, rob in zip(names, nats, robs):
                 f.write(f"{label},{nat:.1f},{rob:.1f}\n")
         print(path)
     return 0
@@ -430,8 +433,9 @@ def cmd_transfer(args):
 
 def cmd_detect(args):
     cfg, ds, (ens,), spec = _analysis_setup(args)
-    adv = run_attack(ens, ds.inputs, ds.labels, spec).adversarial
-    report = analysis.detect(ens, ds.inputs, adv)
+    result = run_attack(ens, ds.inputs, ds.labels, spec)
+    # the attack's final check already forwarded the members on its batch
+    report = analysis.detect(ens, ds.inputs, result.adversarial, adv_probs=result.member_probs)
     out = cfg["out"]
     roc_csv = os.path.join(out, "detect_roc.csv")
     analysis.save_detection_csv(report, roc_csv, preamble=_preamble(cfg))

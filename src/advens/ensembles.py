@@ -4,7 +4,9 @@ An Ensemble predicts the unweighted mean of its members' probability rows.
 Its members share one layer shape, as init_ensemble and a checkpoint make
 them, and it holds them as one nn.ModelStack (built once per ensemble), so
 its forward and its input gradient take one stacked pass (per row block of
-a large batch). An Ensemble of members of different shapes still
+a large batch). Heads put several averaged predictions of one stack's
+members (each member alone, and all of them) through one such pass, each
+on its own batch: what a lockstep attack of several targets steps on. An Ensemble of members of different shapes still
 constructs, for the value-only losses that take members one at a time, but
 its stack raises ShapeError. Training holds its members as a ModelStack
 throughout and makes Models of them only to evaluate and report.
@@ -21,6 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import accumulate
 
 import numpy as np
 
@@ -97,17 +100,115 @@ def member_stack(target):
     return nn.stack_models((target,))
 
 
-def member_probs(target, batch):
+class Heads:
+    """What one lockstep pass scores or attacks: H heads over the members
+    of one nn.ModelStack, head h the averaged prediction of the members
+    groups[h] (one member: its own prediction, exact). The heads' members
+    are laid out head by head as the slots of one stack (a member may fill
+    several slots), so one forward of the slots on an iterate (H, B, d),
+    each head's slice taken once per slot of it, serves every head. The
+    layout is made once, when the heads are; the passes then take the
+    direct route when every head has one slot, or there is one head."""
+
+    def __init__(self, stack, groups):
+        self.stack, self.groups = stack, tuple(tuple(g) for g in groups)
+        order = [k for g in self.groups for k in g]
+        self.slots = stack if order == list(range(len(stack))) else stack.take(order)
+        ends = list(accumulate(len(g) for g in self.groups))
+        self.spans = tuple(zip([0, *ends[:-1]], ends))  # per head, the (start, stop) of its slots
+        self._slot_head = [h for h, g in enumerate(self.groups) for _ in g]
+        self._one_each = len(order) == len(self.groups)
+
+    @classmethod
+    def whole(cls, stack):
+        """One head: the averaged prediction of all of stack's members."""
+        return cls(stack, (range(len(stack)),))
+
+    @classmethod
+    def each(cls, stack):
+        """One head per member of stack, each its own prediction."""
+        return cls(stack, ((k,) for k in range(len(stack))))
+
+    def __len__(self):
+        return len(self.groups)
+
+    @property
+    def num_classes(self):
+        return self.stack.num_classes
+
+    def one(self, h):
+        """Head h alone."""
+        return Heads(self.stack, self.groups[h : h + 1])
+
+    def batch(self, cur):
+        """What the slots take of an iterate cur (H, B, d): each head's
+        slice once per slot of it; cur itself while every head has one
+        slot, and one head's one batch (B, d), which nn.forward_cached
+        gives every slot."""
+        if self._one_each:
+            return cur
+        if len(self.groups) == 1:
+            return cur[0]
+        return cur[self._slot_head]
+
+    def average(self, probs):
+        """Each head's averaged probability rows (H, B, M) from the slots'
+        rows (S, B, M), as ensemble_predict averages them."""
+        if self._one_each:
+            return probs
+        if len(self.groups) == 1:
+            return probs.mean(axis=0, keepdims=True)
+        return np.stack([probs[a] if b - a == 1 else probs[a:b].mean(axis=0) for a, b in self.spans])
+
+    def slot_grads(self, g_probs):
+        """The slots' dLoss/dprobs from each head's (H, B, M), in place: a
+        head of several members shares its gradient among them, with the
+        1/K share of the average."""
+        if self._one_each:
+            return g_probs
+        if len(self.groups) == 1:
+            g_probs /= len(self.slots)
+            return g_probs[0]
+        for h, (a, b) in enumerate(self.spans):
+            if b - a > 1:
+                g_probs[h] /= b - a
+        return g_probs[self._slot_head]
+
+    def head_grads(self, grads):
+        """Each head's input gradient (H, B, d) from the slots' (S, B, d):
+        a head's slot gradients added in member order, as a sum of
+        separate backprops adds up."""
+        if self._one_each:
+            return grads
+        if len(self.groups) == 1:
+            return reduce(np.add, grads)[None]
+        return np.stack([grads[a] if b - a == 1 else reduce(np.add, grads[a:b]) for a, b in self.spans])
+
+
+def as_heads(target, x):
+    """target and a batch x as Heads and their iterate (H, B, d): Heads with
+    their own iterate; one batch (B, d) against the averaged prediction of
+    target (a Model, an Ensemble or an nn.ModelStack), as one head; or a
+    stack (K, B, d) whose slice k is against member k alone, as K heads."""
+    if isinstance(target, Heads):
+        return target, x
+    if np.ndim(x) == 2:
+        return Heads.whole(member_stack(target)), x[None]
+    return Heads.each(member_stack(target)), x
+
+
+def member_probs(target, batch, *, _checked=False):
     """Each member's probability rows, (K, B, M): of one batch (B, d) for
     every member, or of slice k of a stack (K, B, d) for member k. A large
-    batch goes through in row blocks (nn.row_blocks)."""
+    batch goes through in row blocks (nn.row_blocks). _checked as in
+    nn.forward_cached."""
     stack, batch = member_stack(target), np.asarray(batch)
     blocks = nn.row_blocks(batch)
     if len(blocks) == 1:
-        return nn.forward_cached(stack, batch, None)[0]
+        return nn.forward_cached(stack, batch, None, _checked=_checked)[0]
     probs = np.empty((len(stack), batch.shape[-2], stack.num_classes))
     for lo, hi in blocks:
-        probs[:, lo:hi] = nn.forward_cached(stack, batch[..., lo:hi, :], None)[0]
+        probs[:, lo:hi] = nn.forward_cached(stack, batch[..., lo:hi, :], None, _checked=_checked)[0]
     return probs
 
 
@@ -153,50 +254,48 @@ def averaged_ce_backprop(stack, x, labels):
     return values, probs, cache, nn.backprop(stack, cache, g_probs)[0]
 
 
-def ce_values_and_input_grad(target, x, labels):
+def ce_values_and_input_grad(target, x, labels, *, _checked=False):
     """Per-example cross-entropy and the input gradient of its batch mean,
     from one stacked forward and a backward that forms only the input
-    gradient. target is a Model, an Ensemble or an nn.ModelStack.
+    gradient. target is a Model, an Ensemble, an nn.ModelStack or Heads.
 
     x of shape (B, d) is one batch against the *averaged* probability (the
     adaptive-attack objective; a Model is an ensemble of one): values (B,),
     gradient (B, d). x of shape (K, B, d) holds K independent batches, slice
-    k against member k alone: values (K, B), gradient (K, B, d).
+    k against member k alone: values (K, B), gradient (K, B, d). Against
+    Heads, x is their iterate (H, B, d), slice h against head h: values
+    (H, B), gradient (H, B, d).
 
     This is the attack step. What stays fixed over an attack's steps is
-    made once per call of the attack and passed in: the target as a
-    ModelStack (or an Ensemble, which holds its own; the transposed
-    weights are made once per stack) and labels as an nn.LabelIndex. Each
-    step still checks that x is finite, and the forward's softmax checks
-    that every probability row is a distribution. A large batch goes
-    through all of it one row block at a time (nn.row_blocks), each
-    block's CE gradient with the whole batch's 1/B.
+    made once per call of the attack and passed in: the target as Heads
+    (or a ModelStack or an Ensemble; the transposed weights are made once
+    per stack) and labels as an nn.LabelIndex. x is checked to be finite
+    unless the caller vouches for it (_checked, as an attack does for its
+    iterate), and the forward's softmax checks that every probability row
+    is a distribution. A large batch goes through all of it one row block
+    at a time (nn.row_blocks), each block's CE gradient with the whole
+    batch's 1/B.
     """
-    stack, x = member_stack(target), np.asarray(x)
-    blocks = nn.row_blocks(x)
+    heads, cur = as_heads(target, x if _checked else nn._as_f64(x, "batch"))
+    blocks = nn.row_blocks(cur)
     if len(blocks) == 1:
-        return _ce_and_input_grad(stack, x, labels)
-    labels = nn.label_index(labels, x.shape[-2], stack.num_classes)
-    values, grad = np.empty(x.shape[:-1]), np.empty(x.shape)
-    for lo, hi in blocks:
-        values[..., lo:hi], grad[..., lo:hi, :] = _ce_and_input_grad(
-            stack, x[..., lo:hi, :], labels.block(lo, hi)
-        )
-    return values, grad
-
-
-def _ce_and_input_grad(stack, x, labels):
-    """ce_values_and_input_grad of one pass over x (a row block or the
-    whole batch) against an nn.ModelStack."""
-    probs, cache = nn.forward_cached(stack, x, "masks")
-    if np.ndim(x) == 3:
-        values, g_probs = nn.ce_values_and_prob_grad(probs, labels, _checked=True)
+        values, grad = _heads_pass(heads, cur, labels)
     else:
-        values, g_probs = _averaged_ce(probs, labels)
-    grad = nn.stacked_input_grad(stack, probs, cache.masks, g_probs)
-    # one batch: the members' gradients added in member order, as a sum of
-    # separate backprops adds up
-    return values, grad if np.ndim(x) == 3 else reduce(np.add, grad)
+        labels = nn.label_index(labels, cur.shape[-2], heads.num_classes)
+        values, grad = np.empty(cur.shape[:-1]), np.empty(cur.shape)
+        for lo, hi in blocks:
+            values[:, lo:hi], grad[:, lo:hi] = _heads_pass(heads, cur[:, lo:hi], labels.block(lo, hi))
+    return (values[0], grad[0]) if np.ndim(x) == 2 else (values, grad)
+
+
+def _heads_pass(heads, cur, labels):
+    """ce_values_and_input_grad of one pass over an iterate cur (a row block
+    or the whole batch) that its caller checked: one forward of the slots,
+    one input-gradient backward."""
+    probs, cache = nn.forward_cached(heads.slots, heads.batch(cur), "masks", _checked=True)
+    values, g_probs = nn.ce_values_and_prob_grad(heads.average(probs), labels, _checked=True)
+    grad = nn.stacked_input_grad(heads.slots, probs, cache.masks, heads.slot_grads(g_probs))
+    return values, heads.head_grads(grad)
 
 
 # ---------------------------------------------------------------------------

@@ -192,33 +192,50 @@ _COLUMN_ROWS = 64
 
 
 def _by_columns(a):
-    """Whether a row reduction of a goes class by class: fewer than 8
-    classes (numpy sums 8 or more pairwise) and _COLUMN_ROWS rows per class."""
+    """Whether a row reduction of a goes class by class: 2 to 15 classes
+    (where _row_sum follows numpy's summation order) and _COLUMN_ROWS rows
+    per class."""
     m = a.shape[-1]
-    return 2 <= m < 8 and a.size >= _COLUMN_ROWS * m * m
+    return 2 <= m < 16 and a.size >= _COLUMN_ROWS * m * m
 
 
 def _row_max(a):
     """a.max(axis=-1, keepdims=True), bit for bit, signed zeros included. A
     row with a nan is left to numpy, whose reduce picks the nan's sign its
-    own way."""
+    own way, and so is a row whose max is a zero at 8 or more classes,
+    where numpy's unrolled reduce picks among equal zeros its own way."""
     if not _by_columns(a):
         return a.max(axis=-1, keepdims=True)
     out = a[..., :1].copy()
     for j in range(1, a.shape[-1]):
         np.maximum(out, a[..., j : j + 1], out=out)
-    return a.max(axis=-1, keepdims=True) if np.isnan(out).any() else out
+    if np.isnan(out).any() or (a.shape[-1] >= 8 and (out == 0.0).any()):
+        return a.max(axis=-1, keepdims=True)
+    return out
 
 
 def _row_sum(a):
-    """a.sum(axis=-1, keepdims=True), bit for bit: numpy sums a row of fewer
-    than 8 terms left to right from +0.0, and so do the columns here."""
+    """a.sum(axis=-1, keepdims=True), bit for bit. numpy adds a row to +0.0:
+    a row of fewer than 8 terms summed left to right, one of 8 to 15 as
+    ((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7)) and then the rest left to right
+    (its pairwise sum); so do the columns here. At 8 or more classes a row
+    whose sum is a nan is left to numpy, whose nans then take their sign
+    from its operand order."""
     if not _by_columns(a):
         return a.sum(axis=-1, keepdims=True)
-    out = a[..., :1] + 0.0
-    for j in range(1, a.shape[-1]):
-        out += a[..., j : j + 1]
-    return out
+    m = a.shape[-1]
+    if m < 8:
+        out = a[..., :1] + 0.0
+        for j in range(1, m):
+            out += a[..., j : j + 1]
+        return out
+    col = [a[..., j : j + 1] for j in range(m)]
+    out = (col[0] + col[1]) + (col[2] + col[3])
+    out += (col[4] + col[5]) + (col[6] + col[7])
+    for c in col[8:]:
+        out += c
+    out += 0.0
+    return a.sum(axis=-1, keepdims=True) if np.isnan(out).any() else out
 
 
 # ---------------------------------------------------------------------------
@@ -272,15 +289,15 @@ class ForwardCache:
     probs: np.ndarray
 
 
-def _check_batch(model, batch):
-    x = _as_f64(batch, "batch")
+def _check_batch(model, batch, finite=True):
+    x = _as_f64(batch, "batch") if finite else batch
     w = model.layers[0].w  # (d, h) for a Model, (K, d, h) for a ModelStack
     if x.ndim not in (2, w.ndim) or x.shape[-1] != w.shape[-2] or (x.ndim == 3 and len(x) != len(w)):
         raise ShapeError(f"batch of shape {x.shape} does not fit first-layer weights {w.shape}")
     return x
 
 
-def forward_cached(model, batch, keep="inputs"):
+def forward_cached(model, batch, keep="inputs", *, _checked=False):
     """Probability rows and a ForwardCache for the backward pass.
 
     model is a Model, with batch (B, d) and probs (B, M), or a ModelStack
@@ -291,8 +308,12 @@ def forward_cached(model, batch, keep="inputs"):
     keep says what the cache holds: "inputs" every layer's input and relu
     mask (for backprop), "masks" the relu masks alone (for
     stacked_input_grad), None nothing (a plain forward).
+
+    The batch is checked to be finite unless the caller vouches for it
+    (_checked: a float64 array it checked or made finite itself, such as
+    an attack's clipped iterate); its shape is always checked.
     """
-    a = _check_batch(model, batch)
+    a = _check_batch(model, batch, finite=not _checked)
     layer_inputs = [] if keep == "inputs" else None
     masks = [] if keep else None
     for layer in model.layers:

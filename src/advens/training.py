@@ -551,8 +551,9 @@ def train(ens_init, dataset, config, method):
             nat_acc = 100.0 * float(np.mean(predict_labels(stack, dataset.inputs) == dataset.labels))
             # the attack's own final prediction tells which examples it defeated
             eval_spec = replace(config.attack, seed=derive_seed(config.seed, _TAG_EVAL, epoch))
-            adv_eval = run_attack(stack, dataset.inputs, dataset.labels, eval_spec)
-            rob_acc = 100.0 * float(np.mean(~adv_eval.success_mask))
+            # only the mask is kept: the result is not held through the next epoch
+            defeated = run_attack(stack, dataset.inputs, dataset.labels, eval_spec).success_mask
+            rob_acc = 100.0 * float(np.mean(~defeated))
         except (DomainError, DivergenceError) as e:
             # inputs were validated up front, so a non-finite value here is
             # one that training itself produced

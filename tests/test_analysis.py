@@ -315,6 +315,25 @@ def test_detect_forwards_each_member_once_per_batch(monkeypatch, n_members):
     assert slices == [n_members, n_members]  # one stacked forward of every member per batch
 
 
+def test_detect_scores_the_attacks_member_rows_of_its_batch(monkeypatch):
+    # with the rows an attack's final check formed, detect forwards only the
+    # benign batch and builds the same report
+    ds, m1 = blobs_and_model(seed=6)
+    ens = Ensemble(members=(m1, fit_plain(ds, seed=8, steps=5)))
+    x, y = ds.inputs[:40], ds.labels[:40]
+    result = run_attack(ens, x, y, pgd(epsilon=0.1))
+    want = analysis.detect(ens, x, result.adversarial)
+    forwards = []
+    forward_cached = nn.forward_cached
+    monkeypatch.setattr(nn, "forward_cached", lambda *a, **k: forwards.append(a[1]) or forward_cached(*a, **k))
+    got = analysis.detect(ens, x, result.adversarial, adv_probs=result.member_probs)
+    assert len(forwards) == 1 and forwards[0] is x
+    for field in vars(want):
+        assert np.asarray(getattr(got, field)).tobytes() == np.asarray(getattr(want, field)).tobytes()
+    with pytest.raises(ShapeError):
+        analysis.detect(ens, x, result.adversarial, adv_probs=result.member_probs[:, 1:])
+
+
 def test_detect_member_mean_scores():
     ds, m1 = blobs_and_model(seed=6)
     m2 = fit_plain(ds, seed=8)

@@ -424,3 +424,39 @@ def test_logits_that_overflow_partway_through_an_attack_raise_domain_error(famil
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DomainError, match="non-finite"):
             attacks.run_attack(model, x, y, spec)
+
+
+def test_an_attack_checks_x_once_and_vouches_for_its_iterate(monkeypatch):
+    # x is checked at entry; every forward of the search then skips the
+    # finiteness check of its batch: the iterate and SPSA's bumped batches
+    # are clipped into finite bounds, and every gradient is checked
+    ds, model = blobs_and_model(seed=11)
+    x, y = ds.inputs[:12], ds.labels[:12]
+    ens = Ensemble(members=(model, fit_plain(ds, seed=12, steps=5)))
+    checked = []
+    as_f64 = nn._as_f64
+    monkeypatch.setattr(nn, "_as_f64", lambda a, name="array": checked.append(name) or as_f64(a, name))
+    for family in ("pgd", "mim", "spsa"):
+        spec = AttackSpec(family=family, steps=3, epsilon=0.05, eta=0.02, spsa_samples=2)
+        attacks.run_attack(ens, x, y, spec)
+        list(attacks.run_member_and_ensemble_attacks(ens, x, y, spec))
+        attacks.run_member_attacks(ens.members, x, y, [spec, spec])
+    assert checked == []
+    bad = x.copy()
+    bad[3, 1] = np.inf
+    with pytest.raises(DomainError, match="attack inputs contain non-finite values"):
+        attacks.run_member_and_ensemble_attacks(ens, bad, y, spec)
+
+
+@pytest.mark.parametrize("family", ["pgd", "spsa"])
+def test_member_attacks_of_a_shared_seed_draw_once_and_equal_lone_attacks(family):
+    # members 0 and 1 share a seed (one generator's draws serve both), member
+    # 2 has its own: the random start and each SPSA bump are each lone attack's
+    ds, model = blobs_and_model(seed=13)
+    x, y = ds.inputs[:20], ds.labels[:20]
+    members = (model, fit_plain(ds, seed=14, steps=5), fit_plain(ds, seed=15, steps=5))
+    specs = [AttackSpec(family=family, steps=3, epsilon=0.05, eta=0.02, spsa_samples=2, seed=s) for s in (5, 5, 6)]
+    for got, member, spec in zip(attacks.run_member_attacks(members, x, y, specs), members, specs, strict=True):
+        lone = attacks.run_attack(member, x, y, spec)
+        assert got.adversarial.tobytes() == lone.adversarial.tobytes()
+        assert got.loss_trace == lone.loss_trace and np.array_equal(got.success_mask, lone.success_mask)

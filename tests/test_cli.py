@@ -337,16 +337,66 @@ def test_eval_computes_each_natural_accuracy_once(tmp_path, monkeypatch):
     calls = []
     forward = nn.forward_cached
 
-    def counted(model, batch, keep="inputs"):
+    def counted(model, batch, keep="inputs", **kwargs):
         if keep is None and np.array_equal(batch, clean):  # a plain forward of the clean batch
             calls.append(len(model))
-        return forward(model, batch, keep)
+        return forward(model, batch, keep, **kwargs)
 
     monkeypatch.setattr(nn, "forward_cached", counted)
     assert run(["eval", "--config", path, "--checkpoint", ckpt, "--out", str(tmp_path / "ev")]) == 0
     assert calls == [2]  # one stacked pass for f1, f2 and en, not one per target or attack
     rows = [read_lines(str(tmp_path / "ev" / f"eval_{name}.csv"))[2:] for name in ("pgd", "bim")]
     assert [r.split(",")[:2] for r in rows[0]] == [r.split(",")[:2] for r in rows[1]]
+
+
+def test_eval_attacks_every_target_with_one_stacked_forward_per_step(tmp_path, monkeypatch):
+    # PGD-3 against f1, f2 and en in lockstep: each step forwards the members
+    # once per member target and once more for en (4 slots) in one pass, and
+    # so does the final check; the clean batch takes one pass of the members
+    path, cfg = make_config(tmp_path)
+    ckpt = untrained_checkpoint(tmp_path)
+    slots = []
+    forward = nn.forward_cached
+
+    def counted(model, batch, *args, **kwargs):
+        slots.append(len(model))
+        return forward(model, batch, *args, **kwargs)
+
+    monkeypatch.setattr(nn, "forward_cached", counted)
+    assert run(["eval", "--config", path, "--checkpoint", ckpt, "--out", str(tmp_path / "ev")]) == 0
+    assert slots == [2] + [4] * 3 + [4]
+
+
+def overflowing_checkpoint(tmp_path, threshold):
+    """Two members over BASE's 4-d inputs and 3 classes whose logit 1 is
+    x_3 plus 1e200 * relu(1e200 * (x_3 - threshold)) and whose other
+    logits are 0: finite below the threshold, inf past it."""
+    scale = 1e200
+    w1 = np.zeros((4, 2))
+    w1[3] = [1.0, scale]
+    layers = (
+        nn.Layer(w=w1, b=np.array([0.0, -scale * threshold]), act="relu"),
+        nn.Layer(w=np.array([[1.0, 0.0], [0.0, scale]]), b=np.zeros(2), act="relu"),
+        nn.Layer(w=np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0]]), b=np.zeros(3), act="id"),
+    )
+    path = str(tmp_path / "overflowing.json")
+    members = tuple(nn.Model(layers=layers, num_classes=3, seed=s) for s in (0, 1))
+    save_ensemble(Ensemble(members=members), path)
+    return path
+
+
+def test_eval_of_logits_that_overflow_mid_attack_exits_2(tmp_path, capsys):
+    # the clean batch is finite, but the ascent of the rows of label 0 pushes
+    # x_3 past the threshold, where the logits overflow: the softmax's
+    # DomainError ends the lockstep search of all targets, as it ended f1's
+    # lone attack
+    path, cfg = make_config(tmp_path)
+    x3 = cli.build_dataset(cli.normalize_config(cfg)).inputs[:, 3]
+    assert x3.max() < 0.9
+    ckpt = overflowing_checkpoint(tmp_path, threshold=x3.max() + 0.01)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run(["eval", "--config", path, "--checkpoint", ckpt, "--out", str(tmp_path / "ev")]) == 2
+    assert "softmax of non-finite logits" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -469,17 +519,24 @@ def test_transfer_single_ensemble_artifacts(tmp_path):
 
 
 def test_transfer_attacks_each_target_once(tmp_path, monkeypatch):
-    # the partition reuses the ensemble's attacked batch from the cross matrix
+    # the partition reuses the ensemble's attacked batch from the cross matrix,
+    # whose targets f1, f2 and en are attacked in one lockstep call
     path, cfg, ckpt = trained(tmp_path)
     seen = []
-    attack = analysis.run_attack
+    attack, together = analysis.run_attack, analysis.run_member_and_ensemble_attacks
 
     def recording(target, *args, **kwargs):
         seen.append(type(target).__name__)
         return attack(target, *args, **kwargs)
 
+    def recording_together(ens, *args, **kwargs):
+        results = together(ens, *args, **kwargs)
+        seen.extend(["Model"] * len(ens) + ["Ensemble"])
+        return results
+
     monkeypatch.setattr(analysis, "run_attack", recording)
     monkeypatch.setattr(cli, "run_attack", recording)
+    monkeypatch.setattr(analysis, "run_member_and_ensemble_attacks", recording_together)
     tr = str(tmp_path / "tr")
     assert run(["transfer", "--config", path, "--checkpoint", ckpt, "--out", tr]) == 0
     assert seen == ["Model", "Model", "Ensemble"]
@@ -543,6 +600,23 @@ def test_detect_roc_and_summary(tmp_path):
     assert 0.0 <= summary["auc"] <= 1.0
     assert summary["seed"] == 7 and "config_digest" in summary
     assert abs(np.trapezoid(tprs, fprs) - summary["auc"]) < 1e-9
+
+
+def test_detect_forwards_the_adversarial_batch_once(tmp_path, monkeypatch):
+    # the attack's final check forwards the members on its batch, and detect
+    # scores those rows: plain forwards of the final check and the clean batch
+    path, cfg = make_config(tmp_path)
+    ckpt = untrained_checkpoint(tmp_path)
+    plain = []
+    forward = nn.forward_cached
+
+    def counted(model, batch, keep="inputs", **kwargs):
+        plain.append(keep is None)
+        return forward(model, batch, keep, **kwargs)
+
+    monkeypatch.setattr(nn, "forward_cached", counted)
+    assert run(["detect", "--config", path, "--checkpoint", ckpt, "--out", str(tmp_path / "de")]) == 0
+    assert plain.count(True) == 2 and len(plain) == 3 + 2  # 3 attack steps, final check, clean batch
 
 
 def test_surface_grid_csv(tmp_path):

@@ -70,12 +70,15 @@ def test_softmax_rejects_non_finite_logits_when_it_reduces_by_columns(row, shape
 def test_class_axis_reductions_go_by_columns_at_evaluation_batch_sizes():
     # a lockstep training step of two members on 30 rows stays with numpy's
     # reduce; an evaluation attack on 300 rows (one model or two members)
-    # goes by columns; 8 or more classes never do
+    # goes by columns, and so does a 10-class one of 10,000 rows (analyze-idx,
+    # MNIST, CIFAR-10); 16 or more classes never do
     assert not nn._by_columns(np.zeros((2, 30, 3)))
     assert nn._by_columns(np.zeros((300, 3))) and nn._by_columns(np.zeros((2, 300, 3)))
     assert nn._by_columns(np.zeros((64 * 7, 7)))
     assert not nn._by_columns(np.zeros((64 * 7 - 1, 7)))
-    assert not nn._by_columns(np.zeros((10_000, 8)))
+    assert nn._by_columns(np.zeros((10_000, 10))) and nn._by_columns(np.zeros((64 * 15, 15)))
+    assert not nn._by_columns(np.zeros((64 * 15 - 1, 15)))
+    assert not nn._by_columns(np.zeros((10_000, 16)))
 
 
 def test_forward_rejects_logits_that_overflow():

@@ -14,7 +14,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from advens import attacks, cli, data, nn, training
-from advens.attacks import AttackSpec, multi_targeted, run_attack, run_member_attacks, targeted
+from advens.attacks import (
+    AttackSpec,
+    multi_targeted,
+    run_attack,
+    run_member_and_ensemble_attacks,
+    run_member_attacks,
+    targeted,
+)
 from advens.ensembles import Ensemble, ce_values_and_input_grad
 from advens.errors import ConsistencyError, DomainError, FormatError, ShapeError, TruncatedFileError
 
@@ -148,6 +155,42 @@ def one_shape(max_members):
 
 
 WIDTHS = one_shape(3)
+
+
+def assert_same_results(got, want):
+    assert same_bits(got.adversarial, want.adversarial)
+    assert same_bits(got.loss_trace, want.loss_trace)
+    assert np.array_equal(got.success_mask, want.success_mask)
+    assert got.queries == want.queries
+    assert same_bits(got.member_probs, want.member_probs)
+    assert got.spec == want.spec
+
+
+@PROPERTY
+@given(
+    family=st.sampled_from(["pgd", "bim", "mim", "spsa"]),
+    random_start=st.booleans(),
+    widths=WIDTHS,
+    classes=st.integers(2, 4),
+    d=st.integers(1, 5),
+    b=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_member_and_ensemble_attacks_equal_lone_attacks(family, random_start, widths, classes, d, b, seed):
+    # f1 .. fK and en in one lockstep search, all drawing from one seed: each
+    # result is its lone run_attack's, bit for bit
+    rng = np.random.default_rng(seed)
+    ens = Ensemble(members=init_members(d, widths, classes, seed % 1000))
+    x = rng.random((b, d))
+    y = rng.integers(0, classes, size=b)
+    spec = AttackSpec(
+        family=family, steps=3, epsilon=0.1, eta=0.04, spsa_samples=2, random_start=random_start,
+        seed=int(rng.integers(2**31)),
+    )
+    together = list(run_member_and_ensemble_attacks(ens, x, y, spec))
+    assert len(together) == len(ens) + 1
+    for got, target in zip(together, [*ens.members, ens]):
+        assert_same_results(got, run_attack(target, x, y, spec))
 
 
 @PROPERTY
@@ -690,8 +733,10 @@ REDUCTION_POOLS = (
 @PROPERTY
 @example(m=3, rows_per_class=150, k=2, pool=REDUCTION_POOLS[1], pool_share=1.0, seed=0)
 @example(m=7, rows_per_class=64, k=1, pool=REDUCTION_POOLS[0], pool_share=0.5, seed=1)
+@example(m=9, rows_per_class=64, k=1, pool=REDUCTION_POOLS[1], pool_share=0.5, seed=5)
+@example(m=10, rows_per_class=150, k=2, pool=REDUCTION_POOLS[0], pool_share=0.1, seed=6)
 @given(
-    m=st.integers(2, 12),
+    m=st.integers(2, 17),  # both sides of 8 (numpy's pairwise sum) and of 16 (numpy's reduce)
     rows_per_class=st.sampled_from([1, 5, 63, 64, 65, 150]),  # both sides of nn._COLUMN_ROWS
     k=st.integers(1, 3),
     pool=st.sampled_from(REDUCTION_POOLS),

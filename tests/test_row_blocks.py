@@ -9,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from advens import nn
-from advens.attacks import AttackSpec, run_attack, run_member_attacks, spsa_gradient_estimate
+from advens.attacks import (
+    AttackSpec,
+    run_attack,
+    run_member_and_ensemble_attacks,
+    run_member_attacks,
+    spsa_gradient_estimate,
+)
 from advens.ensembles import Ensemble, ce_values_and_input_grad, member_probs, predict_probs
 from advens.errors import DivergenceError, DomainError
 
@@ -113,7 +119,7 @@ def test_row_blocks_start_at_twice_the_block_rows(monkeypatch):
     ens, x, labels = ensemble_and_batch(4096, 3, [4], 3, 2)
     calls = []
     forward = nn.forward_cached
-    monkeypatch.setattr(nn, "forward_cached", lambda *a: calls.append(len(a[1])) or forward(*a))
+    monkeypatch.setattr(nn, "forward_cached", lambda *a, **k: calls.append(len(a[1])) or forward(*a, **k))
     member_probs(ens, x[:4095])
     ce_values_and_input_grad(ens, x[:4095], labels[:4095])
     assert calls == [4095, 4095]
@@ -144,6 +150,26 @@ def test_member_attacks_equal_lone_attacks_in_blocks(family):
         assert np.array_equal(got.success_mask, lone.success_mask)
         assert got.loss_trace == lone.loss_trace and got.queries == lone.queries
 
+
+
+@pytest.mark.parametrize("family", ["pgd", "mim", "spsa"])
+def test_member_and_ensemble_attacks_take_a_blocked_batch_one_target_at_a_time(monkeypatch, family):
+    # above the block threshold the targets do not step together: each pass
+    # holds one target's row block, and each result is its lone attack's
+    ens, x, labels = ensemble_and_batch(4096, 4, [5], 3, 2)
+    spec = AttackSpec(family=family, steps=2, epsilon=0.02, eta=0.005, spsa_samples=2, seed=3)
+    shapes = []
+    forward = nn.forward_cached
+    monkeypatch.setattr(nn, "forward_cached", lambda *a, **k: shapes.append(np.shape(a[1])) or forward(*a, **k))
+    together = list(run_member_and_ensemble_attacks(ens, x, labels, spec))
+    assert shapes and all(s in ((1, 2048, 4), (2048, 4)) for s in shapes)
+    monkeypatch.undo()
+    for got, target in zip(together, [*ens.members, ens], strict=True):
+        lone = run_attack(target, x, labels, spec)
+        assert got.adversarial.tobytes() == lone.adversarial.tobytes()
+        assert got.member_probs.tobytes() == lone.member_probs.tobytes()
+        assert np.array_equal(got.success_mask, lone.success_mask)
+        assert got.loss_trace == lone.loss_trace and got.queries == lone.queries
 
 
 def reference_spsa(target, x, labels, samples, delta, rngs):

@@ -516,9 +516,9 @@ def test_member_attacks_of_a_batch_take_steps_stacked_steps_and_no_backprop(monk
     inside, step_shapes, backprop_inside = [], [], []
 
     def wrap(fn, record):
-        def counted(*args):
+        def counted(*args, **kwargs):
             record(args)
-            return fn(*args)
+            return fn(*args, **kwargs)
         return counted
 
     member_attacks = training.run_member_attacks
