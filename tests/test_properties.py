@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from advens import attacks, cli, data, nn, training
+from advens import attacks, cli, data, ensembles, nn, training
 from advens.attacks import (
     AttackSpec,
     multi_targeted,
@@ -191,6 +191,24 @@ def test_member_and_ensemble_attacks_equal_lone_attacks(family, random_start, wi
     assert len(together) == len(ens) + 1
     for got, target in zip(together, [*ens.members, ens]):
         assert_same_results(got, run_attack(target, x, y, spec))
+
+
+@PROPERTY
+@given(widths=WIDTHS, classes=st.integers(2, 4), d=st.integers(1, 5), b=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_the_step_of_member_and_ensemble_heads_equals_each_lone_step(widths, classes, d, b, seed):
+    # one pass of the heads f1 .. fK, en on an iterate of K + 1 batches: each
+    # head's CE values and input gradient (en's with its 1/K share, which a
+    # sign step cannot show) are its lone step's, bit for bit
+    rng = np.random.default_rng(seed)
+    ens = Ensemble(members=init_members(d, widths, classes, seed % 1000))
+    k = len(ens)
+    heads = ensembles.Heads(ens.stack, ensembles.Heads.each(ens.stack).groups + ensembles.Heads.whole(ens.stack).groups)
+    cur = rng.random((k + 1, b, d))
+    y = nn.label_index(rng.integers(0, classes, size=b), b, classes)
+    values, grad = ce_values_and_input_grad(heads, cur, y, _checked=True)
+    for h, target in enumerate([*ens.members, ens]):
+        want_values, want_grad = ce_values_and_input_grad(target, cur[h], y)
+        assert same_bits(values[h], want_values) and same_bits(grad[h], want_grad)
 
 
 @PROPERTY
