@@ -97,12 +97,14 @@ def _shared_members(targets):
     return None
 
 
-def member_and_ensemble_labels(ens, batch):
+def member_and_ensemble_labels(ens, batch, probs=None):
     """The predicted labels of each member of ens (an Ensemble or its stack)
     and then of ens, (K + 1, B), from one stacked pass of the members: row
     k is member k's, the last row the argmax of their mean, which is
-    ensemble_predict's bit for bit."""
-    probs = member_probs(ens, batch)
+    ensemble_predict's bit for bit. probs, when given, are the members'
+    rows of batch already formed (an attack's final check), and batch is
+    not forwarded."""
+    probs = member_probs(ens, batch) if probs is None else probs
     return np.argmax(np.concatenate([probs, probs.mean(axis=0)[None]]), axis=-1)
 
 
@@ -113,7 +115,9 @@ def cross_matrix(targets, dataset, spec, labels=None):
     the targets are an ensemble's members and then the ensemble, their
     attacks run in lockstep (run_member_and_ensemble_attacks), and one
     stacked forward of the members scores each attacked batch for all of
-    them: member k is its slice k, the ensemble their mean.
+    them: member k is its slice k, the ensemble their mean. The
+    ensemble's own batch is scored from the members' rows of its attack's
+    final check, with no forward.
     """
     targets = list(targets)
     if len(targets) < 2:
@@ -130,10 +134,11 @@ def cross_matrix(targets, dataset, spec, labels=None):
         # the result, with its final rows, is not held through the scoring
         # and the next attack (enumerate's reused tuple would hold it)
         i = len(advs)
-        adv, defeated = result.adversarial, result.success_mask
+        adv, defeated, rows = result.adversarial, result.success_mask, result.member_probs
         del result
         if shared is not None:
-            predicted = member_and_ensemble_labels(shared, adv)
+            # the ensemble's attack (the last) formed every member's rows of its batch
+            predicted = member_and_ensemble_labels(shared, adv, rows if i == len(targets) - 1 else None)
         else:
             predicted = [None if j == i else predict_labels(t, adv) for j, t in enumerate(targets)]
         ok = np.array([~defeated if j == i else p == dataset.labels for j, p in enumerate(predicted)])
@@ -392,8 +397,8 @@ def save_detection_csv(report, path, preamble=""):
     with atomic_write(path, newline="") as f:
         f.write(preamble)
         f.write("fpr,tpr\n")
-        for fp, tp in zip(report.fpr, report.tpr):
-            f.write(f"{repr(float(fp))},{repr(float(tp))}\n")
+        fpr, tpr = (np.asarray(v, dtype=np.float64).tolist() for v in (report.fpr, report.tpr))
+        f.write("".join(f"{fp!r},{tp!r}\n" for fp, tp in zip(fpr, tpr)))
 
 
 def detection_summary(report):

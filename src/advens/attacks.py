@@ -18,13 +18,14 @@ labels are checked, the target is stacked, the labels become an
 nn.LabelIndex and the ball ∩ box bounds are made (ball_box). Each gradient
 step is then one forward of the heads' members on the (H, B, d) iterate,
 whose softmax checks its rows, one backward that forms only the input
-gradient (ensembles.ce_values_and_input_grad; row block by row block for a
-large batch), and one sign step clipped to the bounds in place; the loss
-trace is summed once, when the call ends. The iterate is clipped into
-finite bounds and every gradient is checked, so the forwards skip the
-finiteness check of their batch. Every seed has its own generator, which
-the heads of that seed share, so each result equals a lone run_attack bit
-for bit.
+gradient (ensembles.ce_values_and_input_grad), and one sign step clipped to
+the bounds in place; the loss trace is summed once, when the call ends. A
+large batch takes each step row block by row block (nn.row_blocks), the
+blocks on every core (nn.over_blocks), each block's bounds made from its
+rows at each step. The iterate is clipped into finite bounds and every
+gradient is checked, so the forwards skip the finiteness check of their
+batch. Every seed has its own generator, which the heads of that seed
+share, so each result equals a lone run_attack bit for bit.
 
 Query accounting: queries counts target evaluations per example (the usual
 black-box budget metric). PGD/BIM/MIM spend steps+1 (final success check
@@ -117,17 +118,19 @@ def ball_box(x_origin, epsilon):
     clip_[0,1] o clip_[a,b] = clip_[clip_[0,1](a), clip_[0,1](b)] for a <= b;
     bit for bit unless a -0.0 meets a bound of 0.0, where numpy's clips
     themselves disagree on the sign of the zero."""
-    return np.clip(x_origin - epsilon, 0.0, 1.0), np.clip(x_origin + epsilon, 0.0, 1.0)
+    lo, hi = np.subtract(x_origin, epsilon), np.add(x_origin, epsilon)
+    return lo.clip(0.0, 1.0, out=lo), hi.clip(0.0, 1.0, out=hi)
 
 
 def fgsm_step(x, input_grad, eta, lo, hi, out=None):
     """One signed ascent step, then ball and box projection.
 
     x_next = clip_[lo,hi]( x + eta * sign(input_grad) ) with (lo, hi) =
-    ball_box(x_origin, eps), made once per attack; sign(0) = 0, so
-    zero-gradient coordinates hold still. The bounds are shaped like x or,
-    for a stack of iterates (H, B, d) of one origin, like one slice, (B, d)
-    or (1, B, d). out, which may be x itself, takes the step in place.
+    ball_box(x_origin, eps), made once per attack (per row block and step
+    for a large batch); sign(0) = 0, so zero-gradient coordinates hold
+    still. The bounds are shaped like x or, for a stack of iterates
+    (H, B, d) of one origin, like one slice, (B, d) or (1, B, d). out,
+    which may be x itself, takes the step in place.
     """
     bounds = np.shape(lo)
     if x.shape != input_grad.shape or bounds != np.shape(hi) or bounds not in (x.shape, x.shape[1:], (1, *x.shape[1:])):
@@ -169,10 +172,20 @@ def _search(heads, x, labels, specs, ascent):
     (ensembles.Heads) attacked with specs[h], all heads in lockstep; the
     loop follows the family of specs, which differ only in their seeds.
     Each step is one forward of the heads' slots, one input-gradient
-    backward and one sign step of the (H, B, d) iterate against one (B, d)
-    pair of ball ∩ box bounds; the iterate is clipped into finite bounds,
-    so the step vouches for it (_checked). Attack h draws from its seed's
+    backward and one sign step of the (H, B, d) iterate clipped to the ball
+    ∩ box bounds of x; the iterate is clipped into finite bounds, so the
+    step vouches for it (_checked). Attack h draws from its seed's
     generator in the order a lone attack would.
+
+    A batch of one row block steps whole, against one (1, B, d) pair of
+    bounds made once. A batch of several (nn.row_blocks) steps block by
+    block, on every core (nn.over_blocks): a block's pass, its gradient
+    check, MIM's momentum and the sign step go straight into its rows of
+    the iterate, against bounds made from its rows of x, and no
+    whole-batch gradient or bounds are held. Rows are independent and a
+    block's LabelIndex keeps the whole batch's 1/B, so this is exact.
+    SPSA's estimate is drawn for the whole batch; its step then goes block
+    by block the same way.
 
     x and labels are as _validate_inputs returns them. Ascends the
     cross-entropy against labels when ascent is set, descends it
@@ -182,42 +195,70 @@ def _search(heads, x, labels, specs, ascent):
     """
     spec = specs[0]
     rngs = _generators(specs)
+    blocks = nn.row_blocks(x)
     if spec.family == "pgd" and spec.random_start:
         gens, which = _distinct(rngs)
-        starts = np.stack([np.clip(x + r.uniform(-spec.epsilon, spec.epsilon, size=x.shape), 0.0, 1.0) for r in gens])
+        starts = [r.uniform(-spec.epsilon, spec.epsilon, size=x.shape) for r in gens]
+        for s in starts:
+            s += x
+            s.clip(0.0, 1.0, out=s)
+        cur = np.stack(starts) if len(starts) > 1 else starts[0][None]
         if len(gens) < len(rngs):
-            starts = starts[which]
-        cur = np.clip(starts, x - spec.epsilon, x + spec.epsilon)
-        del starts  # the loop holds only cur and the bounds
+            cur = cur[which]
+        del starts
+        for lo, hi in blocks:  # into the ball, without whole-batch bounds
+            np.clip(cur[:, lo:hi], x[lo:hi] - spec.epsilon, x[lo:hi] + spec.epsilon, out=cur[:, lo:hi])
     else:
         cur = np.repeat(x[None], len(specs), axis=0)
-    lo, hi = ball_box(x[None], spec.epsilon)  # one pair for every head
-
     g_acc = np.zeros_like(cur) if spec.family == "mim" else None
+    # what a step of some rows takes: their iterate, labels, momentum and bounds
+    whole = (cur, labels, g_acc, ball_box(x[None], spec.epsilon)) if len(blocks) == 1 else None
+
+    def part(lo, hi):  # of rows lo:hi, their bounds made here
+        acc = None if g_acc is None else g_acc[:, lo:hi]
+        return cur[:, lo:hi], labels.block(lo, hi), acc, ball_box(x[lo:hi], spec.epsilon)
+
+    def sign_step(rows, grad):
+        """One step of rows along grad, their objective's gradient, in place."""
+        rows_cur, _, acc, bounds = rows
+        if not ascent:
+            grad = -grad
+        if acc is not None:
+            norms = np.abs(grad).sum(axis=-1, keepdims=True)
+            live = norms[..., 0] > 0.0
+            acc *= spec.momentum
+            acc[live] += grad[live] / norms[live]
+            grad = acc
+        fgsm_step(rows_cur, grad, spec.eta, *bounds, out=rows_cur)
+
+    def gradient_step(rows, step):
+        """One pass and sign step of rows; their per-example objective."""
+        values, grad = ce_values_and_input_grad(heads, rows[0], rows[1], _checked=True)
+        if not np.isfinite(grad).all():
+            raise DivergenceError(f"non-finite attack gradient at step {step}")
+        sign_step(rows, grad)
+        return values
+
     values_seen = []  # per step, the per-example objective: the trace's rows
     queries = 1  # the final success check
     for step in range(spec.steps):
         if spec.family == "spsa":
-            grad, used = spsa_gradient_estimate(
+            est, used = spsa_gradient_estimate(
                 heads, cur, labels, spec.spsa_samples, spec.spsa_delta, rngs, _checked=True
             )
             queries += used
+            if whole:
+                sign_step(whole, est)
+            else:
+                nn.over_blocks(lambda lo, hi: sign_step(part(lo, hi), est[:, lo:hi]), blocks)
+            del est  # not held through the next step's estimate
         else:
-            values, grad = ce_values_and_input_grad(heads, cur, labels, _checked=True)
-            if not np.isfinite(grad).all():
-                raise DivergenceError(f"non-finite attack gradient at step {step}")
-            values_seen.append(values)
+            if whole:
+                values_seen.append(gradient_step(whole, step))
+            else:
+                parts = nn.over_blocks(lambda lo, hi: gradient_step(part(lo, hi), step), blocks)
+                values_seen.append(np.concatenate(parts, axis=-1))
             queries += 1
-        if not ascent:
-            grad = -grad
-        if g_acc is not None:
-            norms = np.abs(grad).sum(axis=-1, keepdims=True)
-            live = norms[..., 0] > 0.0
-            g_acc *= spec.momentum
-            g_acc[live] += grad[live] / norms[live]
-            grad = g_acc
-        fgsm_step(cur, grad, spec.eta, lo, hi, out=cur)
-        del grad  # not held through the next step's forward and backward
     members = member_probs(heads.slots, heads.batch(cur), _checked=True)
     probs = heads.average(members)
     final = nn.cross_entropy_per_example(probs, labels, _checked=True)
@@ -378,9 +419,9 @@ def spsa_gradient_estimate(target, x, labels, samples, delta, rng, *, _checked=F
     to be finite unless the caller vouches for it (_checked).
 
     Each sample's bump is drawn for the whole batch, one draw per
-    generator; the bumped batches, their clips, both loss evaluations and
-    the update of the estimate then go row block by row block
-    (nn.row_blocks)."""
+    generator, on the calling thread; the bumped batches, their clips,
+    both loss evaluations and the update of the estimate then go row block
+    by row block (nn.row_blocks), on every core (nn.over_blocks)."""
     heads, cur = as_heads(target, x if _checked else nn._as_f64(x, "batch"))
     rngs = [rng] if np.ndim(x) == 2 else list(rng)
     labels = nn.label_index(labels, cur.shape[-2], heads.num_classes)
@@ -392,6 +433,14 @@ def spsa_gradient_estimate(target, x, labels, samples, delta, rng, *, _checked=F
         probs = member_probs(heads.slots, heads.batch(bumped), _checked=True)
         return nn.cross_entropy_per_example(heads.average(probs), labels.block(lo, hi), _checked=True)
 
+    def sample(lo, hi):  # of rows lo:hi
+        rows, b = cur[:, lo:hi], bumps[:, lo:hi]
+        step = delta * b
+        lp = loss_at(rows + step, lo, hi)
+        ln = loss_at(np.subtract(rows, step, out=step), lo, hi)
+        # Rademacher entries are +-1 so the elementwise inverse is bump itself
+        est[:, lo:hi] += np.multiply(((lp - ln) / (2.0 * delta))[..., None], b, out=step)
+
     est = np.zeros_like(cur)
     bump = np.empty((len(gens), *cur.shape[1:]))
     for _ in range(samples):
@@ -400,13 +449,7 @@ def spsa_gradient_estimate(target, x, labels, samples, delta, rng, *, _checked=F
         bump -= 1.0
         # each slice's bump: its generator's
         bumps = bump[which] if 1 < len(gens) < len(rngs) else np.broadcast_to(bump, cur.shape)
-        for lo, hi in blocks:
-            rows, b = cur[:, lo:hi], bumps[:, lo:hi]
-            step = delta * b
-            lp = loss_at(rows + step, lo, hi)
-            ln = loss_at(np.subtract(rows, step, out=step), lo, hi)
-            # Rademacher entries are +-1 so the elementwise inverse is bump itself
-            est[:, lo:hi] += ((lp - ln) / (2.0 * delta))[..., None] * b
+        nn.over_blocks(sample, blocks)  # done before the next draw refills bump
     est /= samples
     return est[0] if np.ndim(x) == 2 else est, 2 * samples
 

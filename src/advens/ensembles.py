@@ -4,9 +4,10 @@ An Ensemble predicts the unweighted mean of its members' probability rows.
 Its members share one layer shape, as init_ensemble and a checkpoint make
 them, and it holds them as one nn.ModelStack (built once per ensemble), so
 its forward and its input gradient take one stacked pass (per row block of
-a large batch). Heads put several averaged predictions of one stack's
-members (each member alone, and all of them) through one such pass, each
-on its own batch: what a lockstep attack of several targets steps on. An Ensemble of members of different shapes still
+a large batch, the blocks on every core). Heads put several averaged
+predictions of one stack's members (each member alone, and all of them)
+through one such pass, each on its own batch: what a lockstep attack of
+several targets steps on. An Ensemble of members of different shapes still
 constructs, for the value-only losses that take members one at a time, but
 its stack raises ShapeError. Training holds its members as a ModelStack
 throughout and makes Models of them only to evaluate and report.
@@ -200,15 +201,18 @@ def as_heads(target, x):
 def member_probs(target, batch, *, _checked=False):
     """Each member's probability rows, (K, B, M): of one batch (B, d) for
     every member, or of slice k of a stack (K, B, d) for member k. A large
-    batch goes through in row blocks (nn.row_blocks). _checked as in
-    nn.forward_cached."""
+    batch goes through in row blocks (nn.row_blocks), on every core
+    (nn.over_blocks). _checked as in nn.forward_cached."""
     stack, batch = member_stack(target), np.asarray(batch)
     blocks = nn.row_blocks(batch)
     if len(blocks) == 1:
         return nn.forward_cached(stack, batch, None, _checked=_checked)[0]
     probs = np.empty((len(stack), batch.shape[-2], stack.num_classes))
-    for lo, hi in blocks:
+
+    def block(lo, hi):
         probs[:, lo:hi] = nn.forward_cached(stack, batch[..., lo:hi, :], None, _checked=_checked)[0]
+
+    nn.over_blocks(block, blocks)
     return probs
 
 
@@ -272,9 +276,9 @@ def ce_values_and_input_grad(target, x, labels, *, _checked=False):
     per stack) and labels as an nn.LabelIndex. x is checked to be finite
     unless the caller vouches for it (_checked, as an attack does for its
     iterate), and the forward's softmax checks that every probability row
-    is a distribution. A large batch goes through all of it one row block
-    at a time (nn.row_blocks), each block's CE gradient with the whole
-    batch's 1/B.
+    is a distribution. A large batch goes through all of it in row blocks
+    (nn.row_blocks), on every core (nn.over_blocks), each block's CE
+    gradient with the whole batch's 1/B.
     """
     heads, cur = as_heads(target, x if _checked else nn._as_f64(x, "batch"))
     blocks = nn.row_blocks(cur)
@@ -283,8 +287,11 @@ def ce_values_and_input_grad(target, x, labels, *, _checked=False):
     else:
         labels = nn.label_index(labels, cur.shape[-2], heads.num_classes)
         values, grad = np.empty(cur.shape[:-1]), np.empty(cur.shape)
-        for lo, hi in blocks:
+
+        def block(lo, hi):
             values[:, lo:hi], grad[:, lo:hi] = _heads_pass(heads, cur[:, lo:hi], labels.block(lo, hi))
+
+        nn.over_blocks(block, blocks)
     return (values[0], grad[0]) if np.ndim(x) == 2 else (values, grad)
 
 
@@ -363,9 +370,7 @@ def partition(f1, f2, probes, x, y, eps, correct=None):
         ok1, ok2 = correct
         if np.shape(ok1) != (len(probes),) or np.shape(ok2) != (len(probes),):
             raise ShapeError(f"correctness masks of {np.shape(ok1)} and {np.shape(ok2)} for {len(probes)} probes")
-    tags = np.array(
-        [f"S{int(a)}{int(b)}" for a, b in zip(ok1, ok2)], dtype="U3"
-    )
+    tags = np.array(["S00", "S01", "S10", "S11"])[2 * np.asarray(ok1, dtype=int) + np.asarray(ok2, dtype=int)]
     n = max(1, len(tags))
     card = {t: 100.0 * float(np.sum(tags == t)) / n for t in TAGS}
     return SubsetPartition(assignments=tags, cardinalities=card)
@@ -390,8 +395,7 @@ def save_partition_csv(part, path, preamble=""):
     with atomic_write(path, newline="") as f:
         f.write(preamble)
         f.write("example_id,tag\n")
-        for i, tag in enumerate(part.assignments):
-            f.write(f"{i},{tag}\n")
+        f.write("".join(f"{i},{tag}\n" for i, tag in enumerate(part.assignments.tolist())))
 
 
 def save_ensemble(ens, path, meta=None):

@@ -20,9 +20,12 @@ for attacks, which keeps only boolean relu masks from the forward).
 Label-taking functions accept integer labels, checked on every call, or a
 LabelIndex of them, checked once for the many calls of a loop over one
 batch (an attack's steps). Callers take a large batch through a pass in
-row blocks (row_blocks); a block's LabelIndex keeps the whole batch's mean. The softmax checks its own rows, so the
-package's own consumers of forward output skip the probability check
-(_checked=True) that caller-supplied probabilities get.
+row blocks (row_blocks); a block's LabelIndex keeps the whole batch's
+mean. over_blocks runs a pass's blocks on the calling thread and on
+helper threads, one per further core: a block's bits depend on neither
+its thread nor the order the blocks run in. The softmax checks its own
+rows, so the package's own consumers of forward output skip the
+probability check (_checked=True) that caller-supplied probabilities get.
 
 Log arguments are clamped at ``LOG_FLOOR``; the clamp only matters where a
 probability has underflowed to ~0, and the reported gradient is the exact
@@ -30,7 +33,11 @@ gradient of the clamped loss.
 """
 from __future__ import annotations
 
+import contextvars
+import itertools
 import json
+import os
+import threading
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -257,6 +264,60 @@ def row_blocks(batch):
     b = batch.shape[-2] if batch.ndim >= 2 else 0
     n = max(1, b // _BLOCK_ROWS)
     return [(b * i // n, b * (i + 1) // n) for i in range(n)]
+
+
+# The threads that help the calling thread through a blocked pass: one per
+# further core the process may run on, from one pool made at the first pass
+# of more than one block.
+_HELPERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1) - 1
+_pool = None
+_pool_lock = threading.Lock()
+_local = threading.local()  # .helper is set on the pool's threads
+
+
+def _mark_helper():
+    _local.helper = True
+
+
+def over_blocks(fn, blocks):
+    """[fn(lo, hi) for lo, hi in blocks], the blocks run on the calling
+    thread and up to _HELPERS pool threads at once. fn must touch only its
+    own rows of shared arrays. Each helper runs in a copy of the caller's
+    context, so np.errstate holds there too. A block that raises stops the
+    taking of further blocks; once every started block has finished, the
+    exception of the lowest-indexed failing block is raised, as the serial
+    loop would raise it. One block, no helper, or a call from a helper
+    (which must not wait on the pool) takes the serial loop."""
+    global _pool
+    helpers = min(_HELPERS, len(blocks) - 1)
+    if helpers < 1 or getattr(_local, "helper", False):
+        return [fn(lo, hi) for lo, hi in blocks]
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor  # not at import: most runs never need it
+
+            _pool = ThreadPoolExecutor(_HELPERS, "advens-block", initializer=_mark_helper)
+        pool = _pool
+    results, errors, taken = [None] * len(blocks), {}, itertools.count()
+
+    def work():  # blocks are taken in order, and each block taken is run
+        while not errors:
+            i = next(taken)
+            if i >= len(blocks):
+                return
+            try:
+                results[i] = fn(*blocks[i])
+            except BaseException as e:  # raised by the caller, once all have finished
+                errors[i] = e
+
+    futures = [pool.submit(contextvars.copy_context().run, work) for _ in range(helpers)]
+    work()
+    for f in futures:
+        if not f.cancel():  # a helper that never started has nothing to wait for
+            f.result()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 # ---------------------------------------------------------------------------

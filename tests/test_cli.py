@@ -543,8 +543,9 @@ def test_transfer_attacks_each_target_once(tmp_path, monkeypatch):
 
 
 def test_transfer_scores_each_attacked_batch_once(tmp_path, monkeypatch):
-    # one stacked pass of the members per attacked batch scores f1, f2, en
-    # and the partition; no target is forwarded on its own
+    # one stacked pass of the members per member's attacked batch scores
+    # f1, f2 and en, the en attack's final rows score its own batch and the
+    # partition; no target is forwarded on its own
     path, cfg, ckpt = trained(tmp_path)
     passes = []
     probs = analysis.member_probs
@@ -552,7 +553,7 @@ def test_transfer_scores_each_attacked_batch_once(tmp_path, monkeypatch):
     monkeypatch.setattr(analysis, "predict_labels", None)
     monkeypatch.setattr(ensembles, "predict_labels", None)
     assert run(["transfer", "--config", path, "--checkpoint", ckpt, "--out", str(tmp_path / "tr")]) == 0
-    assert passes == [2, 2, 2]
+    assert passes == [2, 2]  # en's batch is scored from its attack's final rows
 
 
 def test_transfer_across_checkpoints(tmp_path):

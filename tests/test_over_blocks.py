@@ -1,0 +1,242 @@
+"""Row blocks on helper threads (nn.over_blocks): every blocked pass, attack
+and CLI artifact keeps its bits with helpers on and off; numpy's error state
+and a block's exception cross the threads; nested calls do not wait on the
+pool; and nothing starts a thread before a pass has more than one block."""
+
+import json
+import os
+import subprocess
+import sys
+import threading
+import time
+import warnings
+
+import numpy as np
+import pytest
+
+from advens import cli, data, nn
+from advens.attacks import FAMILIES, AttackSpec, run_attack, run_member_and_ensemble_attacks, spsa_gradient_estimate, targeted
+from advens.ensembles import Ensemble, ce_values_and_input_grad, member_probs, save_ensemble
+from advens.errors import DivergenceError
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+ON = 3  # helpers, whatever the core count: every block of 10,000 rows in flight at once
+
+
+@pytest.fixture
+def helpers(monkeypatch):
+    """use(n) runs blocked passes with n helpers from a fresh pool. With
+    helpers on, the calling thread's forwards wait until a helper has
+    started one, so that helpers surely take part; use returns that event."""
+    taken = threading.Event()
+    forward = nn.forward_cached
+
+    def waiting_forward(*args, **kwargs):
+        if threading.current_thread().name.startswith("advens-block"):
+            taken.set()
+        else:
+            taken.wait(timeout=10)
+        return forward(*args, **kwargs)
+
+    def use(n):
+        monkeypatch.setattr(nn, "_HELPERS", n)
+        monkeypatch.setattr(nn, "_pool", None)
+        monkeypatch.setattr(nn, "forward_cached", waiting_forward if n else forward)
+        return taken
+
+    return use
+
+
+def ensemble_and_batch(b, seed=0):
+    ens = Ensemble(members=tuple(nn.init_model(4, [5], 3, seed=seed + k) for k in range(2)))
+    rng = np.random.default_rng(seed + 100)
+    return ens, rng.random((b, 4)), rng.integers(0, 3, size=b)
+
+
+def assert_same_bytes(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+def passes(ens, x, labels):
+    stacked = np.stack([np.roll(x, k, axis=0) for k in range(len(ens))])
+    rngs = [np.random.default_rng(4 + k) for k in range(len(ens))]
+    return [
+        member_probs(ens, x),
+        member_probs(ens.stack, stacked),
+        *ce_values_and_input_grad(ens, x, labels),
+        *ce_values_and_input_grad(ens.stack, stacked, labels),
+        spsa_gradient_estimate(ens, x, labels, 2, 0.01, np.random.default_rng(3))[0],
+        spsa_gradient_estimate(ens.stack, stacked, labels, 2, 0.01, rngs)[0],
+    ]
+
+
+def attacks(ens, x, labels, family):
+    spec = AttackSpec(family=family, steps=2, epsilon=0.02, eta=0.005, spsa_samples=2, seed=5)
+    results = [
+        run_attack(ens, x, labels, spec),
+        targeted(ens, x, (labels + 1) % 3, spec),
+        *run_member_and_ensemble_attacks(ens, x, labels, spec),
+    ]
+    return [a for r in results for a in (r.adversarial, r.success_mask, np.array(r.loss_trace), r.member_probs)]
+
+
+@pytest.mark.parametrize("b", [4096, 10_000])
+def test_blocked_passes_keep_their_bits_on_helpers(helpers, b):
+    ens, x, labels = ensemble_and_batch(b)
+    helpers(0)
+    serial = passes(ens, x, labels)
+    taken = helpers(ON)
+    assert_same_bytes(passes(ens, x, labels), serial)
+    assert taken.is_set()
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("b", [4096, 10_000])
+def test_attacks_keep_their_bits_on_helpers(helpers, b, family):
+    ens, x, labels = ensemble_and_batch(b, seed=b)
+    helpers(0)
+    serial = attacks(ens, x, labels, family)
+    taken = helpers(ON)
+    assert_same_bytes(attacks(ens, x, labels, family), serial)
+    assert taken.is_set()
+
+
+def overflowing_model():
+    # at x = 0 the logits are b1 @ w2, of order 1, and the input gradient runs
+    # through w2 and w1 at 1e450 / B: it overflows; at x = -1 the relu is off
+    # and the gradient is 0
+    w1 = np.full((3, 4), 1e300)
+    b1 = np.full(4, 1e-150)
+    w2 = 1e150 * np.array([[1.0, -1.0, 0.5], [0.2, 0.3, -0.7], [-1.0, 0.1, 0.4], [0.6, -0.2, 0.0]])
+    return nn.Model(layers=(nn.Layer(w1, b1), nn.Layer(w2, np.zeros(3), "id")), num_classes=3)
+
+
+def test_numpy_error_state_reaches_the_helpers(helpers):
+    x, labels = np.zeros((10_000, 3)), np.arange(10_000) % 3
+    taken = helpers(ON)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore"):
+            _, grad = ce_values_and_input_grad(overflowing_model(), x, labels)
+    assert taken.is_set()
+    assert all(not np.isfinite(grad[lo:hi]).all() for lo, hi in nn.row_blocks(x))
+
+
+def test_a_divergence_in_a_helpers_block_reaches_the_caller(helpers):
+    # block 0 (the caller's, which waits for a helper to start) is finite;
+    # block 1 diverges, on the helper
+    x, labels = np.zeros((4096, 3)), np.arange(4096) % 3
+    x[:2048] = -1.0
+    taken = helpers(ON)
+    spec = AttackSpec(family="bim", steps=2, epsilon=0.01, eta=0.005)
+    with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="^non-finite attack gradient at step 0$"):
+        run_attack(overflowing_model(), x, labels, spec)
+    assert taken.is_set()
+
+
+def test_over_blocks_returns_in_block_order_and_raises_as_the_serial_loop(helpers):
+    helpers(ON)
+    blocks = [(i, i + 1) for i in range(8)]
+    assert nn.over_blocks(lambda lo, hi: (lo, hi), blocks) == blocks
+    started, finished = set(), set()
+
+    def fn(lo, hi):
+        started.add(lo)
+        time.sleep(0.01 * (5 - lo) if lo < 5 else 0.0)  # later blocks fail first
+        finished.add(lo)
+        if lo >= 2:
+            raise ValueError(lo)
+
+    with pytest.raises(ValueError) as e:
+        nn.over_blocks(fn, blocks)
+    assert e.value.args == (2,)  # the lowest failing block, as the serial loop raises
+    assert started == finished and {0, 1, 2} <= started  # every started block finished
+
+
+def test_a_nested_call_on_a_helper_runs_its_blocks_there(helpers):
+    # with a second helper idle, a nested call that went to the pool would
+    # hand it some of the slow inner blocks
+    helpers(2)
+    names, gate = [], threading.Event()
+
+    def inner(lo, hi):
+        time.sleep(0.02)
+        names.append(threading.current_thread().name)
+
+    def outer(lo, hi):
+        if threading.current_thread().name.startswith("advens-block"):
+            nn.over_blocks(inner, [(0, 1), (1, 2), (2, 3)])
+            gate.set()
+        else:  # the caller's block waits until a helper has run the nested call
+            gate.wait(timeout=10)
+
+    nn.over_blocks(outer, [(0, 1), (1, 2)])
+    assert gate.is_set() and len(names) == 3
+    assert len(set(names)) == 1 and names[0].startswith("advens-block")
+
+
+def test_importing_and_a_small_train_start_no_thread(tmp_path):
+    config = {
+        "dataset": {"generator": "blobs", "n_per_class": 30, "num_classes": 3, "dim": 4, "separation": 3.0},
+        "model": {"hidden": [8], "members": 2},
+        "method": {"name": "RM"},
+        "train": {"epochs": 1, "batch_size": 30, "lr": 0.03,
+                  "attack": {"family": "pgd", "steps": 2, "epsilon": 0.05, "eta": 0.02}},
+        "eval_attacks": {"pgd": {"family": "pgd", "steps": 2, "epsilon": 0.05, "eta": 0.02}},
+        "out": str(tmp_path / "out"),
+        "seed": 1,
+    }
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    script = (
+        "import sys, threading\n"
+        "before = threading.active_count()\n"
+        "import advens, advens.cli\n"
+        "imported = threading.active_count()\n"
+        "assert advens.cli.main(['train', '--config', sys.argv[1]]) == 0\n"
+        "print(before, imported, threading.active_count(), advens.nn._pool)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "cfg.json")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split()[-4:] == ["1", "1", "1", "None"]  # after the paths train prints
+
+
+def test_cli_artifacts_of_a_blocked_batch_keep_their_bytes_on_helpers(helpers, tmp_path):
+    ds = data.gen_blobs(seed=3, n_per_class=1366, num_classes=3, dim=4, separation=3.0)
+    assert len(nn.row_blocks(ds.inputs)) == 2
+    images, labels = str(tmp_path / "x.idx"), str(tmp_path / "y.idx")
+    data.save_idx(ds, images, labels, rows=2, cols=2)
+    ckpt = str(tmp_path / "ensemble.json")
+    save_ensemble(Ensemble(members=tuple(nn.init_model(4, [8], 3, seed=s) for s in (1, 2))), ckpt)
+    config = {
+        "dataset": {"idx_images": images, "idx_labels": labels},
+        "model": {"hidden": [8], "members": 2},
+        "method": {"name": "RM"},
+        "train": {"epochs": 1, "batch_size": 30, "lr": 0.03,
+                  "attack": {"family": "pgd", "steps": 2, "epsilon": 0.05, "eta": 0.02}},
+        "eval_attacks": {
+            "pgd": {"family": "pgd", "steps": 3, "epsilon": 0.05, "eta": 0.02, "seed": 2},
+            "spsa": {"family": "spsa", "steps": 2, "epsilon": 0.05, "eta": 0.02, "spsa_samples": 2},
+        },
+        "out": str(tmp_path / "out"),
+        "seed": 4,
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    artifacts = {}
+    for n in (0, ON):
+        taken = helpers(n)
+        out = tmp_path / f"helpers{n}"
+        for sub in ("eval", "transfer", "detect"):
+            assert cli.main([sub, "--config", str(path), "--checkpoint", ckpt, "--out", str(out)]) == 0
+        artifacts[n] = {name: (out / name).read_bytes() for name in sorted(os.listdir(out))}
+        assert taken.is_set() == bool(n)
+    assert sorted(artifacts[0]) == sorted(
+        ["eval_pgd.csv", "eval_spsa.csv", "transfer.csv", "transfer_metrics.json", "partition.csv",
+         "detect_roc.csv", "detect.json"]
+    )
+    assert artifacts[ON] == artifacts[0]
