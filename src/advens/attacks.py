@@ -43,7 +43,7 @@ import numpy as np
 
 from . import nn
 from .atomic import atomic_write
-from .ensembles import Ensemble, Heads, as_heads, ce_values_and_input_grad, member_probs, member_stack
+from .ensembles import Heads, as_heads, ce_values_and_input_grad, member_probs, member_stack
 from .errors import ConfigError, DivergenceError, DomainError, ShapeError
 
 FAMILIES = ("pgd", "bim", "mim", "spsa")
@@ -314,14 +314,6 @@ def run_attack(target, x, y, spec):
     return _lone(target, x, y, spec, ascent=True)
 
 
-def _members(members):
-    """members (Models of one layer shape, an Ensemble or an nn.ModelStack)
-    as one ModelStack."""
-    if isinstance(members, (nn.ModelStack, Ensemble)):
-        return member_stack(members)
-    return Ensemble(members=tuple(members)).stack  # the members must agree on classes and inputs
-
-
 def run_member_attacks(members, x, y, specs):
     """run_attack against each member alone, members[k] with specs[k], in
     lockstep: one stacked step per iteration serves every member. members
@@ -329,7 +321,7 @@ def run_member_attacks(members, x, y, specs):
     one AttackResult per member, equal bit for bit to the lone run_attack
     calls. The specs may differ only in their seeds.
     """
-    specs, stack = tuple(specs), _members(members)
+    specs, stack = tuple(specs), member_stack(members)
     if len(specs) != len(stack):
         raise ConfigError(f"{len(specs)} attack specs for {len(stack)} members")
     if any(vars(s) | {"seed": 0} != vars(specs[0]) | {"seed": 0} for s in specs):
@@ -348,7 +340,7 @@ def run_member_and_ensemble_attacks(ens, x, y, spec):
     block (nn.row_blocks) attacks its targets one after another instead,
     each when its result is asked for, so that one iterate of it is held
     at a time."""
-    stack = _members(ens)
+    stack = member_stack(ens)
     heads = Heads(stack, Heads.each(stack).groups + Heads.whole(stack).groups)
     x, labels = _validate_inputs(heads, x, y)
     if len(nn.row_blocks(x)) == 1:

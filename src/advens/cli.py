@@ -18,6 +18,7 @@ Exit codes: 0 success, 2 invalid config or inputs, 3 training diverged.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -36,16 +37,7 @@ from .training import MODES
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_-]+$")
 
-_ATTACK_DEFAULTS = {
-    "steps": 10,
-    "epsilon": 8 / 255,
-    "eta": 2 / 255,
-    "momentum": 1.0,
-    "spsa_samples": 64,
-    "spsa_delta": 0.01,
-    "random_start": True,
-    "seed": 0,
-}
+_ATTACK_DEFAULTS = {f.name: f.default for f in dataclasses.fields(AttackSpec) if f.name != "family"}
 
 _GENERATOR_FIELDS = {
     "blobs": ("seed", "n_per_class", "num_classes", "dim", "separation"),
@@ -166,8 +158,8 @@ def _norm_method(block):
         _reject_unknown(block, where, {"name", "alpha", "beta"})
         return {
             "name": "ADP",
-            "alpha": float(_real(block.get("alpha", 2.0), f"{where}.alpha")),
-            "beta": float(_real(block.get("beta", 0.5), f"{where}.beta")),
+            "alpha": float(_real(block.get("alpha", training.TrainConfig.alpha), f"{where}.alpha")),
+            "beta": float(_real(block.get("beta", training.TrainConfig.beta), f"{where}.beta")),
         }
     if name in ("ADV", "ADV_EN"):
         _reject_unknown(block, where, {"name"})
@@ -227,7 +219,7 @@ def normalize_config(obj, seed_override=None, out_override=None):
         "train": {
             "epochs": _integer(train["epochs"], "train.epochs"),
             "batch_size": _integer(train["batch_size"], "train.batch_size"),
-            "lr": float(_real(train.get("lr", 0.001), "train.lr")),
+            "lr": float(_real(train.get("lr", training.TrainConfig.lr), "train.lr")),
             "attack": _norm_attack(train["attack"], "train.attack"),
         },
         "eval_attacks": norm_evals,

@@ -92,13 +92,15 @@ def stack_ensemble(stack, seeds):
 
 
 def member_stack(target):
-    """target's members as an nn.ModelStack: an Ensemble's own (stacked once
-    per ensemble), a Model as a stack of one, a ModelStack as it is."""
+    """target's members as an nn.ModelStack: a ModelStack as it is, a Model
+    as a stack of one, an Ensemble's own (stacked once per ensemble), and a
+    sequence of Models of one layer shape as their Ensemble's (so models
+    that disagree on classes or inputs raise ConfigError)."""
     if isinstance(target, nn.ModelStack):
         return target
-    if isinstance(target, Ensemble):
-        return target.stack
-    return nn.stack_models((target,))
+    if isinstance(target, nn.Model):
+        return nn.stack_models((target,))
+    return (target if isinstance(target, Ensemble) else Ensemble(members=tuple(target))).stack
 
 
 class Heads:
@@ -109,7 +111,9 @@ class Heads:
     several slots), so one forward of the slots on an iterate (H, B, d),
     each head's slice taken once per slot of it, serves every head. The
     layout is made once, when the heads are; the passes then take the
-    direct route when every head has one slot, or there is one head."""
+    direct route when every head has one slot, or there is one head. The
+    ADV_EN/ADP training step takes its CE of the averaged prediction
+    through one head of all the members (whole)."""
 
     def __init__(self, stack, groups):
         self.stack, self.groups = stack, tuple(tuple(g) for g in groups)
@@ -235,29 +239,6 @@ def predict_labels(target, batch):
     return np.argmax(predict_probs(target, batch), axis=1)
 
 
-def _averaged_ce(probs, labels):
-    """Per-example CE of the averaged rows of member probs (K, B, M), and
-    its gradient with respect to each member's rows (one (B, M) shared by
-    all, the 1/K share included). One member skips the average and the
-    share (exact). probs come from a forward, whose softmax checked them."""
-    if len(probs) == 1:
-        return nn.ce_values_and_prob_grad(probs[0], labels, _checked=True)
-    values, g_probs = nn.ce_values_and_prob_grad(probs.mean(axis=0), labels, _checked=True)
-    return values, g_probs / len(probs)
-
-
-def averaged_ce_backprop(stack, x, labels):
-    """CE of the members' averaged probability rows on one batch x, from
-    one forward and backprop of their nn.ModelStack. Returns (per-example
-    CE, the members' probability rows (K, B, M), the forward cache, the
-    stacked parameter gradients of the batch-mean CE): gradients flow
-    through the combination rule.
-    """
-    probs, cache = nn.forward_cached(stack, x)
-    values, g_probs = _averaged_ce(probs, labels)
-    return values, probs, cache, nn.backprop(stack, cache, g_probs)[0]
-
-
 def ce_values_and_input_grad(target, x, labels, *, _checked=False):
     """Per-example cross-entropy and the input gradient of its batch mean,
     from one stacked forward and a backward that forms only the input
@@ -272,13 +253,12 @@ def ce_values_and_input_grad(target, x, labels, *, _checked=False):
 
     This is the attack step. What stays fixed over an attack's steps is
     made once per call of the attack and passed in: the target as Heads
-    (or a ModelStack or an Ensemble; the transposed weights are made once
-    per stack) and labels as an nn.LabelIndex. x is checked to be finite
-    unless the caller vouches for it (_checked, as an attack does for its
-    iterate), and the forward's softmax checks that every probability row
-    is a distribution. A large batch goes through all of it in row blocks
-    (nn.row_blocks), on every core (nn.over_blocks), each block's CE
-    gradient with the whole batch's 1/B.
+    (or a ModelStack or an Ensemble) and labels as an nn.LabelIndex. x is
+    checked to be finite unless the caller vouches for it (_checked, as an
+    attack does for its iterate), and the forward's softmax checks that
+    every probability row is a distribution. A large batch goes through
+    all of it in row blocks (nn.row_blocks), on every core
+    (nn.over_blocks), each block's CE gradient with the whole batch's 1/B.
     """
     heads, cur = as_heads(target, x if _checked else nn._as_f64(x, "batch"))
     blocks = nn.row_blocks(cur)
@@ -301,8 +281,7 @@ def _heads_pass(heads, cur, labels):
     one input-gradient backward."""
     probs, cache = nn.forward_cached(heads.slots, heads.batch(cur), "masks", _checked=True)
     values, g_probs = nn.ce_values_and_prob_grad(heads.average(probs), labels, _checked=True)
-    grad = nn.stacked_input_grad(heads.slots, probs, cache.masks, heads.slot_grads(g_probs))
-    return values, heads.head_grads(grad)
+    return values, heads.head_grads(nn.backprop(heads.slots, cache, heads.slot_grads(g_probs))[1])
 
 
 # ---------------------------------------------------------------------------
@@ -423,10 +402,12 @@ def load_ensemble(path):
     if not isinstance(obj["members"], list):
         raise FormatError(f"checkpoint field 'members' must be a list, got {obj['members']!r}")
     members = tuple(nn.model_from_obj(entry) for entry in obj["members"])
-    ens = Ensemble(members=members)
+    if not members:
+        raise FormatError("checkpoint field 'members' is empty: an ensemble needs at least one member")
     try:
+        ens = Ensemble(members=members)
         ens.stack
-    except ShapeError as e:
+    except (ConfigError, ShapeError) as e:  # members that disagree on classes, inputs or layer shapes
         raise FormatError(f"checkpoint field 'layers' differs between members: {e}") from None
     if "num_classes" in obj and nn._checkpoint_int(obj, "num_classes") != ens.num_classes:
         raise FormatError(

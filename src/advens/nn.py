@@ -13,9 +13,9 @@ a leading axis (a model may appear more than once); an ensemble's members
 are one ModelStack, whose len and num_classes come from its weights. The
 forward, the loss terms, the backward and Adam take a Model or a
 ModelStack: a stack runs all K at once, slice k has the bits of model k
-on its own, and the losses come one per slice. The backward either forms the parameter and input
-gradients (backprop) or the input gradient alone (stacked_input_grad,
-for attacks, which keeps only boolean relu masks from the forward).
+on its own, and the losses come one per slice. The backward (backprop)
+forms the parameter and input gradients, or the input gradient alone
+from a cache of boolean relu masks (for attacks).
 
 Label-taking functions accept integer labels, checked on every call, or a
 LabelIndex of them, checked once for the many calls of a loop over one
@@ -39,7 +39,6 @@ import json
 import os
 import threading
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -147,12 +146,6 @@ class ModelStack:
     @property
     def num_classes(self):
         return self.layers[-1].w.shape[-1]
-
-    @cached_property
-    def transposed(self):
-        """Each layer's w with its last two axes swapped, (K, d_out, d_in):
-        views, made once per stack, for the input-gradient backward."""
-        return tuple(layer.w.transpose(0, 2, 1) for layer in self.layers)
 
     def take(self, idx):
         """The stack of models idx (a sequence of indices; repeats allowed),
@@ -367,8 +360,8 @@ def forward_cached(model, batch, keep="inputs", *, _checked=False):
     k has the bits of model k's own forward on its batch.
 
     keep says what the cache holds: "inputs" every layer's input and relu
-    mask (for backprop), "masks" the relu masks alone (for
-    stacked_input_grad), None nothing (a plain forward).
+    mask (for backprop), "masks" the relu masks alone (for backprop of the
+    input gradient alone), None nothing (a plain forward).
 
     The batch is checked to be finite unless the caller vouches for it
     (_checked: a float64 array it checked or made finite itself, such as
@@ -591,43 +584,29 @@ def _softmax_jvp(probs, g_probs):
 
 def backprop(model, cache, g_probs):
     """Backpropagate dLoss/dprobs through softmax and every layer of a
-    Model or a ModelStack; cache comes from forward_cached(model, ...) with
-    keep="inputs". g_probs has the shape of the probs; for a stack it may
-    also be one (B, M) shared by every slice.
+    Model or a ModelStack; cache comes from forward_cached(model, ...).
+    g_probs has the shape of the probs; for a stack it may also be one
+    (B, M) shared by every slice.
 
     Returns ((gw, gb) per layer, shaped like the layer's w and b,
     dLoss/dinputs). For a stack, slice k of each is model k's gradient of
-    slice k's loss, with the bits of model k's own backprop.
+    slice k's loss, with the bits of model k's own backprop. A cache of
+    keep="masks" holds no layer inputs: the input gradient alone is formed
+    (an attack's step), and the parameter gradients come back as None.
     """
-    p = cache.probs
+    p, inputs = cache.probs, cache.layer_inputs
     if g_probs.shape not in (p.shape, p.shape[-2:]):
         raise ShapeError(f"g_probs shape {g_probs.shape} != probs shape {p.shape}")
     g = _softmax_jvp(p, g_probs)
     param_grads = [None] * len(model.layers)
     for i in range(len(param_grads) - 1, -1, -1):
         if cache.masks[i] is not None:
-            g = g * cache.masks[i]
+            g *= cache.masks[i]
         layer = model.layers[i]
-        gw = cache.layer_inputs[i].swapaxes(-1, -2) @ g
-        param_grads[i] = (gw, g.sum(axis=-2).reshape(layer.b.shape))
+        if inputs is not None:
+            param_grads[i] = (inputs[i].swapaxes(-1, -2) @ g, g.sum(axis=-2).reshape(layer.b.shape))
         g = g @ layer.w.swapaxes(-1, -2)
-    return tuple(param_grads), g
-
-
-def stacked_input_grad(stack, probs, masks, g_probs):
-    """dLoss/dinputs of every stacked model, (K, B, d), and nothing else: no
-    parameter gradient is formed. probs and masks come from forward_cached
-    with keep="masks"; g_probs is dLoss/dprobs, (K, B, M) or one (B, M)
-    shared by every model. Pops each mask once it is used, so the stacked
-    intermediates go as the pass moves back.
-    """
-    g = _softmax_jvp(probs, g_probs)
-    for w_t in reversed(stack.transposed):
-        mask = masks.pop()
-        if mask is not None:
-            g *= mask
-        g = g @ w_t
-    return g
+    return (None if inputs is None else tuple(param_grads)), g
 
 
 def backward(model, batch, terms):

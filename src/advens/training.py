@@ -51,7 +51,7 @@ import numpy as np
 from . import data, nn
 from .atomic import atomic_write
 from .attacks import AttackSpec, run_attack, run_member_attacks
-from .ensembles import Ensemble, averaged_ce_backprop, ensemble_predict, predict_labels, stack_ensemble
+from .ensembles import Ensemble, Heads, ensemble_predict, predict_labels, stack_ensemble
 from .errors import ConfigError, DivergenceError, DomainError
 
 METHODS = ("ADV", "ADV_EN", "ADP", "CCE")
@@ -307,12 +307,17 @@ def _ensemble_adv_step(stack, x, y, x_a_en, adp=None):
     regularizer reuses the CE terms' probabilities and caches, and its
     (N, B, M) gradient goes back through one more backprop per batch.
     Returns (total, parts, the stacked param grads, clamped count)."""
-    batches = [averaged_ce_backprop(stack, b, y) for b in (x, x_a_en)]
-    clean, adv = (float(np.mean(values)) for values, *_ in batches)
+    heads = Heads.whole(stack)
+    passes = [nn.forward_cached(stack, b) for b in (x, x_a_en)]  # clean, adv
+    ce, slices = [], []
+    for probs, cache in passes:
+        values, g_probs = nn.ce_values_and_prob_grad(heads.average(probs), y, _checked=True)
+        ce.append(float(np.mean(values)))
+        slices.append(nn.backprop(stack, cache, heads.slot_grads(g_probs))[0])
+    clean, adv = ce
     total, parts = clean + adv, {"clean_ce": clean, "dpo_ce": adv, "cpo_ce": 0.0, "do_h": 0.0}
-    slices = [grads for *_, grads in batches]  # clean, adv
     clamped = 0
-    for tag, (_, probs, cache, _) in zip(("clean", "adv"), batches if adp else ()):
+    for tag, (probs, cache) in zip(("clean", "adv"), passes if adp else ()):
         value, g_probs, flag = _diversity_value_and_grads(probs, y, *adp)
         clamped += flag
         parts[f"adp_reg_{tag}"] = value

@@ -69,6 +69,27 @@ def test_normalization_is_a_fixed_point(tmp_path):
     assert cli.config_digest(again) == cli.config_digest(cfg)
 
 
+def test_minimal_config_normalizes_to_pinned_defaults_and_digest():
+    # the defaults come from AttackSpec and TrainConfig; these literals are
+    # what they normalized to when cli restated them, so a changed default
+    # shows here, and not only in every artifact's digest
+    cfg = cli.normalize_config({
+        "dataset": {"generator": "blobs", "n_per_class": 5, "num_classes": 3, "dim": 2, "separation": 2.0},
+        "model": {"hidden": [], "members": 2},
+        "method": {"name": "ADP"},
+        "train": {"epochs": 1, "batch_size": 10, "attack": {"family": "pgd"}},
+        "out": "runs",
+        "seed": 0,
+    })
+    assert json.dumps(cfg["train"]) == (
+        '{"epochs": 1, "batch_size": 10, "lr": 0.001, "attack": {"family": "pgd", "steps": 10, '
+        '"epsilon": 0.03137254901960784, "eta": 0.00784313725490196, "momentum": 1.0, '
+        '"spsa_samples": 64, "spsa_delta": 0.01, "random_start": true, "seed": 0}}'
+    )
+    assert cfg["method"] == {"name": "ADP", "alpha": 2.0, "beta": 0.5}
+    assert cli.config_digest(cfg) == "6156ad60a0fea620"
+
+
 def test_digest_ignores_out_but_tracks_seed(tmp_path):
     path, _ = make_config(tmp_path)
     a = cli.parse_config(path)
@@ -412,11 +433,16 @@ def test_eval_of_logits_that_overflow_mid_attack_exits_2(tmp_path, capsys):
         (("num_classes",), "x"),
         (("num_classes",), 7),
         (("members", 1, "layers"), json.loads(nn.model_to_json(nn.init_model(4, [8], 3, 0)))["layers"]),
+        (("members",), []),
+        (("members", 1), json.loads(nn.model_to_json(nn.init_model(4, [16], 4, 0)))),
+        (("members", 1), json.loads(nn.model_to_json(nn.init_model(5, [16], 3, 0)))),
     ],
 )
 def test_malformed_checkpoint_exits_2_naming_the_field(tmp_path, capsys, keys, value):
     # each once crashed with a TypeError (exit 1), raised a bare ValueError,
-    # loaded 2.7 classes as 2 or loaded members of two layer shapes
+    # loaded 2.7 classes as 2, loaded members of two layer shapes or raised
+    # a ConfigError for no members or a member of other classes or inputs
+    field = keys[-1] if isinstance(keys[-1], str) else "layers"  # a whole member that disagrees
     path, _ = make_config(tmp_path)
     ckpt = untrained_checkpoint(tmp_path)
     with open(ckpt) as f:
@@ -427,10 +453,10 @@ def test_malformed_checkpoint_exits_2_naming_the_field(tmp_path, capsys, keys, v
     block[keys[-1]] = value
     with open(ckpt, "w") as f:
         json.dump(obj, f)
-    with pytest.raises(FormatError, match=f"'{keys[-1]}'"):
+    with pytest.raises(FormatError, match=f"'{field}'"):
         load_ensemble(ckpt)
     assert run(["eval", "--config", path, "--checkpoint", ckpt, "--out", str(tmp_path / "ev")]) == 2
-    assert f"checkpoint field '{keys[-1]}'" in capsys.readouterr().err
+    assert f"checkpoint field '{field}'" in capsys.readouterr().err
 
 
 def test_eval_writes_member_and_ensemble_rows(tmp_path):

@@ -357,6 +357,28 @@ def test_backward_linear_input_gradient_sign():
     assert np.array_equal(np.sign(res.input_grad[:, 0]), np.sign(expected))
 
 
+@pytest.mark.parametrize("stacked", [False, True])
+def test_backprop_of_a_masks_cache_forms_the_input_gradient_alone(stacked):
+    # an attack's cache keeps only the relu masks: backprop then forms no
+    # parameter gradient and the input gradient of a full cache, bit for bit
+    dims = (3, 5, 6, 4)
+    model = nn.stack_models([tiny_model(s, dims) for s in range(3)]) if stacked else tiny_model(0, dims)
+    rng = np.random.default_rng(5)
+    x = rng.random((7, 3))
+    y = rng.integers(0, 4, size=7)
+    probs, full = nn.forward_cached(model, x)
+    _, masks = nn.forward_cached(model, x, "masks")
+    assert masks.layer_inputs is None
+    # a stack's slices share one (B, M) gradient, as the averaged prediction's members do
+    g_probs = nn.ce_values_and_prob_grad(probs.mean(axis=0) if stacked else probs, y)[1]
+    param_grads, want = nn.backprop(model, full, g_probs)
+    assert param_grads is not None
+    no_grads, got = nn.backprop(model, masks, g_probs)
+    assert no_grads is None
+    assert got.shape == ((3, 7, 3) if stacked else (7, 3))
+    assert got.tobytes() == want.tobytes()
+
+
 def test_backward_rejects_unknown_term():
     model = tiny_model(0)
     x = np.zeros((1, 3))

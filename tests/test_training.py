@@ -501,7 +501,8 @@ def test_one_step_forwards_each_member_batch_pair_once(monkeypatch, method, forw
 def test_member_attacks_of_a_batch_take_steps_stacked_steps_and_no_backprop(monkeypatch, method):
     # one epoch of one batch: the members' attacks advance together, one
     # stacked input-gradient step per attack step, and form no parameter
-    # gradient; the epoch evaluation is stubbed out
+    # gradient (their backprops get caches without layer inputs); the epoch
+    # evaluation is stubbed out
     n, steps = 3, 4
     ds = data.gen_blobs(seed=0, n_per_class=4, num_classes=4, dim=3, separation=3)
     ens = training.init_ensemble(3, [8], 4, n, seed=0)
@@ -535,10 +536,14 @@ def test_member_attacks_of_a_batch_take_steps_stacked_steps_and_no_backprop(monk
         attacks, "ce_values_and_input_grad",
         wrap(attacks.ce_values_and_input_grad, lambda args: step_shapes.append(np.shape(args[1]))),
     )
-    monkeypatch.setattr(nn, "backprop", wrap(nn.backprop, lambda args: backprop_inside.append(bool(inside))))
+    monkeypatch.setattr(
+        nn, "backprop",
+        wrap(nn.backprop, lambda args: backprop_inside.append((bool(inside), args[1].layer_inputs is not None))),
+    )
     training.train(ens, ds, cfg, method)
     assert step_shapes == [(n, len(ds), 3)] * steps
-    assert backprop_inside and not any(backprop_inside)  # the training step backprops, the attacks do not
+    # the training step backprops parameter gradients, the attacks do not
+    assert (False, True) in backprop_inside and (True, True) not in backprop_inside
 
 
 def test_member_seed_lineage_and_derive_seed():
