@@ -17,7 +17,7 @@ import numpy as np
 from . import nn
 from .atomic import atomic_write
 from .attacks import AttackResult, run_attack, run_member_and_ensemble_attacks
-from .ensembles import Ensemble, ce_values_and_input_grad, member_probs, predict_labels, predict_probs
+from .ensembles import Ensemble, ce_values_and_input_grad, ensemble_predict, member_probs, member_stack, predict_labels
 from .errors import (
     ConfigError,
     ConsistencyWarning,
@@ -254,7 +254,8 @@ def detect(target, benign_x, adv_x, adv_probs=None):
     """Score both batches by prediction entropy and build the ROC. Each
     batch takes one stacked forward of target's members; adv_probs, when
     given, are their rows of adv_x already formed (the member_probs of the
-    attack that made adv_x), and adv_x is not forwarded again.
+    attack that made adv_x), one per member, (K, len(adv_x), M), else
+    ShapeError; adv_x is then not forwarded again.
 
     Thresholds are the midpoints between adjacent distinct scores plus
     +/-inf sentinels: every achievable (fpr, tpr) operating point appears
@@ -264,10 +265,11 @@ def detect(target, benign_x, adv_x, adv_probs=None):
     adv_x = np.asarray(adv_x, dtype=np.float64)
     if benign_x.size == 0 or adv_x.size == 0:
         raise ContractError("both batches must be non-empty")
-    if adv_probs is not None and np.shape(adv_probs)[1:] != (len(adv_x), target.num_classes):
-        raise ShapeError(f"member rows of shape {np.shape(adv_probs)} for {len(adv_x)} adversarial points")
-    b_scores, b_member = _entropy_scores(member_probs(target, benign_x))
-    a_scores, a_member = _entropy_scores(member_probs(target, adv_x) if adv_probs is None else adv_probs)
+    stack = member_stack(target)
+    if adv_probs is not None and np.shape(adv_probs) != (len(stack), len(adv_x), stack.num_classes):
+        raise ShapeError(f"member rows of shape {np.shape(adv_probs)} for {len(stack)} members, {len(adv_x)} points")
+    b_scores, b_member = _entropy_scores(member_probs(stack, benign_x))
+    a_scores, a_member = _entropy_scores(member_probs(stack, adv_x) if adv_probs is None else adv_probs)
 
     distinct = np.unique(np.concatenate([b_scores, a_scores]))
     mids = (distinct[:-1] + distinct[1:]) / 2.0
@@ -364,7 +366,7 @@ def surface_grid(target, x_a, y, radius_steps, step, seed=0):
     offsets = np.arange(-r, r + 1, dtype=np.float64) * float(step)
     pts = x_a[None, None, :] + offsets[:, None, None] * u + offsets[None, :, None] * v
     pts = np.clip(pts.reshape(side * side, d), 0.0, 1.0)
-    probs = predict_probs(target, pts)
+    probs = ensemble_predict(target, pts)
     losses = nn.cross_entropy_per_example(probs, np.full(side * side, y)).reshape(side, side)
     labels = np.argmax(probs, axis=1).reshape(side, side)
     return SurfaceGrid(

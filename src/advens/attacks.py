@@ -129,11 +129,11 @@ def fgsm_step(x, input_grad, eta, lo, hi, out=None):
     ball_box(x_origin, eps), made once per attack (per row block and step
     for a large batch); sign(0) = 0, so zero-gradient coordinates hold
     still. The bounds are shaped like x or, for a stack of iterates
-    (H, B, d) of one origin, like one slice, (B, d) or (1, B, d). out,
-    which may be x itself, takes the step in place.
+    (H, B, d) of one origin, like one slice, (B, d). out, which may be x
+    itself, takes the step in place.
     """
     bounds = np.shape(lo)
-    if x.shape != input_grad.shape or bounds != np.shape(hi) or bounds not in (x.shape, x.shape[1:], (1, *x.shape[1:])):
+    if x.shape != input_grad.shape or bounds != np.shape(hi) or bounds not in (x.shape, x.shape[1:]):
         raise ShapeError("x and input_grad must share a shape, and the bounds that or a slice's")
     step = np.sign(input_grad)
     step *= eta
@@ -177,7 +177,7 @@ def _search(heads, x, labels, specs, ascent):
     step vouches for it (_checked). Attack h draws from its seed's
     generator in the order a lone attack would.
 
-    A batch of one row block steps whole, against one (1, B, d) pair of
+    A batch of one row block steps whole, against one (B, d) pair of
     bounds made once. A batch of several (nn.row_blocks) steps block by
     block, on every core (nn.over_blocks): a block's pass, its gradient
     check, MIM's momentum and the sign step go straight into its rows of
@@ -212,7 +212,7 @@ def _search(heads, x, labels, specs, ascent):
         cur = np.repeat(x[None], len(specs), axis=0)
     g_acc = np.zeros_like(cur) if spec.family == "mim" else None
     # what a step of some rows takes: their iterate, labels, momentum and bounds
-    whole = (cur, labels, g_acc, ball_box(x[None], spec.epsilon)) if len(blocks) == 1 else None
+    whole = (cur, labels, g_acc, ball_box(x, spec.epsilon)) if len(blocks) == 1 else None
 
     def part(lo, hi):  # of rows lo:hi, their bounds made here
         acc = None if g_acc is None else g_acc[:, lo:hi]
@@ -403,19 +403,19 @@ def multi_targeted(target, x, y, spec):
 def spsa_gradient_estimate(target, x, labels, samples, delta, rng, *, _checked=False):
     """Two-point Rademacher estimate of the input gradient of the mean
     cross-entropy. Returns (estimate, loss_evaluations). As in
-    ce_values_and_input_grad, x is one batch (B, d) against the averaged
-    prediction, its bumps drawn from rng; a stack (K, B, d) whose slice k
-    is against member k alone, its bumps drawn from rng[k]; or the iterate
-    (H, B, d) of Heads, slice h's bumps drawn from rng[h]. Slices of one
-    generator share its draws, which each would make alone. x is checked
-    to be finite unless the caller vouches for it (_checked).
+    ce_values_and_input_grad, x is the iterate (H, B, d) of Heads, slice
+    h's bumps drawn from the generator rng[h], or one batch (B, d) against
+    the averaged prediction of any other target, its bumps drawn from the
+    one generator rng. Slices of one generator share its draws, which each
+    would make alone. x is checked to be finite unless the caller vouches
+    for it (_checked).
 
     Each sample's bump is drawn for the whole batch, one draw per
     generator, on the calling thread; the bumped batches, their clips,
     both loss evaluations and the update of the estimate then go row block
     by row block (nn.row_blocks), on every core (nn.over_blocks)."""
     heads, cur = as_heads(target, x if _checked else nn._as_f64(x, "batch"))
-    rngs = [rng] if np.ndim(x) == 2 else list(rng)
+    rngs = list(rng) if heads is target else [rng]
     labels = nn.label_index(labels, cur.shape[-2], heads.num_classes)
     blocks = nn.row_blocks(cur)
     gens, which = _distinct(rngs)
@@ -443,7 +443,7 @@ def spsa_gradient_estimate(target, x, labels, samples, delta, rng, *, _checked=F
         bumps = bump[which] if 1 < len(gens) < len(rngs) else np.broadcast_to(bump, cur.shape)
         nn.over_blocks(sample, blocks)  # done before the next draw refills bump
     est /= samples
-    return est[0] if np.ndim(x) == 2 else est, 2 * samples
+    return (est if heads is target else est[0]), 2 * samples
 
 
 def save_attack_csv(result, x_original, path, preamble=""):

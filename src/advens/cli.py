@@ -83,11 +83,13 @@ def _path(value, where):
     return value
 
 
-def _real(value, where):
-    """value if it is a finite JSON number (not a bool or a string), else
-    ConfigError naming the field."""
+def _real(value, where, positive=False):
+    """value if it is a finite JSON number (not a bool or a string), and
+    > 0 when positive is set, else ConfigError naming the field."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
         raise ConfigError(f"{where}: must be a finite number, got {value!r}")
+    if positive and value <= 0:
+        raise ConfigError(f"{where}: must be > 0, got {value}")
     return value
 
 
@@ -141,18 +143,11 @@ def _norm_method(block):
     if name == "CCE":
         _reject_unknown(block, where, {"name", "mode", "lambda_pm", "lambda_dm"})
         mode = block.get("mode", "custom")
-        if mode != "custom" and (not isinstance(mode, str) or mode not in MODES):
-            raise ConfigError(f"{where}.mode: unknown mode {mode!r}")
-        for key in ("lambda_pm", "lambda_dm"):
-            if key in block:
-                _real(block[key], f"{where}.{key}")
-        if mode == "custom":
-            _require(block, where, "lambda_pm", "lambda_dm")
-            pm, dm = block["lambda_pm"], block["lambda_dm"]
-        else:
-            pm, dm = MODES[mode]
-            if block.get("lambda_pm", pm) != pm or block.get("lambda_dm", dm) != dm:
-                raise ConfigError(f"{where}: lambdas contradict mode {mode!r}")
+        given = [_real(block[k], f"{where}.{k}") if k in block else None for k in ("lambda_pm", "lambda_dm")]
+        try:
+            pm, dm = training.mode_lambdas(mode, *given)
+        except ConfigError as e:
+            raise ConfigError(f"{where}.{e}") from None
         return {"name": "CCE", "mode": mode, "lambda_pm": float(pm), "lambda_dm": float(dm)}
     if name == "ADP":
         _reject_unknown(block, where, {"name", "alpha", "beta"})
@@ -206,9 +201,9 @@ def normalize_config(obj, seed_override=None, out_override=None):
     surface = _object(obj.get("surface", {}), "surface")
     _reject_unknown(surface, "surface", {"radius_steps", "step", "index", "target"})
     norm_surface = {
-        "radius_steps": _integer(surface.get("radius_steps", 5), "surface.radius_steps"),
-        "step": _real(surface.get("step", 0.01), "surface.step"),
-        "index": _integer(surface.get("index", 0), "surface.index"),
+        "radius_steps": _integer(surface.get("radius_steps", 5), "surface.radius_steps", 1),
+        "step": _real(surface.get("step", 0.01), "surface.step", positive=True),
+        "index": _integer(surface.get("index", 0), "surface.index", 0),
         "target": surface.get("target", "en"),  # checked against the checkpoint's members
     }
 
@@ -271,9 +266,7 @@ def build_train_config(cfg):
         lr=train["lr"],
     )
     if method["name"] == "CCE":
-        kwargs.update(mode=method["mode"])
-        if method["mode"] == "custom":
-            kwargs.update(lambda_pm=method["lambda_pm"], lambda_dm=method["lambda_dm"])
+        kwargs.update(mode=method["mode"], lambda_pm=method["lambda_pm"], lambda_dm=method["lambda_dm"])
     else:
         kwargs.update(mode="Base")  # lambdas are inert for non-CCE methods
         if method["name"] == "ADP":

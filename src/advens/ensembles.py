@@ -3,14 +3,14 @@
 An Ensemble predicts the unweighted mean of its members' probability rows.
 Its members share one layer shape, as init_ensemble and a checkpoint make
 them, and it holds them as one nn.ModelStack (built once per ensemble), so
-its forward and its input gradient take one stacked pass (per row block of
-a large batch, the blocks on every core). Heads put several averaged
-predictions of one stack's members (each member alone, and all of them)
+its forward (per row block of a large batch, the blocks on every core) and
+its input gradient take one stacked pass. Heads put averaged predictions
+of one stack's members (each member alone, Heads.each, and all of them)
 through one such pass, each on its own batch: what a lockstep attack of
-several targets steps on. An Ensemble of members of different shapes still
-constructs, for the value-only losses that take members one at a time, but
-its stack raises ShapeError. Training holds its members as a ModelStack
-throughout and makes Models of them only to evaluate and report.
+several targets steps on. An Ensemble of members of different shapes
+still constructs, for the value-only losses that take members one at a
+time, but its stack raises ShapeError. Training holds its members as a
+ModelStack throughout and makes Models of them only to evaluate and report.
 Security of a prediction is always judged inside an l-inf ball around a
 clean point: a probe is secure for a model when the model still assigns
 the true label there (argmax, lowest index on ties).
@@ -192,14 +192,16 @@ class Heads:
 
 def as_heads(target, x):
     """target and a batch x as Heads and their iterate (H, B, d): Heads with
-    their own iterate; one batch (B, d) against the averaged prediction of
-    target (a Model, an Ensemble or an nn.ModelStack), as one head; or a
-    stack (K, B, d) whose slice k is against member k alone, as K heads."""
+    their own iterate, or one batch (B, d) against the averaged prediction
+    of a Model, an Ensemble or an nn.ModelStack, as one head (slices
+    against members alone take Heads.each); other shapes raise ShapeError."""
     if isinstance(target, Heads):
+        if np.ndim(x) != 3 or len(x) != len(target):
+            raise ShapeError(f"an iterate of shape {np.shape(x)} for {len(target)} heads")
         return target, x
-    if np.ndim(x) == 2:
-        return Heads.whole(member_stack(target)), x[None]
-    return Heads.each(member_stack(target)), x
+    if np.ndim(x) != 2:
+        raise ShapeError(f"a batch of shape {np.shape(x)}, not (B, d), against {type(target).__name__}")
+    return Heads.whole(member_stack(target)), x[None]
 
 
 def member_probs(target, batch, *, _checked=False):
@@ -221,22 +223,16 @@ def member_probs(target, batch, *, _checked=False):
 
 
 def ensemble_predict(ens, batch):
-    """Mean of member probability rows; rows still sum to 1. A Model is an
-    ensemble of one, whose rows are its own (the mean is skipped: exact)."""
+    """Mean of member probability rows of a batch (B, d); rows still sum to
+    1. A Model is an ensemble of one, whose rows are its own (exact)."""
+    if np.ndim(batch) != 2:
+        raise ShapeError(f"a batch of shape {np.shape(batch)}, not (B, d), to predict")
     probs = member_probs(ens, batch)
     return probs[0] if len(probs) == 1 else probs.mean(axis=0)
 
 
-def predict_probs(target, batch):
-    """The averaged probability rows of target (a Model is an ensemble of
-    one); for a (K, B, d) stack, member k's rows of slice k (member_probs)."""
-    if np.ndim(batch) == 3:
-        return member_probs(target, batch)
-    return ensemble_predict(target, batch)
-
-
 def predict_labels(target, batch):
-    return np.argmax(predict_probs(target, batch), axis=1)
+    return np.argmax(ensemble_predict(target, batch), axis=1)
 
 
 def ce_values_and_input_grad(target, x, labels, *, _checked=False):
@@ -244,44 +240,25 @@ def ce_values_and_input_grad(target, x, labels, *, _checked=False):
     from one stacked forward and a backward that forms only the input
     gradient. target is a Model, an Ensemble, an nn.ModelStack or Heads.
 
-    x of shape (B, d) is one batch against the *averaged* probability (the
-    adaptive-attack objective; a Model is an ensemble of one): values (B,),
-    gradient (B, d). x of shape (K, B, d) holds K independent batches, slice
-    k against member k alone: values (K, B), gradient (K, B, d). Against
-    Heads, x is their iterate (H, B, d), slice h against head h: values
-    (H, B), gradient (H, B, d).
+    Against Heads, x is their iterate (H, B, d), slice h against head h:
+    values (H, B), gradient (H, B, d). Against any other target, x is one
+    batch (B, d) against its *averaged* probability (the adaptive-attack
+    objective; a Model is an ensemble of one): values (B,), gradient
+    (B, d). Any other shape of x raises ShapeError (as_heads).
 
     This is the attack step. What stays fixed over an attack's steps is
     made once per call of the attack and passed in: the target as Heads
-    (or a ModelStack or an Ensemble) and labels as an nn.LabelIndex. x is
-    checked to be finite unless the caller vouches for it (_checked, as an
-    attack does for its iterate), and the forward's softmax checks that
-    every probability row is a distribution. A large batch goes through
-    all of it in row blocks (nn.row_blocks), on every core
-    (nn.over_blocks), each block's CE gradient with the whole batch's 1/B.
+    and labels as an nn.LabelIndex (a row block's keeps the whole batch's
+    1/B). x is checked to be finite unless the caller vouches for it
+    (_checked, as an attack does for its iterate), and the forward's
+    softmax checks every probability row. x goes through whole: an
+    attack's search hands over a large batch row block by row block.
     """
     heads, cur = as_heads(target, x if _checked else nn._as_f64(x, "batch"))
-    blocks = nn.row_blocks(cur)
-    if len(blocks) == 1:
-        values, grad = _heads_pass(heads, cur, labels)
-    else:
-        labels = nn.label_index(labels, cur.shape[-2], heads.num_classes)
-        values, grad = np.empty(cur.shape[:-1]), np.empty(cur.shape)
-
-        def block(lo, hi):
-            values[:, lo:hi], grad[:, lo:hi] = _heads_pass(heads, cur[:, lo:hi], labels.block(lo, hi))
-
-        nn.over_blocks(block, blocks)
-    return (values[0], grad[0]) if np.ndim(x) == 2 else (values, grad)
-
-
-def _heads_pass(heads, cur, labels):
-    """ce_values_and_input_grad of one pass over an iterate cur (a row block
-    or the whole batch) that its caller checked: one forward of the slots,
-    one input-gradient backward."""
     probs, cache = nn.forward_cached(heads.slots, heads.batch(cur), "masks", _checked=True)
     values, g_probs = nn.ce_values_and_prob_grad(heads.average(probs), labels, _checked=True)
-    return values, heads.head_grads(nn.backprop(heads.slots, cache, heads.slot_grads(g_probs))[1])
+    grad = heads.head_grads(nn.backprop(heads.slots, cache, heads.slot_grads(g_probs))[1])
+    return (values, grad) if heads is target else (values[0], grad[0])
 
 
 # ---------------------------------------------------------------------------

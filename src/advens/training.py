@@ -58,6 +58,22 @@ METHODS = ("ADV", "ADV_EN", "ADP", "CCE")
 MODES = {"RM": (1.0, 1.0), "DM": (0.0, 5.0), "Base": (0.0, 0.0)}
 ED_FLOOR = 1e-30
 
+
+def mode_lambdas(mode, lambda_pm=None, lambda_dm=None):
+    """(lambda_pm, lambda_dm) of a CCE mode: a named mode's pair (MODES),
+    which lambdas given with it must repeat, or custom's, which must both
+    be given. ConfigError otherwise, its message led by the field at fault."""
+    if mode != "custom" and (not isinstance(mode, str) or mode not in MODES):
+        raise ConfigError(f"mode: unknown mode {mode!r}")
+    pinned = MODES.get(mode, (None, None))
+    for name, value, pin in zip(("lambda_pm", "lambda_dm"), (lambda_pm, lambda_dm), pinned):
+        if value is None and pin is None:
+            raise ConfigError(f"{name}: custom mode needs explicit lambda_pm and lambda_dm")
+        if value is not None and pin is not None and value != pin:
+            raise ConfigError(f"{name}: {value!r} contradicts mode {mode!r}, which pins it to {pin}")
+    return MODES.get(mode, (lambda_pm, lambda_dm))
+
+
 # seed-lineage tags (arbitrary fixed ints; only distinctness matters)
 _TAG_SHUFFLE, _TAG_EVAL, _TAG_ATTACK, _TAG_ENS_ATTACK = 1, 2, 3, 4
 
@@ -66,10 +82,10 @@ _TAG_SHUFFLE, _TAG_EVAL, _TAG_ATTACK, _TAG_ENS_ATTACK = 1, 2, 3, 4
 class TrainConfig:
     """Training hyper-parameters.
 
-    mode is one of RM / DM / Base / custom. The named modes pin
-    (lambda_pm, lambda_dm) to (1,1) / (0,5) / (0,0); passing lambdas that
-    disagree with a named mode is a configuration error. alpha and beta
-    only matter for the ADP method.
+    mode is one of RM / DM / Base / custom, and (lambda_pm, lambda_dm)
+    are its mode_lambdas: the named modes pin them to (1,1) / (0,5) /
+    (0,0), and custom takes them as given. alpha and beta only matter for
+    the ADP method.
     """
 
     attack: AttackSpec
@@ -84,22 +100,9 @@ class TrainConfig:
     beta: float = 0.5
 
     def __post_init__(self):
-        if self.mode not in MODES and self.mode != "custom":
-            raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.mode in MODES:
-            pm, dm = MODES[self.mode]
-            if self.lambda_pm is None:
-                object.__setattr__(self, "lambda_pm", pm)
-            if self.lambda_dm is None:
-                object.__setattr__(self, "lambda_dm", dm)
-            if (self.lambda_pm, self.lambda_dm) != (pm, dm):
-                raise ConfigError(
-                    f"mode {self.mode} requires lambdas {(pm, dm)}, got "
-                    f"{(self.lambda_pm, self.lambda_dm)}"
-                )
-        else:
-            if self.lambda_pm is None or self.lambda_dm is None:
-                raise ConfigError("custom mode needs explicit lambda_pm and lambda_dm")
+        pm, dm = mode_lambdas(self.mode, self.lambda_pm, self.lambda_dm)
+        object.__setattr__(self, "lambda_pm", pm)
+        object.__setattr__(self, "lambda_dm", dm)
         if self.lambda_pm < 0 or self.lambda_dm < 0:
             raise ConfigError("lambdas must be >= 0")
         if self.epochs < 1 or self.batch_size < 1:

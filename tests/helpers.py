@@ -7,6 +7,7 @@ module they help validate.
 import numpy as np
 
 from advens import data, nn
+from advens.ensembles import Ensemble
 
 
 def fit_plain(dataset, hidden=(16,), steps=400, lr=0.05, seed=0, batch=None):
@@ -31,3 +32,17 @@ def blobs_and_model(seed=0, num_classes=3, dim=2, separation=4, hidden=(16,)):
         seed=seed, n_per_class=60, num_classes=num_classes, dim=dim, separation=separation
     )
     return ds, fit_plain(ds, hidden=hidden, seed=seed)
+
+
+def ensemble_and_batch(b, d=4, hidden=(5,), m=3, members=2, seed=0):
+    """An untrained ensemble of d inputs and m classes, and a random batch
+    of b rows in the data box with random labels."""
+    ens = Ensemble(members=tuple(nn.init_model(d, list(hidden), m, seed=seed + k) for k in range(members)))
+    rng = np.random.default_rng(seed + 100)
+    return ens, rng.random((b, d)), rng.integers(0, m, size=b)
+
+
+def assert_same_bytes(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()

@@ -332,6 +332,9 @@ def test_detect_scores_the_attacks_member_rows_of_its_batch(monkeypatch):
         assert np.asarray(getattr(got, field)).tobytes() == np.asarray(getattr(want, field)).tobytes()
     with pytest.raises(ShapeError):
         analysis.detect(ens, x, result.adversarial, adv_probs=result.member_probs[:, 1:])
+    # one member's rows too many: once scored as a third member (AUC 0.528)
+    with pytest.raises(ShapeError, match="for 2 members"):
+        analysis.detect(ens, x, result.adversarial, adv_probs=result.member_probs[[0, 1, 1]])
 
 
 def test_detect_member_mean_scores():

@@ -3,7 +3,7 @@ import pytest
 
 from advens import attacks, data, nn
 from advens.attacks import AttackSpec
-from advens.ensembles import Ensemble, ce_values_and_input_grad, predict_labels, predict_probs
+from advens.ensembles import Ensemble, ce_values_and_input_grad, ensemble_predict, predict_labels
 from advens.errors import ConfigError, DomainError, ShapeError
 from helpers import blobs_and_model, fit_plain
 
@@ -305,8 +305,8 @@ def test_spsa_moves_toward_higher_loss():
     x, y = ds.inputs[:40], ds.labels[:40]
     spec = AttackSpec(family="spsa", steps=10, epsilon=0.06, eta=0.015, spsa_samples=32, seed=6)
     res = attacks.run_attack(model, x, y, spec)
-    before = nn.cross_entropy_per_example(predict_probs(model, x), y).mean()
-    after = nn.cross_entropy_per_example(predict_probs(model, res.adversarial), y).mean()
+    before = nn.cross_entropy_per_example(ensemble_predict(model, x), y).mean()
+    after = nn.cross_entropy_per_example(ensemble_predict(model, res.adversarial), y).mean()
     assert after > before
 
 
@@ -328,8 +328,8 @@ def test_ensemble_gradient_is_of_averaged_probability():
         up, dn = x.copy(), x.copy()
         up[idx] += h
         dn[idx] -= h
-        lu = nn.cross_entropy_per_example(predict_probs(ens, up), y).mean()
-        ld = nn.cross_entropy_per_example(predict_probs(ens, dn), y).mean()
+        lu = nn.cross_entropy_per_example(ensemble_predict(ens, up), y).mean()
+        ld = nn.cross_entropy_per_example(ensemble_predict(ens, dn), y).mean()
         fd[idx] = (lu - ld) / (2 * h)
     assert np.max(np.abs(grad - fd)) < 1e-6
 
@@ -419,7 +419,7 @@ def test_logits_that_overflow_partway_through_an_attack_raise_domain_error(famil
     # finite, the second's overflows and its probabilities turn NaN
     model = overflowing_model(threshold=0.45, scale=1e200)
     x, y = np.array([[0.4]]), np.array([1])
-    assert np.isfinite(predict_probs(model, x)).all()
+    assert np.isfinite(ensemble_predict(model, x)).all()
     spec = AttackSpec(family=family, steps=3, epsilon=0.2, eta=0.1, random_start=False)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DomainError, match="non-finite"):

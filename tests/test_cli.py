@@ -125,11 +125,18 @@ def test_config_validation_messages(tmp_path):
         ({"eval_attacks": {"a": {"family": "none"}}}, "eval_attacks.a"),
         ({"dataset": {"generator": "moons"}}, "unknown generator"),
         ({"extra_block": 1}, "unknown field"),
+        # once accepted here, so that train ran and only surface failed
+        ({"surface": {"radius_steps": 0}}, r"^surface\.radius_steps: must be >= 1, got 0$"),
+        ({"surface": {"radius_steps": -3}}, r"^surface\.radius_steps: must be >= 1, got -3$"),
+        ({"surface": {"step": 0}}, r"^surface\.step: must be > 0, got 0$"),
+        ({"surface": {"step": -0.5}}, r"^surface\.step: must be > 0, got -0\.5$"),
+        ({"surface": {"index": -1}}, r"^surface\.index: must be >= 0, got -1$"),
     ]
     for edits, fragment in cases:
         path, _ = make_config(tmp_path, name="bad.json", **edits)
         with pytest.raises(ConfigError, match=fragment):
             cli.parse_config(path)
+        assert run(["train", "--config", path]) == 2
 
 
 @pytest.mark.parametrize(

@@ -3,10 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from advens import ensembles, nn
-from advens.ensembles import Ensemble, SubsetPartition
-from advens.errors import ConfigError, ContractError
-from helpers import blobs_and_model, fit_plain
+from advens import attacks, ensembles, nn
+from advens.ensembles import Ensemble, Heads, SubsetPartition
+from advens.errors import ConfigError, ContractError, ShapeError
+from helpers import blobs_and_model, ensemble_and_batch, fit_plain
 
 
 def constant_model(cls, num_classes=3, dim=2):
@@ -50,6 +50,29 @@ def test_three_member_mean_is_exact():
     stack = [nn.forward(m, x) for m in ms]
     assert np.max(np.abs(ensembles.ensemble_predict(ens, x) - sum(stack) / 3)) < 1e-12
     assert np.max(np.abs(ensembles.ensemble_predict(ens, x).sum(axis=1) - 1)) < 1e-9
+
+
+@pytest.mark.parametrize("kind", ["model", "ensemble", "stack"])
+def test_a_stacked_batch_against_a_target_that_is_not_heads_raises_shape_error(kind):
+    # slice k against member k is asked for through Heads.each alone; a
+    # (K, B, d) batch once went per member to some calls and row-wise to others
+    ens, x, labels = ensemble_and_batch(6)
+    target = {"model": ens.members[0], "ensemble": ens, "stack": ens.stack}[kind]
+    stacked = np.stack([x, x])
+    calls = {
+        "ce_values_and_input_grad": lambda: ensembles.ce_values_and_input_grad(target, stacked, labels),
+        "spsa_gradient_estimate": lambda: attacks.spsa_gradient_estimate(
+            target, stacked, labels, 1, 0.01, [np.random.default_rng(0)] * 2
+        ),
+        "ensemble_predict": lambda: ensembles.ensemble_predict(target, stacked),
+        "predict_labels": lambda: ensembles.predict_labels(target, stacked),
+    }
+    for call in calls.values():
+        with pytest.raises(ShapeError, match=r"\(2, 6, 4\)"):
+            call()
+    # and Heads take only their own iterate (H, B, d)
+    with pytest.raises(ShapeError):
+        ensembles.ce_values_and_input_grad(Heads.each(ens.stack), x, labels)
 
 
 def test_member_compatibility_checked():

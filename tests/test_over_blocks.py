@@ -16,8 +16,9 @@ import pytest
 
 from advens import cli, data, nn
 from advens.attacks import FAMILIES, AttackSpec, run_attack, run_member_and_ensemble_attacks, spsa_gradient_estimate, targeted
-from advens.ensembles import Ensemble, ce_values_and_input_grad, member_probs, save_ensemble
+from advens.ensembles import Ensemble, Heads, ce_values_and_input_grad, member_probs, save_ensemble
 from advens.errors import DivergenceError
+from helpers import assert_same_bytes, ensemble_and_batch
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ON = 3  # helpers, whatever the core count: every block of 10,000 rows in flight at once
@@ -47,28 +48,16 @@ def helpers(monkeypatch):
     return use
 
 
-def ensemble_and_batch(b, seed=0):
-    ens = Ensemble(members=tuple(nn.init_model(4, [5], 3, seed=seed + k) for k in range(2)))
-    rng = np.random.default_rng(seed + 100)
-    return ens, rng.random((b, 4)), rng.integers(0, 3, size=b)
-
-
-def assert_same_bytes(got, want):
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert g.shape == w.shape and g.tobytes() == w.tobytes()
-
-
 def passes(ens, x, labels):
+    """The blocked passes outside an attack's search (whose blocked steps
+    the attacks below take); the stacked cases slice k against member k."""
     stacked = np.stack([np.roll(x, k, axis=0) for k in range(len(ens))])
     rngs = [np.random.default_rng(4 + k) for k in range(len(ens))]
     return [
         member_probs(ens, x),
         member_probs(ens.stack, stacked),
-        *ce_values_and_input_grad(ens, x, labels),
-        *ce_values_and_input_grad(ens.stack, stacked, labels),
         spsa_gradient_estimate(ens, x, labels, 2, 0.01, np.random.default_rng(3))[0],
-        spsa_gradient_estimate(ens.stack, stacked, labels, 2, 0.01, rngs)[0],
+        spsa_gradient_estimate(Heads.each(ens.stack), stacked, labels, 2, 0.01, rngs)[0],
     ]
 
 
@@ -114,14 +103,17 @@ def overflowing_model():
 
 
 def test_numpy_error_state_reaches_the_helpers(helpers):
-    x, labels = np.zeros((10_000, 3)), np.arange(10_000) % 3
+    # the attack step over row blocks, as an attack's search takes it
+    model, x, labels = overflowing_model(), np.zeros((10_000, 3)), np.arange(10_000) % 3
     taken = helpers(ON)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with np.errstate(over="ignore"):
-            _, grad = ce_values_and_input_grad(overflowing_model(), x, labels)
+            grads = nn.over_blocks(
+                lambda lo, hi: ce_values_and_input_grad(model, x[lo:hi], labels[lo:hi])[1], nn.row_blocks(x)
+            )
     assert taken.is_set()
-    assert all(not np.isfinite(grad[lo:hi]).all() for lo, hi in nn.row_blocks(x))
+    assert len(grads) == 4 and all(not np.isfinite(g).all() for g in grads)
 
 
 def test_a_divergence_in_a_helpers_block_reaches_the_caller(helpers):

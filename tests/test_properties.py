@@ -22,7 +22,7 @@ from advens.attacks import (
     run_member_attacks,
     targeted,
 )
-from advens.ensembles import Ensemble, ce_values_and_input_grad
+from advens.ensembles import Ensemble, Heads, ce_values_and_input_grad
 from advens.errors import ConsistencyError, DomainError, FormatError, ShapeError, TruncatedFileError
 
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
@@ -279,9 +279,9 @@ def test_stacked_input_grad_equals_per_member_backprop(widths, classes, d, b, se
     want_values, want_grad = reference_input_grads(members, x, y)
     assert same_bits(values, want_values)
     assert same_bits(grad, want_grad)
-    # the (K, B, d) form: slice k against member k alone
+    # Heads.each: slice k against member k alone
     xs = rng.random((len(members), b, d))
-    values, grad = ce_values_and_input_grad(Ensemble(members=members), xs, y)
+    values, grad = ce_values_and_input_grad(Heads.each(Ensemble(members=members).stack), xs, y)
     for k, member in enumerate(members):
         want_values, want_grad = reference_input_grads((member,), xs[k], y)
         assert same_bits(values[k], want_values)

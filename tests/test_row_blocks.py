@@ -1,7 +1,8 @@
-"""Large batches in row blocks (nn.row_blocks): the attack step, the member
-forward and the SPSA estimate against the whole-batch pass, forced by a
-block constant no batch reaches; and the SPSA estimate against its
-definition, with the draws of its generators."""
+"""Large batches in row blocks (nn.row_blocks): the attack step as an
+attack takes it block by block, the member forward and the SPSA estimate
+against the whole-batch pass, forced by a block constant no batch
+reaches; and the SPSA estimate against its definition, with the draws of
+its generators."""
 
 import numpy as np
 import pytest
@@ -16,27 +17,35 @@ from advens.attacks import (
     run_member_attacks,
     spsa_gradient_estimate,
 )
-from advens.ensembles import Ensemble, ce_values_and_input_grad, member_probs, predict_probs
+from advens.ensembles import Heads, ce_values_and_input_grad, ensemble_predict, member_probs
 from advens.errors import DivergenceError, DomainError
+from helpers import assert_same_bytes, ensemble_and_batch
 
 WHOLE = 10**9  # a block constant that leaves every batch whole
 
 
-def ensemble_and_batch(b, d, hidden, m, members, seed=0):
-    ens = Ensemble(members=tuple(nn.init_model(d, hidden, m, seed=seed + k) for k in range(members)))
-    rng = np.random.default_rng(seed + 100)
-    return ens, rng.random((b, d)), rng.integers(0, m, size=b)
+def blocked_step(target, x, labels):
+    """ce_values_and_input_grad as an attack's search takes it: row block
+    by row block (nn.row_blocks), each block's LabelIndex with the whole
+    batch's 1/B."""
+    index = nn.label_index(labels, len(labels), target.num_classes)
+    values, grads = zip(*(
+        ce_values_and_input_grad(target, x[..., lo:hi, :], index.block(lo, hi)) for lo, hi in nn.row_blocks(x)
+    ))
+    return np.concatenate(values, axis=-1), np.concatenate(grads, axis=-2)
 
 
 def results(x, labels, ens):
-    """Everything the blocks touch, for one ensemble and one batch."""
+    """Everything the blocks touch, for one ensemble and one batch; the
+    stacked cases slice k against member k (Heads.each)."""
     stacked = np.stack([np.roll(x, k, axis=0) for k in range(len(ens))])
+    heads = Heads.each(ens.stack)
     est, _ = spsa_gradient_estimate(ens, x, labels, 2, 0.01, np.random.default_rng(3))
     rngs = [np.random.default_rng(4 + k) for k in range(len(ens))]
-    member_est, _ = spsa_gradient_estimate(ens.stack, stacked, labels, 2, 0.01, rngs)
+    member_est, _ = spsa_gradient_estimate(heads, stacked, labels, 2, 0.01, rngs)
     return [
-        *ce_values_and_input_grad(ens, x, labels),
-        *ce_values_and_input_grad(ens.stack, stacked, labels),
+        *blocked_step(ens, x, labels),
+        *blocked_step(heads, stacked, labels),
         member_probs(ens, x),
         member_probs(ens.stack, stacked),
         est,
@@ -54,15 +63,9 @@ def attack_results(x, labels, ens):
     return out
 
 
-def assert_same_bytes(got, want):
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert g.shape == w.shape and g.tobytes() == w.tobytes()
-
-
 def test_blocks_keep_every_bit_at_the_analyze_idx_shape(monkeypatch):
     # d=64, one hidden layer of 64, 10 classes, 2 members, 10,000 rows: 4 blocks
-    ens, x, labels = ensemble_and_batch(10_000, 64, [64], 10, 2)
+    ens, x, labels = ensemble_and_batch(10_000, 64, (64,), 10, 2)
     assert len(nn.row_blocks(x)) == 4
     blocked = results(x, labels, ens) + attack_results(x, labels, ens)
     monkeypatch.setattr(nn, "_BLOCK_ROWS", WHOLE)
@@ -93,7 +96,7 @@ def test_blocked_results_are_deterministic_and_near_the_whole_pass(b, d, hidden,
 
 
 def test_a_non_finite_row_in_the_last_block_still_raises():
-    ens, x, labels = ensemble_and_batch(4096, 3, [4], 3, 2)
+    ens, x, labels = ensemble_and_batch(4096, 3, (4,), 3, 2)
     x[-1, 0] = np.nan
     for call in (lambda: ce_values_and_input_grad(ens, x, labels), lambda: member_probs(ens, x)):
         with pytest.raises(DomainError, match="^batch contains non-finite values$"):
@@ -116,17 +119,18 @@ def test_row_blocks_start_at_twice_the_block_rows(monkeypatch):
     assert nn.row_blocks(np.zeros((4095, 2))) == [(0, 4095)]
     assert nn.row_blocks(np.zeros((2, 4096, 2))) == [(0, 2048), (2048, 4096)]
     assert nn.row_blocks(np.zeros((10_000, 2))) == [(0, 2500), (2500, 5000), (5000, 7500), (7500, 10_000)]
-    ens, x, labels = ensemble_and_batch(4096, 3, [4], 3, 2)
+    ens, x, labels = ensemble_and_batch(4096, 3, (4,), 3, 2)
+    spec = AttackSpec(family="bim", steps=1, epsilon=0.01, eta=0.005)
     calls = []
     forward = nn.forward_cached
     monkeypatch.setattr(nn, "forward_cached", lambda *a, **k: calls.append(len(a[1])) or forward(*a, **k))
     member_probs(ens, x[:4095])
-    ce_values_and_input_grad(ens, x[:4095], labels[:4095])
-    assert calls == [4095, 4095]
+    run_attack(ens, x[:4095], labels[:4095], spec)  # one step, then the final check
+    assert calls == [4095] * 3
     calls.clear()
     member_probs(ens, x)
-    ce_values_and_input_grad(ens, x, labels)
-    assert calls == [2048, 2048, 2048, 2048]
+    run_attack(ens, x, labels, spec)
+    assert calls == [2048] * 6
 
 
 def test_block_index_keeps_the_whole_batch_mean():
@@ -141,7 +145,7 @@ def test_block_index_keeps_the_whole_batch_mean():
 
 @pytest.mark.parametrize("family", ["pgd", "spsa"])
 def test_member_attacks_equal_lone_attacks_in_blocks(family):
-    ens, x, labels = ensemble_and_batch(4096, 4, [5], 3, 2)
+    ens, x, labels = ensemble_and_batch(4096)
     specs = [AttackSpec(family=family, steps=2, epsilon=0.02, eta=0.005, spsa_samples=2, seed=s) for s in (1, 2)]
     together = run_member_attacks(ens.members, x, labels, specs)
     for member, spec, got in zip(ens.members, specs, together):
@@ -156,7 +160,7 @@ def test_member_attacks_equal_lone_attacks_in_blocks(family):
 def test_member_and_ensemble_attacks_take_a_blocked_batch_one_target_at_a_time(monkeypatch, family):
     # above the block threshold the targets do not step together: each pass
     # holds one target's row block, and each result is its lone attack's
-    ens, x, labels = ensemble_and_batch(4096, 4, [5], 3, 2)
+    ens, x, labels = ensemble_and_batch(4096)
     spec = AttackSpec(family=family, steps=2, epsilon=0.02, eta=0.005, spsa_samples=2, seed=3)
     shapes = []
     forward = nn.forward_cached
@@ -172,25 +176,30 @@ def test_member_and_ensemble_attacks_take_a_blocked_batch_one_target_at_a_time(m
         assert got.loss_trace == lone.loss_trace and got.queries == lone.queries
 
 
-def reference_spsa(target, x, labels, samples, delta, rngs):
+def reference_spsa(probs_of, x, labels, samples, delta, rngs):
     """The two-point estimate as defined: int64 draws mapped to +-1, both
-    bumped batches whole, one generator per batch slice."""
+    bumped batches whole, one generator per batch slice; probs_of gives
+    the probability rows of a batch shaped like x."""
     est = np.zeros_like(x)
     for _ in range(samples):
         bump = np.reshape([r.integers(0, 2, size=x.shape[-2:]) for r in rngs], x.shape) * 2.0 - 1.0
-        lp = nn.cross_entropy_per_example(predict_probs(target, np.clip(x + delta * bump, 0.0, 1.0)), labels)
-        ln = nn.cross_entropy_per_example(predict_probs(target, np.clip(x - delta * bump, 0.0, 1.0)), labels)
+        lp = nn.cross_entropy_per_example(probs_of(np.clip(x + delta * bump, 0.0, 1.0)), labels)
+        ln = nn.cross_entropy_per_example(probs_of(np.clip(x - delta * bump, 0.0, 1.0)), labels)
         est += ((lp - ln) / (2.0 * delta))[..., None] * bump
     return est / samples
 
 
 @pytest.mark.parametrize("members", [1, 2])
 def test_spsa_estimate_keeps_its_definition_and_the_generator_stream(members):
-    ens, x, labels = ensemble_and_batch(300, 5, [6], 4, members)
+    ens, x, labels = ensemble_and_batch(300, 5, (6,), 4, members)
     stacked = np.stack([np.roll(x, k, axis=0) for k in range(members)])
-    for target, batch, k in ((ens, x, 1), (ens.stack, stacked, members)):
+    heads = Heads.each(ens.stack)  # slice k against member k: member k's rows of it
+    for target, batch, probs_of, k in (
+        (ens, x, lambda b: ensemble_predict(ens, b), 1),
+        (heads, stacked, lambda b: member_probs(ens.stack, b), members),
+    ):
         got_rngs, want_rngs = ([np.random.default_rng(9 + i) for i in range(k)] for _ in range(2))
-        got, used = spsa_gradient_estimate(target, batch, labels, 3, 0.02, got_rngs if batch.ndim == 3 else got_rngs[0])
+        got, used = spsa_gradient_estimate(target, batch, labels, 3, 0.02, got_rngs if target is heads else got_rngs[0])
         assert used == 6
-        assert got.tobytes() == reference_spsa(target, batch, labels, 3, 0.02, want_rngs).tobytes()
+        assert got.tobytes() == reference_spsa(probs_of, batch, labels, 3, 0.02, want_rngs).tobytes()
         assert [r.integers(0, 2**62) for r in got_rngs] == [r.integers(0, 2**62) for r in want_rngs]
