@@ -1,12 +1,12 @@
 """Perturbation search inside the l-inf ball B(x, eps) = {x' : ||x'-x||_inf <= eps} ∩ [0,1]^d.
 
 One search loop serves every protocol: run_attack (untargeted), targeted,
-multi_targeted, run_member_attacks and run_member_and_ensemble_attacks all
-call it, and spec.family picks how it steps (PGD / BIM / MIM sign-gradient
-steps, or gradient-free SPSA estimates). Targets may be a single Model or an
-Ensemble; against an ensemble the objective is the cross-entropy of the
-*averaged* probability, so the attacker differentiates through the
-combination rule (the adaptive attack).
+multi_targeted, run_member_attacks, run_member_and_ensemble_attacks and
+adversarial_batches all call it, and spec.family picks how it steps (PGD /
+BIM / MIM sign-gradient steps, or gradient-free SPSA estimates). Targets may
+be a single Model or an Ensemble; against an ensemble the objective is the
+cross-entropy of the *averaged* probability, so the attacker differentiates
+through the combination rule (the adaptive attack).
 
 The loop attacks *heads* (ensembles.Heads) in lockstep: a head is the
 averaged prediction of some members of one nn.ModelStack, one member or all
@@ -14,18 +14,22 @@ of them, and a Model is the stack of one. run_attack attacks one head,
 run_member_attacks one per member, and run_member_and_ensemble_attacks one
 per member and one of all of them (the paper's f1 .. fK and en under one
 attack). What stays fixed over the steps is done once per call: x and the
-labels are checked, the target is stacked, the labels become an
-nn.LabelIndex and the ball ∩ box bounds are made (ball_box). Each gradient
-step is then one forward of the heads' members on the (H, B, d) iterate,
-whose softmax checks its rows, one backward that forms only the input
-gradient (ensembles.ce_values_and_input_grad), and one sign step clipped to
-the bounds in place; the loss trace is summed once, when the call ends. A
-large batch takes each step row block by row block (nn.row_blocks), the
-blocks on every core (nn.over_blocks), each block's bounds made from its
-rows at each step. The iterate is clipped into finite bounds and every
-gradient is checked, so the forwards skip the finiteness check of their
-batch. Every seed has its own generator, which the heads of that seed
+labels are checked, the target is stacked, the labels become one flat
+nn.LabelIndex of the heads' (H, B, M) rows, the iterate's shape is set and
+the ball ∩ box bounds are made (ball_box). Each gradient step is then one
+forward of the heads' members on the (H, B, d) iterate, whose softmax checks
+its rows, one backward that forms only the input gradient
+(ensembles.ce_values_and_input_grad), and one sign step clipped to the
+bounds in place. A large batch takes each step row block by row block
+(nn.row_blocks), the blocks on every core (nn.over_blocks), each block's
+bounds made from its rows at each step. The iterate is clipped into finite
+bounds and every gradient is checked, so the forwards skip the checks of
+their batch. Every seed has its own generator, which the heads of that seed
 share, so each result equals a lone run_attack bit for bit.
+
+The final check (one more forward of the iterate, for the success mask,
+the loss trace and the member rows) is made only for an AttackResult;
+adversarial_batches, which training calls, returns the iterate alone.
 
 Query accounting: queries counts target evaluations per example (the usual
 black-box budget metric). PGD/BIM/MIM spend steps+1 (final success check
@@ -132,8 +136,8 @@ def fgsm_step(x, input_grad, eta, lo, hi, out=None):
     (H, B, d) of one origin, like one slice, (B, d). out, which may be x
     itself, takes the step in place.
     """
-    bounds = np.shape(lo)
-    if x.shape != input_grad.shape or bounds != np.shape(hi) or bounds not in (x.shape, x.shape[1:]):
+    bounds = lo.shape
+    if x.shape != input_grad.shape or bounds != hi.shape or bounds not in (x.shape, x.shape[1:]):
         raise ShapeError("x and input_grad must share a shape, and the bounds that or a slice's")
     step = np.sign(input_grad)
     step *= eta
@@ -141,23 +145,24 @@ def fgsm_step(x, input_grad, eta, lo, hi, out=None):
     return out.clip(lo, hi, out=out)
 
 
-def _validate_inputs(target, x, y):
-    """x as a float64 (B, d) batch and y as the nn.LabelIndex of its labels:
-    one integer in [0, num_classes) per row. The one check of x and the
-    labels in an attack call."""
+def _validate_inputs(heads, x, y):
+    """x as a float64 (B, d) batch and y as the nn.LabelIndex of its labels
+    in the heads' (H, B, M) probability rows: one integer in [0,
+    num_classes) per row. The one check of x and the labels in an attack
+    call."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeError("attack inputs must be a 2-d batch")
     if not np.isfinite(x).all():
         raise DomainError("attack inputs contain non-finite values")
-    return x, nn.label_index(y, len(x), target.num_classes)
+    return x, nn.label_index(y, (len(heads), len(x), heads.num_classes))
 
 
-def _generators(specs):
-    """One generator per attack, seeded specs[h].seed; attacks of one seed
-    share one generator, whose draws each of them would make alone."""
+def _generators(seeds):
+    """One generator per attack, seeded seeds[h]; attacks of one seed share
+    one generator, whose draws each of them would make alone."""
     seeded = {}
-    return [seeded.setdefault(s.seed, np.random.default_rng(s.seed)) for s in specs]
+    return [seeded.setdefault(s, np.random.default_rng(s)) for s in seeds]
 
 
 def _distinct(rngs):
@@ -167,15 +172,14 @@ def _distinct(rngs):
     return gens, [gens.index(r) for r in rngs]
 
 
-def _search(heads, x, labels, specs, ascent):
-    """The one iterative search behind every protocol: head h of heads
-    (ensembles.Heads) attacked with specs[h], all heads in lockstep; the
-    loop follows the family of specs, which differ only in their seeds.
-    Each step is one forward of the heads' slots, one input-gradient
-    backward and one sign step of the (H, B, d) iterate clipped to the ball
-    ∩ box bounds of x; the iterate is clipped into finite bounds, so the
-    step vouches for it (_checked). Attack h draws from its seed's
-    generator in the order a lone attack would.
+def _search(heads, x, labels, spec, seeds, ascent):
+    """The one iterative search behind every protocol: each head of heads
+    (ensembles.Heads) attacked with spec, head h drawing from seeds[h],
+    all heads in lockstep. Each step is one forward of the heads' slots,
+    one input-gradient backward and one sign step of the (H, B, d) iterate
+    clipped to the ball ∩ box bounds of x; the iterate is clipped into
+    finite bounds, so the step vouches for it (_checked). Attack h draws
+    from its seed's generator in the order a lone attack would.
 
     A batch of one row block steps whole, against one (B, d) pair of
     bounds made once. A batch of several (nn.row_blocks) steps block by
@@ -189,12 +193,11 @@ def _search(heads, x, labels, specs, ascent):
 
     x and labels are as _validate_inputs returns them. Ascends the
     cross-entropy against labels when ascent is set, descends it
-    otherwise. Returns, per head, (adversarial (B, d), final averaged
-    probs (B, M), final member probs (K_h, B, M), loss trace), and the
-    queries of each attack.
+    otherwise. Returns the iterate (H, B, d) after the last step, each
+    gradient step's per-example objective (H, B) and the queries of each
+    attack's steps; the final check is left to the callers that read it.
     """
-    spec = specs[0]
-    rngs = _generators(specs)
+    rngs = _generators(seeds)
     blocks = nn.row_blocks(x)
     if spec.family == "pgd" and spec.random_start:
         gens, which = _distinct(rngs)
@@ -209,7 +212,7 @@ def _search(heads, x, labels, specs, ascent):
         for lo, hi in blocks:  # into the ball, without whole-batch bounds
             np.clip(cur[:, lo:hi], x[lo:hi] - spec.epsilon, x[lo:hi] + spec.epsilon, out=cur[:, lo:hi])
     else:
-        cur = np.repeat(x[None], len(specs), axis=0)
+        cur = np.repeat(x[None], len(rngs), axis=0)
     g_acc = np.zeros_like(cur) if spec.family == "mim" else None
     # what a step of some rows takes: their iterate, labels, momentum and bounds
     whole = (cur, labels, g_acc, ball_box(x, spec.epsilon)) if len(blocks) == 1 else None
@@ -240,7 +243,7 @@ def _search(heads, x, labels, specs, ascent):
         return values
 
     values_seen = []  # per step, the per-example objective: the trace's rows
-    queries = 1  # the final success check
+    queries = 0
     for step in range(spec.steps):
         if spec.family == "spsa":
             est, used = spsa_gradient_estimate(
@@ -259,33 +262,25 @@ def _search(heads, x, labels, specs, ascent):
                 parts = nn.over_blocks(lambda lo, hi: gradient_step(part(lo, hi), step), blocks)
                 values_seen.append(np.concatenate(parts, axis=-1))
             queries += 1
-    members = member_probs(heads.slots, heads.batch(cur), _checked=True)
+    return cur, values_seen, queries
+
+
+def _results(heads, x, labels, specs, ascent):
+    """One AttackResult per head: _search of head h with specs[h].seed,
+    then the final check, which costs each attack one more query. An
+    ascent (untargeted) succeeds where the final prediction differs from
+    the label, a descent (targeted) where it equals it."""
+    cur, values_seen, queries = _search(heads, x, labels, specs[0], [s.seed for s in specs], ascent)
+    members = member_probs(heads.slots, heads.batch(cur), _checked=True)  # the final check
     probs = heads.average(members)
     final = nn.cross_entropy_per_example(probs, labels, _checked=True)
     rows = np.concatenate([np.reshape(values_seen, (-1, *final.shape)), final[None]])
     # each a mean as np.mean takes it: the sum of a row, then one division by B
     traces = (rows.sum(axis=-1) / len(x)).T.tolist()
+    hits = (np.argmax(probs, axis=-1) == labels.labels) != ascent
     return [
-        (a, p, members[start:stop], tuple(t))
-        for a, p, (start, stop), t in zip(cur, probs, heads.spans, traces)
-    ], queries
-
-
-def _results(heads, x, labels, specs, ascent):
-    """One AttackResult per head of _search. An ascent (untargeted)
-    succeeds where the final prediction differs from the label, a descent
-    (targeted) where it equals it."""
-    runs, queries = _search(heads, x, labels, specs, ascent)
-    return [
-        AttackResult(
-            adversarial=a,
-            success_mask=(np.argmax(p, axis=1) == labels.labels) != ascent,
-            queries=queries,
-            spec=s,
-            loss_trace=t,
-            member_probs=m,
-        )
-        for (a, p, m, t), s in zip(runs, specs)
+        AttackResult(a, hit, queries + 1, s, loss_trace=tuple(t), member_probs=members[start:stop])
+        for a, hit, (start, stop), t, s in zip(cur, hits, heads.spans, traces, specs)
     ]
 
 
@@ -298,9 +293,10 @@ def _lone(target, x, y, spec, ascent):
 def run_attack(target, x, y, spec):
     """Untargeted attack on the cross-entropy against y; success iff the
     final prediction differs from y. multi_targeted runs the multi-targeted
-    protocol, run_member_attacks many lone member attacks at once and
+    protocol, run_member_attacks many lone member attacks at once,
     run_member_and_ensemble_attacks the attacks on each member and on
-    their ensemble at once.
+    their ensemble at once, and adversarial_batches the steps of such
+    attacks alone.
 
     The family picks the loop:
       pgd   signed gradient ascent, from a uniform random point of the
@@ -345,7 +341,20 @@ def run_member_and_ensemble_attacks(ens, x, y, spec):
     x, labels = _validate_inputs(heads, x, y)
     if len(nn.row_blocks(x)) == 1:
         return iter(_results(heads, x, labels, [spec] * len(heads), ascent=True))
-    return (_results(heads.one(h), x, labels, [spec], ascent=True)[0] for h in range(len(heads)))
+    one = nn.label_index(labels.labels, (1, *labels.shape[1:]))  # one head's rows
+    return (_results(heads.one(h), x, one, [spec], ascent=True)[0] for h in range(len(heads)))
+
+
+def adversarial_batches(heads, x, y, spec, seeds):
+    """The adversarial batches (H, B, d) of an untargeted attack with spec
+    on each head of heads (ensembles.Heads), head h drawing from seeds[h]:
+    slice h is, bit for bit, the adversarial of run_attack's or
+    run_member_attacks' result of that seed. Only the steps run, not the
+    final check, whose success mask and loss trace training never reads."""
+    if len(seeds) != len(heads):
+        raise ConfigError(f"{len(seeds)} attack seeds for {len(heads)} heads")
+    x, labels = _validate_inputs(heads, x, y)
+    return _search(heads, x, labels, spec, seeds, ascent=True)[0]
 
 
 def targeted(target, x, t, spec):
@@ -379,14 +388,15 @@ def multi_targeted(target, x, y, spec):
         valid = y.labels != t
         if not valid.any():
             continue
-        toward = nn.LabelIndex(y.rows, np.full(b, t, dtype=np.int64))
-        [(adv, probs, _, _)], each = _search(heads, x, toward, [spec], False)
-        hit = valid & (np.argmax(probs, axis=1) == t)
+        cur, _, queries = _search(heads, x, nn.label_index(np.full(b, t), y.shape), spec, [spec.seed], False)
+        adv, each = cur[0], queries + 1
+        probs = heads.average(member_probs(heads.slots, heads.batch(cur), _checked=True))  # (1, B, M)
+        hit = valid & (np.argmax(probs[0], axis=1) == t)
         newly = hit & ~success
         chosen[newly] = adv[newly]
         success |= hit
         # untargeted quality of this candidate, for examples never hit
-        ce_true = nn.cross_entropy_per_example(probs, y, _checked=True)
+        ce_true = nn.cross_entropy_per_example(probs, y, _checked=True)[0]
         better = valid & ~success & (ce_true > fallback_loss)
         fallback[better] = adv[better]
         fallback_loss[better] = ce_true[better]
@@ -416,7 +426,7 @@ def spsa_gradient_estimate(target, x, labels, samples, delta, rng, *, _checked=F
     by row block (nn.row_blocks), on every core (nn.over_blocks)."""
     heads, cur = as_heads(target, x if _checked else nn._as_f64(x, "batch"))
     rngs = list(rng) if heads is target else [rng]
-    labels = nn.label_index(labels, cur.shape[-2], heads.num_classes)
+    labels = nn.label_index(labels, (len(heads), cur.shape[-2], heads.num_classes))
     blocks = nn.row_blocks(cur)
     gens, which = _distinct(rngs)
 

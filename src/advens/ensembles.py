@@ -248,16 +248,20 @@ def ce_values_and_input_grad(target, x, labels, *, _checked=False):
 
     This is the attack step. What stays fixed over an attack's steps is
     made once per call of the attack and passed in: the target as Heads
-    and labels as an nn.LabelIndex (a row block's keeps the whole batch's
-    1/B). x is checked to be finite unless the caller vouches for it
-    (_checked, as an attack does for its iterate), and the forward's
+    and labels as the nn.LabelIndex of the heads' (H, B, M) rows, H = 1
+    against any other target (a row block's keeps the whole batch's 1/B);
+    an index of another layout raises ShapeError. x is checked to be finite and shaped for
+    the target unless the caller vouches for it (_checked: Heads and their
+    finite iterate, as an attack's search hands over), and the forward's
     softmax checks every probability row. x goes through whole: an
     attack's search hands over a large batch row block by row block.
     """
-    heads, cur = as_heads(target, x if _checked else nn._as_f64(x, "batch"))
-    probs, cache = nn.forward_cached(heads.slots, heads.batch(cur), "masks", _checked=True)
-    values, g_probs = nn.ce_values_and_prob_grad(heads.average(probs), labels, _checked=True)
-    grad = heads.head_grads(nn.backprop(heads.slots, cache, heads.slot_grads(g_probs))[1])
+    heads, cur = (target, x) if _checked else as_heads(target, nn._as_f64(x, "batch"))
+    own = heads._one_each  # each head its one slot, whose rows and gradient are its own
+    probs, cache = nn.forward_cached(heads.slots, cur if own else heads.batch(cur), "masks", _checked=True)
+    values, g_probs = nn.ce_values_and_prob_grad(probs if own else heads.average(probs), labels, _checked=True)
+    grad = nn.backprop(heads.slots, cache, g_probs if own else heads.slot_grads(g_probs))[1]
+    grad = grad if own else heads.head_grads(grad)
     return (values, grad) if heads is target else (values[0], grad[0])
 
 

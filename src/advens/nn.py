@@ -19,9 +19,11 @@ from a cache of boolean relu masks (for attacks).
 
 Label-taking functions accept integer labels, checked on every call, or a
 LabelIndex of them, checked once for the many calls of a loop over one
-batch (an attack's steps). Callers take a large batch through a pass in
-row blocks (row_blocks); a block's LabelIndex keeps the whole batch's
-mean. over_blocks runs a pass's blocks on the calling thread and on
+batch (an attack's steps): one flat index of the label entries of
+probability rows of one layout, which take gathers and put scatters, so a
+layout that differs raises ShapeError. Callers take a large batch through
+a pass in row blocks (row_blocks); a block's LabelIndex keeps the whole
+batch's mean. over_blocks runs a pass's blocks on the calling thread and on
 helper threads, one per further core: a block's bits depend on neither
 its thread nor the order the blocks run in. The softmax checks its own
 rows, so the package's own consumers of forward output skip the
@@ -36,6 +38,7 @@ from __future__ import annotations
 import contextvars
 import itertools
 import json
+import math
 import os
 import threading
 from dataclasses import dataclass, replace
@@ -205,7 +208,7 @@ def _row_max(a):
     own way, and so is a row whose max is a zero at 8 or more classes,
     where numpy's unrolled reduce picks among equal zeros its own way."""
     if not _by_columns(a):
-        return a.max(axis=-1, keepdims=True)
+        return np.maximum.reduce(a, axis=-1, keepdims=True)  # a.max without its wrapper
     out = a[..., :1].copy()
     for j in range(1, a.shape[-1]):
         np.maximum(out, a[..., j : j + 1], out=out)
@@ -222,7 +225,7 @@ def _row_sum(a):
     whose sum is a nan is left to numpy, whose nans then take their sign
     from its operand order."""
     if not _by_columns(a):
-        return a.sum(axis=-1, keepdims=True)
+        return np.add.reduce(a, axis=-1, keepdims=True)  # a.sum without its wrapper
     m = a.shape[-1]
     if m < 8:
         out = a[..., :1] + 0.0
@@ -343,8 +346,8 @@ class ForwardCache:
     probs: np.ndarray
 
 
-def _check_batch(model, batch, finite=True):
-    x = _as_f64(batch, "batch") if finite else batch
+def _check_batch(model, batch):
+    x = _as_f64(batch, "batch")
     w = model.layers[0].w  # (d, h) for a Model, (K, d, h) for a ModelStack
     if x.ndim not in (2, w.ndim) or x.shape[-1] != w.shape[-2] or (x.ndim == 3 and len(x) != len(w)):
         raise ShapeError(f"batch of shape {x.shape} does not fit first-layer weights {w.shape}")
@@ -363,11 +366,12 @@ def forward_cached(model, batch, keep="inputs", *, _checked=False):
     mask (for backprop), "masks" the relu masks alone (for backprop of the
     input gradient alone), None nothing (a plain forward).
 
-    The batch is checked to be finite unless the caller vouches for it
-    (_checked: a float64 array it checked or made finite itself, such as
-    an attack's clipped iterate); its shape is always checked.
+    The batch is checked to be finite and to fit the first layer unless
+    the caller vouches for it (_checked: a float64 array of the right shape
+    that it checked or made finite itself, such as an attack's clipped
+    iterate, whose shape the attack checks once).
     """
-    a = _check_batch(model, batch, finite=not _checked)
+    a = batch if _checked else _check_batch(model, batch)
     layer_inputs = [] if keep == "inputs" else None
     masks = [] if keep else None
     for layer in model.layers:
@@ -426,54 +430,57 @@ def _check_probs(probs):
 
 @dataclass(frozen=True)
 class LabelIndex:
-    """Checked integer labels of a batch and the (rows, labels) index of
-    each row's label entry. Every function here that takes labels takes
-    one in their place and skips the check. batch_size, when set, is the
-    row count of the whole batch whose mean CE the gradient takes (a row
-    block's index keeps it)."""
+    """Checked integer labels of a batch and where each row's label entry
+    lies in probability rows of one layout, shape (..., B, M): flat, shaped
+    (..., B), indexes the C-ordered entries, so take gathers them and put
+    scatters into them. Every function here that takes labels takes one in
+    their place and skips the check of the labels; rows of another layout
+    raise ShapeError. batch_size is the row count of the whole batch whose
+    mean CE the gradient takes (a row block's index keeps it)."""
 
-    rows: np.ndarray
     labels: np.ndarray
-    batch_size: int | None = None
+    shape: tuple
+    flat: np.ndarray
+    batch_size: int
 
     def block(self, lo, hi):
         """The index of rows lo:hi, its CE gradient still that of the whole
         batch's mean."""
-        return LabelIndex(self.rows[: hi - lo], self.labels[lo:hi], self.batch_size or len(self.rows))
+        return _flat_index(self.labels[lo:hi], (*self.shape[:-2], hi - lo, self.shape[-1]), self.batch_size)
 
 
-def label_index(labels, batch_size, num_classes):
-    """The LabelIndex of a batch's labels: one integer in [0, num_classes)
-    per row, else ShapeError or DomainError."""
+def _flat_index(labels, shape, batch_size):
+    b, m = shape[-2:]
+    slices = np.arange(math.prod(shape[:-2]))[:, None] * (b * m)
+    flat = (slices + (np.arange(b) * m + labels)).reshape(*shape[:-2], b)
+    return LabelIndex(labels, shape, flat, batch_size)
+
+
+def label_index(labels, shape):
+    """The LabelIndex of a batch's labels for probability rows of shape
+    (..., B, M): one integer in [0, M) per row, else ShapeError or
+    DomainError. A LabelIndex is returned as it is if it was made for that
+    shape, else ShapeError."""
+    shape = tuple(shape)
     if isinstance(labels, LabelIndex):
+        if labels.shape != shape:
+            raise ShapeError(f"labels indexed for probabilities of shape {labels.shape}, not {shape}")
         return labels
-    return LabelIndex(np.arange(batch_size), _check_labels(labels, batch_size, num_classes))
+    return _flat_index(_check_labels(labels, shape[-2], shape[-1]), shape, shape[-2])
 
 
 def label_probs(probs, labels):
-    """Each row's entry at its integer label, (..., B), unchecked and
-    C-ordered: numpy gathers probs[..., rows, labels] in Fortran order for
-    stacked rows, and a mean over the last axis of that sums each row in
-    another order than np.mean of the row alone."""
-    if not isinstance(labels, LabelIndex):
-        labels = LabelIndex(np.arange(probs.shape[-2]), np.asarray(labels, dtype=np.int64))
-    return np.ascontiguousarray(probs[..., labels.rows, labels.labels])
-
-
-def _label_entries(probs, labels, checked):
-    """Probability rows (..., B, M), checked unless the caller vouches that
-    they came from this module's forward (checked), the LabelIndex of the
-    labels and each row's label entry p_y, (..., B)."""
-    p = probs if checked else _check_probs(probs)
-    index = label_index(labels, p.shape[-2], p.shape[-1])
-    return p, index, label_probs(p, index)
+    """Each row's entry at its label, (..., B), C-ordered (numpy's fancy
+    gather of stacked rows is Fortran-ordered, and a row mean of that adds
+    in another order than np.mean of the row alone)."""
+    return probs.take(label_index(labels, probs.shape).flat)
 
 
 def cross_entropy_per_example(probs, labels, *, _checked=False):
     """-log p_y per row, with the log argument clamped at LOG_FLOOR. probs
     may carry leading stack axes, (..., B, M). The package's own callers
     pass _checked=True for rows of a forward, whose softmax checked them."""
-    return -np.log(np.maximum(_label_entries(probs, labels, _checked)[2], LOG_FLOOR))
+    return -np.log(np.maximum(label_probs(probs if _checked else _check_probs(probs), labels), LOG_FLOOR))
 
 
 def ce_values_and_prob_grad(probs, labels, *, _checked=False):
@@ -481,12 +488,12 @@ def ce_values_and_prob_grad(probs, labels, *, _checked=False):
     respect to probs: -1/(B p_y) at each label entry, 0 where p_y is under
     the clamp. probs may carry leading stack axes, (..., B, M); each slice
     is then its own batch. _checked as in cross_entropy_per_example."""
-    p, index, p_y = _label_entries(probs, labels, _checked)
-    floored = np.maximum(p_y, LOG_FLOOR)
+    p = probs if _checked else _check_probs(probs)
+    index = label_index(labels, p.shape)
+    floored = np.maximum(p.take(index.flat), LOG_FLOOR)
     g = np.zeros(p.shape)  # zeros_like costs more at attack-step sizes
     # d(-log max(p_y, floor))/dp_y is -1/p_y above the clamp, 0 below
-    b = index.batch_size or len(index.rows)
-    g[..., index.rows, index.labels] = np.where(p_y > LOG_FLOOR, -1.0 / (b * floored), 0.0)
+    g.put(index.flat, np.where(floored > LOG_FLOOR, -1.0 / (index.batch_size * floored), 0.0))
     return -np.log(floored), g
 
 
@@ -553,7 +560,7 @@ def accumulate_terms(probs, terms):
     one value per slice, (K,), and a per-example term weight and a term's
     rows are (K, B).
     """
-    b, m = probs.shape[-2:]
+    b = probs.shape[-2]
     loss = np.zeros(probs.shape[:-2])
     g_probs = np.zeros_like(probs)
     rows = []
@@ -562,24 +569,20 @@ def accumulate_terms(probs, terms):
         if term.kind == "ce":
             if term.labels is None:
                 raise UnsupportedLossError("ce term needs labels")
-            index = label_index(term.labels, b, m)
-            floored = np.maximum(label_probs(probs, index), LOG_FLOOR)
+            flat = label_index(term.labels, probs.shape).flat
+            floored = np.maximum(probs.take(flat), LOG_FLOOR)
             v = -np.log(floored)
             # d(-log max(p_y, floor))/dp_y is -1/p_y above the clamp, 0 below
-            g_probs[..., index.rows, index.labels] += np.where(floored > LOG_FLOOR, -w / (b * floored), 0.0)
+            g_probs.put(flat, g_probs.take(flat) + np.where(floored > LOG_FLOOR, -w / (b * floored), 0.0))
         elif term.kind == "entropy":
             v = entropy_rows(probs)
             g = np.where(probs > 0.0, -(np.log(np.maximum(probs, LOG_FLOOR)) + 1.0), 0.0)
             g_probs += (w / b)[..., None] * g
         else:
             raise UnsupportedLossError(f"unknown loss term kind {term.kind!r}")
-        loss += (w * v).mean(axis=-1)
+        loss += (w * v).sum(axis=-1) / b  # np.mean's sum and division, without its wrapper
         rows.append(v)
     return (float(loss) if loss.ndim == 0 else loss), g_probs, tuple(rows)
-
-
-def _softmax_jvp(probs, g_probs):
-    return probs * (g_probs - _row_sum(g_probs * probs))
 
 
 def backprop(model, cache, g_probs):
@@ -597,12 +600,11 @@ def backprop(model, cache, g_probs):
     p, inputs = cache.probs, cache.layer_inputs
     if g_probs.shape not in (p.shape, p.shape[-2:]):
         raise ShapeError(f"g_probs shape {g_probs.shape} != probs shape {p.shape}")
-    g = _softmax_jvp(p, g_probs)
+    g = p * (g_probs - _row_sum(g_probs * p))  # through the softmax
     param_grads = [None] * len(model.layers)
-    for i in range(len(param_grads) - 1, -1, -1):
+    for i, layer in reversed(list(enumerate(model.layers))):
         if cache.masks[i] is not None:
             g *= cache.masks[i]
-        layer = model.layers[i]
         if inputs is not None:
             param_grads[i] = (inputs[i].swapaxes(-1, -2) @ g, g.sum(axis=-2).reshape(layer.b.shape))
         g = g @ layer.w.swapaxes(-1, -2)

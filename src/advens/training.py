@@ -50,7 +50,7 @@ import numpy as np
 
 from . import data, nn
 from .atomic import atomic_write
-from .attacks import AttackSpec, run_attack, run_member_attacks
+from .attacks import AttackSpec, adversarial_batches, run_attack
 from .ensembles import Ensemble, Heads, ensemble_predict, predict_labels, stack_ensemble
 from .errors import ConfigError, DivergenceError, DomainError
 
@@ -232,11 +232,11 @@ def _collab_step(stack, x, y, adv_set, lambda_pm, lambda_dm, crossing=True, gate
     i: a testing seam for the gates-as-constants contract.
     """
     n, b = len(stack), len(x)
-    y = nn.label_index(y, b, stack.num_classes)
     others = [[i for i in range(n) if i != k] if crossing else [] for k in range(n)]
     p = len(others[0])
     share = 1.0 / p if p else 0.0
     s = 2 + p  # slices per member
+    y = nn.label_index(y, (n * s, b, stack.num_classes))
     used = []  # the crossing gates of the pass, (members, p, B)
 
     def loss_terms(probs):
@@ -265,10 +265,11 @@ def _collab_step(stack, x, y, adv_set, lambda_pm, lambda_dm, crossing=True, gate
     if p:
         gate = used[0]
         ce, h = (v.reshape(n, s, b)[:, 2:] for v in res.rows)
+        # each a mean as np.mean takes it: the sum of a row, then one division by B
         per_pair = np.stack([
-            share * lambda_pm * (gate * ce).mean(axis=-1),
-            share * lambda_dm * ((1.0 - gate) * h).mean(axis=-1),
-            share * gate.mean(axis=-1),
+            share * lambda_pm * ((gate * ce).sum(axis=-1) / b),
+            share * lambda_dm * (((1.0 - gate) * h).sum(axis=-1) / b),
+            share * (gate.sum(axis=-1) / b),
         ])
         for j in range(p):
             sums += per_pair[..., j]
@@ -492,7 +493,9 @@ def train(ens_init, dataset, config, method):
     Per batch, adversarial batches are generated against the current
     members, with fresh attack seeds derived from the master seed: one
     attack per member for ADV/CCE (the attacks run in lockstep), one
-    against the averaged prediction for ADV_EN/ADP. The members are held
+    against the averaged prediction for ADV_EN/ADP. Only the attacks'
+    steps run (adversarial_batches): no final check, whose success mask
+    and loss trace training would not read. The members are held
     as one nn.ModelStack for the whole run; each epoch's evaluation attacks
     that stack as one ensemble. Every member's gradient comes from one
     stacked step against the same parameter snapshot, and one Adam step
@@ -530,29 +533,27 @@ def train(ens_init, dataset, config, method):
             ):
                 stage = f"batch {b_idx}"
                 if method in ("ADV", "CCE"):  # ADV: each member alone, no crossing terms
-                    specs = [
-                        replace(config.attack, seed=derive_seed(config.seed, _TAG_ATTACK, epoch, b_idx, i))
-                        for i in range(n)
-                    ]
-                    adv_set = [r.adversarial for r in run_member_attacks(stack, bx, by, specs)]
+                    attack_seeds = [derive_seed(config.seed, _TAG_ATTACK, epoch, b_idx, i) for i in range(n)]
+                    adv_set = adversarial_batches(Heads.each(stack), bx, by, config.attack, attack_seeds)
                     terms, grads = _collab_step(
                         stack, bx, by, adv_set, config.lambda_pm, config.lambda_dm,
                         crossing=method == "CCE",
                     )
                 else:
                     seed = derive_seed(config.seed, _TAG_ENS_ATTACK, epoch, b_idx)
-                    adv_en = run_attack(stack, bx, by, replace(config.attack, seed=seed)).adversarial
+                    adv_en = adversarial_batches(Heads.whole(stack), bx, by, config.attack, [seed])[0]
                     adp = (config.alpha, config.beta) if method == "ADP" else None
                     total, parts, grads, flag = _ensemble_adv_step(stack, bx, by, adv_en, adp)
                     clamped += flag
                     terms = [(total, parts)] * n
 
+                rows = len(by)
                 for i, (total, parts) in enumerate(terms):
                     if not np.isfinite(total):
                         raise DivergenceError(f"non-finite loss for member {i}")
                     for key, v in parts.items():
-                        sums[i][key] = sums[i].get(key, 0.0) + v * len(by)
-                seen += len(by)
+                        sums[i][key] = sums[i].get(key, 0.0) + v * rows
+                seen += rows
                 stack, state = nn.adam_step(stack, grads, state)
 
             stage = "evaluation"

@@ -1,11 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from advens import attacks, data, nn
 from advens.attacks import AttackSpec
-from advens.ensembles import Ensemble, ce_values_and_input_grad, ensemble_predict, predict_labels
+from advens.ensembles import Ensemble, Heads, ce_values_and_input_grad, ensemble_predict, predict_labels
 from advens.errors import ConfigError, DomainError, ShapeError
-from helpers import blobs_and_model, fit_plain
+from helpers import assert_same_bytes, blobs_and_model, ensemble_and_batch, fit_plain
 
 
 def logistic_1d(w0, w1):
@@ -460,3 +462,20 @@ def test_member_attacks_of_a_shared_seed_draw_once_and_equal_lone_attacks(family
         lone = attacks.run_attack(member, x, y, spec)
         assert got.adversarial.tobytes() == lone.adversarial.tobytes()
         assert got.loss_trace == lone.loss_trace and np.array_equal(got.success_mask, lone.success_mask)
+
+
+@pytest.mark.parametrize("rows", [30, 4096])  # one row block, two
+@pytest.mark.parametrize("family", ["pgd", "bim", "mim", "spsa"])
+def test_the_steps_alone_give_each_results_adversarial(family, rows):
+    # adversarial_batches runs a search's steps without its final check:
+    # each head's batch is the adversarial of the member attack of its seed
+    # (Heads.each) or of the attack on the averaged prediction (Heads.whole)
+    ens, x, y = ensemble_and_batch(rows)
+    spec = AttackSpec(family=family, steps=2, epsilon=0.1, eta=0.04, spsa_samples=2, seed=3)
+    got = attacks.adversarial_batches(Heads.each(ens.stack), x, y, spec, [5, 9])
+    want = attacks.run_member_attacks(ens.stack, x, y, [replace(spec, seed=s) for s in (5, 9)])
+    assert_same_bytes(got, [r.adversarial for r in want])
+    got = attacks.adversarial_batches(Heads.whole(ens.stack), x, y, spec, [3])
+    assert_same_bytes(got, [attacks.run_attack(ens, x, y, spec).adversarial])
+    with pytest.raises(ConfigError, match="1 attack seeds for 2 heads"):
+        attacks.adversarial_batches(Heads.each(ens.stack), x, y, spec, [5])

@@ -206,6 +206,26 @@ def test_cross_entropy_label_validation():
         nn.cross_entropy(p, np.array([0]))
 
 
+def test_a_label_index_of_another_layout_raises_shape_error():
+    # an index made for 20 rows, or for another stack of rows, must neither
+    # score part of a 30-row batch nor land on another row's entry
+    rng = np.random.default_rng(0)
+    probs = nn.softmax(rng.normal(size=(2, 30, 3)))
+    y = rng.integers(0, 3, size=30)
+    for shape in ((2, 20, 3), (3, 30, 3), (30, 3), (1, 2, 30, 3)):
+        wrong = nn.label_index(y[: shape[-2]], shape)
+        for call in (
+            lambda: nn.ce_values_and_prob_grad(probs, wrong, _checked=True),
+            lambda: nn.cross_entropy_per_example(probs, wrong),
+            lambda: nn.accumulate_terms(probs, [nn.LossTerm(kind="ce", labels=wrong)]),
+            lambda: nn.label_probs(probs, wrong),
+        ):
+            with pytest.raises(ShapeError, match="labels indexed for probabilities of shape"):
+                call()
+    right = nn.label_index(y, (2, 30, 3))
+    assert nn.cross_entropy_per_example(probs, right).tobytes() == nn.cross_entropy_per_example(probs, y).tobytes()
+
+
 def test_entropy_hand_values():
     assert abs(nn.entropy(np.full((1, 10), 0.1))[0] - math.log(10)) < 1e-12
     assert nn.entropy(np.array([[0.0, 1.0, 0.0]]))[0] == 0.0

@@ -168,6 +168,34 @@ def assert_same_results(got, want):
 
 @PROPERTY
 @given(
+    lead=st.lists(st.integers(1, 4), max_size=2),
+    b=st.integers(1, 12),
+    m=st.integers(2, 6),
+    cut=st.tuples(st.integers(0, 11), st.integers(0, 11)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_flat_label_index_takes_and_puts_the_fancy_indexed_entries(lead, b, m, cut, seed):
+    # take and put through a LabelIndex's flat index read and write the
+    # entries probs[..., rows, labels] of its layout, C-ordered: for stacked
+    # rows and for a row block's index (LabelIndex.block)
+    rng = np.random.default_rng(seed)
+    probs = rng.random((*lead, b, m))
+    index = nn.label_index(rng.integers(0, m, size=b), probs.shape)
+    lo = min(cut) % b
+    hi = lo + 1 + max(cut) % (b - lo)
+    for idx, p in ((index, probs), (index.block(lo, hi), np.ascontiguousarray(probs[..., lo:hi, :]))):
+        assert idx.shape == p.shape and idx.batch_size == b
+        rows = np.arange(p.shape[-2])
+        assert p.take(idx.flat).tobytes() == np.ascontiguousarray(p[..., rows, idx.labels]).tobytes()
+        values = rng.random(p.shape[:-1])
+        put, fancy = np.zeros(p.shape), np.zeros(p.shape)
+        put.put(idx.flat, values)
+        fancy[..., rows, idx.labels] = values
+        assert put.tobytes() == fancy.tobytes()
+
+
+@PROPERTY
+@given(
     family=st.sampled_from(["pgd", "bim", "mim", "spsa"]),
     random_start=st.booleans(),
     widths=WIDTHS,
@@ -204,10 +232,10 @@ def test_the_step_of_member_and_ensemble_heads_equals_each_lone_step(widths, cla
     k = len(ens)
     heads = ensembles.Heads(ens.stack, ensembles.Heads.each(ens.stack).groups + ensembles.Heads.whole(ens.stack).groups)
     cur = rng.random((k + 1, b, d))
-    y = nn.label_index(rng.integers(0, classes, size=b), b, classes)
-    values, grad = ce_values_and_input_grad(heads, cur, y, _checked=True)
+    labels = rng.integers(0, classes, size=b)
+    values, grad = ce_values_and_input_grad(heads, cur, nn.label_index(labels, (k + 1, b, classes)), _checked=True)
     for h, target in enumerate([*ens.members, ens]):
-        want_values, want_grad = ce_values_and_input_grad(target, cur[h], y)
+        want_values, want_grad = ce_values_and_input_grad(target, cur[h], labels)
         assert same_bits(values[h], want_values) and same_bits(grad[h], want_grad)
 
 

@@ -27,8 +27,10 @@ WHOLE = 10**9  # a block constant that leaves every batch whole
 def blocked_step(target, x, labels):
     """ce_values_and_input_grad as an attack's search takes it: row block
     by row block (nn.row_blocks), each block's LabelIndex with the whole
-    batch's 1/B."""
-    index = nn.label_index(labels, len(labels), target.num_classes)
+    batch's 1/B, made for the heads' (H, B, M) rows (one head for a target
+    that is not Heads)."""
+    heads = len(target) if isinstance(target, Heads) else 1
+    index = nn.label_index(labels, (heads, len(labels), target.num_classes))
     values, grads = zip(*(
         ce_values_and_input_grad(target, x[..., lo:hi, :], index.block(lo, hi)) for lo, hi in nn.row_blocks(x)
     ))
@@ -134,10 +136,10 @@ def test_row_blocks_start_at_twice_the_block_rows(monkeypatch):
 
 
 def test_block_index_keeps_the_whole_batch_mean():
-    index = nn.label_index(np.array([0, 1, 1, 0]), 4, 2)
+    index = nn.label_index(np.array([0, 1, 1, 0]), (4, 2))
     block = index.block(2, 4)
-    assert block.rows.tolist() == [0, 1] and block.labels.tolist() == [1, 0] and block.batch_size == 4
-    assert block.block(1, 2).batch_size == 4
+    assert block.flat.tolist() == [1, 2] and block.labels.tolist() == [1, 0] and block.batch_size == 4
+    assert block.shape == (2, 2) and block.block(1, 2).batch_size == 4
     probs = np.array([[0.5, 0.5], [0.25, 0.75], [0.75, 0.25], [0.5, 0.5]])
     whole = nn.ce_values_and_prob_grad(probs, index)[1]
     assert whole[2:].tobytes() == nn.ce_values_and_prob_grad(probs[2:], block)[1].tobytes()

@@ -478,10 +478,8 @@ def test_one_step_forwards_each_member_batch_pair_once(monkeypatch, method, forw
         ),
     )
     monkeypatch.setattr(
-        training, "run_member_attacks",
-        lambda members, x, y, specs: [
-            SimpleNamespace(adversarial=np.clip(x + 0.01, 0.0, 1.0)) for _ in range(len(members))
-        ],
+        training, "adversarial_batches",
+        lambda heads, x, y, spec, seeds: np.repeat(np.clip(x + 0.01, 0.0, 1.0)[None], len(heads), axis=0),
     )
     monkeypatch.setattr(training, "predict_labels", lambda target, x: np.zeros(len(x), dtype=int))
     slices = []
@@ -522,7 +520,7 @@ def test_member_attacks_of_a_batch_take_steps_stacked_steps_and_no_backprop(monk
             return fn(*args, **kwargs)
         return counted
 
-    member_attacks = training.run_member_attacks
+    member_attacks = training.adversarial_batches
 
     def attacking(*args):
         inside.append(True)
@@ -531,7 +529,7 @@ def test_member_attacks_of_a_batch_take_steps_stacked_steps_and_no_backprop(monk
         finally:
             inside.pop()
 
-    monkeypatch.setattr(training, "run_member_attacks", attacking)
+    monkeypatch.setattr(training, "adversarial_batches", attacking)
     monkeypatch.setattr(
         attacks, "ce_values_and_input_grad",
         wrap(attacks.ce_values_and_input_grad, lambda args: step_shapes.append(np.shape(args[1]))),
@@ -544,6 +542,35 @@ def test_member_attacks_of_a_batch_take_steps_stacked_steps_and_no_backprop(monk
     assert step_shapes == [(n, len(ds), 3)] * steps
     # the training step backprops parameter gradients, the attacks do not
     assert (False, True) in backprop_inside and (True, True) not in backprop_inside
+
+
+@pytest.mark.parametrize("method, step_forwards", [("CCE", 1), ("ADP", 2)])
+def test_a_batch_attack_makes_its_steps_forwards_and_no_final_check(monkeypatch, method, step_forwards):
+    # one epoch of two batches: each batch's attack makes one forward per
+    # step (a masks-only cache for the input gradient) and no forward of a
+    # final check, whose success mask and loss trace training never reads;
+    # then the training step makes its own (CCE one stacked pass, ADP the
+    # clean and the adversarial pass). The epoch evaluation is not counted.
+    steps = 4
+    ds = data.gen_blobs(seed=0, n_per_class=6, num_classes=4, dim=3, separation=3)
+    ens = training.init_ensemble(3, [8], 4, 2, seed=0)
+    cfg = TrainConfig(attack=quick_attack(steps=steps), epochs=1, batch_size=len(ds) // 2, seed=0, mode="RM")
+    keeps, evaluating = [], []
+    forward_cached, predict_labels = nn.forward_cached, training.predict_labels
+
+    def counting(model, batch, keep="inputs", **kwargs):
+        if not evaluating:
+            keeps.append(keep)
+        return forward_cached(model, batch, keep, **kwargs)
+
+    def evaluation(*args):  # the epoch evaluation starts here
+        evaluating.append(True)
+        return predict_labels(*args)
+
+    monkeypatch.setattr(nn, "forward_cached", counting)
+    monkeypatch.setattr(training, "predict_labels", evaluation)
+    training.train(ens, ds, cfg, method)
+    assert keeps == (["masks"] * steps + ["inputs"] * step_forwards) * 2
 
 
 def test_member_seed_lineage_and_derive_seed():
