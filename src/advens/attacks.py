@@ -30,7 +30,6 @@ share, so each result equals a lone run_attack bit for bit.
 The final check (one more forward of the iterate, for the success mask,
 the loss trace and the member rows) is made only for an AttackResult;
 adversarial_batches, which training calls, returns the iterate alone.
-
 Query accounting: queries counts target evaluations per example (the usual
 black-box budget metric). PGD/BIM/MIM spend steps+1 (final success check
 included); SPSA spends 2*spsa_samples per step plus the final check; the
@@ -151,8 +150,8 @@ def _validate_inputs(heads, x, y):
     num_classes) per row. The one check of x and the labels in an attack
     call."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ShapeError("attack inputs must be a 2-d batch")
+    if x.ndim != 2 or x.shape[1] != heads.stack.input_dim:
+        raise ShapeError(f"attack inputs must be a 2-d batch of {heads.stack.input_dim} features")
     if not np.isfinite(x).all():
         raise DomainError("attack inputs contain non-finite values")
     return x, nn.label_index(y, (len(heads), len(x), heads.num_classes))
@@ -174,12 +173,11 @@ def _distinct(rngs):
 
 def _search(heads, x, labels, spec, seeds, ascent):
     """The one iterative search behind every protocol: each head of heads
-    (ensembles.Heads) attacked with spec, head h drawing from seeds[h],
-    all heads in lockstep. Each step is one forward of the heads' slots,
-    one input-gradient backward and one sign step of the (H, B, d) iterate
-    clipped to the ball ∩ box bounds of x; the iterate is clipped into
-    finite bounds, so the step vouches for it (_checked). Attack h draws
-    from its seed's generator in the order a lone attack would.
+    (ensembles.Heads) attacked with spec in lockstep, head h drawing from
+    seeds[h]'s generator in the order a lone attack would. Each step is
+    one forward of the heads' slots, one input-gradient backward and one
+    sign step of the (H, B, d) iterate clipped into the finite ball ∩ box
+    bounds of x, so the step vouches for the iterate (_checked).
 
     A batch of one row block steps whole, against one (B, d) pair of
     bounds made once. A batch of several (nn.row_blocks) steps block by
@@ -237,7 +235,7 @@ def _search(heads, x, labels, spec, seeds, ascent):
     def gradient_step(rows, step):
         """One pass and sign step of rows; their per-example objective."""
         values, grad = ce_values_and_input_grad(heads, rows[0], rows[1], _checked=True)
-        if not np.isfinite(grad).all():
+        if not np.logical_and.reduce(np.isfinite(grad), axis=None):  # .all() without its wrapper
             raise DivergenceError(f"non-finite attack gradient at step {step}")
         sign_step(rows, grad)
         return values

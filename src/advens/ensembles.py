@@ -193,15 +193,17 @@ class Heads:
 def as_heads(target, x):
     """target and a batch x as Heads and their iterate (H, B, d): Heads with
     their own iterate, or one batch (B, d) against the averaged prediction
-    of a Model, an Ensemble or an nn.ModelStack, as one head (slices
-    against members alone take Heads.each); other shapes raise ShapeError."""
-    if isinstance(target, Heads):
-        if np.ndim(x) != 3 or len(x) != len(target):
-            raise ShapeError(f"an iterate of shape {np.shape(x)} for {len(target)} heads")
-        return target, x
-    if np.ndim(x) != 2:
-        raise ShapeError(f"a batch of shape {np.shape(x)}, not (B, d), against {type(target).__name__}")
-    return Heads.whole(member_stack(target)), x[None]
+    of a Model, an Ensemble or an nn.ModelStack, as one head (slices against
+    members alone take Heads.each); other shapes or widths raise ShapeError."""
+    if not isinstance(target, Heads):
+        if np.ndim(x) != 2:
+            raise ShapeError(f"a batch of shape {np.shape(x)}, not (B, d), against {type(target).__name__}")
+        target, x = Heads.whole(member_stack(target)), x[None]
+    elif np.ndim(x) != 3 or len(x) != len(target):
+        raise ShapeError(f"an iterate of shape {np.shape(x)} for {len(target)} heads")
+    if x.shape[-1] != target.stack.input_dim:
+        raise ShapeError(f"a batch of {x.shape[-1]} features for models of {target.stack.input_dim} inputs")
+    return target, x
 
 
 def member_probs(target, batch, *, _checked=False):
@@ -249,19 +251,18 @@ def ce_values_and_input_grad(target, x, labels, *, _checked=False):
     This is the attack step. What stays fixed over an attack's steps is
     made once per call of the attack and passed in: the target as Heads
     and labels as the nn.LabelIndex of the heads' (H, B, M) rows, H = 1
-    against any other target (a row block's keeps the whole batch's 1/B);
-    an index of another layout raises ShapeError. x is checked to be finite and shaped for
-    the target unless the caller vouches for it (_checked: Heads and their
-    finite iterate, as an attack's search hands over), and the forward's
-    softmax checks every probability row. x goes through whole: an
-    attack's search hands over a large batch row block by row block.
+    against any other target (a row block's keeps the whole batch's 1/B;
+    an index of another layout raises ShapeError). x is checked to be
+    finite and shaped for the target unless the caller vouches for it
+    (_checked: Heads and their finite iterate of the right shape, as an
+    attack's search hands over), and the forward's softmax checks every
+    probability row. x goes through whole: an attack's search hands over
+    a large batch row block by row block.
     """
     heads, cur = (target, x) if _checked else as_heads(target, nn._as_f64(x, "batch"))
-    own = heads._one_each  # each head its one slot, whose rows and gradient are its own
-    probs, cache = nn.forward_cached(heads.slots, cur if own else heads.batch(cur), "masks", _checked=True)
-    values, g_probs = nn.ce_values_and_prob_grad(probs if own else heads.average(probs), labels, _checked=True)
-    grad = nn.backprop(heads.slots, cache, g_probs if own else heads.slot_grads(g_probs))[1]
-    grad = grad if own else heads.head_grads(grad)
+    probs, cache = nn.forward_cached(heads.slots, heads.batch(cur), "masks", _checked=True)
+    values, g_probs = nn.ce_values_and_prob_grad(heads.average(probs), labels, _checked=True)
+    grad = heads.head_grads(nn.backprop(heads.slots, cache, heads.slot_grads(g_probs))[1])
     return (values, grad) if heads is target else (values[0], grad[0])
 
 

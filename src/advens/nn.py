@@ -20,14 +20,14 @@ from a cache of boolean relu masks (for attacks).
 Label-taking functions accept integer labels, checked on every call, or a
 LabelIndex of them, checked once for the many calls of a loop over one
 batch (an attack's steps): one flat index of the label entries of
-probability rows of one layout, which take gathers and put scatters, so a
-layout that differs raises ShapeError. Callers take a large batch through
-a pass in row blocks (row_blocks); a block's LabelIndex keeps the whole
-batch's mean. over_blocks runs a pass's blocks on the calling thread and on
-helper threads, one per further core: a block's bits depend on neither
-its thread nor the order the blocks run in. The softmax checks its own
-rows, so the package's own consumers of forward output skip the
-probability check (_checked=True) that caller-supplied probabilities get.
+probability rows of one layout, rows of another layout raising ShapeError.
+Callers take a large batch through a pass in row blocks (row_blocks); a
+block's LabelIndex keeps the whole batch's mean. over_blocks runs a pass's
+blocks on the calling thread and on helper threads, one per further core:
+a block's bits depend on neither its thread nor the order the blocks run
+in. The softmax checks its own rows, so the package's own consumers of
+forward output skip the probability check (_checked=True) that
+caller-supplied probabilities get.
 
 Log arguments are clamped at ``LOG_FLOOR``; the clamp only matters where a
 probability has underflowed to ~0, and the reported gradient is the exact
@@ -145,6 +145,10 @@ class ModelStack:
 
     def __len__(self):
         return self.layers[0].w.shape[0]
+
+    @property
+    def input_dim(self):
+        return self.layers[0].w.shape[-2]
 
     @property
     def num_classes(self):
@@ -329,7 +333,7 @@ def softmax(z, out=None):
     e = np.subtract(z, _row_max(z), out=out)
     np.exp(e, out=e)
     total = _row_sum(e)
-    if not np.isfinite(total).all():
+    if not np.logical_and.reduce(np.isfinite(total), axis=None):  # .all() without its wrapper
         raise DomainError("softmax of non-finite logits")
     e /= total
     return e
@@ -602,9 +606,10 @@ def backprop(model, cache, g_probs):
         raise ShapeError(f"g_probs shape {g_probs.shape} != probs shape {p.shape}")
     g = p * (g_probs - _row_sum(g_probs * p))  # through the softmax
     param_grads = [None] * len(model.layers)
-    for i, layer in reversed(list(enumerate(model.layers))):
+    for i in range(len(param_grads) - 1, -1, -1):
         if cache.masks[i] is not None:
             g *= cache.masks[i]
+        layer = model.layers[i]
         if inputs is not None:
             param_grads[i] = (inputs[i].swapaxes(-1, -2) @ g, g.sum(axis=-2).reshape(layer.b.shape))
         g = g @ layer.w.swapaxes(-1, -2)

@@ -547,13 +547,12 @@ def train(ens_init, dataset, config, method):
                     clamped += flag
                     terms = [(total, parts)] * n
 
-                rows = len(by)
                 for i, (total, parts) in enumerate(terms):
                     if not np.isfinite(total):
                         raise DivergenceError(f"non-finite loss for member {i}")
                     for key, v in parts.items():
-                        sums[i][key] = sums[i].get(key, 0.0) + v * rows
-                seen += rows
+                        sums[i][key] = sums[i].get(key, 0.0) + v * len(by)
+                seen += len(by)
                 stack, state = nn.adam_step(stack, grads, state)
 
             stage = "evaluation"

@@ -373,6 +373,33 @@ def test_attacks_reject_labels_that_are_not_integers(labels):
     for call in calls:
         with pytest.raises(DomainError, match="labels must be integers"):
             call()
+
+
+@pytest.mark.parametrize("family", ["pgd", "spsa"])
+def test_a_batch_of_another_width_raises_shape_error(family):
+    # the width is checked once per attack, not by each step's forward, so a
+    # batch one column too wide must raise ShapeError, not numpy's matmul error
+    ens, x, y = ensemble_and_batch(6, d=4)
+    wide = np.hstack([x, x[:, :1]])
+    spec = AttackSpec(family=family, steps=2, epsilon=0.05, eta=0.02, spsa_samples=2)
+    model, stack = ens.members[0], ens.stack
+    calls = [
+        lambda: attacks.run_attack(model, wide, y, spec),
+        lambda: attacks.run_attack(ens, wide, y, spec),
+        lambda: attacks.targeted(model, wide, y, spec),
+        lambda: attacks.multi_targeted(ens, wide, y, spec),
+        lambda: attacks.run_member_attacks(stack, wide, y, [spec, spec]),
+        lambda: next(attacks.run_member_and_ensemble_attacks(ens, wide, y, spec)),
+        lambda: attacks.adversarial_batches(Heads.each(stack), wide, y, spec, [0, 1]),
+        lambda: ce_values_and_input_grad(model, wide, y),
+        lambda: ce_values_and_input_grad(ens, wide, y),
+        lambda: ce_values_and_input_grad(Heads.each(stack), np.stack([wide, wide]), y),
+        lambda: attacks.spsa_gradient_estimate(ens, wide, y, 2, 0.01, np.random.default_rng(0)),
+        lambda: attacks.spsa_gradient_estimate(Heads.each(stack), np.stack([wide, wide]), y, 2, 0.01, [None, None]),
+    ]
+    for call in calls:
+        with pytest.raises(ShapeError):
+            call()
     with pytest.raises(DomainError, match="labels must be integers"):
         attacks.targeted(model, x, 1.7, spec)  # a scalar target class too
 
