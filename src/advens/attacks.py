@@ -1,26 +1,26 @@
 """Perturbation search inside the l-inf ball B(x, eps) = {x' : ||x'-x||_inf <= eps} ∩ [0,1]^d.
 
 One search loop serves every protocol: run_attack (untargeted), targeted,
-multi_targeted, run_member_attacks, run_member_and_ensemble_attacks and
-adversarial_batches all call it, and spec.family picks how it steps (PGD /
-BIM / MIM sign-gradient steps, or gradient-free SPSA estimates). Targets may
-be a single Model or an Ensemble; against an ensemble the objective is the
-cross-entropy of the *averaged* probability, so the attacker differentiates
-through the combination rule (the adaptive attack).
+multi_targeted, run_member_and_ensemble_attacks and adversarial_batches all
+call it, and spec.family picks how it steps (PGD / BIM / MIM sign-gradient
+steps, or gradient-free SPSA estimates). Targets may be a single Model or an
+Ensemble; against an ensemble the objective is the cross-entropy of the
+*averaged* probability, so the attacker differentiates through the
+combination rule (the adaptive attack).
 
 The loop attacks *heads* (ensembles.Heads) in lockstep: a head is the
 averaged prediction of some members of one nn.ModelStack, one member or all
 of them, and a Model is the stack of one. run_attack attacks one head,
-run_member_attacks one per member, and run_member_and_ensemble_attacks one
-per member and one of all of them (the paper's f1 .. fK and en under one
-attack). What stays fixed over the steps is done once per call: x and the
-labels are checked, the target is stacked, the labels become one flat
-nn.LabelIndex of the heads' (H, B, M) rows, the iterate's shape is set and
-the ball ∩ box bounds are made (ball_box). Each gradient step is then one
-forward of the heads' members on the (H, B, d) iterate, whose softmax checks
-its rows, one backward that forms only the input gradient
-(ensembles.ce_values_and_input_grad), and one sign step clipped to the
-bounds in place. A large batch takes each step row block by row block
+run_member_and_ensemble_attacks one per member and one of all of them (the
+paper's f1 .. fK and en under one attack), and adversarial_batches any
+heads, each of its own seed. What stays fixed over the steps is done once
+per call: x and the labels are checked, the target is stacked, the labels
+become one flat nn.LabelIndex of the heads' (H, B, M) rows, the iterate's
+shape is set and the ball ∩ box bounds are made (ball_box). Each gradient
+step is then one forward of the heads' members on the (H, B, d) iterate,
+whose softmax checks its rows, one backward that forms only the input
+gradient (ensembles.ce_values_and_input_grad), and one sign step clipped to
+the bounds in place. A large batch takes each step row block by row block
 (nn.row_blocks), the blocks on every core (nn.over_blocks), each block's
 bounds made from its rows at each step. The iterate is clipped into finite
 bounds and every gradient is checked, so the forwards skip the checks of
@@ -28,8 +28,9 @@ their batch. Every seed has its own generator, which the heads of that seed
 share, so each result equals a lone run_attack bit for bit.
 
 The final check (one more forward of the iterate, for the success mask,
-the loss trace and the member rows) is made only for an AttackResult;
-adversarial_batches, which training calls, returns the iterate alone.
+the loss trace and the member rows) is made by _results alone, for every
+AttackResult and multi_targeted candidate; adversarial_batches, which
+training calls, returns the iterate alone.
 Query accounting: queries counts target evaluations per example (the usual
 black-box budget metric). PGD/BIM/MIM spend steps+1 (final success check
 included); SPSA spends 2*spsa_samples per step plus the final check; the
@@ -159,9 +160,9 @@ def _validate_inputs(heads, x, y):
 
 def _generators(seeds):
     """One generator per attack, seeded seeds[h]; attacks of one seed share
-    one generator, whose draws each of them would make alone."""
-    seeded = {}
-    return [seeded.setdefault(s, np.random.default_rng(s)) for s in seeds]
+    one generator, made once, whose draws each of them would make alone."""
+    seeded = {s: np.random.default_rng(s) for s in dict.fromkeys(seeds)}
+    return [seeded[s] for s in seeds]
 
 
 def _distinct(rngs):
@@ -263,12 +264,12 @@ def _search(heads, x, labels, spec, seeds, ascent):
     return cur, values_seen, queries
 
 
-def _results(heads, x, labels, specs, ascent):
-    """One AttackResult per head: _search of head h with specs[h].seed,
-    then the final check, which costs each attack one more query. An
-    ascent (untargeted) succeeds where the final prediction differs from
-    the label, a descent (targeted) where it equals it."""
-    cur, values_seen, queries = _search(heads, x, labels, specs[0], [s.seed for s in specs], ascent)
+def _results(heads, x, labels, spec, ascent):
+    """One AttackResult per head: _search of every head with spec.seed, as
+    its lone attack, then the final check, which costs each attack one more
+    query. An ascent (untargeted) succeeds where the final prediction
+    differs from the label, a descent (targeted) where it equals it."""
+    cur, values_seen, queries = _search(heads, x, labels, spec, [spec.seed] * len(heads), ascent)
     members = member_probs(heads.slots, heads.batch(cur), _checked=True)  # the final check
     probs = heads.average(members)
     final = nn.cross_entropy_per_example(probs, labels, _checked=True)
@@ -277,24 +278,23 @@ def _results(heads, x, labels, specs, ascent):
     traces = (rows.sum(axis=-1) / len(x)).T.tolist()
     hits = (np.argmax(probs, axis=-1) == labels.labels) != ascent
     return [
-        AttackResult(a, hit, queries + 1, s, loss_trace=tuple(t), member_probs=members[start:stop])
-        for a, hit, (start, stop), t, s in zip(cur, hits, heads.spans, traces, specs)
+        AttackResult(a, hit, queries + 1, spec, loss_trace=tuple(t), member_probs=members[start:stop])
+        for a, hit, (start, stop), t in zip(cur, hits, heads.spans, traces)
     ]
 
 
 def _lone(target, x, y, spec, ascent):
     """The one attack of spec on target's averaged prediction (a Model's own)."""
     heads = Heads.whole(member_stack(target))
-    return _results(heads, *_validate_inputs(heads, x, y), [spec], ascent)[0]
+    return _results(heads, *_validate_inputs(heads, x, y), spec, ascent)[0]
 
 
 def run_attack(target, x, y, spec):
     """Untargeted attack on the cross-entropy against y; success iff the
-    final prediction differs from y. multi_targeted runs the multi-targeted
-    protocol, run_member_attacks many lone member attacks at once,
-    run_member_and_ensemble_attacks the attacks on each member and on
-    their ensemble at once, and adversarial_batches the steps of such
-    attacks alone.
+    final prediction differs from y. targeted and multi_targeted run the
+    targeted protocols, run_member_and_ensemble_attacks the attacks on
+    each member and on their ensemble at once, and adversarial_batches the
+    steps of attacks on any heads alone.
 
     The family picks the loop:
       pgd   signed gradient ascent, from a uniform random point of the
@@ -306,22 +306,6 @@ def run_attack(target, x, y, spec):
             gradient, from x; only forward passes of the target are used.
     """
     return _lone(target, x, y, spec, ascent=True)
-
-
-def run_member_attacks(members, x, y, specs):
-    """run_attack against each member alone, members[k] with specs[k], in
-    lockstep: one stacked step per iteration serves every member. members
-    is a sequence of Models of one layer shape or an nn.ModelStack. Returns
-    one AttackResult per member, equal bit for bit to the lone run_attack
-    calls. The specs may differ only in their seeds.
-    """
-    specs, stack = tuple(specs), member_stack(members)
-    if len(specs) != len(stack):
-        raise ConfigError(f"{len(specs)} attack specs for {len(stack)} members")
-    if any(vars(s) | {"seed": 0} != vars(specs[0]) | {"seed": 0} for s in specs):
-        raise ConfigError("member attack specs may differ only in their seeds")
-    heads = Heads.each(stack)
-    return _results(heads, *_validate_inputs(heads, x, y), specs, ascent=True)
 
 
 def run_member_and_ensemble_attacks(ens, x, y, spec):
@@ -338,16 +322,16 @@ def run_member_and_ensemble_attacks(ens, x, y, spec):
     heads = Heads(stack, Heads.each(stack).groups + Heads.whole(stack).groups)
     x, labels = _validate_inputs(heads, x, y)
     if len(nn.row_blocks(x)) == 1:
-        return iter(_results(heads, x, labels, [spec] * len(heads), ascent=True))
+        return iter(_results(heads, x, labels, spec, ascent=True))
     one = nn.label_index(labels.labels, (1, *labels.shape[1:]))  # one head's rows
-    return (_results(heads.one(h), x, one, [spec], ascent=True)[0] for h in range(len(heads)))
+    return (_results(Heads(stack, (g,)), x, one, spec, ascent=True)[0] for g in heads.groups)
 
 
 def adversarial_batches(heads, x, y, spec, seeds):
     """The adversarial batches (H, B, d) of an untargeted attack with spec
     on each head of heads (ensembles.Heads), head h drawing from seeds[h]:
-    slice h is, bit for bit, the adversarial of run_attack's or
-    run_member_attacks' result of that seed. Only the steps run, not the
+    slice h is, bit for bit, the adversarial of the lone run_attack on head
+    h's averaged prediction with that seed. Only the steps run, not the
     final check, whose success mask and loss trace training never reads."""
     if len(seeds) != len(heads):
         raise ConfigError(f"{len(seeds)} attack seeds for {len(heads)} heads")
@@ -369,7 +353,8 @@ def multi_targeted(target, x, y, spec):
 
     success is the OR over targets of exact targeted hits; the reported
     adversarial point is the first success (lowest t), falling back to the
-    candidate with the highest cross-entropy against the true label.
+    candidate with the highest cross-entropy against the true label; each
+    candidate is a targeted result (_results) of the once-checked x and y.
     """
     heads = Heads.whole(member_stack(target))
     m = heads.num_classes
@@ -386,15 +371,14 @@ def multi_targeted(target, x, y, spec):
         valid = y.labels != t
         if not valid.any():
             continue
-        cur, _, queries = _search(heads, x, nn.label_index(np.full(b, t), y.shape), spec, [spec.seed], False)
-        adv, each = cur[0], queries + 1
-        probs = heads.average(member_probs(heads.slots, heads.batch(cur), _checked=True))  # (1, B, M)
-        hit = valid & (np.argmax(probs[0], axis=1) == t)
+        result = _results(heads, x, nn.label_index(np.full(b, t), y.shape), spec, ascent=False)[0]
+        adv, each = result.adversarial, result.queries
+        hit = valid & result.success_mask
         newly = hit & ~success
         chosen[newly] = adv[newly]
         success |= hit
         # untargeted quality of this candidate, for examples never hit
-        ce_true = nn.cross_entropy_per_example(probs, y, _checked=True)[0]
+        ce_true = nn.cross_entropy_per_example(heads.average(result.member_probs), y, _checked=True)[0]
         better = valid & ~success & (ce_true > fallback_loss)
         fallback[better] = adv[better]
         fallback_loss[better] = ce_true[better]

@@ -288,7 +288,7 @@ def _write_json(path, payload):
         f.write("\n")
 
 
-def _load_checkpoint(path, ds):
+def _load_checkpoint(path, ds, model):
     ens = load_ensemble(path)
     if ens.num_classes != ds.num_classes:
         raise ConfigError(
@@ -298,6 +298,11 @@ def _load_checkpoint(path, ds):
         raise ConfigError(
             f"checkpoint expects {ens.input_dim}-d inputs but the dataset is {ds.dim}-d"
         )
+    if len(ens) != model["members"]:
+        raise ConfigError(f"checkpoint has {len(ens)} members but model.members is {model['members']}")
+    hidden = [la.w.shape[1] for la in ens.members[0].layers[:-1]]  # load_ensemble: one layer shape
+    if hidden != model["hidden"]:
+        raise ConfigError(f"checkpoint has hidden widths {hidden} but model.hidden is {model['hidden']}")
     return ens
 
 
@@ -314,7 +319,7 @@ def _analysis_setup(args, single=True):
         raise ConfigError("transfer needs at least one --checkpoint")
     if not cfg["eval_attacks"]:
         raise ConfigError("config has no eval_attacks block")
-    ensembles = [_load_checkpoint(p, ds) for p in paths]
+    ensembles = [_load_checkpoint(p, ds, cfg["model"]) for p in paths]
     os.makedirs(cfg["out"], exist_ok=True)
     return cfg, ds, ensembles, AttackSpec(**next(iter(cfg["eval_attacks"].values())))
 

@@ -141,10 +141,6 @@ class Heads:
     def num_classes(self):
         return self.stack.num_classes
 
-    def one(self, h):
-        """Head h alone."""
-        return Heads(self.stack, self.groups[h : h + 1])
-
     def batch(self, cur):
         """What the slots take of an iterate cur (H, B, d): each head's
         slice once per slot of it; cur itself while every head has one

@@ -367,8 +367,8 @@ def test_attacks_reject_labels_that_are_not_integers(labels):
         lambda: attacks.run_attack(ens, x, labels, spec),
         lambda: attacks.targeted(model, x, labels, spec),
         lambda: attacks.multi_targeted(model, x, labels, spec),
-        lambda: attacks.run_member_attacks([model, model], x, labels, [spec, spec]),
-        lambda: attacks.run_member_attacks(ens.stack, x, labels, [spec, spec]),
+        lambda: attacks.run_member_and_ensemble_attacks(ens, x, labels, spec),
+        lambda: attacks.adversarial_batches(Heads.each(ens.stack), x, labels, spec, [0, 0]),
     ]
     for call in calls:
         with pytest.raises(DomainError, match="labels must be integers"):
@@ -388,7 +388,6 @@ def test_a_batch_of_another_width_raises_shape_error(family):
         lambda: attacks.run_attack(ens, wide, y, spec),
         lambda: attacks.targeted(model, wide, y, spec),
         lambda: attacks.multi_targeted(ens, wide, y, spec),
-        lambda: attacks.run_member_attacks(stack, wide, y, [spec, spec]),
         lambda: next(attacks.run_member_and_ensemble_attacks(ens, wide, y, spec)),
         lambda: attacks.adversarial_batches(Heads.each(stack), wide, y, spec, [0, 1]),
         lambda: ce_values_and_input_grad(model, wide, y),
@@ -409,6 +408,8 @@ def test_attack_inputs_are_validated_once_per_call(monkeypatch):
     x, y = ds.inputs[:12], ds.labels[:12]
     ens = Ensemble(members=(model, model))
     spec = AttackSpec(family="mim", steps=6, epsilon=0.05, eta=0.02)
+    small, x30, y30 = ensemble_and_batch(30)
+    large, x4096, y4096 = ensemble_and_batch(4096)  # two row blocks: one target after another
     validated = []
     validate = attacks._validate_inputs
 
@@ -422,12 +423,14 @@ def test_attack_inputs_are_validated_once_per_call(monkeypatch):
         lambda: attacks.run_attack(ens, x, y, spec),
         lambda: attacks.targeted(ens, x, 0, spec),
         lambda: attacks.multi_targeted(model, x, y, spec),
-        lambda: attacks.run_member_attacks([model, model], x, y, [spec, spec]),
+        lambda: list(attacks.run_member_and_ensemble_attacks(small, x30, y30, spec)),
+        lambda: list(attacks.run_member_and_ensemble_attacks(large, x4096, y4096, spec)),
+        lambda: attacks.adversarial_batches(Heads.each(ens.stack), x, y, spec, [0, 1]),
     ]
     for call in calls:
         validated.clear()
         call()
-        assert len(validated) == 1  # one check per call, none per step
+        assert len(validated) == 1  # one check per call, none per step or target
 
 
 def overflowing_model(threshold, scale):
@@ -469,7 +472,7 @@ def test_an_attack_checks_x_once_and_vouches_for_its_iterate(monkeypatch):
         spec = AttackSpec(family=family, steps=3, epsilon=0.05, eta=0.02, spsa_samples=2)
         attacks.run_attack(ens, x, y, spec)
         list(attacks.run_member_and_ensemble_attacks(ens, x, y, spec))
-        attacks.run_member_attacks(ens.members, x, y, [spec, spec])
+        attacks.adversarial_batches(Heads.each(ens.stack), x, y, spec, [5, 9])
     assert checked == []
     bad = x.copy()
     bad[3, 1] = np.inf
@@ -484,24 +487,35 @@ def test_member_attacks_of_a_shared_seed_draw_once_and_equal_lone_attacks(family
     ds, model = blobs_and_model(seed=13)
     x, y = ds.inputs[:20], ds.labels[:20]
     members = (model, fit_plain(ds, seed=14, steps=5), fit_plain(ds, seed=15, steps=5))
-    specs = [AttackSpec(family=family, steps=3, epsilon=0.05, eta=0.02, spsa_samples=2, seed=s) for s in (5, 5, 6)]
-    for got, member, spec in zip(attacks.run_member_attacks(members, x, y, specs), members, specs, strict=True):
-        lone = attacks.run_attack(member, x, y, spec)
-        assert got.adversarial.tobytes() == lone.adversarial.tobytes()
-        assert got.loss_trace == lone.loss_trace and np.array_equal(got.success_mask, lone.success_mask)
+    spec = AttackSpec(family=family, steps=3, epsilon=0.05, eta=0.02, spsa_samples=2)
+    seeds = (5, 5, 6)
+    got = attacks.adversarial_batches(Heads.each(Ensemble(members=members).stack), x, y, spec, seeds)
+    want = [attacks.run_attack(m, x, y, replace(spec, seed=s)).adversarial for m, s in zip(members, seeds)]
+    assert_same_bytes(got, want)
+
+
+def test_heads_of_one_seed_make_one_generator(monkeypatch):
+    # f1, f2 and en of one spec draw from one generator: it is made once
+    ens, x, y = ensemble_and_batch(30)
+    made = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: made.append(a) or default_rng(*a))
+    spec = AttackSpec(family="pgd", steps=2, epsilon=0.1, eta=0.04, seed=3)
+    list(attacks.run_member_and_ensemble_attacks(ens, x, y, spec))
+    assert made == [(3,)]
 
 
 @pytest.mark.parametrize("rows", [30, 4096])  # one row block, two
 @pytest.mark.parametrize("family", ["pgd", "bim", "mim", "spsa"])
 def test_the_steps_alone_give_each_results_adversarial(family, rows):
     # adversarial_batches runs a search's steps without its final check:
-    # each head's batch is the adversarial of the member attack of its seed
-    # (Heads.each) or of the attack on the averaged prediction (Heads.whole)
+    # each head's batch is the adversarial of the lone attack of its seed on
+    # its member (Heads.each) or on the averaged prediction (Heads.whole)
     ens, x, y = ensemble_and_batch(rows)
     spec = AttackSpec(family=family, steps=2, epsilon=0.1, eta=0.04, spsa_samples=2, seed=3)
     got = attacks.adversarial_batches(Heads.each(ens.stack), x, y, spec, [5, 9])
-    want = attacks.run_member_attacks(ens.stack, x, y, [replace(spec, seed=s) for s in (5, 9)])
-    assert_same_bytes(got, [r.adversarial for r in want])
+    want = [attacks.run_attack(m, x, y, replace(spec, seed=s)).adversarial for m, s in zip(ens.members, (5, 9))]
+    assert_same_bytes(got, want)
     got = attacks.adversarial_batches(Heads.whole(ens.stack), x, y, spec, [3])
     assert_same_bytes(got, [attacks.run_attack(ens, x, y, spec).adversarial])
     with pytest.raises(ConfigError, match="1 attack seeds for 2 heads"):

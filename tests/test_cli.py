@@ -418,7 +418,7 @@ def test_eval_of_logits_that_overflow_mid_attack_exits_2(tmp_path, capsys):
     # x_3 past the threshold, where the logits overflow: the softmax's
     # DomainError ends the lockstep search of all targets, as it ended f1's
     # lone attack
-    path, cfg = make_config(tmp_path)
+    path, cfg = make_config(tmp_path, model={"hidden": [2, 2], "members": 2})  # the checkpoint's
     x3 = cli.build_dataset(cli.normalize_config(cfg)).inputs[:, 3]
     assert x3.max() < 0.9
     ckpt = overflowing_checkpoint(tmp_path, threshold=x3.max() + 0.01)
@@ -514,6 +514,21 @@ def test_checkpoint_dataset_mismatch_is_refused(tmp_path, capsys):
     assert run(["eval", "--config", other, "--checkpoint", ckpt,
                 "--out", str(tmp_path / "e")]) == 2
     assert "4-d" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "transfer", "detect", "surface"])
+@pytest.mark.parametrize(
+    "model, field",
+    [({"hidden": [16], "members": 3}, "model.members"), ({"hidden": [8], "members": 2}, "model.hidden")],
+    ids=["members", "hidden"],
+)
+def test_checkpoint_that_contradicts_the_model_block_exits_2(tmp_path, capsys, command, model, field):
+    # a two-member [16] checkpoint against a config of three members or of
+    # hidden [8] used to be evaluated as if it were that config's model
+    path, _ = make_config(tmp_path, model=model)
+    ckpt = untrained_checkpoint(tmp_path)
+    assert run([command, "--config", path, "--checkpoint", ckpt, "--out", str(tmp_path / "a")]) == 2
+    assert field in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from advens.attacks import (
     multi_targeted,
     run_attack,
     run_member_and_ensemble_attacks,
-    run_member_attacks,
     targeted,
 )
 from advens.ensembles import Ensemble, Heads, ce_values_and_input_grad
@@ -250,23 +249,21 @@ def test_the_step_of_member_and_ensemble_heads_equals_each_lone_step(widths, cla
     seed=st.integers(0, 2**32 - 1),
 )
 def test_member_attacks_equal_lone_attacks(family, random_start, widths, classes, d, b, seed):
+    # the steps alone of one attack per member, each of its own seed
+    # (adversarial_batches over Heads.each): slice k is member k's lone
+    # run_attack adversarial, bit for bit
     rng = np.random.default_rng(seed)
     members = init_members(d, widths, classes, seed % 1000)
     x = rng.random((b, d))
     y = rng.integers(0, classes, size=b)
-    base = AttackSpec(
+    spec = AttackSpec(
         family=family, steps=3, epsilon=0.1, eta=0.04, spsa_samples=2, random_start=random_start
     )
-    specs = [AttackSpec(**(vars(base) | {"seed": int(s)})) for s in rng.integers(0, 2**31, len(members))]
-    together = run_member_attacks(members, x, y, specs)
+    seeds = [int(s) for s in rng.integers(0, 2**31, len(members))]
+    together = attacks.adversarial_batches(Heads.each(Ensemble(members=members).stack), x, y, spec, seeds)
     assert len(together) == len(members)
-    for got, member, spec in zip(together, members, specs):
-        want = run_attack(member, x, y, spec)
-        assert same_bits(got.adversarial, want.adversarial)
-        assert np.array_equal(got.success_mask, want.success_mask)
-        assert got.queries == want.queries
-        assert same_bits(got.loss_trace, want.loss_trace)
-        assert got.spec == spec
+    for got, member, s in zip(together, members, seeds):
+        assert same_bits(got, run_attack(member, x, y, AttackSpec(**(vars(spec) | {"seed": s}))).adversarial)
 
 
 def reference_input_grads(members, x, y):
@@ -655,7 +652,8 @@ def test_search_equals_the_one_step_at_a_time_oracle(
 ):
     # ascent (members, untargeted) and descent (targeted, multi_targeted), on
     # lone members, a Model and an Ensemble of one drawn width: adversarial,
-    # success mask, queries and loss trace bit for bit
+    # success mask, queries and loss trace bit for bit; the steps alone of
+    # member attacks of distinct seeds: adversarial bit for bit
     rng = np.random.default_rng(seed)
     members = init_members(d, widths, classes, seed % 1000)
     x = rng.random((b, d))
@@ -673,9 +671,13 @@ def test_search_equals_the_one_step_at_a_time_oracle(
         assert got.queries == queries
         return
     if protocol == "members":
+        stack = Ensemble(members=members).stack
         specs = [AttackSpec(**(vars(spec) | {"seed": int(s)})) for s in rng.integers(0, 2**31, len(members))]
-        got = run_member_attacks(members, x, y, specs)
-        cases = [((m,), s, y, True) for m, s in zip(members, specs)]
+        advs = attacks.adversarial_batches(Heads.each(stack), x, y, spec, [s.seed for s in specs])
+        for adv, m, s in zip(advs, members, specs, strict=True):
+            assert same_bits(adv, oracle_attack((m,), x, y, s, True)[0])
+        got = list(run_member_and_ensemble_attacks(stack, x, y, spec))  # f1 .. fK and en, one seed
+        cases = [((m,), spec, y, True) for m in members] + [(members, spec, y, True)]
     elif protocol == "untargeted":
         got = [run_attack(target, x, y, spec)]
         cases = [(attacked, spec, y, True)]
@@ -838,7 +840,7 @@ def test_every_attack_stays_inside_the_ball_and_the_box(
     )
     ens = Ensemble(members=members)
     if protocol == "members":
-        advs = [r.adversarial for r in run_member_attacks(members, x, y, [spec] * len(members))]
+        advs = [r.adversarial for r in run_member_and_ensemble_attacks(ens, x, y, spec)]
     elif protocol == "model":
         advs = [run_attack(members[0], x, y, spec).adversarial]
     elif protocol == "ensemble":

@@ -4,6 +4,8 @@ against the whole-batch pass, forced by a block constant no batch
 reaches; and the SPSA estimate against its definition, with the draws of
 its generators."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,9 +14,9 @@ from hypothesis import strategies as st
 from advens import nn
 from advens.attacks import (
     AttackSpec,
+    adversarial_batches,
     run_attack,
     run_member_and_ensemble_attacks,
-    run_member_attacks,
     spsa_gradient_estimate,
 )
 from advens.ensembles import Heads, ce_values_and_input_grad, ensemble_predict, member_probs
@@ -147,14 +149,13 @@ def test_block_index_keeps_the_whole_batch_mean():
 
 @pytest.mark.parametrize("family", ["pgd", "spsa"])
 def test_member_attacks_equal_lone_attacks_in_blocks(family):
+    # the steps alone of one attack per member, seeds 1 and 2, over two row
+    # blocks: slice k is member k's lone run_attack adversarial
     ens, x, labels = ensemble_and_batch(4096)
-    specs = [AttackSpec(family=family, steps=2, epsilon=0.02, eta=0.005, spsa_samples=2, seed=s) for s in (1, 2)]
-    together = run_member_attacks(ens.members, x, labels, specs)
-    for member, spec, got in zip(ens.members, specs, together):
-        lone = run_attack(member, x, labels, spec)
-        assert got.adversarial.tobytes() == lone.adversarial.tobytes()
-        assert np.array_equal(got.success_mask, lone.success_mask)
-        assert got.loss_trace == lone.loss_trace and got.queries == lone.queries
+    spec = AttackSpec(family=family, steps=2, epsilon=0.02, eta=0.005, spsa_samples=2)
+    together = adversarial_batches(Heads.each(ens.stack), x, labels, spec, [1, 2])
+    for member, seed, got in zip(ens.members, (1, 2), together, strict=True):
+        assert got.tobytes() == run_attack(member, x, labels, replace(spec, seed=seed)).adversarial.tobytes()
 
 
 
