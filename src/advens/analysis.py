@@ -16,8 +16,8 @@ import numpy as np
 
 from . import nn
 from .atomic import atomic_write
-from .attacks import AttackResult, run_attack, run_member_and_ensemble_attacks
-from .ensembles import Ensemble, ce_values_and_input_grad, ensemble_predict, member_probs, member_stack, predict_labels
+from .attacks import AttackResult, run_attack, run_heads
+from .ensembles import Ensemble, Heads, ce_values_and_input_grad, ensemble_predict, member_probs, member_stack, predict_labels
 from .errors import (
     ConfigError,
     ConsistencyWarning,
@@ -36,7 +36,7 @@ ORTHO_TOL = 1e-9
 def natural_accuracy(target, dataset):
     """Percentage of clean examples predicted correctly by target, or by the
     labels a target predicted on them (an array, e.g. a row of
-    member_and_ensemble_labels)."""
+    head_labels)."""
     predicted = target if isinstance(target, np.ndarray) else predict_labels(target, dataset.inputs)
     return float(np.mean(predicted == dataset.labels) * 100.0)
 
@@ -45,8 +45,7 @@ def robust_accuracy(target, dataset, spec):
     """Percentage of examples still predicted correctly after attack: the
     attack's failures, whose mask comes from its own final prediction of
     the adversarial batch. target may also be the AttackResult of an
-    attack with spec already run on the dataset (e.g. one of
-    run_member_and_ensemble_attacks')."""
+    attack with spec already run on the dataset (e.g. one of run_heads')."""
     result = target if isinstance(target, AttackResult) else run_attack(target, dataset.inputs, dataset.labels, spec)
     return float(np.mean(~result.success_mask) * 100.0)
 
@@ -87,60 +86,43 @@ def _default_labels(targets):
     return tuple(labels)
 
 
-def _shared_members(targets):
-    """The last target's stack when the targets are its members and then it
-    (a one-checkpoint transfer), else None."""
-    *members, last = targets
-    if isinstance(last, Ensemble) and len(members) == len(last):
-        if all(m is e for m, e in zip(members, last.members)):
-            return last.stack
-    return None
-
-
-def member_and_ensemble_labels(ens, batch, probs=None):
-    """The predicted labels of each member of ens (an Ensemble or its stack)
-    and then of ens, (K + 1, B), from one stacked pass of the members: row
-    k is member k's, the last row the argmax of their mean, which is
-    ensemble_predict's bit for bit. probs, when given, are the members'
+def head_labels(heads, batch, probs=None):
+    """The predicted labels of each head of heads (ensembles.Heads) on
+    batch, (H, B), from one stacked pass of the heads' members: head h's
+    is the argmax of the mean of its members' rows, which is
+    ensemble_predict's bit for bit. probs, when given, are every member's
     rows of batch already formed (an attack's final check), and batch is
     not forwarded."""
-    probs = member_probs(ens, batch) if probs is None else probs
-    return np.argmax(np.concatenate([probs, probs.mean(axis=0)[None]]), axis=-1)
+    probs = member_probs(heads.stack, batch) if probs is None else probs
+    return np.argmax(np.stack([probs[list(g)].mean(axis=0) for g in heads.groups]), axis=-1)
 
 
 def cross_matrix(targets, dataset, spec, labels=None):
     """Every target attacks the dataset once; every other target is scored
     on each attack's output. Diagonal entries are the white-box robust
-    accuracies, read off the attacks as robust_accuracy reads them. When
-    the targets are an ensemble's members and then the ensemble, their
-    attacks run in lockstep (run_member_and_ensemble_attacks), and one
-    stacked forward of the members scores each attacked batch for all of
-    them: member k is its slice k, the ensemble their mean. The
-    ensemble's own batch is scored from the members' rows of its attack's
-    final check, with no forward.
+    accuracies, read off the attacks as robust_accuracy reads them. The
+    targets are one head each (Heads.of), attacked in lockstep (run_heads),
+    and one stacked forward of their distinct members scores each attacked
+    batch for all of them. The batch of a head of every member, in order,
+    is scored from the members' rows of its attack's final check, with no
+    forward.
     """
     targets = list(targets)
     if len(targets) < 2:
         raise ConfigError("cross matrix needs at least 2 models")
     labels = _default_labels(targets) if labels is None else tuple(labels)
-    shared = _shared_members(targets)
-    if shared is not None:
-        results = run_member_and_ensemble_attacks(shared, dataset.inputs, dataset.labels, spec)
-    else:
-        results = (run_attack(t, dataset.inputs, dataset.labels, spec) for t in targets)
+    heads = Heads.of(targets)
+    every = tuple(range(len(heads.stack)))
     a = np.zeros((len(targets), len(targets)))
     advs, correct = [], []
-    for result in results:
+    for result in run_heads(heads, dataset.inputs, dataset.labels, spec):
         # the result, with its final rows, is not held through the scoring
         # and the next attack (enumerate's reused tuple would hold it)
         i = len(advs)
         adv, defeated, rows = result.adversarial, result.success_mask, result.member_probs
         del result
-        if shared is not None:
-            # the ensemble's attack (the last) formed every member's rows of its batch
-            predicted = member_and_ensemble_labels(shared, adv, rows if i == len(targets) - 1 else None)
-        else:
-            predicted = [None if j == i else predict_labels(t, adv) for j, t in enumerate(targets)]
+        # such a head's attack formed every member's rows of its batch
+        predicted = head_labels(heads, adv, rows if heads.groups[i] == every else None)
         ok = np.array([~defeated if j == i else p == dataset.labels for j, p in enumerate(predicted)])
         a[i] = ok.mean(axis=1) * 100.0
         advs.append(adv)

@@ -1,9 +1,9 @@
 """Perturbation search inside the l-inf ball B(x, eps) = {x' : ||x'-x||_inf <= eps} ∩ [0,1]^d.
 
 One search loop serves every protocol: run_attack (untargeted), targeted,
-multi_targeted, run_member_and_ensemble_attacks and adversarial_batches all
-call it, and spec.family picks how it steps (PGD / BIM / MIM sign-gradient
-steps, or gradient-free SPSA estimates). Targets may be a single Model or an
+multi_targeted, run_heads and adversarial_batches all call it, and
+spec.family picks how it steps (PGD / BIM / MIM sign-gradient steps, or
+gradient-free SPSA estimates). Targets may be a single Model or an
 Ensemble; against an ensemble the objective is the cross-entropy of the
 *averaged* probability, so the attacker differentiates through the
 combination rule (the adaptive attack).
@@ -11,16 +11,16 @@ combination rule (the adaptive attack).
 The loop attacks *heads* (ensembles.Heads) in lockstep: a head is the
 averaged prediction of some members of one nn.ModelStack, one member or all
 of them, and a Model is the stack of one. run_attack attacks one head,
-run_member_and_ensemble_attacks one per member and one of all of them (the
-paper's f1 .. fK and en under one attack), and adversarial_batches any
-heads, each of its own seed. What stays fixed over the steps is done once
-per call: x and the labels are checked, the target is stacked, the labels
-become one flat nn.LabelIndex of the heads' (H, B, M) rows, the iterate's
-shape is set and the ball ∩ box bounds are made (ball_box). Each gradient
-step is then one forward of the heads' members on the (H, B, d) iterate,
-whose softmax checks its rows, one backward that forms only the input
-gradient (ensembles.ce_values_and_input_grad), and one sign step clipped to
-the bounds in place. A large batch takes each step row block by row block
+run_heads any heads with one seed (Heads.of: one per target, as the paper's
+f1 .. fK and en), and adversarial_batches any heads, each of its own seed.
+What stays fixed over the steps is done once per call: x and the labels are
+checked, the target is stacked, the labels become one flat nn.LabelIndex of
+the heads' (H, B, M) rows, the iterate's shape is set and the ball ∩ box
+bounds are made (ball_box). Each gradient step is then one forward of the
+heads' members on the (H, B, d) iterate, whose softmax checks its rows, one
+backward that forms only the input gradient
+(ensembles.ce_values_and_input_grad), and one sign step clipped to the
+bounds in place. A large batch takes each step row block by row block
 (nn.row_blocks), the blocks on every core (nn.over_blocks), each block's
 bounds made from its rows at each step. The iterate is clipped into finite
 bounds and every gradient is checked, so the forwards skip the checks of
@@ -292,9 +292,8 @@ def _lone(target, x, y, spec, ascent):
 def run_attack(target, x, y, spec):
     """Untargeted attack on the cross-entropy against y; success iff the
     final prediction differs from y. targeted and multi_targeted run the
-    targeted protocols, run_member_and_ensemble_attacks the attacks on
-    each member and on their ensemble at once, and adversarial_batches the
-    steps of attacks on any heads alone.
+    targeted protocols, run_heads the attacks on several targets at once,
+    and adversarial_batches the steps of attacks on any heads alone.
 
     The family picks the loop:
       pgd   signed gradient ascent, from a uniform random point of the
@@ -308,23 +307,20 @@ def run_attack(target, x, y, spec):
     return _lone(target, x, y, spec, ascent=True)
 
 
-def run_member_and_ensemble_attacks(ens, x, y, spec):
-    """run_attack with spec against each member of ens (an Ensemble or an
-    nn.ModelStack) and then against ens itself, in lockstep: each step is
-    one forward of the members, once per member target and once more for
-    the ensemble. Returns an iterator of K + 1 AttackResults, f1 .. fK then
-    en, each equal bit for bit to its lone run_attack (all of them draw
-    from spec.seed, as the lone attacks do). A batch of more than one row
-    block (nn.row_blocks) attacks its targets one after another instead,
-    each when its result is asked for, so that one iterate of it is held
-    at a time."""
-    stack = member_stack(ens)
-    heads = Heads(stack, Heads.each(stack).groups + Heads.whole(stack).groups)
+def run_heads(heads, x, y, spec):
+    """run_attack with spec against each head of heads (ensembles.Heads),
+    in lockstep: each step is one forward of the heads' slots. Returns an
+    iterator of H AttackResults, each equal bit for bit to the lone
+    run_attack on its head's averaged prediction (all of them draw from
+    spec.seed, as the lone attacks do); Heads.of(targets) makes one head
+    per Model or Ensemble. A batch of more than one row block
+    (nn.row_blocks) attacks its heads one after another instead, each when
+    its result is asked for, so that one iterate of it is held at a time."""
     x, labels = _validate_inputs(heads, x, y)
     if len(nn.row_blocks(x)) == 1:
         return iter(_results(heads, x, labels, spec, ascent=True))
     one = nn.label_index(labels.labels, (1, *labels.shape[1:]))  # one head's rows
-    return (_results(Heads(stack, (g,)), x, one, spec, ascent=True)[0] for g in heads.groups)
+    return (_results(Heads(heads.stack, (g,)), x, one, spec, ascent=True)[0] for g in heads.groups)
 
 
 def adversarial_batches(heads, x, y, spec, seeds):

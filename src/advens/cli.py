@@ -30,8 +30,8 @@ import numpy as np
 
 from . import analysis, data, training
 from .atomic import atomic_write
-from .attacks import AttackSpec, run_attack, run_member_and_ensemble_attacks
-from .ensembles import load_ensemble, partition, save_ensemble, save_partition_csv
+from .attacks import AttackSpec, run_attack, run_heads
+from .ensembles import Heads, load_ensemble, partition, save_ensemble, save_partition_csv
 from .errors import ConfigError, DivergenceError
 from .training import MODES
 
@@ -43,6 +43,8 @@ _GENERATOR_FIELDS = {
     "blobs": ("seed", "n_per_class", "num_classes", "dim", "separation"),
     "rings": ("seed", "n_per_class", "num_classes", "noise"),
 }
+# the least value of each generator field but separation, which must be > 0
+_GENERATOR_MINIMA = {"seed": 0, "n_per_class": 1, "num_classes": 2, "dim": 2, "noise": 0}
 
 
 # ---------------------------------------------------------------------------
@@ -83,11 +85,14 @@ def _path(value, where):
     return value
 
 
-def _real(value, where, positive=False):
-    """value if it is a finite JSON number (not a bool or a string), and
-    > 0 when positive is set, else ConfigError naming the field."""
+def _real(value, where, minimum=None, positive=False):
+    """value if it is a finite JSON number (not a bool or a string) of at
+    least minimum, and > 0 when positive is set, else ConfigError naming
+    the field."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
         raise ConfigError(f"{where}: must be a finite number, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{where}: must be >= {minimum}, got {value}")
     if positive and value <= 0:
         raise ConfigError(f"{where}: must be > 0, got {value}")
     return value
@@ -124,12 +129,13 @@ def _norm_dataset(block, master_seed):
     _reject_unknown(block, where, {"generator"} | set(fields))
     out = {"generator": gen}
     for name in fields:
-        if name == "seed":
-            out[name] = _integer(block.get(name, master_seed), f"{where}.seed", 0)
-        else:
+        if name != "seed":
             _require(block, where, name)
-            check = _real if name in ("separation", "noise") else _integer
-            out[name] = check(block[name], f"{where}.{name}")
+        value, at = block.get(name, master_seed), f"{where}.{name}"
+        if name == "separation":
+            out[name] = _real(value, at, positive=True)
+        else:
+            out[name] = (_real if name == "noise" else _integer)(value, at, _GENERATOR_MINIMA[name])
     return out
 
 
@@ -143,7 +149,7 @@ def _norm_method(block):
     if name == "CCE":
         _reject_unknown(block, where, {"name", "mode", "lambda_pm", "lambda_dm"})
         mode = block.get("mode", "custom")
-        given = [_real(block[k], f"{where}.{k}") if k in block else None for k in ("lambda_pm", "lambda_dm")]
+        given = [_real(block[k], f"{where}.{k}", 0) if k in block else None for k in ("lambda_pm", "lambda_dm")]
         try:
             pm, dm = training.mode_lambdas(mode, *given)
         except ConfigError as e:
@@ -153,8 +159,8 @@ def _norm_method(block):
         _reject_unknown(block, where, {"name", "alpha", "beta"})
         return {
             "name": "ADP",
-            "alpha": float(_real(block.get("alpha", training.TrainConfig.alpha), f"{where}.alpha")),
-            "beta": float(_real(block.get("beta", training.TrainConfig.beta), f"{where}.beta")),
+            "alpha": float(_real(block.get("alpha", training.TrainConfig.alpha), f"{where}.alpha", 0)),
+            "beta": float(_real(block.get("beta", training.TrainConfig.beta), f"{where}.beta", 0)),
         }
     if name in ("ADV", "ADV_EN"):
         _reject_unknown(block, where, {"name"})
@@ -212,9 +218,9 @@ def normalize_config(obj, seed_override=None, out_override=None):
         "model": {"hidden": list(hidden), "members": members},
         "method": _norm_method(obj["method"]),
         "train": {
-            "epochs": _integer(train["epochs"], "train.epochs"),
-            "batch_size": _integer(train["batch_size"], "train.batch_size"),
-            "lr": float(_real(train.get("lr", training.TrainConfig.lr), "train.lr")),
+            "epochs": _integer(train["epochs"], "train.epochs", 1),
+            "batch_size": _integer(train["batch_size"], "train.batch_size", 1),
+            "lr": float(_real(train.get("lr", training.TrainConfig.lr), "train.lr", 0)),
             "attack": _norm_attack(train["attack"], "train.attack"),
         },
         "eval_attacks": norm_evals,
@@ -354,13 +360,14 @@ def cmd_eval(args):
     cfg, ds, (ens,), _ = _analysis_setup(args)
     out = cfg["out"]
     names = [f"f{i + 1}" for i in range(len(ens))] + ["en"]
-    predicted = analysis.member_and_ensemble_labels(ens, ds.inputs)  # one pass for every target
+    heads = Heads.of([*ens.members, ens])  # f1 .. fK and en
+    predicted = analysis.head_labels(heads, ds.inputs)  # one pass for every target
     nats = [analysis.natural_accuracy(labels, ds) for labels in predicted]
     for name, spec_dict in cfg["eval_attacks"].items():
         spec = AttackSpec(**spec_dict)
         # every target's attack in lockstep, each equal to its lone run_attack
         robs = []
-        for result in run_member_and_ensemble_attacks(ens, ds.inputs, ds.labels, spec):
+        for result in run_heads(heads, ds.inputs, ds.labels, spec):
             robs.append(analysis.robust_accuracy(result, ds, spec))
             del result  # not held through the next target's attack of a large batch
         path = os.path.join(out, f"eval_{name}.csv")

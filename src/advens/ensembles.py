@@ -5,12 +5,13 @@ Its members share one layer shape, as init_ensemble and a checkpoint make
 them, and it holds them as one nn.ModelStack (built once per ensemble), so
 its forward (per row block of a large batch, the blocks on every core) and
 its input gradient take one stacked pass. Heads put averaged predictions
-of one stack's members (each member alone, Heads.each, and all of them)
-through one such pass, each on its own batch: what a lockstep attack of
-several targets steps on. An Ensemble of members of different shapes
-still constructs, for the value-only losses that take members one at a
-time, but its stack raises ShapeError. Training holds its members as a
-ModelStack throughout and makes Models of them only to evaluate and report.
+of one stack's members (each member alone, all of them, or one per target
+of a set, Heads.of) through one such pass, each on its own batch: what a
+lockstep attack of several targets steps on. An Ensemble of members of
+different shapes still constructs, for the value-only losses that take
+members one at a time, but its stack raises ShapeError. Training holds its
+members as a ModelStack throughout and makes Models of them only to
+evaluate and report.
 Security of a prediction is always judged inside an l-inf ball around a
 clean point: a probe is secure for a model when the model still assigns
 the true label there (argmax, lowest index on ties).
@@ -133,6 +134,16 @@ class Heads:
     def each(cls, stack):
         """One head per member of stack, each its own prediction."""
         return cls(stack, ((k,) for k in range(len(stack))))
+
+    @classmethod
+    def of(cls, targets):
+        """One head per target, a Model's own prediction or an Ensemble's
+        members' average, over one nn.stack_models (ShapeError for mixed
+        layer shapes) of their distinct members, by identity, first seen first."""
+        groups = [t.members if isinstance(t, Ensemble) else (t,) for t in targets]
+        distinct = {id(m): m for g in groups for m in g}
+        slot = {key: k for k, key in enumerate(distinct)}
+        return cls(nn.stack_models(distinct.values()), ([slot[id(m)] for m in g] for g in groups))
 
     def __len__(self):
         return len(self.groups)

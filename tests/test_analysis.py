@@ -4,9 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from advens import analysis, data, nn, training
+from advens import analysis, attacks, data, nn, training
 from advens.attacks import AttackSpec, run_attack
-from advens.ensembles import Ensemble, partition, predict_labels
+from advens.ensembles import Ensemble, Heads, partition, predict_labels
 from advens.errors import (
     ConfigError,
     ConsistencyWarning,
@@ -14,7 +14,7 @@ from advens.errors import (
     DomainError,
     ShapeError,
 )
-from helpers import blobs_and_model, fit_plain
+from helpers import blobs_and_model, ensemble_and_batch, fit_plain
 
 
 def linear_model(w, b=None):
@@ -84,18 +84,22 @@ def test_robust_accuracy_reads_the_attack_and_equals_scoring_its_batch(monkeypat
     analysis.robust_accuracy(ens, ds, spec)
 
 
-def test_cross_matrix_scores_only_the_off_diagonal_pairs(monkeypatch):
+def test_cross_matrix_scores_each_attacked_batch_in_one_pass_of_the_distinct_members(monkeypatch):
+    # m1 and the second model are the distinct members; no head holds both
+    # in order, so each of the three batches takes one pass of the two, and
+    # no target is scored on its own
     ds, m1 = blobs_and_model(seed=3)
     targets = [m1, fit_plain(ds, seed=7), Ensemble(members=(m1, m1))]
     spec = pgd(epsilon=0.06)
-    scored = []
-    predict = analysis.predict_labels
-    monkeypatch.setattr(analysis, "predict_labels", lambda t, x: scored.append(t) or predict(t, x))
+    passes = []
+    probs = analysis.member_probs
+    monkeypatch.setattr(analysis, "member_probs", lambda t, x: passes.append(len(t)) or probs(t, x))
+    monkeypatch.setattr(analysis, "predict_labels", None)
     mat = analysis.cross_matrix(targets, ds, spec)
-    assert len(scored) == 6
-    for i, t in enumerate(targets):
-        adv = mat.adversarial[i]
-        assert mat.a[i, i] == np.mean(predict(t, adv) == ds.labels) * 100.0
+    assert passes == [2] * 3
+    for i, adv in enumerate(mat.adversarial):
+        for j, t in enumerate(targets):
+            assert mat.a[i, j] == np.mean(predict_labels(t, adv) == ds.labels) * 100.0
 
 
 def test_cross_matrix_of_members_then_their_ensemble_scores_each_batch_in_one_pass(monkeypatch):
@@ -107,7 +111,9 @@ def test_cross_matrix_of_members_then_their_ensemble_scores_each_batch_in_one_pa
     monkeypatch.setattr(analysis, "member_probs", lambda t, x: passes.append(t) or probs(t, x))
     monkeypatch.setattr(analysis, "predict_labels", None)  # no per-target scoring
     mat = analysis.cross_matrix(targets, ds, pgd(epsilon=0.1))
-    assert passes == [ens.stack] * 2  # en's batch is scored from its attack's final rows
+    # one pass of the members' one stack per member's batch; en's batch is
+    # scored from its attack's final rows
+    assert len(passes) == 2 and passes[0] is passes[1] and len(passes[0]) == 2
     for i, adv in enumerate(mat.adversarial):
         for j, t in enumerate(targets):
             ok = predict_labels(t, adv) == ds.labels
@@ -140,6 +146,48 @@ def test_cross_matrix_diagonal_and_identical_models():
     # duplicated model: attacking it transfers perfectly to its twin
     assert mat.a[0, 2] == mat.a[0, 0]
     assert mat.a[2, 0] == mat.a[2, 2]
+
+
+@pytest.mark.parametrize("rows", [30, 4096])  # one search of both targets; one at a time, in row blocks
+def test_cross_matrix_of_two_checkpoints_equals_lone_attacks_and_scoring(monkeypatch, rows):
+    ens_a, x, y = ensemble_and_batch(rows)
+    ens_b, _, _ = ensemble_and_batch(rows, seed=5)
+    ds = data.Dataset(inputs=x, labels=y, num_classes=3, name="two", seed=0)
+    spec = pgd(steps=3, epsilon=0.05, eta=0.02)
+    searches = []
+    search = attacks._search
+    monkeypatch.setattr(attacks, "_search", lambda heads, *a: searches.append(len(heads)) or search(heads, *a))
+    mat = analysis.cross_matrix([ens_a, ens_b], ds, spec)
+    assert searches == ([2] if rows == 30 else [1, 1])
+    monkeypatch.undo()
+    assert mat.labels == ("en", "en2")
+    for i, target in enumerate((ens_a, ens_b)):
+        lone = run_attack(target, x, y, spec)
+        assert mat.adversarial[i].tobytes() == lone.adversarial.tobytes()
+        for j, other in enumerate((ens_a, ens_b)):
+            ok = ~lone.success_mask if j == i else predict_labels(other, lone.adversarial) == y
+            assert np.array_equal(mat.correct[i][j], ok)
+            assert mat.a[i, j] == np.mean(ok) * 100.0
+
+
+def test_head_labels_equal_each_targets_predicted_labels():
+    ens, x, _ = ensemble_and_batch(50, members=3)
+    m1, m2, m3 = ens.members
+    targets = [m2, ens, Ensemble(members=(m3, m1)), m3]
+    heads = Heads.of(targets)
+    assert heads.groups == ((0,), (1, 0, 2), (2, 1), (2,))
+    for labels, target in zip(analysis.head_labels(heads, x), targets, strict=True):
+        assert np.array_equal(labels, predict_labels(target, x))
+
+
+def test_targets_of_two_layer_shapes_raise_shape_error():
+    ens, x, y = ensemble_and_batch(30)
+    wider, _, _ = ensemble_and_batch(30, hidden=(6,))
+    ds = data.Dataset(inputs=x, labels=y, num_classes=3, name="two", seed=0)
+    with pytest.raises(ShapeError):
+        analysis.cross_matrix([ens, wider], ds, pgd())
+    with pytest.raises(ShapeError):
+        Heads.of([ens.members[0], wider.members[0]])
 
 
 def test_cross_matrix_labels_and_validation():

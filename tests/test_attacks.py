@@ -367,7 +367,7 @@ def test_attacks_reject_labels_that_are_not_integers(labels):
         lambda: attacks.run_attack(ens, x, labels, spec),
         lambda: attacks.targeted(model, x, labels, spec),
         lambda: attacks.multi_targeted(model, x, labels, spec),
-        lambda: attacks.run_member_and_ensemble_attacks(ens, x, labels, spec),
+        lambda: attacks.run_heads(Heads.of([*ens.members, ens]), x, labels, spec),
         lambda: attacks.adversarial_batches(Heads.each(ens.stack), x, labels, spec, [0, 0]),
     ]
     for call in calls:
@@ -388,7 +388,7 @@ def test_a_batch_of_another_width_raises_shape_error(family):
         lambda: attacks.run_attack(ens, wide, y, spec),
         lambda: attacks.targeted(model, wide, y, spec),
         lambda: attacks.multi_targeted(ens, wide, y, spec),
-        lambda: next(attacks.run_member_and_ensemble_attacks(ens, wide, y, spec)),
+        lambda: next(attacks.run_heads(Heads.of([*ens.members, ens]), wide, y, spec)),
         lambda: attacks.adversarial_batches(Heads.each(stack), wide, y, spec, [0, 1]),
         lambda: ce_values_and_input_grad(model, wide, y),
         lambda: ce_values_and_input_grad(ens, wide, y),
@@ -423,8 +423,8 @@ def test_attack_inputs_are_validated_once_per_call(monkeypatch):
         lambda: attacks.run_attack(ens, x, y, spec),
         lambda: attacks.targeted(ens, x, 0, spec),
         lambda: attacks.multi_targeted(model, x, y, spec),
-        lambda: list(attacks.run_member_and_ensemble_attacks(small, x30, y30, spec)),
-        lambda: list(attacks.run_member_and_ensemble_attacks(large, x4096, y4096, spec)),
+        lambda: list(attacks.run_heads(Heads.of([*small.members, small]), x30, y30, spec)),
+        lambda: list(attacks.run_heads(Heads.of([*large.members, large]), x4096, y4096, spec)),
         lambda: attacks.adversarial_batches(Heads.each(ens.stack), x, y, spec, [0, 1]),
     ]
     for call in calls:
@@ -471,13 +471,13 @@ def test_an_attack_checks_x_once_and_vouches_for_its_iterate(monkeypatch):
     for family in ("pgd", "mim", "spsa"):
         spec = AttackSpec(family=family, steps=3, epsilon=0.05, eta=0.02, spsa_samples=2)
         attacks.run_attack(ens, x, y, spec)
-        list(attacks.run_member_and_ensemble_attacks(ens, x, y, spec))
+        list(attacks.run_heads(Heads.of([*ens.members, ens]), x, y, spec))
         attacks.adversarial_batches(Heads.each(ens.stack), x, y, spec, [5, 9])
     assert checked == []
     bad = x.copy()
     bad[3, 1] = np.inf
     with pytest.raises(DomainError, match="attack inputs contain non-finite values"):
-        attacks.run_member_and_ensemble_attacks(ens, bad, y, spec)
+        attacks.run_heads(Heads.of([*ens.members, ens]), bad, y, spec)
 
 
 @pytest.mark.parametrize("family", ["pgd", "spsa"])
@@ -501,7 +501,7 @@ def test_heads_of_one_seed_make_one_generator(monkeypatch):
     default_rng = np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng", lambda *a: made.append(a) or default_rng(*a))
     spec = AttackSpec(family="pgd", steps=2, epsilon=0.1, eta=0.04, seed=3)
-    list(attacks.run_member_and_ensemble_attacks(ens, x, y, spec))
+    list(attacks.run_heads(Heads.of([*ens.members, ens]), x, y, spec))
     assert made == [(3,)]
 
 

@@ -201,6 +201,55 @@ def test_config_fields_of_the_wrong_type_exit_2_naming_the_field(tmp_path, capsy
     assert capsys.readouterr().err.startswith(f"error: {where}:")
 
 
+@pytest.mark.parametrize(
+    "where, value",
+    [
+        ("dataset.n_per_class", 0),
+        ("dataset.num_classes", 1),
+        ("dataset.dim", 1),
+        ("dataset.separation", 0),
+        ("dataset.noise", -0.1),
+        ("train.epochs", 0),
+        ("train.batch_size", 0),
+        ("train.lr", -0.01),
+        ("method.lambda_pm", -1.0),
+        ("method.lambda_dm", -0.5),
+        ("method.alpha", -1.0),
+        ("method.beta", -0.5),
+    ],
+)
+def test_config_numbers_out_of_range_exit_2_naming_the_field(tmp_path, capsys, where, value):
+    # each once exited 2 with a library message that named no field, a
+    # negative lr only after the dataset was built
+    cfg = copy.deepcopy(BASE)
+    if where == "dataset.noise":
+        cfg["dataset"] = {"generator": "rings", "n_per_class": 30, "num_classes": 3, "noise": 0.05}
+    elif where.startswith("method.lambda"):
+        cfg["method"] = {"name": "CCE", "mode": "custom", "lambda_pm": 1.0, "lambda_dm": 1.0}
+    elif where.startswith("method."):
+        cfg["method"] = {"name": "ADP"}
+    block, key = where.split(".")
+    cfg[block][key] = value
+    path, _ = make_config(tmp_path, **cfg)
+    assert run(["train", "--config", path]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {where}: must be ")
+
+
+def test_config_numbers_at_their_least_normalize_unchanged():
+    cfg = copy.deepcopy(BASE)
+    cfg["dataset"].update(n_per_class=1, num_classes=2, dim=2)
+    cfg["train"].update(epochs=1, batch_size=1, lr=0)
+    cfg["method"] = {"name": "CCE", "mode": "custom", "lambda_pm": 0, "lambda_dm": 0}
+    norm = cli.normalize_config(cfg)
+    assert norm["dataset"] == dict(cfg["dataset"], seed=7)
+    assert norm["train"]["lr"] == 0.0 and norm["train"]["epochs"] == 1 and norm["train"]["batch_size"] == 1
+    assert cli.normalize_config(norm) == norm
+    rings = {"generator": "rings", "n_per_class": 1, "num_classes": 2, "noise": 0}
+    assert cli.normalize_config(dict(cfg, dataset=rings))["dataset"] == dict(rings, seed=7)
+    adp = cli.normalize_config(dict(cfg, method={"name": "ADP", "alpha": 0, "beta": 0}))
+    assert adp["method"] == {"name": "ADP", "alpha": 0.0, "beta": 0.0}
+
+
 @pytest.mark.parametrize("out", [None, 5, ["runs"]])
 def test_out_that_is_not_a_path_is_refused(out):
     # null once became a directory named "None"
@@ -258,6 +307,29 @@ def test_rerun_is_byte_identical(tmp_path):
         with open(tmp_path / "again" / name, "rb") as f:
             second = f.read()
         assert first == second, name
+
+
+def test_rerun_of_the_analysis_subcommands_is_byte_identical(tmp_path):
+    path, cfg, ckpt = trained(tmp_path)
+    _, _, ckpt2 = trained(tmp_path, name="other.json", out="runs/other", seed=9)
+    calls = {
+        "eval": [ckpt],
+        "transfer": [ckpt],
+        "transfer2": [ckpt, ckpt2],
+        "detect": [ckpt],
+        "surface": [ckpt],
+    }
+    for name, checkpoints in calls.items():
+        outs = [tmp_path / name / again for again in ("first", "second")]
+        for out in outs:
+            argv = [name.rstrip("2"), "--config", path, "--out", str(out)]
+            for checkpoint in checkpoints:
+                argv += ["--checkpoint", checkpoint]
+            assert run(argv) == 0
+        files = sorted(os.listdir(outs[0]))
+        assert files and files == sorted(os.listdir(outs[1]))
+        for file in files:
+            assert (outs[0] / file).read_bytes() == (outs[1] / file).read_bytes(), (name, file)
 
 
 def test_seed_flag_overrides_config(tmp_path):
@@ -568,26 +640,26 @@ def test_transfer_single_ensemble_artifacts(tmp_path):
 
 def test_transfer_attacks_each_target_once(tmp_path, monkeypatch):
     # the partition reuses the ensemble's attacked batch from the cross matrix,
-    # whose targets f1, f2 and en are attacked in one lockstep call
+    # whose targets f1, f2 and en are the heads of one lockstep call
     path, cfg, ckpt = trained(tmp_path)
     seen = []
-    attack, together = analysis.run_attack, analysis.run_member_and_ensemble_attacks
+    together = analysis.run_heads
 
-    def recording(target, *args, **kwargs):
-        seen.append(type(target).__name__)
-        return attack(target, *args, **kwargs)
+    def recording(heads, *args, **kwargs):
+        seen.append(heads.groups)
+        return together(heads, *args, **kwargs)
 
-    def recording_together(ens, *args, **kwargs):
-        results = together(ens, *args, **kwargs)
-        seen.extend(["Model"] * len(ens) + ["Ensemble"])
-        return results
-
-    monkeypatch.setattr(analysis, "run_attack", recording)
-    monkeypatch.setattr(cli, "run_attack", recording)
-    monkeypatch.setattr(analysis, "run_member_and_ensemble_attacks", recording_together)
-    tr = str(tmp_path / "tr")
-    assert run(["transfer", "--config", path, "--checkpoint", ckpt, "--out", tr]) == 0
-    assert seen == ["Model", "Model", "Ensemble"]
+    monkeypatch.setattr(analysis, "run_attack", None)
+    monkeypatch.setattr(cli, "run_attack", None)
+    monkeypatch.setattr(analysis, "run_heads", recording)
+    assert run(["transfer", "--config", path, "--checkpoint", ckpt, "--out", str(tmp_path / "tr")]) == 0
+    assert seen == [((0,), (1,), (0, 1))]
+    # two checkpoints: one head of each one's members, in one call too
+    _, _, ckpt2 = trained(tmp_path, name="other.json", out="runs/other", seed=9)
+    seen.clear()
+    argv = ["transfer", "--config", path, "--checkpoint", ckpt, "--checkpoint", ckpt2]
+    assert run(argv + ["--out", str(tmp_path / "tr2")]) == 0
+    assert seen == [((0, 1), (2, 3))]
 
 
 def test_transfer_scores_each_attacked_batch_once(tmp_path, monkeypatch):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from advens import cli, data, nn
-from advens.attacks import FAMILIES, AttackSpec, run_attack, run_member_and_ensemble_attacks, spsa_gradient_estimate, targeted
+from advens.attacks import FAMILIES, AttackSpec, run_attack, run_heads, spsa_gradient_estimate, targeted
 from advens.ensembles import Ensemble, Heads, ce_values_and_input_grad, member_probs, save_ensemble
 from advens.errors import DivergenceError
 from helpers import assert_same_bytes, ensemble_and_batch
@@ -66,7 +66,7 @@ def attacks(ens, x, labels, family):
     results = [
         run_attack(ens, x, labels, spec),
         targeted(ens, x, (labels + 1) % 3, spec),
-        *run_member_and_ensemble_attacks(ens, x, labels, spec),
+        *run_heads(Heads.of([*ens.members, ens]), x, labels, spec),
     ]
     return [a for r in results for a in (r.adversarial, r.success_mask, np.array(r.loss_trace), r.member_probs)]
 

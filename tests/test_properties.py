@@ -18,11 +18,11 @@ from advens.attacks import (
     AttackSpec,
     multi_targeted,
     run_attack,
-    run_member_and_ensemble_attacks,
+    run_heads,
     targeted,
 )
 from advens.ensembles import Ensemble, Heads, ce_values_and_input_grad
-from advens.errors import ConsistencyError, DomainError, FormatError, ShapeError, TruncatedFileError
+from advens.errors import ConfigError, ConsistencyError, DomainError, FormatError, ShapeError, TruncatedFileError
 
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
 
@@ -214,7 +214,7 @@ def test_member_and_ensemble_attacks_equal_lone_attacks(family, random_start, wi
         family=family, steps=3, epsilon=0.1, eta=0.04, spsa_samples=2, random_start=random_start,
         seed=int(rng.integers(2**31)),
     )
-    together = list(run_member_and_ensemble_attacks(ens, x, y, spec))
+    together = list(run_heads(Heads.of([*ens.members, ens]), x, y, spec))
     assert len(together) == len(ens) + 1
     for got, target in zip(together, [*ens.members, ens]):
         assert_same_results(got, run_attack(target, x, y, spec))
@@ -676,7 +676,7 @@ def test_search_equals_the_one_step_at_a_time_oracle(
         advs = attacks.adversarial_batches(Heads.each(stack), x, y, spec, [s.seed for s in specs])
         for adv, m, s in zip(advs, members, specs, strict=True):
             assert same_bits(adv, oracle_attack((m,), x, y, s, True)[0])
-        got = list(run_member_and_ensemble_attacks(stack, x, y, spec))  # f1 .. fK and en, one seed
+        got = list(run_heads(Heads.of([*members, Ensemble(members=members)]), x, y, spec))  # f1 .. fK and en, one seed
         cases = [((m,), spec, y, True) for m in members] + [(members, spec, y, True)]
     elif protocol == "untargeted":
         got = [run_attack(target, x, y, spec)]
@@ -840,7 +840,7 @@ def test_every_attack_stays_inside_the_ball_and_the_box(
     )
     ens = Ensemble(members=members)
     if protocol == "members":
-        advs = [r.adversarial for r in run_member_and_ensemble_attacks(ens, x, y, spec)]
+        advs = [r.adversarial for r in run_heads(Heads.of([*ens.members, ens]), x, y, spec)]
     elif protocol == "model":
         advs = [run_attack(members[0], x, y, spec).adversarial]
     elif protocol == "ensemble":
@@ -984,5 +984,11 @@ DATASET_BLOCKS = st.one_of(
     out_override=st.one_of(st.none(), st.just("elsewhere")),
 )
 def test_normalize_config_is_idempotent(config, seed_override, out_override):
+    dataset = config["dataset"]
+    if dataset["generator"] == "blobs" and (dataset["dim"] < 2 or dataset["separation"] <= 0):
+        # out of range: refused, naming the field
+        with pytest.raises(ConfigError, match=r"^dataset\.(dim|separation): must be "):
+            cli.normalize_config(config, seed_override=seed_override, out_override=out_override)
+        return
     once = cli.normalize_config(config, seed_override=seed_override, out_override=out_override)
     assert cli.normalize_config(once) == once

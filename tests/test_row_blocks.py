@@ -16,7 +16,7 @@ from advens.attacks import (
     AttackSpec,
     adversarial_batches,
     run_attack,
-    run_member_and_ensemble_attacks,
+    run_heads,
     spsa_gradient_estimate,
 )
 from advens.ensembles import Heads, ce_values_and_input_grad, ensemble_predict, member_probs
@@ -168,7 +168,7 @@ def test_member_and_ensemble_attacks_take_a_blocked_batch_one_target_at_a_time(m
     shapes = []
     forward = nn.forward_cached
     monkeypatch.setattr(nn, "forward_cached", lambda *a, **k: shapes.append(np.shape(a[1])) or forward(*a, **k))
-    together = list(run_member_and_ensemble_attacks(ens, x, labels, spec))
+    together = list(run_heads(Heads.of([*ens.members, ens]), x, labels, spec))
     assert shapes and all(s in ((1, 2048, 4), (2048, 4)) for s in shapes)
     monkeypatch.undo()
     for got, target in zip(together, [*ens.members, ens], strict=True):
