@@ -8,14 +8,13 @@ computed by exact pair counting (ties worth one half), so it agrees bit
 for bit with a brute-force oracle.
 """
 
-import json
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
-from .atomic import atomic_write
+from .atomic import write_table
 from .attacks import AttackResult, run_attack, run_heads
 from .ensembles import Ensemble, Heads, ce_values_and_input_grad, ensemble_predict, member_probs, member_stack, predict_labels
 from .errors import (
@@ -101,28 +100,31 @@ def cross_matrix(targets, dataset, spec, labels=None):
     """Every target attacks the dataset once; every other target is scored
     on each attack's output. Diagonal entries are the white-box robust
     accuracies, read off the attacks as robust_accuracy reads them. The
-    targets are one head each (Heads.of), attacked in lockstep (run_heads),
-    and one stacked forward of their distinct members scores each attacked
-    batch for all of them. The batch of a head of every member, in order,
-    is scored from the members' rows of its attack's final check, with no
-    forward.
+    targets are one head each (Heads.of), attacked in lockstep (run_heads).
+    Each attacked batch is scored for all of them from every distinct
+    member's rows of it: the attacked head's own members' rows from its
+    attack's final check, and one stacked forward of the other members.
     """
     targets = list(targets)
     if len(targets) < 2:
         raise ConfigError("cross matrix needs at least 2 models")
     labels = _default_labels(targets) if labels is None else tuple(labels)
     heads = Heads.of(targets)
-    every = tuple(range(len(heads.stack)))
     a = np.zeros((len(targets), len(targets)))
     advs, correct = [], []
     for result in run_heads(heads, dataset.inputs, dataset.labels, spec):
+        i = len(advs)
+        adv, defeated, group = result.adversarial, result.success_mask, heads.groups[i]
+        probs = np.empty((len(heads.stack), *result.member_probs.shape[1:]))
+        probs[list(group)] = result.member_probs
         # the result, with its final rows, is not held through the scoring
         # and the next attack (enumerate's reused tuple would hold it)
-        i = len(advs)
-        adv, defeated, rows = result.adversarial, result.success_mask, result.member_probs
         del result
-        # such a head's attack formed every member's rows of its batch
-        predicted = head_labels(heads, adv, rows if heads.groups[i] == every else None)
+        rest = [k for k in range(len(heads.stack)) if k not in group]
+        if rest:
+            probs[rest] = member_probs(heads.stack.take(rest), adv)
+        predicted = head_labels(heads, adv, probs)
+        del probs  # not held through the next attack either
         ok = np.array([~defeated if j == i else p == dataset.labels for j, p in enumerate(predicted)])
         a[i] = ok.mean(axis=1) * 100.0
         advs.append(adv)
@@ -369,20 +371,14 @@ def surface_grid(target, x_a, y, radius_steps, step, seed=0):
 
 def save_cross_csv(matrix, path, preamble=""):
     """Labeled matrix CSV, entries rounded to one decimal."""
-    with atomic_write(path, newline="") as f:
-        f.write(preamble)
-        f.write("source," + ",".join(matrix.labels) + "\n")
-        for label, row in zip(matrix.labels, matrix.a):
-            f.write(label + "," + ",".join(f"{v:.1f}" for v in row) + "\n")
+    rows = ([label, *(f"{v:.1f}" for v in row)] for label, row in zip(matrix.labels, matrix.a))
+    write_table(path, ("source", *matrix.labels), rows, preamble)
 
 
 def save_detection_csv(report, path, preamble=""):
     """ROC curve as (fpr, tpr) rows, ordered by descending threshold."""
-    with atomic_write(path, newline="") as f:
-        f.write(preamble)
-        f.write("fpr,tpr\n")
-        fpr, tpr = (np.asarray(v, dtype=np.float64).tolist() for v in (report.fpr, report.tpr))
-        f.write("".join(f"{fp!r},{tp!r}\n" for fp, tp in zip(fpr, tpr)))
+    fpr, tpr = (np.asarray(v, dtype=np.float64).tolist() for v in (report.fpr, report.tpr))
+    write_table(path, ("fpr", "tpr"), ((repr(fp), repr(tp)) for fp, tp in zip(fpr, tpr)), preamble)
 
 
 def detection_summary(report):
@@ -393,22 +389,12 @@ def detection_summary(report):
     }
 
 
-def save_detection_json(report, path, extra=None):
-    payload = dict(extra or {})
-    payload.update(detection_summary(report))
-    with atomic_write(path) as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
 def save_surface_csv(grid, path, preamble=""):
     """Long-format grid: i, j, loss, label with i, j in [-r, r]."""
     r = grid.radius_steps
-    with atomic_write(path, newline="") as f:
-        f.write(preamble)
-        f.write("i,j,loss,label\n")
-        for i in range(-r, r + 1):
-            for j in range(-r, r + 1):
-                loss = grid.losses[i + r, j + r]
-                label = grid.labels[i + r, j + r]
-                f.write(f"{i},{j},{repr(float(loss))},{int(label)}\n")
+    rows = (
+        (str(i), str(j), repr(float(grid.losses[i + r, j + r])), str(int(grid.labels[i + r, j + r])))
+        for i in range(-r, r + 1)
+        for j in range(-r, r + 1)
+    )
+    write_table(path, ("i", "j", "loss", "label"), rows, preamble)

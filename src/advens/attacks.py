@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .atomic import atomic_write
+from .atomic import write_table
 from .ensembles import Heads, as_heads, ce_values_and_input_grad, member_probs, member_stack
 from .errors import ConfigError, DivergenceError, DomainError, ShapeError
 
@@ -437,8 +437,6 @@ def spsa_gradient_estimate(target, x, labels, samples, delta, rng, *, _checked=F
 def save_attack_csv(result, x_original, path, preamble=""):
     """CSV export: example_id, success, linf_norm, queries."""
     gaps = np.abs(result.adversarial - np.asarray(x_original, dtype=np.float64)).max(axis=1)
-    with atomic_write(path, newline="") as f:
-        f.write(preamble)
-        f.write("example_id,success,linf_norm,queries\n")
-        for i, (s, g) in enumerate(zip(result.success_mask, gaps)):
-            f.write(f"{i},{int(s)},{repr(float(g))},{result.queries}\n")
+    rows = ((str(i), str(int(s)), repr(float(g)), str(result.queries))
+            for i, (s, g) in enumerate(zip(result.success_mask, gaps)))
+    write_table(path, ("example_id", "success", "linf_norm", "queries"), rows, preamble)

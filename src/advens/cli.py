@@ -29,7 +29,7 @@ import sys
 import numpy as np
 
 from . import analysis, data, training
-from .atomic import atomic_write
+from .atomic import write_json, write_table
 from .attacks import AttackSpec, run_attack, run_heads
 from .ensembles import Heads, load_ensemble, partition, save_ensemble, save_partition_csv
 from .errors import ConfigError, DivergenceError
@@ -288,12 +288,6 @@ def _meta(cfg):
     return {"seed": cfg["seed"], "config_digest": config_digest(cfg)}
 
 
-def _write_json(path, payload):
-    with atomic_write(path) as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
 def _load_checkpoint(path, ds, model):
     ens = load_ensemble(path)
     if ens.num_classes != ds.num_classes:
@@ -348,7 +342,7 @@ def cmd_train(args):
     ckpt = os.path.join(out, "ensemble.json")
     save_ensemble(report.ensemble, ckpt, meta=_meta(cfg))
     report_json = os.path.join(out, "report.json")
-    _write_json(report_json, training.report_to_dict(report) | {"config_digest": config_digest(cfg)})
+    write_json(report_json, training.report_to_dict(report) | {"config_digest": config_digest(cfg)})
     report_csv = os.path.join(out, "report.csv")
     training.save_report_csv(report, report_csv, preamble=_preamble(cfg))
     for path in (ckpt, report_json, report_csv):
@@ -371,11 +365,8 @@ def cmd_eval(args):
             robs.append(analysis.robust_accuracy(result, ds, spec))
             del result  # not held through the next target's attack of a large batch
         path = os.path.join(out, f"eval_{name}.csv")
-        with atomic_write(path, newline="") as f:
-            f.write(_preamble(cfg))
-            f.write("model,nat_acc,rob_acc\n")
-            for label, nat, rob in zip(names, nats, robs):
-                f.write(f"{label},{nat:.1f},{rob:.1f}\n")
+        rows = ((label, f"{nat:.1f}", f"{rob:.1f}") for label, nat, rob in zip(names, nats, robs))
+        write_table(path, ("model", "nat_acc", "rob_acc"), rows, _preamble(cfg))
         print(path)
     return 0
 
@@ -384,45 +375,35 @@ def cmd_transfer(args):
     cfg, ds, ensembles, spec = _analysis_setup(args, single=False)
     out = cfg["out"]
     emitted = []
-
-    if len(ensembles) == 1:
-        ens = ensembles[0]
+    ens = ensembles[0]
+    if len(ensembles) == 1:  # f1 .. fK and en, cross_matrix's default labels
         if len(ens.members) < 2:
             raise ConfigError("transfer over one checkpoint needs an ensemble with >= 2 members")
-        targets = list(ens.members) + [ens]
-        labels = [f"f{i + 1}" for i in range(len(ens.members))] + ["en"]
-        mat = analysis.cross_matrix(targets, ds, spec, labels=labels)
-        adv = mat.adversarial[-1]  # the ensemble's attacked batch
-        metrics = {"a_en_en": mat.a[-1, -1]}
-        for i in range(len(ens.members)):
-            for j in range(i + 1, len(ens.members)):
-                metrics[f"T_{i + 1}_{j + 1}"] = analysis.transferability_T(mat, i, j)
-        if len(ens.members) == 2:
-            part = partition(
-                *ens.members, adv, ds.inputs, ds.labels, spec.epsilon, correct=mat.correct[-1][:2]
-            )
-            part_csv = os.path.join(out, "partition.csv")
-            save_partition_csv(part, part_csv, preamble=_preamble(cfg))
-            emitted.append(part_csv)
-            metrics["T"] = metrics.pop("T_1_2")
-            metrics["nT"] = analysis.non_transferable_nT(mat.a[-1, -1], part.cardinalities["S00"])
-            metrics["a_single"] = analysis.single_correct_a_single(
-                mat.a[-1, -1], part.cardinalities["S11"]
-            )
-            metrics.update({tag: part.cardinalities[tag] for tag in ("S11", "S01", "S10", "S00")})
+        mat = analysis.cross_matrix([*ens.members, ens], ds, spec)
+        n = len(ens.members)
     else:
-        labels = [f"c{i + 1}" for i in range(len(ensembles))]
-        mat = analysis.cross_matrix(ensembles, ds, spec, labels=labels)
-        metrics = {
-            f"T_{i + 1}_{j + 1}": analysis.transferability_T(mat, i, j)
-            for i in range(len(ensembles))
-            for j in range(i + 1, len(ensembles))
-        }
+        n = len(ensembles)
+        mat = analysis.cross_matrix(ensembles, ds, spec, labels=[f"c{i + 1}" for i in range(n)])
+    metrics = {
+        f"T_{i + 1}_{j + 1}": analysis.transferability_T(mat, i, j) for i in range(n) for j in range(i + 1, n)
+    }
+    if len(ensembles) == 1:
+        metrics["a_en_en"] = mat.a[-1, -1]
+    if len(ensembles) == 1 and n == 2:  # the partition of the ensemble's attacked batch
+        part = partition(*ens.members, mat.adversarial[-1], ds.inputs, ds.labels, spec.epsilon,
+                         correct=mat.correct[-1][:2])
+        part_csv = os.path.join(out, "partition.csv")
+        save_partition_csv(part, part_csv, preamble=_preamble(cfg))
+        emitted.append(part_csv)
+        metrics["T"] = metrics.pop("T_1_2")
+        metrics["nT"] = analysis.non_transferable_nT(mat.a[-1, -1], part.cardinalities["S00"])
+        metrics["a_single"] = analysis.single_correct_a_single(mat.a[-1, -1], part.cardinalities["S11"])
+        metrics.update({tag: part.cardinalities[tag] for tag in ("S11", "S01", "S10", "S00")})
 
     mat_csv = os.path.join(out, "transfer.csv")
     analysis.save_cross_csv(mat, mat_csv, preamble=_preamble(cfg))
     metrics_json = os.path.join(out, "transfer_metrics.json")
-    _write_json(metrics_json, {k: round(float(v), 1) for k, v in metrics.items()} | _meta(cfg))
+    write_json(metrics_json, {k: round(float(v), 1) for k, v in metrics.items()} | _meta(cfg))
     for path in [mat_csv, metrics_json] + emitted:
         print(path)
     return 0
@@ -437,7 +418,7 @@ def cmd_detect(args):
     roc_csv = os.path.join(out, "detect_roc.csv")
     analysis.save_detection_csv(report, roc_csv, preamble=_preamble(cfg))
     summary_json = os.path.join(out, "detect.json")
-    analysis.save_detection_json(report, summary_json, extra=_meta(cfg))
+    write_json(summary_json, analysis.detection_summary(report) | _meta(cfg))
     print(roc_csv)
     print(summary_json)
     return 0

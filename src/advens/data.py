@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atomic import atomic_write
+from .atomic import atomic_write, write_table
 from .errors import ConsistencyError, DomainError, FormatError, ShapeError, TruncatedFileError
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -131,6 +131,15 @@ def _read_exact(f, n, path):
     return f.read(n)
 
 
+def _read_payload(f, n, path):
+    # the payload the header declares must end the file: a header that
+    # under-counts would otherwise drop the records past it
+    extra = os.fstat(f.fileno()).st_size - f.tell() - n
+    if extra > 0:
+        raise FormatError(f"{path}: {extra} byte(s) past the {n}-byte payload its header declares")
+    return _read_exact(f, n, path)
+
+
 def load_idx(images_path, labels_path):
     """Read an IDX image/label file pair into a Dataset.
 
@@ -145,13 +154,13 @@ def load_idx(images_path, labels_path):
         rows, cols = struct.unpack(">II", _read_exact(f, 8, images_path))
         if 0 in (count, rows, cols):
             raise FormatError(f"{images_path}: header declares {count} images of {rows}x{cols} pixels")
-        raw = _read_exact(f, count * rows * cols, images_path)
+        raw = _read_payload(f, count * rows * cols, images_path)
         pixels = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols)
     with open(labels_path, "rb") as f:
         magic, label_count = struct.unpack(">II", _read_exact(f, 8, labels_path))
         if magic != IDX_LABELS_MAGIC:
             raise FormatError(f"{labels_path}: bad labels magic 0x{magic:08x}")
-        labels = np.frombuffer(_read_exact(f, label_count, labels_path), dtype=np.uint8)
+        labels = np.frombuffer(_read_payload(f, label_count, labels_path), dtype=np.uint8)
     if count != label_count:
         raise ConsistencyError(
             f"{count} images in {images_path} but {label_count} labels in {labels_path}"
@@ -224,8 +233,5 @@ def split(dataset, fraction, seed):
 
 def save_csv(dataset, path):
     """Export as CSV with header x0,...,x{d-1},label."""
-    d = dataset.dim
-    with atomic_write(path, newline="") as f:
-        f.write(",".join([f"x{i}" for i in range(d)] + ["label"]) + "\n")
-        for row, label in zip(dataset.inputs, dataset.labels):
-            f.write(",".join(repr(float(v)) for v in row) + f",{label}\n")
+    rows = ([repr(float(v)) for v in row] + [str(label)] for row, label in zip(dataset.inputs, dataset.labels))
+    write_table(path, [f"x{i}" for i in range(dataset.dim)] + ["label"], rows)

@@ -30,7 +30,7 @@ from itertools import accumulate
 import numpy as np
 
 from . import nn
-from .atomic import atomic_write
+from .atomic import atomic_write, write_table
 from .errors import ConfigError, ContractError, FormatError, ShapeError
 
 BALL_TOL = 1e-9
@@ -360,18 +360,17 @@ def joint_security_violations(f1, f2, probes, x, y, eps):
 
 def save_partition_csv(part, path, preamble=""):
     """CSV export: example_id, tag."""
-    with atomic_write(path, newline="") as f:
-        f.write(preamble)
-        f.write("example_id,tag\n")
-        f.write("".join(f"{i},{tag}\n" for i, tag in enumerate(part.assignments.tolist())))
+    rows = ((str(i), tag) for i, tag in enumerate(part.assignments.tolist()))
+    write_table(path, ("example_id", "tag"), rows, preamble)
 
 
 def save_ensemble(ens, path, meta=None):
-    """Checkpoint the ensemble; meta is an optional dict of extra keys
-    (run provenance). Byte-stable for a fixed meta: saving a loaded
-    checkpoint reproduces the file exactly."""
+    """Checkpoint the ensemble, the one checkpoint format (a Model goes as
+    an ensemble of one); meta is an optional dict of extra keys (run
+    provenance). Byte-stable for a fixed meta: saving a loaded checkpoint
+    reproduces the file exactly."""
     obj = {
-        "members": [json.loads(nn.model_to_json(m)) for m in ens.members],
+        "members": [nn.model_to_obj(m) for m in ens.members],
         "num_classes": ens.num_classes,
     }
     if meta:

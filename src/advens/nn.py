@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import contextvars
 import itertools
-import json
 import math
 import os
 import threading
@@ -45,7 +44,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .atomic import atomic_write
 from .errors import DomainError, FormatError, ShapeError, UnsupportedLossError
 
 LOG_FLOOR = 1e-12
@@ -703,10 +701,11 @@ def adam_step(model, param_grads, state):
 # checkpoints
 
 
-def model_to_json(model):
-    """Serialize to the checkpoint schema. Stable: serializing a model
-    loaded from this string reproduces it byte for byte."""
-    obj = {
+def model_to_obj(model):
+    """model as one member's entry of a checkpoint (ensembles.save_ensemble),
+    JSON-ready. Stable: the entry of the model that model_from_obj reads
+    back from it is equal to it."""
+    return {
         "layers": [
             {"w": layer.w.tolist(), "b": layer.b.tolist(), "act": layer.act}
             for layer in model.layers
@@ -714,15 +713,6 @@ def model_to_json(model):
         "num_classes": model.num_classes,
         "seed": model.seed,
     }
-    return json.dumps(obj)
-
-
-def model_from_json(text):
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise FormatError(f"checkpoint is not valid JSON: {e}") from None
-    return model_from_obj(obj)
 
 
 def _checkpoint_int(obj, key, default=None):
@@ -750,13 +740,3 @@ def model_from_obj(obj):
     if seed < 0:
         raise FormatError(f"checkpoint field 'seed' must be >= 0, got {seed}")
     return Model(layers=tuple(layers), num_classes=_checkpoint_int(obj, "num_classes"), seed=seed)
-
-
-def save_model(model, path):
-    with atomic_write(path) as f:
-        f.write(model_to_json(model))
-
-
-def load_model(path):
-    with open(path) as f:
-        return model_from_json(f.read())

@@ -49,7 +49,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import data, nn
-from .atomic import atomic_write
+from .atomic import write_table
 from .attacks import AttackSpec, adversarial_batches, run_attack
 from .ensembles import Ensemble, Heads, ensemble_predict, predict_labels, stack_ensemble
 from .errors import ConfigError, DivergenceError, DomainError
@@ -435,34 +435,15 @@ class TrainReport:
 CSV_COLUMNS = ("epoch", "member", "clean_ce", "dpo_ce", "cpo_ce", "do_h", "nat_acc", "rob_acc")
 
 
-def report_rows(report):
-    """Per-epoch, per-member CSV rows matching CSV_COLUMNS."""
-    rows = []
-    for ep in report.epochs:
-        for i, terms in enumerate(ep.member_terms):
-            rows.append(
-                (
-                    ep.epoch,
-                    i,
-                    terms["clean_ce"],
-                    terms["dpo_ce"],
-                    terms["cpo_ce"],
-                    terms["do_h"],
-                    ep.nat_acc,
-                    ep.rob_acc,
-                )
-            )
-    return rows
-
-
 def save_report_csv(report, path, preamble=""):
-    with atomic_write(path, newline="") as f:
-        if preamble:
-            f.write(preamble)
-        f.write(",".join(CSV_COLUMNS) + "\n")
-        for row in report_rows(report):
-            cells = [str(row[0]), str(row[1])] + [repr(float(v)) for v in row[2:]]
-            f.write(",".join(cells) + "\n")
+    """Per-epoch, per-member rows of CSV_COLUMNS."""
+    rows = (
+        [str(ep.epoch), str(i)] + [repr(float(v)) for v in values]
+        for ep in report.epochs
+        for i, terms in enumerate(ep.member_terms)
+        for values in [[terms[c] for c in CSV_COLUMNS[2:6]] + [ep.nat_acc, ep.rob_acc]]
+    )
+    write_table(path, CSV_COLUMNS, rows, preamble)
 
 
 def report_to_dict(report):

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from advens import analysis, attacks, data, nn, training
+from advens.atomic import write_json
 from advens.attacks import AttackSpec, run_attack
 from advens.ensembles import Ensemble, Heads, partition, predict_labels
 from advens.errors import (
@@ -85,9 +87,10 @@ def test_robust_accuracy_reads_the_attack_and_equals_scoring_its_batch(monkeypat
 
 
 def test_cross_matrix_scores_each_attacked_batch_in_one_pass_of_the_distinct_members(monkeypatch):
-    # m1 and the second model are the distinct members; no head holds both
-    # in order, so each of the three batches takes one pass of the two, and
-    # no target is scored on its own
+    # m1 and the second model are the distinct members; each of the three
+    # batches takes one pass of the member its attacked head does not hold
+    # (the head's own rows come from its final check), and no target is
+    # scored on its own
     ds, m1 = blobs_and_model(seed=3)
     targets = [m1, fit_plain(ds, seed=7), Ensemble(members=(m1, m1))]
     spec = pgd(epsilon=0.06)
@@ -96,7 +99,7 @@ def test_cross_matrix_scores_each_attacked_batch_in_one_pass_of_the_distinct_mem
     monkeypatch.setattr(analysis, "member_probs", lambda t, x: passes.append(len(t)) or probs(t, x))
     monkeypatch.setattr(analysis, "predict_labels", None)
     mat = analysis.cross_matrix(targets, ds, spec)
-    assert passes == [2] * 3
+    assert passes == [1] * 3
     for i, adv in enumerate(mat.adversarial):
         for j, t in enumerate(targets):
             assert mat.a[i, j] == np.mean(predict_labels(t, adv) == ds.labels) * 100.0
@@ -111,9 +114,11 @@ def test_cross_matrix_of_members_then_their_ensemble_scores_each_batch_in_one_pa
     monkeypatch.setattr(analysis, "member_probs", lambda t, x: passes.append(t) or probs(t, x))
     monkeypatch.setattr(analysis, "predict_labels", None)  # no per-target scoring
     mat = analysis.cross_matrix(targets, ds, pgd(epsilon=0.1))
-    # one pass of the members' one stack per member's batch; en's batch is
-    # scored from its attack's final rows
-    assert len(passes) == 2 and passes[0] is passes[1] and len(passes[0]) == 2
+    # a member's batch takes one pass of the other member; en's batch is
+    # scored from its attack's final rows alone
+    assert [len(t) for t in passes] == [1, 1]
+    for t, other in zip(passes, reversed(ens.members)):
+        assert np.array_equal(t.layers[0].w[0], other.layers[0].w)
     for i, adv in enumerate(mat.adversarial):
         for j, t in enumerate(targets):
             ok = predict_labels(t, adv) == ds.labels
@@ -154,11 +159,13 @@ def test_cross_matrix_of_two_checkpoints_equals_lone_attacks_and_scoring(monkeyp
     ens_b, _, _ = ensemble_and_batch(rows, seed=5)
     ds = data.Dataset(inputs=x, labels=y, num_classes=3, name="two", seed=0)
     spec = pgd(steps=3, epsilon=0.05, eta=0.02)
-    searches = []
-    search = attacks._search
+    searches, passes = [], []
+    search, probs = attacks._search, analysis.member_probs
     monkeypatch.setattr(attacks, "_search", lambda heads, *a: searches.append(len(heads)) or search(heads, *a))
+    monkeypatch.setattr(analysis, "member_probs", lambda t, x: passes.append(len(t)) or probs(t, x))
     mat = analysis.cross_matrix([ens_a, ens_b], ds, spec)
     assert searches == ([2] if rows == 30 else [1, 1])
+    assert passes == [2, 2]  # each batch forwards the other checkpoint's members only
     monkeypatch.undo()
     assert mat.labels == ("en", "en2")
     for i, target in enumerate((ens_a, ens_b)):
@@ -480,8 +487,7 @@ def test_csv_and_json_outputs(tmp_path):
     assert roc_lines[0] == "fpr,tpr"
     assert len(roc_lines) == 1 + report.thresholds.size
     json_path = tmp_path / "det.json"
-    analysis.save_detection_json(report, json_path, extra={"seed": 0})
-    import json
+    write_json(json_path, analysis.detection_summary(report) | {"seed": 0})
 
     payload = json.loads(json_path.read_text())
     assert payload["auc"] == report.auc and payload["n_benign"] == 8 and payload["seed"] == 0

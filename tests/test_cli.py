@@ -4,12 +4,12 @@ import copy
 import json
 import os
 import struct
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from advens import analysis, cli, data, ensembles, nn, training
+from advens.atomic import write_json, write_table
 from advens.ensembles import Ensemble, load_ensemble, save_ensemble
 from advens.errors import ConfigError, DivergenceError, FormatError
 
@@ -388,6 +388,21 @@ def test_idx_header_larger_than_file_exits_2(tmp_path, capsys):
     assert "expected" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("which", [0, 1], ids=["images", "labels"])
+def test_idx_file_longer_than_its_header_declares_exits_2(tmp_path, capsys, which):
+    # a header that under-counts once loaded the records it declared and
+    # dropped the rest without a word
+    files = str(tmp_path / "img.idx"), str(tmp_path / "lab.idx")
+    ds = data.gen_blobs(seed=0, n_per_class=10, num_classes=3, dim=4, separation=3.0)
+    data.save_idx(ds, *files, rows=2, cols=2)
+    with open(files[which], "ab") as f:
+        f.write(b"\x00")
+    path, _ = make_config(tmp_path, dataset={"idx_images": files[0], "idx_labels": files[1]})
+    assert run(["train", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert files[which] in err and "1 byte(s) past the" in err
+
+
 @pytest.mark.parametrize("count, rows, cols", [(0, 2, 2), (4, 0, 2), (4, 2, 0)])
 def test_idx_header_with_a_zero_size_exits_2(tmp_path, capsys, count, rows, cols):
     imgs, labs = str(tmp_path / "img.idx"), str(tmp_path / "lab.idx")
@@ -511,10 +526,10 @@ def test_eval_of_logits_that_overflow_mid_attack_exits_2(tmp_path, capsys):
         (("members", 0, "seed"), -1),
         (("num_classes",), "x"),
         (("num_classes",), 7),
-        (("members", 1, "layers"), json.loads(nn.model_to_json(nn.init_model(4, [8], 3, 0)))["layers"]),
+        (("members", 1, "layers"), nn.model_to_obj(nn.init_model(4, [8], 3, 0))["layers"]),
         (("members",), []),
-        (("members", 1), json.loads(nn.model_to_json(nn.init_model(4, [16], 4, 0)))),
-        (("members", 1), json.loads(nn.model_to_json(nn.init_model(5, [16], 3, 0)))),
+        (("members", 1), nn.model_to_obj(nn.init_model(4, [16], 4, 0))),
+        (("members", 1), nn.model_to_obj(nn.init_model(5, [16], 3, 0))),
     ],
 )
 def test_malformed_checkpoint_exits_2_naming_the_field(tmp_path, capsys, keys, value):
@@ -663,17 +678,24 @@ def test_transfer_attacks_each_target_once(tmp_path, monkeypatch):
 
 
 def test_transfer_scores_each_attacked_batch_once(tmp_path, monkeypatch):
-    # one stacked pass of the members per member's attacked batch scores
-    # f1, f2 and en, the en attack's final rows score its own batch and the
-    # partition; no target is forwarded on its own
+    # an attacked batch is scored for every target from its attack's final
+    # rows and one stacked pass of the members outside the attacked head:
+    # the other member on f1's and f2's batches, none on en's (whose rows
+    # also give the partition), the other checkpoint's members across
+    # checkpoints; no target is forwarded on its own
     path, cfg, ckpt = trained(tmp_path)
+    _, _, ckpt2 = trained(tmp_path, out="runs/other", seed=9)
     passes = []
     probs = analysis.member_probs
     monkeypatch.setattr(analysis, "member_probs", lambda t, x: passes.append(len(t)) or probs(t, x))
     monkeypatch.setattr(analysis, "predict_labels", None)
     monkeypatch.setattr(ensembles, "predict_labels", None)
     assert run(["transfer", "--config", path, "--checkpoint", ckpt, "--out", str(tmp_path / "tr")]) == 0
-    assert passes == [2, 2]  # en's batch is scored from its attack's final rows
+    assert passes == [1, 1]
+    passes.clear()
+    argv = ["transfer", "--config", path, "--checkpoint", ckpt, "--checkpoint", ckpt2, "--out", str(tmp_path / "tr2")]
+    assert run(argv) == 0
+    assert passes == [2, 2]
 
 
 def test_transfer_across_checkpoints(tmp_path):
@@ -789,14 +811,19 @@ def test_missing_required_flag_is_an_argparse_exit(tmp_path):
 @pytest.mark.parametrize(
     "write, good, bad",
     [
-        (cli._write_json, {"a": 1}, {"a": 2, "b": object()}),  # json.dump fails after "a"
+        (write_json, {"a": 1}, {"a": 2, "b": object()}),  # json.dump fails after "a"
         (
-            lambda path, report: analysis.save_detection_csv(report, path),
-            SimpleNamespace(fpr=[0.0, 1.0], tpr=[0.0, 1.0]),
-            SimpleNamespace(fpr=[0.5, "x"], tpr=[0.5, 1.0]),  # float("x") fails on row 2
+            lambda path, rows: write_table(path, ("fpr", "tpr"), rows),
+            [("0.0", "0.0"), ("1.0", "1.0")],
+            [("0.5", "0.5"), ("1.0", 1.0)],  # the join fails on row 2
+        ),
+        (
+            lambda path, meta: save_ensemble(Ensemble(members=(nn.init_model(2, [3], 2, 0),)), path, meta=meta),
+            {"seed": 0},
+            {"seed": 0, "z": object()},  # json.dump fails after the members
         ),
     ],
-    ids=["json", "csv"],
+    ids=["json", "csv", "checkpoint"],
 )
 def test_failed_artifact_write_keeps_previous_file_and_leaves_no_tmp(tmp_path, write, good, bad):
     path = tmp_path / "artifact"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from advens import nn
+from advens.ensembles import Ensemble, load_ensemble, save_ensemble
 from advens.errors import DomainError, FormatError, ShapeError, UnsupportedLossError
 
 
@@ -474,9 +475,9 @@ def test_adam_validation():
 
 def test_checkpoint_round_trip_is_byte_stable():
     model = tiny_model(9)
-    s1 = nn.model_to_json(model)
-    loaded = nn.model_from_json(s1)
-    s2 = nn.model_to_json(loaded)
+    s1 = json.dumps(nn.model_to_obj(model))
+    loaded = nn.model_from_obj(json.loads(s1))
+    s2 = json.dumps(nn.model_to_obj(loaded))
     assert s1 == s2
     for a, b in zip(model.layers, loaded.layers):
         assert np.array_equal(a.w, b.w) and np.array_equal(a.b, b.b) and a.act == b.act
@@ -484,21 +485,24 @@ def test_checkpoint_round_trip_is_byte_stable():
 
 
 def test_checkpoint_file_round_trip(tmp_path):
+    # a Model's checkpoint is an ensemble file of one member
     model = tiny_model(2)
     path = tmp_path / "model.json"
-    nn.save_model(model, path)
-    loaded = nn.load_model(path)
-    assert nn.model_to_json(loaded) == nn.model_to_json(model)
+    save_ensemble(Ensemble(members=(model,)), path)
+    (loaded,) = load_ensemble(path).members
+    assert nn.model_to_obj(loaded) == nn.model_to_obj(model)
 
 
 def test_checkpoint_schema_and_errors(tmp_path):
     model = tiny_model(1)
-    obj = json.loads(nn.model_to_json(model))
+    obj = nn.model_to_obj(model)
     assert set(obj) == {"layers", "num_classes", "seed"}
     assert set(obj["layers"][0]) == {"w", "b", "act"}
+    path = tmp_path / "bad.json"
+    path.write_text("{not json")
     with pytest.raises(FormatError):
-        nn.model_from_json("{not json")
+        load_ensemble(path)
     with pytest.raises(FormatError):
-        nn.model_from_json('{"num_classes": 3}')
+        nn.model_from_obj({"num_classes": 3})
     with pytest.raises(FormatError):
-        nn.model_from_json('{"layers": [{"w": "oops"}], "num_classes": 2}')
+        nn.model_from_obj({"layers": [{"w": "oops"}], "num_classes": 2})
