@@ -53,12 +53,13 @@ def robust_accuracy(target, dataset, spec):
 class CrossMatrix:
     """Robust accuracies a[i, j]: attack built against model i (rows),
     evaluated on model j (columns). When the matrix came from
-    cross_matrix, adversarial holds each row's attacked batch and correct
-    each row's correctness masks, one per column (n, B)."""
+    cross_matrix, adversarial holds the last row's attacked batch (the
+    only one kept) and correct each row's correctness masks, one per
+    column (n, B)."""
 
     a: np.ndarray
     labels: tuple
-    adversarial: tuple = ()
+    adversarial: np.ndarray | None = None
     correct: tuple = ()
 
     def __post_init__(self):
@@ -104,6 +105,9 @@ def cross_matrix(targets, dataset, spec, labels=None):
     Each attacked batch is scored for all of them from every distinct
     member's rows of it: the attacked head's own members' rows from its
     attack's final check, and one stacked forward of the other members.
+    A batch is dropped once its row is scored, but for the last target's,
+    which the matrix keeps (a transfer's ensemble batch, which its
+    partition reads).
     """
     targets = list(targets)
     if len(targets) < 2:
@@ -111,9 +115,9 @@ def cross_matrix(targets, dataset, spec, labels=None):
     labels = _default_labels(targets) if labels is None else tuple(labels)
     heads = Heads.of(targets)
     a = np.zeros((len(targets), len(targets)))
-    advs, correct = [], []
+    correct = []
     for result in run_heads(heads, dataset.inputs, dataset.labels, spec):
-        i = len(advs)
+        i = len(correct)
         adv, defeated, group = result.adversarial, result.success_mask, heads.groups[i]
         probs = np.empty((len(heads.stack), *result.member_probs.shape[1:]))
         probs[list(group)] = result.member_probs
@@ -127,9 +131,10 @@ def cross_matrix(targets, dataset, spec, labels=None):
         del probs  # not held through the next attack either
         ok = np.array([~defeated if j == i else p == dataset.labels for j, p in enumerate(predicted)])
         a[i] = ok.mean(axis=1) * 100.0
-        advs.append(adv)
         correct.append(ok)
-    return CrossMatrix(a=a, labels=labels, adversarial=tuple(advs), correct=tuple(correct))
+        if i < len(targets) - 1:
+            del adv  # not held through the next attack
+    return CrossMatrix(a=a, labels=labels, adversarial=adv, correct=tuple(correct))
 
 
 def transferability_T(matrix, first=0, second=1):

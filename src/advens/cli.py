@@ -31,7 +31,7 @@ import numpy as np
 from . import analysis, data, training
 from .atomic import write_json, write_table
 from .attacks import AttackSpec, run_attack, run_heads
-from .ensembles import Heads, load_ensemble, partition, save_ensemble, save_partition_csv
+from .ensembles import Heads, load_ensemble, partition, partition_summary, save_ensemble, save_partition_csv
 from .errors import ConfigError, DivergenceError
 from .training import MODES
 
@@ -241,10 +241,19 @@ def parse_config(path, seed_override=None, out_override=None):
 
 def config_digest(cfg):
     """Digest of everything that can change results (the output directory
-    does not)."""
+    does not). An IDX dataset counts by its two files' bytes (their
+    sha256), not by their paths: the same data at another path keeps the
+    digest, and changed data at the same path changes it."""
     payload = {k: v for k, v in cfg.items() if k != "out"}
+    if "idx_images" in cfg["dataset"]:
+        payload["dataset"] = {k: _file_sha256(path) for k, path in cfg["dataset"].items()}
     canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
+
+
+def _file_sha256(path):
+    with open(path, "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -280,12 +289,12 @@ def build_train_config(cfg):
     return training.TrainConfig(**kwargs)
 
 
-def _preamble(cfg):
-    return f"# seed={cfg['seed']}, config_digest={config_digest(cfg)}\n"
-
-
-def _meta(cfg):
-    return {"seed": cfg["seed"], "config_digest": config_digest(cfg)}
+def _stamps(cfg):
+    """The line every CSV artifact opens with and the keys every JSON
+    artifact carries (seed and config digest), from one digest of cfg per
+    command."""
+    meta = {"seed": cfg["seed"], "config_digest": config_digest(cfg)}
+    return f"# seed={meta['seed']}, config_digest={meta['config_digest']}\n", meta
 
 
 def _load_checkpoint(path, ds, model):
@@ -339,12 +348,13 @@ def cmd_train(args):
         report = training.train(init, ds, build_train_config(cfg), cfg["method"]["name"])
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
+    preamble, meta = _stamps(cfg)
     ckpt = os.path.join(out, "ensemble.json")
-    save_ensemble(report.ensemble, ckpt, meta=_meta(cfg))
+    save_ensemble(report.ensemble, ckpt, meta=meta)
     report_json = os.path.join(out, "report.json")
-    write_json(report_json, training.report_to_dict(report) | {"config_digest": config_digest(cfg)})
+    write_json(report_json, training.report_to_dict(report) | {"config_digest": meta["config_digest"]})
     report_csv = os.path.join(out, "report.csv")
-    training.save_report_csv(report, report_csv, preamble=_preamble(cfg))
+    training.save_report_csv(report, report_csv, preamble=preamble)
     for path in (ckpt, report_json, report_csv):
         print(path)
     return 0
@@ -352,9 +362,9 @@ def cmd_train(args):
 
 def cmd_eval(args):
     cfg, ds, (ens,), _ = _analysis_setup(args)
-    out = cfg["out"]
-    names = [f"f{i + 1}" for i in range(len(ens))] + ["en"]
-    heads = Heads.of([*ens.members, ens])  # f1 .. fK and en
+    out, preamble = cfg["out"], _stamps(cfg)[0]
+    targets = [*ens.members, ens]
+    names, heads = analysis._default_labels(targets), Heads.of(targets)  # f1 .. fK and en
     predicted = analysis.head_labels(heads, ds.inputs)  # one pass for every target
     nats = [analysis.natural_accuracy(labels, ds) for labels in predicted]
     for name, spec_dict in cfg["eval_attacks"].items():
@@ -366,14 +376,14 @@ def cmd_eval(args):
             del result  # not held through the next target's attack of a large batch
         path = os.path.join(out, f"eval_{name}.csv")
         rows = ((label, f"{nat:.1f}", f"{rob:.1f}") for label, nat, rob in zip(names, nats, robs))
-        write_table(path, ("model", "nat_acc", "rob_acc"), rows, _preamble(cfg))
+        write_table(path, ("model", "nat_acc", "rob_acc"), rows, preamble)
         print(path)
     return 0
 
 
 def cmd_transfer(args):
     cfg, ds, ensembles, spec = _analysis_setup(args, single=False)
-    out = cfg["out"]
+    out, (preamble, meta) = cfg["out"], _stamps(cfg)
     emitted = []
     ens = ensembles[0]
     if len(ensembles) == 1:  # f1 .. fK and en, cross_matrix's default labels
@@ -390,20 +400,20 @@ def cmd_transfer(args):
     if len(ensembles) == 1:
         metrics["a_en_en"] = mat.a[-1, -1]
     if len(ensembles) == 1 and n == 2:  # the partition of the ensemble's attacked batch
-        part = partition(*ens.members, mat.adversarial[-1], ds.inputs, ds.labels, spec.epsilon,
+        part = partition(*ens.members, mat.adversarial, ds.inputs, ds.labels, spec.epsilon,
                          correct=mat.correct[-1][:2])
         part_csv = os.path.join(out, "partition.csv")
-        save_partition_csv(part, part_csv, preamble=_preamble(cfg))
+        save_partition_csv(part, part_csv, preamble=preamble)
         emitted.append(part_csv)
         metrics["T"] = metrics.pop("T_1_2")
         metrics["nT"] = analysis.non_transferable_nT(mat.a[-1, -1], part.cardinalities["S00"])
         metrics["a_single"] = analysis.single_correct_a_single(mat.a[-1, -1], part.cardinalities["S11"])
-        metrics.update({tag: part.cardinalities[tag] for tag in ("S11", "S01", "S10", "S00")})
+        metrics.update(partition_summary(part))
 
     mat_csv = os.path.join(out, "transfer.csv")
-    analysis.save_cross_csv(mat, mat_csv, preamble=_preamble(cfg))
+    analysis.save_cross_csv(mat, mat_csv, preamble=preamble)
     metrics_json = os.path.join(out, "transfer_metrics.json")
-    write_json(metrics_json, {k: round(float(v), 1) for k, v in metrics.items()} | _meta(cfg))
+    write_json(metrics_json, {k: round(float(v), 1) for k, v in metrics.items()} | meta)
     for path in [mat_csv, metrics_json] + emitted:
         print(path)
     return 0
@@ -414,11 +424,11 @@ def cmd_detect(args):
     result = run_attack(ens, ds.inputs, ds.labels, spec)
     # the attack's final check already forwarded the members on its batch
     report = analysis.detect(ens, ds.inputs, result.adversarial, adv_probs=result.member_probs)
-    out = cfg["out"]
+    out, (preamble, meta) = cfg["out"], _stamps(cfg)
     roc_csv = os.path.join(out, "detect_roc.csv")
-    analysis.save_detection_csv(report, roc_csv, preamble=_preamble(cfg))
+    analysis.save_detection_csv(report, roc_csv, preamble=preamble)
     summary_json = os.path.join(out, "detect.json")
-    write_json(summary_json, analysis.detection_summary(report) | _meta(cfg))
+    write_json(summary_json, analysis.detection_summary(report) | meta)
     print(roc_csv)
     print(summary_json)
     return 0
@@ -445,7 +455,7 @@ def cmd_surface(args):
         step=float(sconf["step"]), seed=cfg["seed"],
     )
     path = os.path.join(cfg["out"], "surface.csv")
-    analysis.save_surface_csv(grid, path, preamble=_preamble(cfg))
+    analysis.save_surface_csv(grid, path, preamble=_stamps(cfg)[0])
     print(path)
     return 0
 

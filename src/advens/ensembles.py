@@ -284,7 +284,8 @@ def _check_in_ball(probes, x, eps):
         x = np.broadcast_to(x, probes.shape)
     if x.shape != probes.shape:
         raise ShapeError(f"probes shape {probes.shape} vs centers shape {x.shape}")
-    gap = np.abs(probes - x).max(axis=1)
+    # each probe's l-inf gap, a row block at a time: no whole-batch temporaries
+    gap = np.concatenate([np.abs(probes[lo:hi] - x[lo:hi]).max(axis=1) for lo, hi in nn.row_blocks(probes)])
     bad = np.nonzero(gap > eps + BALL_TOL)[0]
     if bad.size:
         raise ContractError(
@@ -407,7 +408,3 @@ def load_ensemble(path):
 def partition_summary(part):
     """JSON-ready cardinality summary (percentages at full precision)."""
     return {tag: part.cardinalities[tag] for tag in TAGS}
-
-
-def partition_summary_json(part):
-    return json.dumps(partition_summary(part))

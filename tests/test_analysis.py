@@ -1,11 +1,12 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from advens import analysis, attacks, data, nn, training
+from advens import analysis, attacks, data, ensembles, nn, training
 from advens.atomic import write_json
 from advens.attacks import AttackSpec, run_attack
 from advens.ensembles import Ensemble, Heads, partition, predict_labels
@@ -100,9 +101,11 @@ def test_cross_matrix_scores_each_attacked_batch_in_one_pass_of_the_distinct_mem
     monkeypatch.setattr(analysis, "predict_labels", None)
     mat = analysis.cross_matrix(targets, ds, spec)
     assert passes == [1] * 3
-    for i, adv in enumerate(mat.adversarial):
+    for i, target in enumerate(targets):  # each row's lone attack, bit-equal to its lockstep row
+        adv = run_attack(target, ds.inputs, ds.labels, spec).adversarial
         for j, t in enumerate(targets):
             assert mat.a[i, j] == np.mean(predict_labels(t, adv) == ds.labels) * 100.0
+    assert mat.adversarial.tobytes() == adv.tobytes()  # the last row's batch, the only one kept
 
 
 def test_cross_matrix_of_members_then_their_ensemble_scores_each_batch_in_one_pass(monkeypatch):
@@ -119,13 +122,15 @@ def test_cross_matrix_of_members_then_their_ensemble_scores_each_batch_in_one_pa
     assert [len(t) for t in passes] == [1, 1]
     for t, other in zip(passes, reversed(ens.members)):
         assert np.array_equal(t.layers[0].w[0], other.layers[0].w)
-    for i, adv in enumerate(mat.adversarial):
+    for i, target in enumerate(targets):  # each row's lone attack, bit-equal to its lockstep row
+        adv = run_attack(target, ds.inputs, ds.labels, pgd(epsilon=0.1)).adversarial
         for j, t in enumerate(targets):
             ok = predict_labels(t, adv) == ds.labels
             assert np.array_equal(mat.correct[i][j], ok)
             assert mat.a[i, j] == np.mean(ok) * 100.0
-    # the partition takes the ensemble row's member masks as they are
-    adv = mat.adversarial[-1]
+    # the matrix keeps en's batch, and the partition takes its row's member
+    # masks as they are
+    assert mat.adversarial.tobytes() == adv.tobytes()
     part = partition(*ens.members, adv, ds.inputs, ds.labels, 0.1)
     shared = partition(*ens.members, adv, ds.inputs, ds.labels, 0.1, correct=mat.correct[-1][:2])
     assert np.array_equal(shared.assignments, part.assignments)
@@ -170,11 +175,34 @@ def test_cross_matrix_of_two_checkpoints_equals_lone_attacks_and_scoring(monkeyp
     assert mat.labels == ("en", "en2")
     for i, target in enumerate((ens_a, ens_b)):
         lone = run_attack(target, x, y, spec)
-        assert mat.adversarial[i].tobytes() == lone.adversarial.tobytes()
         for j, other in enumerate((ens_a, ens_b)):
             ok = ~lone.success_mask if j == i else predict_labels(other, lone.adversarial) == y
             assert np.array_equal(mat.correct[i][j], ok)
             assert mat.a[i, j] == np.mean(ok) * 100.0
+    assert mat.adversarial.tobytes() == lone.adversarial.tobytes()  # the last row's batch alone
+
+
+def test_cross_matrix_holds_one_attacked_batch_and_the_ball_check_no_whole_batch_temporary():
+    # tracemalloc sees numpy's array buffers; a batch of 4,096 rows attacks
+    # its heads one at a time, in row blocks
+    ens, x, y = ensemble_and_batch(4096, d=16)
+    ds = data.Dataset(inputs=x, labels=y, num_classes=3, name="big", seed=0)
+    targets, spec = [*ens.members, ens], pgd(steps=2)
+    analysis.cross_matrix(targets, ds, spec)  # the helper pool and any lazy set-up
+    probes = np.random.default_rng(0).random((10_000, 64))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        mat = analysis.cross_matrix(targets, ds, spec)
+        held = tracemalloc.get_traced_memory()[0] - before
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        ensembles._check_in_ball(probes, probes, 0.01)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert mat.adversarial.shape == x.shape and held < 2 * x.nbytes  # one batch, not one per row
+    assert peak < probes.nbytes  # under one batch of 5.12 MB: the gaps go a row block at a time
 
 
 def test_head_labels_equal_each_targets_predicted_labels():

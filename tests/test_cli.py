@@ -99,6 +99,25 @@ def test_digest_ignores_out_but_tracks_seed(tmp_path):
     assert cli.config_digest(a) != cli.config_digest(c)
 
 
+def test_idx_digest_tracks_the_files_bytes_not_their_paths(tmp_path):
+    ds = data.gen_blobs(seed=3, n_per_class=20, num_classes=2, dim=4, separation=4.0)
+    cfgs, files = [], []
+    for where in ("a", "b"):
+        os.makedirs(tmp_path / where)
+        pair = tmp_path / where / "x.idx", tmp_path / where / "y.idx"
+        data.save_idx(ds, *map(str, pair), rows=2, cols=2)
+        files.append(pair)
+        cfgs.append(cli.normalize_config(dict(BASE, dataset={"idx_images": str(pair[0]), "idx_labels": str(pair[1])})))
+    same = cli.config_digest(cfgs[0])
+    assert cfgs[0] != cfgs[1] and cli.config_digest(cfgs[1]) == same  # equal bytes at two paths
+    for path in files[1]:  # one changed byte past the header, in either file
+        blob = path.read_bytes()
+        path.write_bytes(blob[:-1] + bytes([blob[-1] ^ 1]))
+        assert cli.config_digest(cfgs[1]) != same
+        path.write_bytes(blob)
+        assert cli.config_digest(cfgs[1]) == same
+
+
 def test_named_mode_shorthand_expands_to_cce():
     method = cli._norm_method({"name": "DM"})
     assert method == {"name": "CCE", "mode": "DM", "lambda_pm": 0.0, "lambda_dm": 5.0}
