@@ -107,7 +107,7 @@ def cross_matrix(targets, dataset, spec, labels=None):
     attack's final check, and one stacked forward of the other members.
     A batch is dropped once its row is scored, but for the last target's,
     which the matrix keeps (a transfer's ensemble batch, which its
-    partition reads).
+    partition reads), copied out of the lockstep iterate if need be.
     """
     targets = list(targets)
     if len(targets) < 2:
@@ -134,6 +134,7 @@ def cross_matrix(targets, dataset, spec, labels=None):
         correct.append(ok)
         if i < len(targets) - 1:
             del adv  # not held through the next attack
+    adv = adv.copy() if adv.base is not None and adv.base.nbytes > adv.nbytes else adv
     return CrossMatrix(a=a, labels=labels, adversarial=adv, correct=tuple(correct))
 
 

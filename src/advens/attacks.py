@@ -48,7 +48,7 @@ import numpy as np
 from . import nn
 from .atomic import write_table
 from .ensembles import Heads, as_heads, ce_values_and_input_grad, member_probs, member_stack
-from .errors import ConfigError, DivergenceError, DomainError, ShapeError
+from .errors import ConfigError, DomainError, ShapeError
 
 FAMILIES = ("pgd", "bim", "mim", "spsa")
 
@@ -220,9 +220,15 @@ def _search(heads, x, labels, spec, seeds, ascent):
         acc = None if g_acc is None else g_acc[:, lo:hi]
         return cur[:, lo:hi], labels.block(lo, hi), acc, ball_box(x[lo:hi], spec.epsilon)
 
-    def sign_step(rows, grad):
-        """One step of rows along grad, their objective's gradient, in place."""
-        rows_cur, _, acc, bounds = rows
+    def step_rows(rows, grad=None):
+        """One step of rows in place, along grad (SPSA's estimate) or else the
+        gradient of one pass, checked; that pass's per-example objective."""
+        rows_cur, rows_labels, acc, bounds = rows
+        values = None
+        if grad is None:
+            values, grad = ce_values_and_input_grad(heads, rows_cur, rows_labels, _checked=True)
+            if not np.logical_and.reduce(np.isfinite(grad), axis=None):  # .all() without its wrapper
+                raise DomainError(f"non-finite attack gradient at step {step}")
         if not ascent:
             grad = -grad
         if acc is not None:
@@ -232,35 +238,27 @@ def _search(heads, x, labels, spec, seeds, ascent):
             acc[live] += grad[live] / norms[live]
             grad = acc
         fgsm_step(rows_cur, grad, spec.eta, *bounds, out=rows_cur)
-
-    def gradient_step(rows, step):
-        """One pass and sign step of rows; their per-example objective."""
-        values, grad = ce_values_and_input_grad(heads, rows[0], rows[1], _checked=True)
-        if not np.logical_and.reduce(np.isfinite(grad), axis=None):  # .all() without its wrapper
-            raise DivergenceError(f"non-finite attack gradient at step {step}")
-        sign_step(rows, grad)
         return values
 
-    values_seen = []  # per step, the per-example objective: the trace's rows
+    values_seen = []  # per gradient step, the per-example objective: the trace's rows
     queries = 0
     for step in range(spec.steps):
+        est, used = None, 1
         if spec.family == "spsa":
             est, used = spsa_gradient_estimate(
                 heads, cur, labels, spec.spsa_samples, spec.spsa_delta, rngs, _checked=True
             )
-            queries += used
-            if whole:
-                sign_step(whole, est)
-            else:
-                nn.over_blocks(lambda lo, hi: sign_step(part(lo, hi), est[:, lo:hi]), blocks)
-            del est  # not held through the next step's estimate
+        if whole:
+            values = step_rows(whole, est)
         else:
-            if whole:
-                values_seen.append(gradient_step(whole, step))
-            else:
-                parts = nn.over_blocks(lambda lo, hi: gradient_step(part(lo, hi), step), blocks)
-                values_seen.append(np.concatenate(parts, axis=-1))
-            queries += 1
+            parts = nn.over_blocks(
+                lambda lo, hi: step_rows(part(lo, hi), None if est is None else est[:, lo:hi]), blocks
+            )
+            values = None if parts[0] is None else np.concatenate(parts, axis=-1)
+        del est  # not held through the next step's estimate
+        if values is not None:
+            values_seen.append(values)
+        queries += used
     return cur, values_seen, queries
 
 
@@ -283,17 +281,11 @@ def _results(heads, x, labels, spec, ascent):
     ]
 
 
-def _lone(target, x, y, spec, ascent):
-    """The one attack of spec on target's averaged prediction (a Model's own)."""
-    heads = Heads.whole(member_stack(target))
-    return _results(heads, *_validate_inputs(heads, x, y), spec, ascent)[0]
-
-
 def run_attack(target, x, y, spec):
-    """Untargeted attack on the cross-entropy against y; success iff the
-    final prediction differs from y. targeted and multi_targeted run the
-    targeted protocols, run_heads the attacks on several targets at once,
-    and adversarial_batches the steps of attacks on any heads alone.
+    """Untargeted attack on the cross-entropy against y (run_heads of one
+    head); success iff the final prediction differs from y. targeted and
+    multi_targeted run the targeted protocols, run_heads the attacks on
+    several targets at once, and adversarial_batches the steps alone.
 
     The family picks the loop:
       pgd   signed gradient ascent, from a uniform random point of the
@@ -304,7 +296,7 @@ def run_attack(target, x, y, spec):
       spsa  ascent along simultaneous-perturbation estimates of the
             gradient, from x; only forward passes of the target are used.
     """
-    return _lone(target, x, y, spec, ascent=True)
+    return next(run_heads(Heads.whole(member_stack(target)), x, y, spec))
 
 
 def run_heads(heads, x, y, spec):
@@ -317,7 +309,7 @@ def run_heads(heads, x, y, spec):
     (nn.row_blocks) attacks its heads one after another instead, each when
     its result is asked for, so that one iterate of it is held at a time."""
     x, labels = _validate_inputs(heads, x, y)
-    if len(nn.row_blocks(x)) == 1:
+    if len(heads) == 1 or len(nn.row_blocks(x)) == 1:
         return iter(_results(heads, x, labels, spec, ascent=True))
     one = nn.label_index(labels.labels, (1, *labels.shape[1:]))  # one head's rows
     return (_results(Heads(heads.stack, (g,)), x, one, spec, ascent=True)[0] for g in heads.groups)
@@ -341,7 +333,8 @@ def targeted(target, x, t, spec):
     t_arr = np.asarray(t)
     if t_arr.ndim == 0:
         t_arr = np.full(np.asarray(x).shape[0], t_arr)
-    return _lone(target, x, t_arr, spec, ascent=False)
+    heads = Heads.whole(member_stack(target))
+    return _results(heads, *_validate_inputs(heads, x, t_arr), spec, ascent=False)[0]
 
 
 def multi_targeted(target, x, y, spec):

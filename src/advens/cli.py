@@ -14,7 +14,7 @@ config, and contains nothing else that varies between runs (no clocks,
 no absolute paths), so rerunning with an identical config and seed
 reproduces every artifact byte for byte.
 
-Exit codes: 0 success, 2 invalid config or inputs, 3 training diverged.
+Exit codes: 0 success, 2 invalid config or inputs, 3 training diverged (train only).
 """
 
 import argparse
@@ -343,9 +343,7 @@ def cmd_train(args):
     init = training.init_ensemble(
         ds.dim, cfg["model"]["hidden"], ds.num_classes, cfg["model"]["members"], seed=cfg["seed"]
     )
-    # divergence surfaces as DivergenceError (exit 3), not as numpy warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        report = training.train(init, ds, build_train_config(cfg), cfg["method"]["name"])
+    report = training.train(init, ds, build_train_config(cfg), cfg["method"]["name"])
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
     preamble, meta = _stamps(cfg)
@@ -488,7 +486,9 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # non-finite values surface as errors (exit 2, or 3 from train), not as numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except DivergenceError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

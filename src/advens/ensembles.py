@@ -111,10 +111,10 @@ class Heads:
     are laid out head by head as the slots of one stack (a member may fill
     several slots), so one forward of the slots on an iterate (H, B, d),
     each head's slice taken once per slot of it, serves every head. The
-    layout is made once, when the heads are; the passes then take the
-    direct route when every head has one slot, or there is one head. The
-    ADV_EN/ADP training step takes its CE of the averaged prediction
-    through one head of all the members (whole)."""
+    layout and what the slots take of an iterate are made once, when the
+    heads are; average and head_grads take the direct route when every
+    head has one slot, or there is one head. The ADV_EN/ADP training step
+    takes its CE of the averaged prediction through one head (whole)."""
 
     def __init__(self, stack, groups):
         self.stack, self.groups = stack, tuple(tuple(g) for g in groups)
@@ -122,8 +122,10 @@ class Heads:
         self.slots = stack if order == list(range(len(stack))) else stack.take(order)
         ends = list(accumulate(len(g) for g in self.groups))
         self.spans = tuple(zip([0, *ends[:-1]], ends))  # per head, the (start, stop) of its slots
-        self._slot_head = [h for h, g in enumerate(self.groups) for _ in g]
         self._one_each = len(order) == len(self.groups)
+        # what the slots take of an iterate: all of it, head 0's batch, or each head's slice per slot
+        slot_head = [h for h, g in enumerate(self.groups) for _ in g]
+        self._take = ... if self._one_each else 0 if len(self.groups) == 1 else np.array(slot_head)
 
     @classmethod
     def whole(cls, stack):
@@ -154,14 +156,10 @@ class Heads:
 
     def batch(self, cur):
         """What the slots take of an iterate cur (H, B, d): each head's
-        slice once per slot of it; cur itself while every head has one
+        slice once per slot of it; a view of cur while every head has one
         slot, and one head's one batch (B, d), which nn.forward_cached
         gives every slot."""
-        if self._one_each:
-            return cur
-        if len(self.groups) == 1:
-            return cur[0]
-        return cur[self._slot_head]
+        return cur[self._take]
 
     def average(self, probs):
         """Each head's averaged probability rows (H, B, M) from the slots'
@@ -178,13 +176,10 @@ class Heads:
         1/K share of the average."""
         if self._one_each:
             return g_probs
-        if len(self.groups) == 1:
-            g_probs /= len(self.slots)
-            return g_probs[0]
         for h, (a, b) in enumerate(self.spans):
             if b - a > 1:
                 g_probs[h] /= b - a
-        return g_probs[self._slot_head]
+        return g_probs[self._take]
 
     def head_grads(self, grads):
         """Each head's input gradient (H, B, d) from the slots' (S, B, d):

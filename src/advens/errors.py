@@ -42,8 +42,8 @@ class TruncatedFileError(OSError):
 
 
 class DivergenceError(RuntimeError):
-    """Training produced a non-finite loss. The message carries the epoch
-    and batch where it happened."""
+    """Training produced a non-finite value. Only training.train raises it
+    (the CLI's exit 3), naming the epoch and batch where it happened."""
 
 
 class ConsistencyWarning(UserWarning):

@@ -164,10 +164,9 @@ def _layer_shapes(model):
 
 
 def stack_models(models):
-    """One ModelStack of same-shaped models, in the given order; a model may
-    appear more than once. A stack of one holds views of its model's
-    parameters (np.stack would copy them on every call). ShapeError names
-    the first model whose layer shapes differ from model 0's."""
+    """One ModelStack of copies of same-shaped models' parameters, in the
+    given order; a model may appear more than once. ShapeError names the
+    first model whose layer shapes differ from model 0's."""
     models = tuple(models)
     if not models:
         raise ShapeError("a model stack needs one or more models")
@@ -176,10 +175,6 @@ def stack_models(models):
             raise ShapeError(
                 f"model {i} has layers {_layer_shapes(m)}, model 0 has {_layer_shapes(models[0])}"
             )
-    if len(models) == 1:
-        return ModelStack(
-            layers=tuple(Layer(la.w[None], la.b[None, None], la.act) for la in models[0].layers)
-        )
     return ModelStack(layers=tuple(
         Layer(np.stack([la.w for la in ls]), np.stack([la.b for la in ls])[:, None, :], ls[0].act)
         for ls in zip(*(m.layers for m in models))

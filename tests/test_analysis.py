@@ -205,6 +205,24 @@ def test_cross_matrix_holds_one_attacked_batch_and_the_ball_check_no_whole_batch
     assert peak < probes.nbytes  # under one batch of 5.12 MB: the gaps go a row block at a time
 
 
+def test_cross_matrix_of_one_row_block_holds_one_attacked_batch():
+    # 300 rows attack f1, f2 and en in one lockstep search, whose results
+    # are slices of one (3, 300, d) iterate: the kept batch is copied out
+    ens, x, y = ensemble_and_batch(300, d=64)
+    ds = data.Dataset(inputs=x, labels=y, num_classes=3, name="small", seed=0)
+    targets, spec = [*ens.members, ens], pgd(steps=2)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        mat = analysis.cross_matrix(targets, ds, spec)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    adv = mat.adversarial
+    assert adv.shape == x.shape and (adv.base is None or adv.base.nbytes == adv.nbytes)
+    assert held < 2 * x.nbytes  # one batch, not the three of the iterate
+
+
 def test_head_labels_equal_each_targets_predicted_labels():
     ens, x, _ = ensemble_and_batch(50, members=3)
     m1, m2, m3 = ens.members

@@ -4,6 +4,7 @@ import copy
 import json
 import os
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -531,6 +532,30 @@ def test_eval_of_logits_that_overflow_mid_attack_exits_2(tmp_path, capsys):
     with np.errstate(over="ignore", invalid="ignore"):
         assert run(["eval", "--config", path, "--checkpoint", ckpt, "--out", str(tmp_path / "ev")]) == 2
     assert "softmax of non-finite logits" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "transfer", "detect", "surface"])
+def test_a_non_finite_attack_gradient_exits_2_without_warnings(tmp_path, capsys, command):
+    # no mock: on all-zero inputs the logits are of order 1, but the input
+    # gradient runs through w2 and w1 at 1e450 / B and overflows at step 0.
+    # That is a checkpoint unfit for the data (exit 2), not a diverged train
+    # (3), and numpy's overflow warnings stay off stderr
+    zeros = data.Dataset(inputs=np.zeros((30, 4)), labels=np.zeros(30, dtype=np.int64), num_classes=2,
+                         name="zeros", seed=0)
+    imgs, labs = str(tmp_path / "x.idx"), str(tmp_path / "y.idx")
+    data.save_idx(zeros, imgs, labs, rows=2, cols=2)
+    bim = {"family": "bim", "steps": 2, "epsilon": 0.05, "eta": 0.02}
+    path, _ = make_config(tmp_path, dataset={"idx_images": imgs, "idx_labels": labs},
+                          model={"hidden": [4], "members": 2}, eval_attacks={"bim": bim})
+    w2 = 1e150 * np.array([[1.0, -1.0], [0.2, 0.3], [-1.0, 0.1], [0.6, -0.2]])
+    layers = (nn.Layer(np.full((4, 4), 1e300), np.full(4, 1e-150)), nn.Layer(w2, np.zeros(2), "id"))
+    ckpt = str(tmp_path / "overflowing.json")
+    save_ensemble(Ensemble(members=tuple(nn.Model(layers=layers, num_classes=2, seed=s) for s in (0, 1))), ckpt)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run([command, "--config", path, "--checkpoint", ckpt]) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert capsys.readouterr().err.splitlines() == ["error: non-finite attack gradient at step 0"]
 
 
 @pytest.mark.parametrize(

@@ -75,6 +75,24 @@ def test_a_stacked_batch_against_a_target_that_is_not_heads_raises_shape_error(k
         ensembles.ce_values_and_input_grad(Heads.each(ens.stack), x, labels)
 
 
+def test_heads_take_their_iterate_without_a_copy_where_each_slot_has_its_own_slice():
+    # what keeps training's attack step from copying its iterate
+    ens, x, _ = ensemble_and_batch(6)
+    cur = np.stack([x, x / 2, x / 4])
+    each = Heads.each(ens.stack)
+    assert each.batch(cur[:2]).shape == (2, 6, 4) and np.shares_memory(each.batch(cur[:2]), cur[:2])
+    g_probs = np.random.default_rng(0).random((2, 6, 3))
+    before = g_probs.copy()
+    slot_grads = each.slot_grads(g_probs)
+    assert np.shares_memory(slot_grads, g_probs) and slot_grads.tobytes() == before.tobytes()
+    # one head of all the members: its one batch, a view of slice 0
+    one = Heads.whole(ens.stack).batch(cur[:1])
+    assert one.shape == x.shape and np.shares_memory(one, cur) and one.tobytes() == cur[0].tobytes()
+    # f1, f2 and en in lockstep: each head's slice once per slot of it
+    taken = Heads.of([*ens.members, ens]).batch(cur)
+    assert [t.tobytes() for t in taken] == [cur[h].tobytes() for h in (0, 1, 2, 2)]
+
+
 def test_member_compatibility_checked():
     with pytest.raises(ConfigError):
         Ensemble(members=())

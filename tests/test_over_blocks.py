@@ -17,7 +17,7 @@ import pytest
 from advens import cli, data, nn
 from advens.attacks import FAMILIES, AttackSpec, run_attack, run_heads, spsa_gradient_estimate, targeted
 from advens.ensembles import Ensemble, Heads, ce_values_and_input_grad, member_probs, save_ensemble
-from advens.errors import DivergenceError
+from advens.errors import DomainError
 from helpers import assert_same_bytes, ensemble_and_batch
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -123,7 +123,7 @@ def test_a_divergence_in_a_helpers_block_reaches_the_caller(helpers):
     x[:2048] = -1.0
     taken = helpers(ON)
     spec = AttackSpec(family="bim", steps=2, epsilon=0.01, eta=0.005)
-    with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="^non-finite attack gradient at step 0$"):
+    with np.errstate(over="ignore"), pytest.raises(DomainError, match="^non-finite attack gradient at step 0$"):
         run_attack(overflowing_model(), x, labels, spec)
     assert taken.is_set()
 

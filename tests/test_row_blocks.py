@@ -20,7 +20,7 @@ from advens.attacks import (
     spsa_gradient_estimate,
 )
 from advens.ensembles import Heads, ce_values_and_input_grad, ensemble_predict, member_probs
-from advens.errors import DivergenceError, DomainError
+from advens.errors import DomainError
 from helpers import assert_same_bytes, ensemble_and_batch
 
 WHOLE = 10**9  # a block constant that leaves every batch whole
@@ -107,7 +107,7 @@ def test_a_non_finite_row_in_the_last_block_still_raises():
             call()
 
 
-def test_a_non_finite_gradient_still_raises_divergence():
+def test_a_non_finite_gradient_still_raises_domain_error():
     # at x = 0 the logits are b1 @ w2, of order 1, and the input gradient
     # runs through w2 and w1 at 1e450 / B: it overflows in every block
     w1 = np.full((3, 4), 1e300)
@@ -115,7 +115,7 @@ def test_a_non_finite_gradient_still_raises_divergence():
     w2 = 1e150 * np.array([[1.0, -1.0, 0.5], [0.2, 0.3, -0.7], [-1.0, 0.1, 0.4], [0.6, -0.2, 0.0]])
     model = nn.Model(layers=(nn.Layer(w1, b1), nn.Layer(w2, np.zeros(3), "id")), num_classes=3)
     x, labels = np.zeros((4096, 3)), np.arange(4096) % 3
-    with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="^non-finite attack gradient at step 0$"):
+    with np.errstate(over="ignore"), pytest.raises(DomainError, match="^non-finite attack gradient at step 0$"):
         run_attack(model, x, labels, AttackSpec(family="bim", steps=2, epsilon=0.01, eta=0.005))
 
 
