@@ -187,8 +187,7 @@ def _search(heads, x, labels, spec, seeds, ascent):
     the iterate, against bounds made from its rows of x, and no
     whole-batch gradient or bounds are held. Rows are independent and a
     block's LabelIndex keeps the whole batch's 1/B, so this is exact.
-    SPSA's estimate is drawn for the whole batch; its step then goes block
-    by block the same way.
+    SPSA's estimate (itself one blocked pass) steps block by block alike.
 
     x and labels are as _validate_inputs returns them. Ascends the
     cross-entropy against labels when ascent is set, descends it
@@ -381,48 +380,84 @@ def multi_targeted(target, x, y, spec):
     )
 
 
+def _draws(state, n, lo, hi, samples):
+    """Entries lo:hi of each of samples successive draws of n int32 entries
+    integers(0, 2) from PCG64 state: the top bits of uint32s (Lemire's method
+    never rejects at range 2), each output's low half first, read from one
+    copy of state advanced between draws. A pending half (has_uint32) stands
+    for the high half of the output before state's."""
+    copy, pending = np.random.PCG64(0), state["has_uint32"]
+    copy.state = state
+    at = pending  # the copy's place, in outputs after the one before state's
+    for s in range(samples):
+        half = s * n + lo + pending
+        if half // 2 != at:
+            copy.advance(half // 2 - at)  # back by one, modulo 2**128, to reread an output's high half
+        raw = copy.random_raw((half % 2 + hi - lo + 1) // 2)
+        at = half // 2 + len(raw)
+        halves = raw.astype("<u8", copy=False).view("<u4")[half % 2 : half % 2 + hi - lo]
+        if half == 1 and pending:
+            halves[:1] = state["uinteger"]  # a slice: an empty batch has no entry 0
+        yield halves.view(np.int32) < 0  # the top bit set
+
+
 def spsa_gradient_estimate(target, x, labels, samples, delta, rng, *, _checked=False):
     """Two-point Rademacher estimate of the input gradient of the mean
     cross-entropy. Returns (estimate, loss_evaluations). As in
     ce_values_and_input_grad, x is the iterate (H, B, d) of Heads, slice
     h's bumps drawn from the generator rng[h], or one batch (B, d) against
-    the averaged prediction of any other target, its bumps drawn from the
-    one generator rng. Slices of one generator share its draws, which each
-    would make alone. x is checked to be finite unless the caller vouches
-    for it (_checked).
+    the averaged prediction of any other target, with one generator rng.
+    Sample s's bump is its generator's s-th integers(0, 2, size=(B, d),
+    dtype=np.int32) * 2 - 1, shared by the slices of that generator. x is
+    checked unless the caller vouches for it (_checked); generators other
+    than one PCG64 per head, samples not an integer >= 1 and delta not
+    finite and > 0 raise ConfigError.
 
-    Each sample's bump is drawn for the whole batch, one draw per
-    generator, on the calling thread; the bumped batches, their clips,
-    both loss evaluations and the update of the estimate then go row block
-    by row block (nn.row_blocks), on every core (nn.over_blocks)."""
+    One pass goes row block by row block (nn.row_blocks), on every core
+    (nn.over_blocks): a block draws its rows of each bump (_draws), then
+    evaluates its bumped rows both ways and adds each sample to its rows of
+    the estimate, in order. Each generator is then moved past the draws."""
     heads, cur = as_heads(target, x if _checked else nn._as_f64(x, "batch"))
-    rngs = list(rng) if heads is target else [rng]
-    labels = nn.label_index(labels, (len(heads), cur.shape[-2], heads.num_classes))
-    blocks = nn.row_blocks(cur)
+    rngs = list(rng) if heads is target and not isinstance(rng, np.random.Generator) else [rng]
+    if len(rngs) != len(heads):
+        raise ConfigError(f"{len(rngs)} SPSA generators for {len(heads)} heads")
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 1:
+        raise ConfigError(f"SPSA samples must be an integer >= 1, got {samples!r}")
+    real = isinstance(delta, (int, float, np.integer, np.floating)) and not isinstance(delta, bool)
+    if not (real and 0 < delta < math.inf):
+        raise ConfigError(f"SPSA delta must be finite and > 0, got {delta!r}")
     gens, which = _distinct(rngs)
+    for r in gens:
+        if type(bitgen := getattr(r, "bit_generator", r)) is not np.random.PCG64:
+            raise ConfigError(f"SPSA draws from PCG64 generators, not {type(bitgen).__name__}")
+    states = [r.bit_generator.state for r in gens]
+    labels = nn.label_index(labels, (len(heads), cur.shape[-2], heads.num_classes))
+    d, n = cur.shape[-1], cur[0].size  # n: the entries of one draw
 
-    def loss_at(bumped, lo, hi):  # clipped in place
-        bumped.clip(0.0, 1.0, out=bumped)
-        probs = member_probs(heads.slots, heads.batch(bumped), _checked=True)
-        return nn.cross_entropy_per_example(heads.average(probs), labels.block(lo, hi), _checked=True)
+    def loss_at(bumped, rows_labels):  # clipped in place
+        probs = member_probs(heads.slots, heads.batch(bumped.clip(0.0, 1.0, out=bumped)), _checked=True)
+        return nn.cross_entropy_per_example(heads.average(probs), rows_labels, _checked=True)
 
-    def sample(lo, hi):  # of rows lo:hi
-        rows, b = cur[:, lo:hi], bumps[:, lo:hi]
-        step = delta * b
-        lp = loss_at(rows + step, lo, hi)
-        ln = loss_at(np.subtract(rows, step, out=step), lo, hi)
-        # Rademacher entries are +-1 so the elementwise inverse is bump itself
-        est[:, lo:hi] += np.multiply(((lp - ln) / (2.0 * delta))[..., None], b, out=step)
+    def block(lo, hi):  # every sample on rows lo:hi
+        rows, rows_labels, acc = cur[:, lo:hi], labels.block(lo, hi), est[:, lo:hi]
+        bump = np.empty((len(gens), hi - lo, d))
+        for entries in zip(*(_draws(state, n, lo * d, hi * d, samples) for state in states)):
+            for e, out in zip(entries, bump):
+                np.subtract(np.multiply(e.reshape(out.shape), 2.0, out=out), 1.0, out=out)
+            # each slice's bump: its generator's
+            b = bump[which] if 1 < len(gens) < len(rngs) else np.broadcast_to(bump, rows.shape)
+            step = delta * b
+            lp = loss_at(rows + step, rows_labels)
+            ln = loss_at(np.subtract(rows, step, out=step), rows_labels)
+            # Rademacher entries are +-1 so the elementwise inverse is bump itself
+            acc += np.multiply(((lp - ln) / (2.0 * delta))[..., None], b, out=step)
 
     est = np.zeros_like(cur)
-    bump = np.empty((len(gens), *cur.shape[1:]))
-    for _ in range(samples):
-        for r, out in zip(gens, bump):
-            np.multiply(r.integers(0, 2, size=out.shape, dtype=np.int32), 2.0, out=out)
-        bump -= 1.0
-        # each slice's bump: its generator's
-        bumps = bump[which] if 1 < len(gens) < len(rngs) else np.broadcast_to(bump, cur.shape)
-        nn.over_blocks(sample, blocks)  # done before the next draw refills bump
+    nn.over_blocks(block, nn.row_blocks(cur))
+    for r, state in zip(gens, states if n else ()):  # past the draws, if any; an odd count leaves a half pending
+        left = samples * n - state["has_uint32"]  # the halves after a pending one
+        r.bit_generator.advance(left // 2)
+        r.integers(0, 2, size=left % 2, dtype=np.int32)
     est /= samples
     return (est if heads is target else est[0]), 2 * samples
 

@@ -46,3 +46,23 @@ def assert_same_bytes(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+def reference_spsa(probs_of, x, labels, samples, delta, rngs):
+    """The two-point estimate as defined: int64 draws mapped to +-1, both
+    bumped batches whole, one generator per batch slice; probs_of gives
+    the probability rows of a batch shaped like x."""
+    est = np.zeros_like(x)
+    for _ in range(samples):
+        bump = np.reshape([r.integers(0, 2, size=x.shape[-2:]) for r in rngs], x.shape) * 2.0 - 1.0
+        lp = nn.cross_entropy_per_example(probs_of(np.clip(x + delta * bump, 0.0, 1.0)), labels)
+        ln = nn.cross_entropy_per_example(probs_of(np.clip(x - delta * bump, 0.0, 1.0)), labels)
+        est += ((lp - ln) / (2.0 * delta))[..., None] * bump
+    return est / samples
+
+
+def read_on(r):
+    """What generator r draws next: three int32 entries of integers(0, 2),
+    each the top bit of a uint32 half (a pending one first), then a 64-bit
+    draw."""
+    return r.integers(0, 2, size=3, dtype=np.int32).tolist(), r.integers(0, 2**62)

@@ -7,7 +7,7 @@ from advens import attacks, data, nn
 from advens.attacks import AttackSpec
 from advens.ensembles import Ensemble, Heads, ce_values_and_input_grad, ensemble_predict, predict_labels
 from advens.errors import ConfigError, DomainError, ShapeError
-from helpers import assert_same_bytes, blobs_and_model, ensemble_and_batch, fit_plain
+from helpers import assert_same_bytes, blobs_and_model, ensemble_and_batch, fit_plain, read_on
 
 
 def logistic_1d(w0, w1):
@@ -300,6 +300,47 @@ def test_spsa_estimate_sign_matches_analytic_gradient():
         )
         matches.append(np.mean(np.sign(est) == np.sign(true_grad)))
     assert np.mean(matches) >= 0.95
+
+
+def spsa_of_two_members(rng, samples=2, delta=0.01):
+    ens, x, y = ensemble_and_batch(6)
+    return attacks.spsa_gradient_estimate(Heads.each(ens.stack), np.stack([x, x]), y, samples, delta, rng)
+
+
+@pytest.mark.parametrize("count, bare", [(1, False), (3, False), (1, True)])  # bare: one generator, not a list
+def test_spsa_estimate_takes_one_generator_per_head(count, bare):
+    rngs = [np.random.default_rng(k) for k in range(count)]
+    with pytest.raises(ConfigError, match=f"^{count} SPSA generators for 2 heads$"):
+        spsa_of_two_members(rngs[0] if bare else rngs)
+
+
+@pytest.mark.parametrize("samples", [0, -1, 1.5, True])
+def test_spsa_estimate_takes_an_integer_sample_count_of_at_least_one(samples):
+    with pytest.raises(ConfigError, match="SPSA samples must be an integer >= 1"):
+        spsa_of_two_members([np.random.default_rng(0)] * 2, samples=samples)
+
+
+@pytest.mark.parametrize("delta", [0.0, -0.01, np.nan, np.inf, "0.01", True])
+def test_spsa_estimate_takes_a_finite_positive_delta(delta):
+    with pytest.raises(ConfigError, match="SPSA delta must be finite and > 0"):
+        spsa_of_two_members([np.random.default_rng(0)] * 2, delta=delta)
+
+
+@pytest.mark.parametrize("bitgen", [np.random.MT19937, np.random.Philox, np.random.PCG64DXSM])
+def test_spsa_estimate_draws_only_from_pcg64(bitgen):
+    with pytest.raises(ConfigError, match=f"^SPSA draws from PCG64 generators, not {bitgen.__name__}$"):
+        spsa_of_two_members([np.random.default_rng(0), np.random.Generator(bitgen(0))])
+
+
+def test_spsa_estimate_of_an_empty_batch_draws_nothing():
+    ens, _, _ = ensemble_and_batch(6)
+    got, want = np.random.default_rng(0), np.random.default_rng(0)
+    for r in (got, want):  # a half pending, not of the output before the state
+        r.integers(0, 2, size=1, dtype=np.int32)
+        r.bit_generator.random_raw()
+    est, used = attacks.spsa_gradient_estimate(ens, np.zeros((0, 4)), np.zeros(0, dtype=int), 2, 0.01, got)
+    assert est.shape == (0, 4) and used == 4
+    assert read_on(got) == read_on(want)
 
 
 def test_spsa_moves_toward_higher_loss():

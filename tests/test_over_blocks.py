@@ -16,9 +16,9 @@ import pytest
 
 from advens import cli, data, nn
 from advens.attacks import FAMILIES, AttackSpec, run_attack, run_heads, spsa_gradient_estimate, targeted
-from advens.ensembles import Ensemble, Heads, ce_values_and_input_grad, member_probs, save_ensemble
+from advens.ensembles import Ensemble, Heads, ce_values_and_input_grad, ensemble_predict, member_probs, save_ensemble
 from advens.errors import DomainError
-from helpers import assert_same_bytes, ensemble_and_batch
+from helpers import assert_same_bytes, ensemble_and_batch, read_on, reference_spsa
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ON = 3  # helpers, whatever the core count: every block of 10,000 rows in flight at once
@@ -79,6 +79,39 @@ def test_blocked_passes_keep_their_bits_on_helpers(helpers, b):
     taken = helpers(ON)
     assert_same_bytes(passes(ens, x, labels), serial)
     assert taken.is_set()
+
+
+@pytest.mark.parametrize("pending", [0, 1])
+@pytest.mark.parametrize("n_helpers", [0, ON])
+def test_blocked_spsa_draws_keep_the_generator_stream(helpers, n_helpers, pending):
+    # 4,099 rows of 5 features: blocks (0, 2049) and (2049, 4099), so a
+    # block's rows of a sample's draw start at odd and even uint32 entries;
+    # pending leaves half of a generator's last uint32 output unread, and a
+    # raw read after it makes that half no part of the output before its state
+    ens, x, labels = ensemble_and_batch(4099, d=5)
+    assert nn.row_blocks(x) == [(0, 2049), (2049, 4099)]
+    stacked = np.stack([x, np.roll(x, 1, axis=0)])
+    taken = helpers(n_helpers)
+
+    def generators(seeds):  # one per distinct seed, after 2 + pending int32 draws and a raw one
+        made = {s: np.random.default_rng(s) for s in seeds}
+        for r in made.values():
+            r.integers(0, 2, size=2 + pending, dtype=np.int32)
+            r.bit_generator.random_raw()
+        return made
+
+    for target, batch, probs_of, seeds in (
+        (ens, x, lambda b: ensemble_predict(ens, b), (9,)),
+        (Heads.each(ens.stack), stacked, lambda b: member_probs(ens.stack, b), (9, 10)),
+        (Heads.each(ens.stack), stacked, lambda b: member_probs(ens.stack, b), (9, 9)),  # one shared
+    ):
+        got = generators(seeds)
+        want = [generators((s,))[s] for s in seeds]  # a shared generator's draw, made once per slice
+        rng = got[9] if target is ens else [got[s] for s in seeds]
+        est, _ = spsa_gradient_estimate(target, batch, labels, 3, 0.02, rng)
+        assert est.tobytes() == reference_spsa(probs_of, batch, labels, 3, 0.02, want).tobytes()
+        assert [read_on(r) for r in got.values()] == [read_on(want[seeds.index(s)]) for s in got]
+    assert taken.is_set() == bool(n_helpers)
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -21,7 +21,7 @@ from advens.attacks import (
 )
 from advens.ensembles import Heads, ce_values_and_input_grad, ensemble_predict, member_probs
 from advens.errors import DomainError
-from helpers import assert_same_bytes, ensemble_and_batch
+from helpers import assert_same_bytes, ensemble_and_batch, reference_spsa
 
 WHOLE = 10**9  # a block constant that leaves every batch whole
 
@@ -177,19 +177,6 @@ def test_member_and_ensemble_attacks_take_a_blocked_batch_one_target_at_a_time(m
         assert got.member_probs.tobytes() == lone.member_probs.tobytes()
         assert np.array_equal(got.success_mask, lone.success_mask)
         assert got.loss_trace == lone.loss_trace and got.queries == lone.queries
-
-
-def reference_spsa(probs_of, x, labels, samples, delta, rngs):
-    """The two-point estimate as defined: int64 draws mapped to +-1, both
-    bumped batches whole, one generator per batch slice; probs_of gives
-    the probability rows of a batch shaped like x."""
-    est = np.zeros_like(x)
-    for _ in range(samples):
-        bump = np.reshape([r.integers(0, 2, size=x.shape[-2:]) for r in rngs], x.shape) * 2.0 - 1.0
-        lp = nn.cross_entropy_per_example(probs_of(np.clip(x + delta * bump, 0.0, 1.0)), labels)
-        ln = nn.cross_entropy_per_example(probs_of(np.clip(x - delta * bump, 0.0, 1.0)), labels)
-        est += ((lp - ln) / (2.0 * delta))[..., None] * bump
-    return est / samples
 
 
 @pytest.mark.parametrize("members", [1, 2])
