@@ -46,7 +46,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .atomic import write_table
 from .ensembles import Heads, as_heads, ce_values_and_input_grad, member_probs, member_stack
 from .errors import ConfigError, DomainError, ShapeError
 
@@ -149,10 +148,13 @@ def _validate_inputs(heads, x, y):
     """x as a float64 (B, d) batch and y as the nn.LabelIndex of its labels
     in the heads' (H, B, M) probability rows: one integer in [0,
     num_classes) per row. The one check of x and the labels in an attack
-    call."""
+    call; an empty batch raises ShapeError, as does another width."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != heads.stack.input_dim:
-        raise ShapeError(f"attack inputs must be a 2-d batch of {heads.stack.input_dim} features")
+    if x.ndim != 2 or x.shape[1] != heads.stack.input_dim or not len(x):
+        raise ShapeError(
+            f"attack inputs must be a 2-d batch of one or more rows of {heads.stack.input_dim} "
+            f"features, not shape {x.shape}"
+        )
     if not np.isfinite(x).all():
         raise DomainError("attack inputs contain non-finite values")
     return x, nn.label_index(y, (len(heads), len(x), heads.num_classes))
@@ -461,10 +463,3 @@ def spsa_gradient_estimate(target, x, labels, samples, delta, rng, *, _checked=F
     est /= samples
     return (est if heads is target else est[0]), 2 * samples
 
-
-def save_attack_csv(result, x_original, path, preamble=""):
-    """CSV export: example_id, success, linf_norm, queries."""
-    gaps = np.abs(result.adversarial - np.asarray(x_original, dtype=np.float64)).max(axis=1)
-    rows = ((str(i), str(int(s)), repr(float(g)), str(result.queries))
-            for i, (s, g) in enumerate(zip(result.success_mask, gaps)))
-    write_table(path, ("example_id", "success", "linf_norm", "queries"), rows, preamble)

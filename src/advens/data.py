@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atomic import atomic_write, write_table
+from .atomic import atomic_write
 from .errors import ConsistencyError, DomainError, FormatError, ShapeError, TruncatedFileError
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -209,29 +209,3 @@ def batches(dataset, batch_size, seed):
         idx = order[start : start + batch_size]
         yield dataset.inputs[idx], dataset.labels[idx]
 
-
-def split(dataset, fraction, seed):
-    """Seeded split into (first, second) with first holding round(N*fraction)
-    examples."""
-    if not 0.0 <= fraction <= 1.0:
-        raise DomainError("fraction must lie in [0, 1]")
-    order = np.random.default_rng(seed).permutation(len(dataset))
-    cut = int(round(len(dataset) * fraction))
-    parts = []
-    for idx in (order[:cut], order[cut:]):
-        parts.append(
-            Dataset(
-                inputs=dataset.inputs[idx],
-                labels=dataset.labels[idx],
-                num_classes=dataset.num_classes,
-                name=dataset.name,
-                seed=dataset.seed,
-            )
-        )
-    return parts[0], parts[1]
-
-
-def save_csv(dataset, path):
-    """Export as CSV with header x0,...,x{d-1},label."""
-    rows = ([repr(float(v)) for v in row] + [str(label)] for row, label in zip(dataset.inputs, dataset.labels))
-    write_table(path, [f"x{i}" for i in range(dataset.dim)] + ["label"], rows)

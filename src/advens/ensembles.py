@@ -8,9 +8,8 @@ its input gradient take one stacked pass. Heads put averaged predictions
 of one stack's members (each member alone, all of them, or one per target
 of a set, Heads.of) through one such pass, each on its own batch: what a
 lockstep attack of several targets steps on. An Ensemble of members of
-different shapes still constructs, for the value-only losses that take
-members one at a time, but its stack raises ShapeError. Training holds its
-members as a ModelStack throughout and makes Models of them only to
+different layer shapes raises ShapeError when it is built. Training holds
+its members as a ModelStack throughout and makes Models of them only to
 evaluate and report.
 Security of a prediction is always judged inside an l-inf ball around a
 clean point: a probe is secure for a model when the model still assigns
@@ -39,7 +38,9 @@ TAGS = ("S11", "S01", "S10", "S00")
 
 @dataclass(frozen=True)
 class Ensemble:
-    """Uniform-average ensemble. members is a non-empty tuple of Models.
+    """Uniform-average ensemble. members is a non-empty tuple of Models that
+    agree on classes and inputs (ConfigError) and on layer shapes
+    (ShapeError naming the first member that differs).
 
     Two-or-more members is the interesting case everywhere; a single-member
     ensemble is permitted and behaves exactly like its one member, which
@@ -62,6 +63,7 @@ class Ensemble:
                 raise ConfigError(
                     f"member {i} expects {m.input_dim} inputs, member 0 expects {m0.input_dim}"
                 )
+        nn.check_one_shape(self.members)
 
     @property
     def num_classes(self):
@@ -77,8 +79,7 @@ class Ensemble:
     @cached_property
     def stack(self):
         """The members as one nn.ModelStack, stacked once per ensemble (at its
-        first prediction, attack or training run); members of different
-        layer shapes raise ShapeError here."""
+        first prediction, attack or training run)."""
         return nn.stack_models(self.members)
 
 
@@ -291,12 +292,6 @@ def _check_in_ball(probes, x, eps):
     return probes, x
 
 
-def is_secure(f, x_probe, x, y, eps):
-    """True iff f still predicts y at x_probe, a point of B(x, eps)."""
-    probe, _ = _check_in_ball(np.atleast_2d(x_probe), x, eps)
-    return bool(predict_labels(f, probe)[0] == y)
-
-
 def _security_masks(f1, f2, probes, x, y, eps):
     probes, _ = _check_in_ball(probes, x, eps)
     y = np.asarray(y)
@@ -390,7 +385,6 @@ def load_ensemble(path):
         raise FormatError("checkpoint field 'members' is empty: an ensemble needs at least one member")
     try:
         ens = Ensemble(members=members)
-        ens.stack
     except (ConfigError, ShapeError) as e:  # members that disagree on classes, inputs or layer shapes
         raise FormatError(f"checkpoint field 'layers' differs between members: {e}") from None
     if "num_classes" in obj and nn._checkpoint_int(obj, "num_classes") != ens.num_classes:

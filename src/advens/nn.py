@@ -163,6 +163,14 @@ def _layer_shapes(model):
     return [(layer.w.shape, layer.act) for layer in model.layers]
 
 
+def check_one_shape(models):
+    """ShapeError naming the first of models whose layer shapes differ
+    from model 0's."""
+    for i, m in enumerate(models[1:], 1):
+        if _layer_shapes(m) != _layer_shapes(models[0]):
+            raise ShapeError(f"model {i} has layers {_layer_shapes(m)}, model 0 has {_layer_shapes(models[0])}")
+
+
 def stack_models(models):
     """One ModelStack of copies of same-shaped models' parameters, in the
     given order; a model may appear more than once. ShapeError names the
@@ -170,11 +178,7 @@ def stack_models(models):
     models = tuple(models)
     if not models:
         raise ShapeError("a model stack needs one or more models")
-    for i, m in enumerate(models[1:], 1):
-        if _layer_shapes(m) != _layer_shapes(models[0]):
-            raise ShapeError(
-                f"model {i} has layers {_layer_shapes(m)}, model 0 has {_layer_shapes(models[0])}"
-            )
+    check_one_shape(models)
     return ModelStack(layers=tuple(
         Layer(np.stack([la.w for la in ls]), np.stack([la.b for la in ls])[:, None, :], ls[0].act)
         for ls in zip(*(m.layers for m in models))

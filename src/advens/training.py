@@ -2,11 +2,14 @@
 
 Four methods share one loop and two training steps (_collab_step for
 ADV/CCE, _ensemble_adv_step for ADV_EN/ADP), each stacked over the
-members' (member, batch) slices. The loop holds the members as one
-nn.ModelStack for the whole run: the attacks and the steps take it as it
-is, each step returns its stacked parameter gradients, and one Adam step
-updates every member. Each epoch's evaluation attacks the stack as one
-ensemble; Models are made from it only for the report.
+members' (member, batch) slices. The steps are the only implementation of
+the losses: each returns every member's loss terms with the stacked
+parameter gradients, and the tests check both against one-model-at-a-time
+oracles and finite differences of them (tests/helpers.py). The loop holds
+the members as one nn.ModelStack for the whole run: the attacks and the
+steps take it as it is, and one Adam step updates every member. Each
+epoch's evaluation attacks the stack as one ensemble; Models are made
+from it only for the report.
 
   ADV     a CCE member trained alone: every member independently
           minimizes clean CE + CE on its own adversarial examples, with
@@ -51,7 +54,7 @@ import numpy as np
 from . import data, nn
 from .atomic import write_table
 from .attacks import AttackSpec, adversarial_batches, run_attack
-from .ensembles import Ensemble, Heads, ensemble_predict, predict_labels, stack_ensemble
+from .ensembles import Ensemble, Heads, predict_labels, stack_ensemble
 from .errors import ConfigError, DivergenceError, DomainError
 
 METHODS = ("ADV", "ADV_EN", "ADP", "CCE")
@@ -129,71 +132,7 @@ def init_ensemble(input_dim, hidden, num_classes, n_members, seed):
 
 
 # ---------------------------------------------------------------------------
-# loss pieces
-
-
-def promote_loss(f, x_a, y):
-    """CE of f on a batch: the promote objective (push toward the label)."""
-    return nn.cross_entropy(nn.forward(f, x_a), y)
-
-
-def demote_loss(f, x_a):
-    """Mean prediction entropy: the demote objective (to be maximized, so
-    it enters training losses with a negative sign)."""
-    return float(np.mean(nn.entropy(nn.forward(f, x_a))))
-
-
-def soft_indicator(f, x_a, y):
-    """p(true label) per example, returned as plain values.
-
-    The caller must treat these as constants (no gradient flows through
-    them); the training loop realizes that by feeding them to the backward
-    pass as fixed per-example weights.
-    """
-    return nn.label_probs(nn.forward(f, x_a), y)
-
-
-def member_collab_loss(n, ens, x, y, adv_set, lambda_pm, lambda_dm, indicators=None):
-    """Value of the collaborative loss for member n. Returns (total, parts).
-
-    adv_set[i] is the batch crafted against member i. parts carries the
-    four decomposition terms plus the mean gate values cpo_gate / do_gate.
-    indicators optionally overrides the soft gates (one array per other
-    member, keyed by member index): a testing seam that makes the
-    gates-as-constants contract checkable by finite differences.
-    """
-    members = ens.members
-    if len(members) < 2:
-        raise ConfigError("collaborative loss needs at least 2 members")
-    if len(adv_set) != len(members):
-        raise ConfigError(f"adv_set has {len(adv_set)} batches for {len(members)} members")
-    f = members[n]
-    share = 1.0 / (len(members) - 1)
-    clean_ce = promote_loss(f, x, y)
-    dpo_ce = promote_loss(f, adv_set[n], y)
-    cpo_ce = 0.0
-    do_h = 0.0
-    gate_sum = 0.0
-    for i in range(len(members)):
-        if i == n:
-            continue
-        probs = nn.forward(f, adv_set[i])
-        gate = indicators[i] if indicators is not None else nn.label_probs(probs, y)
-        ce = nn.cross_entropy_per_example(probs, y)
-        h = nn.entropy(probs)
-        cpo_ce += share * lambda_pm * float(np.mean(gate * ce))
-        do_h += share * lambda_dm * float(np.mean((1.0 - gate) * h))
-        gate_sum += share * float(np.mean(gate))
-    total = clean_ce + dpo_ce + cpo_ce - do_h
-    parts = {
-        "clean_ce": clean_ce,
-        "dpo_ce": dpo_ce,
-        "cpo_ce": cpo_ce,
-        "do_h": do_h,
-        "cpo_gate": gate_sum,
-        "do_gate": 1.0 - gate_sum,
-    }
-    return total, parts
+# the two training steps
 
 
 def _sum_slices(slices):
@@ -203,12 +142,6 @@ def _sum_slices(slices):
     for more in slices[1:]:
         total = [(gw + dw, gb + db) for (gw, gb), (dw, db) in zip(total, more)]
     return total
-
-
-def _per_member(grads):
-    """Each member's (gw, gb) list, in member order, cut from the stacked
-    gradients."""
-    return [[(gw[k], gb[k, 0]) for gw, gb in grads] for k in range(len(grads[0][0]))]
 
 
 def _collab_step(stack, x, y, adv_set, lambda_pm, lambda_dm, crossing=True, gates=None):
@@ -283,27 +216,6 @@ def _collab_step(stack, x, y, adv_set, lambda_pm, lambda_dm, crossing=True, gate
     return terms, _sum_slices(slice_grads)
 
 
-def _member_collab_grads(n, members, x, y, adv_set, lambda_pm, lambda_dm, indicators=None):
-    """(total, parts, param_grads) of member n in the collaborative step;
-    indicators optionally overrides its gates, one array per other member
-    keyed by member index. The step runs on a stack of member n alone,
-    repeated once per member, and keeps slice n: member n's step reads no
-    other member's weights, so the members may differ in layer shapes."""
-    gates = None if indicators is None else {n: indicators}
-    terms, grads = _collab_step(
-        nn.stack_models([members[n]] * len(members)), x, y, adv_set, lambda_pm, lambda_dm, gates=gates
-    )
-    return (*terms[n], _per_member(grads)[n])
-
-
-def ensemble_adv_loss(ens, x, y, x_a_en):
-    """Unified-model adversarial training loss: CE of the averaged
-    probability on the clean and on the ensemble-attacked batch."""
-    clean = nn.cross_entropy(ensemble_predict(ens, x), y)
-    adv = nn.cross_entropy(ensemble_predict(ens, x_a_en), y)
-    return clean + adv, {"clean_ce": clean, "dpo_ce": adv, "cpo_ce": 0.0, "do_h": 0.0}
-
-
 def _ensemble_adv_step(stack, x, y, x_a_en, adp=None):
     """ADV_EN, or ADP with adp = (alpha, beta), for the members of an
     nn.ModelStack: CE of the averaged probability on the clean and on the
@@ -330,42 +242,22 @@ def _ensemble_adv_step(stack, x, y, x_a_en, adp=None):
     return total, parts, _sum_slices(slices), clamped
 
 
-def _ensemble_adv_grads(members, x, y, x_a_en):
-    """(total, parts, per-member param grads) of the ADV_EN loss."""
-    total, parts, grads, _ = _ensemble_adv_step(nn.stack_models(members), x, y, x_a_en)
-    return total, parts, _per_member(grads)
-
-
 # ---------------------------------------------------------------------------
 # diversity regularizer (ADP baseline)
 
 
-def diversity_regularizer(member_probs, y, alpha, beta):
-    """alpha*H(mean probs) + beta*log(ensemble diversity), batch mean.
+def _diversity_value_and_grads(probs, y, alpha, beta):
+    """alpha*H(mean probs) + beta*log(ensemble diversity), batch mean, of
+    the members' probability rows probs (N, B, M) and the labels y (B,).
 
-    member_probs has shape (N, M) for one example or (N, B, M) for a
-    batch; y is the true label (scalar or per-example). The ensemble
-    diversity is the Gram determinant of the L2-normalized member
-    probability rows with the true-label entry removed; determinants
-    below 1e-30 are clamped before the log. Returns (value,
-    clamped_count).
+    The ensemble diversity is the Gram determinant of the L2-normalized
+    member probability rows with the true-label entry removed; determinants
+    below ED_FLOOR are clamped before the log. Returns (value, its
+    gradient in probs, clamped_count).
     """
-    value, _, clamped = _diversity_value_and_grads(member_probs, y, alpha, beta)
-    return value, clamped
-
-
-def _diversity_value_and_grads(member_probs, y, alpha, beta):
-    probs = np.asarray(member_probs, dtype=np.float64)
-    single = probs.ndim == 2
-    if single:
-        probs = probs[:, None, :]
     n, b, m = probs.shape
     if n < 2:
         raise ConfigError("diversity regularizer needs at least 2 members")
-    y = np.asarray(y)
-    if y.ndim == 0:
-        y = np.full(b, int(y))
-    y = y.astype(np.int64)
 
     grads = np.zeros_like(probs)
     mean_p = probs.mean(axis=0)
@@ -397,13 +289,8 @@ def _diversity_value_and_grads(member_probs, y, alpha, beta):
     scatter[keep[live]] = (beta * g_v).transpose(0, 2, 1).ravel()
     grads[:, live, :] += scatter.transpose(2, 0, 1)
 
-    values = alpha * h_vals + beta * log_ed
-    # batch-mean reduction
-    value = float(np.mean(values))
-    grads = grads / b
-    if single:
-        grads = grads[:, 0, :]
-    return value, grads, clamped
+    value = float(np.mean(alpha * h_vals + beta * log_ed))
+    return value, grads / b, clamped
 
 
 # ---------------------------------------------------------------------------

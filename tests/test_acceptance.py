@@ -16,7 +16,7 @@ import numpy as np
 from advens import analysis, cli, data, nn, training
 from advens.attacks import AttackSpec, run_attack
 from advens.ensembles import Ensemble, joint_security_violations, partition
-from helpers import blobs_and_model
+from helpers import blobs_and_model, member_grads, oracle_collab, oracle_ensemble_adv
 
 
 def verdict(num, ok, detail):
@@ -144,22 +144,21 @@ def test_criterion_02_gradients_match_finite_differences():
         pm, dm = lambdas[k % len(lambdas)]
         n = k % n_members
         gates = {
-            i: training.soft_indicator(members[n], adv_set[i], y)
+            i: nn.label_probs(nn.forward(members[n], adv_set[i]), y)
             for i in range(n_members)
             if i != n
         }
-        _, _, grads = training._member_collab_grads(
-            n, members, x, y, adv_set, pm, dm, indicators=gates
+        # member n's step reads no other member's weights: it runs on a stack
+        # of member n alone, one slice per member, and keeps slice n
+        _, grads = training._collab_step(
+            nn.stack_models([members[n]] * n_members), x, y, adv_set, pm, dm, gates={n: gates}
         )
 
         def loss_of(m, _n=n, _ms=members, _adv=adv_set, _pm=pm, _dm=dm, _g=gates, _x=x, _y=y):
-            ens = Ensemble(members=tuple(m if j == _n else f for j, f in enumerate(_ms)))
-            total, _ = training.member_collab_loss(
-                _n, ens, _x, _y, _adv, _pm, _dm, indicators=_g
-            )
-            return total
+            ms = [m if j == _n else f for j, f in enumerate(_ms)]
+            return oracle_collab(_n, ms, _x, _y, _adv, _pm, _dm, indicators=_g)[0]
 
-        worst = max(worst, _max_rel_err(grads, _fd_grads(loss_of, members[n])))
+        worst = max(worst, _max_rel_err(member_grads(grads, n), _fd_grads(loss_of, members[n])))
         configs += 1
         k += 1
 
@@ -176,14 +175,14 @@ def test_criterion_02_gradients_match_finite_differences():
         draws += 1
         if min(_kink_margin(m, [x, x_a]) for m in members) < 1e-3:
             continue
-        _, _, grads = training._ensemble_adv_grads(list(members), x, y, x_a)
+        grads = training._ensemble_adv_step(nn.stack_models(members), x, y, x_a)[2]
         for j in range(2):
 
             def loss_of(m, _j=j, _ms=members, _x=x, _y=y, _xa=x_a):
-                ens = Ensemble(members=tuple(m if i == _j else f for i, f in enumerate(_ms)))
-                return training.ensemble_adv_loss(ens, _x, _y, _xa)[0]
+                ms = [m if i == _j else f for i, f in enumerate(_ms)]
+                return oracle_ensemble_adv(ms, _x, _y, _xa)[0]
 
-            worst = max(worst, _max_rel_err(grads[j], _fd_grads(loss_of, members[j])))
+            worst = max(worst, _max_rel_err(member_grads(grads, j), _fd_grads(loss_of, members[j])))
         configs += 1
         k += 1
 
@@ -220,11 +219,13 @@ def test_criterion_04_two_member_consistency():
     for trial in range(6):
         d, classes, batch = 3, 3, 5
         members = tuple(nn.init_model(d, [5], classes, seed=500 + 2 * trial + j) for j in range(2))
-        ens = Ensemble(members=members)
+        stack = Ensemble(members=members).stack
         x = rng.uniform(0, 1, size=(batch, d))
         y = rng.integers(0, classes, size=batch)
         adv = [np.clip(x + rng.uniform(-0.08, 0.08, x.shape), 0, 1) for _ in range(2)]
         pm, dm = [(1.0, 1.0), (0.0, 5.0), (0.9, 1.7)][trial % 3]
+        general = training._collab_step(stack, x, y, adv, pm, dm)[0]
+        collapsed = training._collab_step(stack, x, y, adv, 0.0, 0.0)[0]
         for n, other in ((0, 1), (1, 0)):
             f = members[n]
             # explicit two-member statement, recomputed from raw probabilities
@@ -232,18 +233,16 @@ def test_criterion_04_two_member_consistency():
             gate = probs_other[np.arange(batch), y]
             ce_other = -np.log(np.maximum(probs_other[np.arange(batch), y], nn.LOG_FLOOR))
             h_other = nn.entropy(probs_other)
+            plain_at = nn.cross_entropy(nn.forward(f, x), y) + nn.cross_entropy(nn.forward(f, adv[n]), y)
             explicit = (
-                training.promote_loss(f, x, y)
-                + training.promote_loss(f, adv[n], y)
+                plain_at
                 + pm * float(np.mean(gate * ce_other))
                 - dm * float(np.mean((1 - gate) * h_other))
             )
-            general, _ = training.member_collab_loss(n, ens, x, y, adv, pm, dm)
-            worst_pair = max(worst_pair, abs(explicit - general))
+            worst_pair = max(worst_pair, abs(explicit - general[n][0]))
 
-            plain_at = training.promote_loss(f, x, y) + training.promote_loss(f, adv[n], y)
-            collapsed, parts = training.member_collab_loss(n, ens, x, y, adv, 0.0, 0.0)
-            worst_collapse = max(worst_collapse, abs(collapsed - plain_at))
+            total, parts = collapsed[n]
+            worst_collapse = max(worst_collapse, abs(total - plain_at))
             assert parts["cpo_ce"] == 0.0 and parts["do_h"] == 0.0
     verdict(
         4,
@@ -267,9 +266,8 @@ def test_criterion_05_case_logic():
     ok = True
     for a_right, b_right in itertools.product((True, False), repeat=2):
         pair = (right if a_right else wrong, right if b_right else wrong)
-        ens = Ensemble(members=pair)
-        for n, n_right in ((0, a_right), (1, b_right)):
-            _, parts = training.member_collab_loss(n, ens, x, y, adv, pm, dm)
+        terms = training._collab_step(Ensemble(members=pair).stack, x, y, adv, pm, dm)[0]
+        for (_, parts), n_right in zip(terms, (a_right, b_right)):
             if n_right:  # gate exactly 1: promote fires, demote is silent
                 ok &= parts["cpo_gate"] == 1.0 and parts["do_h"] == 0.0
                 ok &= parts["cpo_ce"] == 0.0  # CE of a certain-correct model

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from advens import analysis, attacks, cli, data, ensembles, nn, training
+from advens import analysis, cli, data, ensembles, nn, training
 from advens.atomic import write_json
 
 PRE = "# seed=3, config_digest=0123456789abcdef\n"
@@ -81,31 +81,6 @@ def test_partition_csv(tmp_path):
     path = tmp_path / "partition.csv"
     ensembles.save_partition_csv(part, path, preamble=PRE)
     assert text(path) == PRE + "example_id,tag\n0,S11\n1,S01\n2,S10\n3,S00\n4,S11\n"
-
-
-def test_attack_csv(tmp_path):
-    x = np.array([[0.5, 0.5], [0.0, 1.0], [0.25, 0.75]])
-    result = SimpleNamespace(
-        adversarial=x + np.array([[0.1, -0.05], [0.0, 0.0], [-1 / 30, 0.0]]),
-        success_mask=np.array([True, False, True]),
-        queries=11,
-    )
-    path = tmp_path / "attack.csv"
-    attacks.save_attack_csv(result, x, path, preamble=PRE)
-    assert text(path) == PRE + (
-        "example_id,success,linf_norm,queries\n"
-        "0,1,0.09999999999999998,11\n"
-        "1,0,0.0,11\n"
-        "2,1,0.033333333333333326,11\n"
-    )
-
-
-def test_dataset_csv(tmp_path):
-    ds = data.Dataset(inputs=np.array([[0.0, 1 / 3], [1.0, 0.1]]), labels=np.array([2, 0]),
-                      num_classes=3, name="t", seed=0)
-    path = tmp_path / "data.csv"
-    data.save_csv(ds, path)
-    assert text(path) == "x0,x1,label\n0.0,0.3333333333333333,2\n1.0,0.1,0\n"
 
 
 def test_eval_table(tmp_path, monkeypatch):

@@ -377,21 +377,6 @@ def test_ensemble_gradient_is_of_averaged_probability():
     assert np.max(np.abs(grad - fd)) < 1e-6
 
 
-def test_attack_csv_export(tmp_path):
-    ds, model = blobs_and_model(seed=18)
-    x, y = ds.inputs[:5], ds.labels[:5]
-    spec = AttackSpec(family="pgd", steps=4, epsilon=0.05, eta=0.02, seed=0)
-    res = attacks.run_attack(model, x, y, spec)
-    path = tmp_path / "attack.csv"
-    attacks.save_attack_csv(res, x, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "example_id,success,linf_norm,queries"
-    assert len(lines) == 6
-    row = lines[1].split(",")
-    assert row[0] == "0" and row[1] in {"0", "1"}
-    assert float(row[2]) <= 0.05 + 1e-9 and int(row[3]) == res.queries
-
-
 # ---------------------------------------------------------------------------
 # where the checks run
 
@@ -442,6 +427,25 @@ def test_a_batch_of_another_width_raises_shape_error(family):
             call()
     with pytest.raises(DomainError, match="labels must be integers"):
         attacks.targeted(model, x, 1.7, spec)  # a scalar target class too
+
+
+@pytest.mark.parametrize("family", attacks.FAMILIES)
+@pytest.mark.parametrize("entry", ["run_attack", "run_heads", "targeted", "multi_targeted", "adversarial_batches"])
+def test_an_empty_batch_raises_shape_error(entry, family):
+    # every entry point checks its batch once, so a batch of no rows raises
+    # ShapeError naming it, not numpy's reshape error or an empty result
+    ens, x, y = ensemble_and_batch(3, d=4)
+    x, y = x[:0], y[:0]
+    spec = AttackSpec(family=family, steps=2, epsilon=0.05, eta=0.02, spsa_samples=2)
+    call = {
+        "run_attack": lambda: attacks.run_attack(ens, x, y, spec),
+        "run_heads": lambda: next(attacks.run_heads(Heads.of([*ens.members, ens]), x, y, spec)),
+        "targeted": lambda: attacks.targeted(ens, x, y, spec),
+        "multi_targeted": lambda: attacks.multi_targeted(ens, x, y, spec),
+        "adversarial_batches": lambda: attacks.adversarial_batches(Heads.each(ens.stack), x, y, spec, [0, 1]),
+    }[entry]
+    with pytest.raises(ShapeError, match=r"one or more rows of 4 features, not shape \(0, 4\)"):
+        call()
 
 
 def test_attack_inputs_are_validated_once_per_call(monkeypatch):

@@ -164,7 +164,7 @@ def test_idx_header_sizes_checked_before_reading(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# batching, split, export
+# batching
 
 
 def test_batches_cover_dataset_exactly_once():
@@ -192,22 +192,3 @@ def test_single_batch_is_permutation():
     (bx, by), = list(data.batches(ds, len(ds), seed=0))
     assert sorted(map(tuple, bx)) == sorted(map(tuple, ds.inputs))
     assert len(by) == len(ds)
-
-
-def test_split_fraction():
-    ds = data.gen_blobs(seed=1, n_per_class=20, num_classes=2, dim=2, separation=3)
-    tr, te = data.split(ds, 0.75, seed=4)
-    assert len(tr) == 30 and len(te) == 10
-    joined = np.concatenate([tr.inputs, te.inputs])
-    assert sorted(map(tuple, joined)) == sorted(map(tuple, ds.inputs))
-
-
-def test_csv_export(tmp_path):
-    ds = data.gen_blobs(seed=1, n_per_class=2, num_classes=2, dim=3, separation=3)
-    path = tmp_path / "ds.csv"
-    data.save_csv(ds, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "x0,x1,x2,label"
-    assert len(lines) == len(ds) + 1
-    first = lines[1].split(",")
-    assert float(first[0]) == ds.inputs[0, 0] and int(first[-1]) == ds.labels[0]

@@ -110,32 +110,25 @@ def test_member_compatibility_checked():
 # security sets
 
 
-def test_is_secure_on_clean_point_and_ball_contract():
-    ds, model = blobs_and_model(seed=1)
-    ok = ensembles.predict_labels(model, ds.inputs) == ds.labels
-    i = int(np.nonzero(ok)[0][0])
-    x = ds.inputs[i]
-    assert ensembles.is_secure(model, x, x, ds.labels[i], 0.05)
-    with pytest.raises(ContractError):
-        ensembles.is_secure(model, x + 0.2, x, ds.labels[i], 0.05)
-    # nested balls: a probe valid at eps' stays valid at eps >= eps'
-    probe = np.clip(x + 0.01, 0, 1)
-    assert isinstance(ensembles.is_secure(model, probe, x, ds.labels[i], 0.01 + 1e-8), bool)
-    assert isinstance(ensembles.is_secure(model, probe, x, ds.labels[i], 0.05), bool)
-
-
-def test_is_secure_agrees_with_direct_argmax():
+def test_partition_ball_contract_and_direct_argmax():
+    # a probe is secure for a member when the member's argmax at the probe is
+    # the label; every probe must lie in its ball, and a probe valid at eps'
+    # stays valid in every ball of eps >= eps' around the same center
     ds, model = blobs_and_model(seed=2)
     rng = np.random.default_rng(3)
     eps = 0.08
     idx = rng.integers(0, len(ds), size=200)
     probes = np.clip(ds.inputs[idx] + rng.uniform(-eps, eps, size=(200, ds.dim)), 0, 1)
-    for k in range(0, 200, 7):
-        got = ensembles.is_secure(model, probes[k], ds.inputs[idx[k]], ds.labels[idx[k]], eps)
-        want = bool(
-            np.argmax(nn.forward(model, probes[k][None, :])[0]) == ds.labels[idx[k]]
-        )
-        assert got == want
+    part = ensembles.partition(model, model, probes, ds.inputs[idx], ds.labels[idx], eps)
+    want = np.argmax(nn.forward(model, probes), axis=1) == ds.labels[idx]
+    assert np.array_equal(part.assignments == "S11", want)
+    assert np.array_equal(part.assignments == "S00", ~want)
+    x, y = ds.inputs[idx[0]], ds.labels[idx[0]]
+    with pytest.raises(ContractError):
+        ensembles.partition(model, model, x + 0.2, x, y, 0.05)
+    probe = np.clip(x + 0.01, 0, 1)
+    for radius in (0.01 + 1e-8, 0.05):
+        assert len(ensembles.partition(model, model, probe, x, y, radius).assignments) == 1
 
 
 def test_partition_orientation_and_totality():

@@ -1,8 +1,8 @@
 """Property tests: the batched ADP regulariser against its per-example
 definition, a Model as an ensemble of one, the stacked attack core against
 lone attacks, per-member backprops and a one-model-at-a-time attack oracle,
-the stacked training step, backward and Adam against a per-model oracle
-kept in this file, the class-axis reductions by column against numpy's
+the stacked training step, backward and Adam against the per-model oracles
+of tests/helpers.py, the class-axis reductions by column against numpy's
 reduce, and the invariants of every attack family, of IDX parsing and of
 config normalisation."""
 
@@ -23,62 +23,17 @@ from advens.attacks import (
 )
 from advens.ensembles import Ensemble, Heads, ce_values_and_input_grad
 from advens.errors import ConfigError, ConsistencyError, DomainError, FormatError, ShapeError, TruncatedFileError
+from helpers import (
+    member_grads,
+    oracle_backprop,
+    oracle_collab,
+    oracle_ensemble_adv,
+    oracle_forward,
+    oracle_terms,
+    reference_diversity,
+)
 
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
-
-
-def reference_diversity(member_probs, y, alpha, beta):
-    """The regulariser one example at a time, with the three exits of its
-    definition: a zero row, a determinant under the floor, a singular solve."""
-    probs = np.asarray(member_probs, dtype=np.float64)
-    single = probs.ndim == 2
-    if single:
-        probs = probs[:, None, :]
-    n, b, m = probs.shape
-    y = np.asarray(y)
-    if y.ndim == 0:
-        y = np.full(b, int(y))
-    y = y.astype(np.int64)
-    grads = np.zeros_like(probs)
-    mean_p = probs.mean(axis=0)
-    plogp = np.where(mean_p > 0.0, mean_p * np.log(np.maximum(mean_p, nn.LOG_FLOOR)), 0.0)
-    h_vals = -plogp.sum(axis=-1)
-    g_h = np.where(mean_p > 0.0, -(np.log(np.maximum(mean_p, nn.LOG_FLOOR)) + 1.0), 0.0)
-    grads += alpha * g_h[None, :, :] / n
-    keep = np.ones(m, dtype=bool)
-    log_ed = np.zeros(b)
-    clamped = 0
-    for e in range(b):
-        keep[:] = True
-        keep[y[e]] = False
-        v = probs[:, e, :][:, keep]
-        r = np.sqrt((v * v).sum(axis=1))
-        if np.any(r == 0.0):
-            log_ed[e] = np.log(training.ED_FLOOR)
-            clamped += 1
-            continue
-        vt = v / r[:, None]
-        gram = vt @ vt.T
-        det = float(np.linalg.det(gram))
-        if det < training.ED_FLOOR:
-            log_ed[e] = np.log(training.ED_FLOOR)
-            clamped += 1
-            continue
-        log_ed[e] = np.log(det)
-        try:
-            g_vt = 2.0 * np.linalg.solve(gram, vt)
-        except np.linalg.LinAlgError:
-            clamped += 1
-            continue
-        g_v = (g_vt - vt * (vt * g_vt).sum(axis=1, keepdims=True)) / r[:, None]
-        scatter = np.zeros((n, m))
-        scatter[:, keep] = beta * g_v
-        grads[:, e, :] += scatter
-    value = float(np.mean(alpha * h_vals + beta * log_ed))
-    grads = grads / b
-    if single:
-        grads = grads[:, 0, :]
-    return value, grads, clamped
 
 
 def same_bits(a, b):
@@ -109,12 +64,11 @@ def test_batched_regularizer_equals_per_example_reference(
         # member 1 within tie of member 0: equal rows make the Gram matrix
         # exactly singular, near-equal ones put its det near the floor
         probs[1] = (1.0 - tie) * probs[0] + tie * probs[1]
-    for args in ((probs, y), (probs[:, 0, :], int(y[0]))):
-        got = training._diversity_value_and_grads(*args, alpha, beta)
-        want = reference_diversity(*args, alpha, beta)
-        assert same_bits(got[0], want[0])
-        assert same_bits(got[1], want[1])
-        assert got[2] == want[2]
+    got = training._diversity_value_and_grads(probs, y, alpha, beta)
+    want = reference_diversity(probs, y, alpha, beta)
+    assert same_bits(got[0], want[0])
+    assert same_bits(got[1], want[1])
+    assert got[2] == want[2]
 
 
 @PROPERTY
@@ -317,109 +271,6 @@ def test_stacked_input_grad_equals_per_member_backprop(widths, classes, d, b, se
 # the stacked training step against the per-model oracle
 
 
-def oracle_forward(model, x):
-    """One model on one batch: (probs, each layer's input, each layer's
-    pre-activation)."""
-    a, inputs, preacts = x, [], []
-    for layer in model.layers:
-        z = a @ layer.w + layer.b
-        inputs.append(a)
-        preacts.append(z)
-        a = np.maximum(z, 0.0) if layer.act == "relu" else z
-    e = np.exp(a - a.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True), inputs, preacts
-
-
-def oracle_backprop(model, cache, g_probs):
-    """((gw, gb) per layer, dLoss/dinputs) of one model on one batch."""
-    probs, inputs, preacts = cache
-    g = probs * (g_probs - (g_probs * probs).sum(axis=1, keepdims=True))
-    grads = [None] * len(model.layers)
-    for i in range(len(model.layers) - 1, -1, -1):
-        if model.layers[i].act == "relu":
-            g = g * (preacts[i] > 0.0)
-        grads[i] = (inputs[i].T @ g, g.sum(axis=0))
-        g = g @ model.layers[i].w.T
-    return grads, g
-
-
-def oracle_terms(probs, y, terms):
-    """Loss and dLoss/dprobs of (kind, per-example weight) terms on one batch."""
-    b = len(y)
-    rows = np.arange(b)
-    loss, g_probs = 0.0, np.zeros_like(probs)
-    for kind, w in terms:
-        w = np.broadcast_to(np.asarray(w, dtype=np.float64), (b,))
-        if kind == "ce":
-            p_y = probs[rows, y]
-            loss += float(np.mean(w * -np.log(np.maximum(p_y, nn.LOG_FLOOR))))
-            g_probs[rows, y] += np.where(p_y > nn.LOG_FLOOR, -w / (b * np.maximum(p_y, nn.LOG_FLOOR)), 0.0)
-        else:
-            plogp = np.where(probs > 0.0, probs * np.log(np.maximum(probs, nn.LOG_FLOOR)), 0.0)
-            loss += float(np.mean(w * -plogp.sum(axis=1)))
-            g = np.where(probs > 0.0, -(np.log(np.maximum(probs, nn.LOG_FLOOR)) + 1.0), 0.0)
-            g_probs += (w / b)[:, None] * g
-    return loss, g_probs
-
-
-def oracle_add(a, b):
-    return [(gw + dw, gb + db) for (gw, gb), (dw, db) in zip(a, b)]
-
-
-def oracle_collab(n, members, x, y, adv_set, lambda_pm, lambda_dm, indicators=None):
-    """Member n's CCE step one model and one batch at a time: clean +
-    own, then the crossings with i ascending. One member is ADV."""
-    f = members[n]
-
-    def direct(batch):
-        cache = oracle_forward(f, batch)
-        loss, g_probs = oracle_terms(cache[0], y, [("ce", 1.0)])
-        return loss, oracle_backprop(f, cache, g_probs)[0]
-
-    (clean, g_clean), (own, g_own) = direct(x), direct(adv_set[n])
-    grads = oracle_add(g_clean, g_own)
-    others = [i for i in range(len(members)) if i != n]
-    cpo_ce = do_h = gate_sum = 0.0
-    for i in others:
-        share = 1.0 / len(others)
-        cache = oracle_forward(f, adv_set[i])
-        probs = cache[0]
-        gate = indicators[i] if indicators is not None else probs[np.arange(len(y)), y]
-        terms = [("ce", share * lambda_pm * gate), ("entropy", -share * lambda_dm * (1.0 - gate))]
-        grads = oracle_add(grads, oracle_backprop(f, cache, oracle_terms(probs, y, terms)[1])[0])
-        cpo_ce += share * lambda_pm * float(np.mean(gate * nn.cross_entropy_per_example(probs, y)))
-        do_h += share * lambda_dm * float(np.mean((1.0 - gate) * nn.entropy(probs)))
-        gate_sum += share * float(np.mean(gate))
-    parts = {"clean_ce": clean, "dpo_ce": own, "cpo_ce": cpo_ce, "do_h": do_h}
-    if others:
-        parts.update(cpo_gate=gate_sum, do_gate=1.0 - gate_sum)
-    return clean + own + cpo_ce - do_h, parts, grads
-
-
-def oracle_averaged_ce(members, x, y):
-    caches = [oracle_forward(m, x) for m in members]
-    probs = caches[0][0] if len(members) == 1 else np.mean([c[0] for c in caches], axis=0)
-    values, g_probs = nn.ce_values_and_prob_grad(probs, y)
-    if len(members) > 1:
-        g_probs = g_probs / len(members)
-    return values, caches, [oracle_backprop(m, c, g_probs)[0] for m, c in zip(members, caches)]
-
-
-def oracle_ensemble_adv(members, x, y, x_a, adp=None):
-    """ADV_EN (adp None) or ADP (adp = (alpha, beta)) one member at a time."""
-    (v1, c1, r1), (v2, c2, r2) = oracle_averaged_ce(members, x, y), oracle_averaged_ce(members, x_a, y)
-    clean, adv = float(np.mean(v1)), float(np.mean(v2))
-    total, parts = clean + adv, {"clean_ce": clean, "dpo_ce": adv, "cpo_ce": 0.0, "do_h": 0.0}
-    grads = [oracle_add(a, b) for a, b in zip(r1, r2)]
-    for tag, caches in zip(("clean", "adv"), (c1, c2)) if adp else ():
-        value, g_probs, _ = training._diversity_value_and_grads(np.stack([c[0] for c in caches]), y, *adp)
-        parts[f"adp_reg_{tag}"] = value
-        total -= value
-        for i, (m, c) in enumerate(zip(members, caches)):
-            grads[i] = oracle_add(grads[i], oracle_backprop(m, c, -g_probs[i])[0])
-    return total, parts, grads
-
-
 def same_step(got, want):
     """(total, parts, grads) of one member, bit for bit."""
     assert same_bits(got[0], want[0])
@@ -463,7 +314,7 @@ def test_stacked_training_step_equals_per_model_oracle(
             Ensemble(members=members).stack, x, y, adv_set, *lambdas, crossing=method == "CCE",
             gates=None if indicators is None else {n: indicators},
         )
-        got = [(*t, g) for t, g in zip(terms, training._per_member(grads), strict=True)]
+        got = [(*t, member_grads(grads, k)) for k, t in enumerate(terms)]
         assert len(got) == len(members)
         for k, step in enumerate(got):
             if method == "ADV":
@@ -473,15 +324,12 @@ def test_stacked_training_step_equals_per_model_oracle(
             same_step(step, want)
     else:
         adp = (0.5 + rng.random(), 0.2 + rng.random()) if method == "ADP" else None
-        if adp:
-            stack = Ensemble(members=members).stack
-            total, parts, grads, _ = training._ensemble_adv_step(stack, x, y, adv_set[0], adp)
-            grads = training._per_member(grads)
-        else:  # the Model-level view used by the gradient checks
-            total, parts, grads = training._ensemble_adv_grads(members, x, y, adv_set[0])
+        stack = Ensemble(members=members).stack
+        total, parts, grads, _ = training._ensemble_adv_step(stack, x, y, adv_set[0], adp)
         want_total, want_parts, want_grads = oracle_ensemble_adv(members, x, y, adv_set[0], adp)
-        for g, want in zip(grads, want_grads, strict=True):
-            same_step((total, parts, g), (want_total, want_parts, want))
+        assert len(want_grads) == len(members)
+        for k, want in enumerate(want_grads):
+            same_step((total, parts, member_grads(grads, k)), (want_total, want_parts, want))
 
 
 @PROPERTY
@@ -497,9 +345,9 @@ def test_stacked_training_step_equals_per_model_oracle(
 def test_member_collab_grads_of_mixed_depths_equal_the_oracle(
     widths, lambdas, with_indicators, classes, d, b, seed
 ):
-    # the Model-level view used by the gradient checks, the one path that
-    # still takes members of different layer shapes: member n's step reads
-    # no other member's weights
+    # members of different layer shapes, as the gradient checks draw them:
+    # member n's step reads no other member's weights, so it runs on a
+    # stack of member n alone, repeated once per member, and keeps slice n
     rng = np.random.default_rng(seed)
     members = init_members(d, widths, classes, seed % 1000)
     x = rng.random((b, d))
@@ -507,10 +355,11 @@ def test_member_collab_grads_of_mixed_depths_equal_the_oracle(
     adv_set = [np.clip(x + rng.uniform(-0.2, 0.2, x.shape), 0.0, 1.0) for _ in members]
     n = int(rng.integers(len(members)))
     indicators = {i: rng.random(b) for i in range(len(members)) if i != n} if with_indicators else None
-    same_step(
-        training._member_collab_grads(n, members, x, y, adv_set, *lambdas, indicators),
-        oracle_collab(n, members, x, y, adv_set, *lambdas, indicators),
+    terms, grads = training._collab_step(
+        nn.stack_models([members[n]] * len(members)), x, y, adv_set, *lambdas,
+        gates=None if indicators is None else {n: indicators},
     )
+    same_step((*terms[n], member_grads(grads, n)), oracle_collab(n, members, x, y, adv_set, *lambdas, indicators))
 
 
 @PROPERTY
