@@ -52,6 +52,19 @@ from .errors import ConfigError, DomainError, ShapeError
 FAMILIES = ("pgd", "bim", "mim", "spsa")
 
 
+def check_numbers(config, integers, reals):
+    """ConfigError naming the first field of config, among integers, that
+    is not an integer, or, among reals, that is not a finite real number
+    (a bool is neither)."""
+    for name in (*integers, *reals):
+        v = getattr(config, name)
+        kinds = (int, np.integer) if name in integers else (int, float, np.integer, np.floating)
+        if isinstance(v, bool) or not isinstance(v, kinds):
+            raise ConfigError(f"{name} must be {'an integer' if name in integers else 'a real number'}, got {v!r}")
+        if not math.isfinite(v):
+            raise ConfigError(f"{name} must be finite")
+
+
 @dataclass(frozen=True)
 class AttackSpec:
     family: str
@@ -67,16 +80,7 @@ class AttackSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ConfigError(f"unknown attack family {self.family!r}")
-        for name in ("steps", "spsa_samples", "seed"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise ConfigError(f"{name} must be an integer, got {v!r}")
-        for name in ("epsilon", "eta", "momentum", "spsa_delta"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
-                raise ConfigError(f"{name} must be a real number, got {v!r}")
-            if not math.isfinite(v):
-                raise ConfigError(f"{name} must be finite")
+        check_numbers(self, ("steps", "spsa_samples", "seed"), ("epsilon", "eta", "momentum", "spsa_delta"))
         if not isinstance(self.random_start, (bool, np.bool_)):
             raise ConfigError(f"random_start must be true or false, got {self.random_start!r}")
         if self.steps < 1:

@@ -32,11 +32,6 @@ class ConsistencyError(ValueError):
     file with different record counts."""
 
 
-class UnsupportedLossError(ValueError):
-    """A loss composition the backward pass does not know how to
-    differentiate."""
-
-
 class TruncatedFileError(OSError):
     """A binary file ended before the payload its header declared."""
 

@@ -3,10 +3,12 @@
 Everything runs in float64 numpy. A Model is an immutable stack of affine
 layers (relu or identity activations) followed by a softmax; training code
 never mutates a model, it builds a new one from the old parameters plus an
-update. The backward pass differentiates weighted sums of cross-entropy
-and entropy terms in closed form, which keeps gradients reproducible to
-the last bit and lets callers attach per-example coefficients that are
-treated as constants (no gradient flows through them).
+update. The loss functions give their gradient in the probabilities
+(dLoss/dprobs) in closed form: ce_values_and_prob_grad for a weighted
+cross-entropy and entropy_grad for the entropy, the weights constants to
+the gradient (no gradient flows through them). backward runs a forward,
+takes dLoss/dprobs of its probabilities from the caller's loss_grad and
+backpropagates it, which keeps gradients reproducible to the last bit.
 
 A ModelStack holds K same-shaped models with their parameters stacked on
 a leading axis (a model may appear more than once); an ensemble's members
@@ -44,7 +46,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, FormatError, ShapeError, UnsupportedLossError
+from .errors import DomainError, FormatError, ShapeError
 
 LOG_FLOOR = 1e-12
 ACTIVATIONS = ("relu", "id")
@@ -484,17 +486,19 @@ def cross_entropy_per_example(probs, labels, *, _checked=False):
     return -np.log(np.maximum(label_probs(probs if _checked else _check_probs(probs), labels), LOG_FLOOR))
 
 
-def ce_values_and_prob_grad(probs, labels, *, _checked=False):
-    """Per-example cross-entropy and the gradient of its batch mean with
-    respect to probs: -1/(B p_y) at each label entry, 0 where p_y is under
-    the clamp. probs may carry leading stack axes, (..., B, M); each slice
-    is then its own batch. _checked as in cross_entropy_per_example."""
+def ce_values_and_prob_grad(probs, labels, weight=1.0, *, _checked=False):
+    """Per-example cross-entropy and the gradient of mean_b(weight_b CE_b)
+    with respect to probs: -weight_b/(B p_y) at each label entry, 0 where
+    p_y is under the clamp. weight is a scalar or one per row, (..., B), a
+    constant to the gradient. probs may carry leading stack axes, (..., B,
+    M); each slice is then its own batch. _checked as in
+    cross_entropy_per_example."""
     p = probs if _checked else _check_probs(probs)
     index = label_index(labels, p.shape)
     floored = np.maximum(p.take(index.flat), LOG_FLOOR)
     g = np.zeros(p.shape)  # zeros_like costs more at attack-step sizes
     # d(-log max(p_y, floor))/dp_y is -1/p_y above the clamp, 0 below
-    g.put(index.flat, np.where(floored > LOG_FLOOR, -1.0 / (index.batch_size * floored), 0.0))
+    g.put(index.flat, np.where(floored > LOG_FLOOR, -weight / (index.batch_size * floored), 0.0))
     return -np.log(floored), g
 
 
@@ -514,76 +518,21 @@ def entropy(probs):
     return entropy_rows(_check_probs(probs))
 
 
+def entropy_grad(p):
+    """The derivative of the row entropy in each entry of unchecked rows:
+    -(log p + 1), the log clamped at LOG_FLOOR, and 0 where p is 0."""
+    return np.where(p > 0.0, -(np.log(np.maximum(p, LOG_FLOOR)) + 1.0), 0.0)
+
+
 # ---------------------------------------------------------------------------
 # backward
 
 
 @dataclass(frozen=True)
-class LossTerm:
-    """One summand of a composite loss over a single forward pass.
-
-    kind is "ce" (cross-entropy against labels) or "entropy". The term
-    contributes mean_b(weight_b * v_b) to the loss. weight may be a scalar
-    or a per-example vector; either way it is a constant to the backward
-    pass, so per-example coefficients computed from probabilities act as
-    blocked (detached) factors.
-    """
-
-    kind: str
-    labels: np.ndarray | None = None
-    weight: object = 1.0
-
-
-@dataclass(frozen=True)
 class BackwardResult:
-    loss: object  # a float, or one value per slice (K,) for a ModelStack
+    values: object  # what loss_grad returned beside dLoss/dprobs
     param_grads: tuple  # (gw, gb) per layer, shaped like the layer's w and b
     input_grad: np.ndarray
-    rows: tuple = ()  # each term's unweighted per-example values, (..., B)
-
-
-def _term_weight(term, shape):
-    w = np.asarray(term.weight, dtype=np.float64)
-    if w.ndim == 0:
-        return np.full(shape, float(w))
-    if w.shape != shape:
-        raise ShapeError(f"term weight shape {w.shape} != {shape}")
-    if not np.isfinite(w).all():
-        raise DomainError("term weight contains non-finite values")
-    return w
-
-
-def accumulate_terms(probs, terms):
-    """Total loss value, dLoss/dprobs and each term's unweighted
-    per-example values (CE or entropy rows) for a list of LossTerms.
-
-    probs is (B, M), or (K, B, M) for K stacked slices: the loss is then
-    one value per slice, (K,), and a per-example term weight and a term's
-    rows are (K, B).
-    """
-    b = probs.shape[-2]
-    loss = np.zeros(probs.shape[:-2])
-    g_probs = np.zeros_like(probs)
-    rows = []
-    for term in terms:
-        w = _term_weight(term, probs.shape[:-1])
-        if term.kind == "ce":
-            if term.labels is None:
-                raise UnsupportedLossError("ce term needs labels")
-            flat = label_index(term.labels, probs.shape).flat
-            floored = np.maximum(probs.take(flat), LOG_FLOOR)
-            v = -np.log(floored)
-            # d(-log max(p_y, floor))/dp_y is -1/p_y above the clamp, 0 below
-            g_probs.put(flat, g_probs.take(flat) + np.where(floored > LOG_FLOOR, -w / (b * floored), 0.0))
-        elif term.kind == "entropy":
-            v = entropy_rows(probs)
-            g = np.where(probs > 0.0, -(np.log(np.maximum(probs, LOG_FLOOR)) + 1.0), 0.0)
-            g_probs += (w / b)[..., None] * g
-        else:
-            raise UnsupportedLossError(f"unknown loss term kind {term.kind!r}")
-        loss += (w * v).sum(axis=-1) / b  # np.mean's sum and division, without its wrapper
-        rows.append(v)
-    return (float(loss) if loss.ndim == 0 else loss), g_probs, tuple(rows)
 
 
 def backprop(model, cache, g_probs):
@@ -613,20 +562,18 @@ def backprop(model, cache, g_probs):
     return (None if inputs is None else tuple(param_grads)), g
 
 
-def backward(model, batch, terms):
-    """Loss value plus exact parameter and input gradients of a Model, or of
-    each slice of a ModelStack (see forward_cached for the batch forms),
-    and each term's unweighted per-example values (rows).
-
-    terms is a sequence of LossTerm, or a callable that builds one from
-    this pass's probabilities (for weights computed from them, which stay
-    constants to the backward); the loss is the sum of the terms' weighted
-    batch means.
+def backward(model, batch, loss_grad):
+    """Exact parameter and input gradients of a loss of a Model's, or of
+    each slice of a ModelStack's, probabilities (see forward_cached for the
+    batch forms). loss_grad(probs) gets this pass's probabilities and
+    returns (values, dLoss/dprobs), values being what the caller wants back
+    (per-example losses, say); a weight it forms from probs is a constant
+    to the gradient. Plain CE is lambda p: ce_values_and_prob_grad(p, y).
     """
     probs, cache = forward_cached(model, batch)
-    loss, g_probs, rows = accumulate_terms(probs, terms(probs) if callable(terms) else terms)
+    values, g_probs = loss_grad(probs)
     param_grads, input_grad = backprop(model, cache, g_probs)
-    return BackwardResult(loss=loss, param_grads=param_grads, input_grad=input_grad, rows=rows)
+    return BackwardResult(values=values, param_grads=param_grads, input_grad=input_grad)
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ import numpy as np
 
 from . import data, nn
 from .atomic import write_table
-from .attacks import AttackSpec, adversarial_batches, run_attack
+from .attacks import AttackSpec, adversarial_batches, check_numbers, run_attack
 from .ensembles import Ensemble, Heads, predict_labels, stack_ensemble
 from .errors import ConfigError, DivergenceError, DomainError
 
@@ -88,7 +88,8 @@ class TrainConfig:
     mode is one of RM / DM / Base / custom, and (lambda_pm, lambda_dm)
     are its mode_lambdas: the named modes pin them to (1,1) / (0,5) /
     (0,0), and custom takes them as given. alpha and beta only matter for
-    the ADP method.
+    the ADP method. epochs, batch_size and seed must be integers and the
+    other numbers finite reals (check_numbers), else ConfigError.
     """
 
     attack: AttackSpec
@@ -106,6 +107,7 @@ class TrainConfig:
         pm, dm = mode_lambdas(self.mode, self.lambda_pm, self.lambda_dm)
         object.__setattr__(self, "lambda_pm", pm)
         object.__setattr__(self, "lambda_dm", dm)
+        check_numbers(self, ("epochs", "batch_size", "seed"), ("lr", "lambda_pm", "lambda_dm", "alpha", "beta"))
         if self.lambda_pm < 0 or self.lambda_dm < 0:
             raise ConfigError("lambdas must be >= 0")
         if self.epochs < 1 or self.batch_size < 1:
@@ -152,63 +154,62 @@ def _collab_step(stack, x, y, adv_set, lambda_pm, lambda_dm, crossing=True, gate
     gradients). Without crossing (ADV) parts holds only the four loss
     terms.
 
-    The step is one nn.backward over all (member, batch) slices, the
-    slices' weights taken from the stacked weights: per member, the clean
-    batch, its own batch and, with crossing, every other member's batch
-    with the index ascending. A direct slice carries CE weight 1 and
-    entropy weight 0, which leaves its bits alone (x + 0.0 = x). A crossing
-    slice's gate comes from the pass's own probabilities and enters as a
-    constant per-example weight, and its reported terms reuse the pass's
+    The step is one nn.backward over all (member, batch) slices: per
+    member, the clean batch, its own batch and, with crossing, every other
+    member's batch with the index ascending. Its loss_grad forms
+    dLoss/dprobs as the CE gradient of every slice (weight 1 on a direct
+    slice, lambda_pm * gate on a crossing) plus the entropy gradient of the
+    crossings (weight -lambda_dm * (1 - gate)), each crossing weight shared
+    over the p crossings. A gate comes from the pass's own probabilities
+    and is a constant to the gradient; the reported terms reuse the pass's
     CE and entropy rows. A member's gradient and terms are summed clean +
     own, then the crossings with the batch index ascending. gates
     optionally overrides the soft gates, gates[n][i] for member n on batch
     i: a testing seam for the gates-as-constants contract.
     """
-    n, b = len(stack), len(x)
+    n, b, m = len(stack), len(x), stack.num_classes
     others = [[i for i in range(n) if i != k] if crossing else [] for k in range(n)]
     p = len(others[0])
     share = 1.0 / p if p else 0.0
     s = 2 + p  # slices per member
-    y = nn.label_index(y, (n * s, b, stack.num_classes))
-    used = []  # the crossing gates of the pass, (members, p, B)
+    y = nn.label_index(y, (n * s, b, m))
 
-    def loss_terms(probs):
+    def loss_grad(probs):
         gate = nn.label_probs(probs, y).reshape(n, s, b)[:, 2:]
         if gates is not None:
             gate = np.array([
                 [gates[k][i] if k in gates else g for i, g in zip(others[k], row)]
                 for k, row in enumerate(gate)
             ])
-        used.append(gate)
-        ce_w, h_w = np.ones((n, s, b)), np.zeros((n, s, b))
+        ce_w = np.ones((n, s, b))
         ce_w[:, 2:] = share * lambda_pm * gate
-        h_w[:, 2:] = -share * lambda_dm * (1.0 - gate)
-        return [
-            nn.LossTerm(kind="ce", labels=y, weight=ce_w.reshape(-1, b)),
-            nn.LossTerm(kind="entropy", weight=h_w.reshape(-1, b)),
-        ]
+        ce, g = nn.ce_values_and_prob_grad(probs, y, ce_w.reshape(-1, b), _checked=True)
+        cross = probs.reshape(n, s, b, m)[:, 2:]
+        h_w = -share * lambda_dm * (1.0 - gate)
+        # + 0.0: a zero-weight label entry gets +0.0, not -0.0, as in a sum from +0.0
+        g.reshape(n, s, b, m)[:, 2:] += (h_w / b)[..., None] * nn.entropy_grad(cross) + 0.0
+        return (ce.reshape(n, s, b), nn.entropy_rows(cross), gate), g
 
     res = nn.backward(
         stack.take([k for k in range(n) for _ in range(s)]),
         np.stack([a for k in range(n) for a in (x, adv_set[k], *(adv_set[i] for i in others[k]))]),
-        loss_terms if p else [nn.LossTerm(kind="ce", labels=y)],
+        loss_grad,
     )
+    ce, h, gate = res.values
     slice_grads = [[(gw[j::s], gb[j::s]) for gw, gb in res.param_grads] for j in range(s)]
+    # each a mean as np.mean takes it: the sum of a row, then one division by B
+    # (+ 0.0: a batch of p_y = 1 reports 0.0, not -0.0)
+    clean, own = (ce[:, j].sum(axis=-1) / b + 0.0 for j in (0, 1))
+    per_pair = np.stack([
+        share * lambda_pm * ((gate * ce[:, 2:]).sum(axis=-1) / b),
+        share * lambda_dm * (((1.0 - gate) * h).sum(axis=-1) / b),
+        share * (gate.sum(axis=-1) / b),
+    ])
     sums = np.zeros((3, n))  # cpo_ce, do_h and the mean gate, over the crossings
-    if p:
-        gate = used[0]
-        ce, h = (v.reshape(n, s, b)[:, 2:] for v in res.rows)
-        # each a mean as np.mean takes it: the sum of a row, then one division by B
-        per_pair = np.stack([
-            share * lambda_pm * ((gate * ce).sum(axis=-1) / b),
-            share * lambda_dm * (((1.0 - gate) * h).sum(axis=-1) / b),
-            share * (gate.sum(axis=-1) / b),
-        ])
-        for j in range(p):
-            sums += per_pair[..., j]
+    for j in range(p):
+        sums += per_pair[..., j]
     terms = []
-    rows = zip(res.loss[0::s].tolist(), res.loss[1::s].tolist(), *sums.tolist())
-    for clean_ce, dpo_ce, cpo_ce, do_h, gate_sum in rows:
+    for clean_ce, dpo_ce, cpo_ce, do_h, gate_sum in zip(clean.tolist(), own.tolist(), *sums.tolist()):
         parts = {"clean_ce": clean_ce, "dpo_ce": dpo_ce, "cpo_ce": cpo_ce, "do_h": do_h}
         if p:
             parts.update(cpo_gate=gate_sum, do_gate=1.0 - gate_sum)
@@ -262,9 +263,8 @@ def _diversity_value_and_grads(probs, y, alpha, beta):
     grads = np.zeros_like(probs)
     mean_p = probs.mean(axis=0)
     h_vals = nn.entropy_rows(mean_p)
-    # d(alpha*H(mean))/dp^n = alpha/N * -(log mean_p + 1) where mean_p > 0
-    g_h = np.where(mean_p > 0.0, -(np.log(np.maximum(mean_p, nn.LOG_FLOOR)) + 1.0), 0.0)
-    grads += alpha * g_h[None, :, :] / n
+    # d(alpha*H(mean))/dp^n = alpha/N * dH/dmean
+    grads += alpha * nn.entropy_grad(mean_p)[None, :, :] / n
 
     # per example, the member rows without the true-label entry: (B, N, M-1),
     # members innermost in memory so sums over M-1 add as on one example
@@ -367,7 +367,7 @@ def train(ens_init, dataset, config, method):
     as one nn.ModelStack for the whole run; each epoch's evaluation attacks
     that stack as one ensemble. Every member's gradient comes from one
     stacked step against the same parameter snapshot, and one Adam step
-    updates them all. Members of different layer shapes raise ShapeError.
+    updates them all.
     """
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}; expected one of {METHODS}")

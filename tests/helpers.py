@@ -27,9 +27,24 @@ def fit_plain(dataset, hidden=(16,), steps=400, lr=0.05, seed=0, batch=None):
         else:
             idx = rng.integers(0, n, size=batch)
             bx, by = x[idx], y[idx]
-        res = nn.backward(model, bx, [nn.LossTerm(kind="ce", labels=by)])
+        res = nn.backward(model, bx, lambda p: nn.ce_values_and_prob_grad(p, by))
         model, state = nn.adam_step(model, res.param_grads, state)
     return model
+
+
+def weighted_ce_and_entropy(y, ce_w, h_w):
+    """A loss_grad for nn.backward: the loss mean_b(ce_w CE_b) + mean_b(h_w
+    H_b) of each slice and its gradient in the probabilities, built from
+    the nn loss functions. Each weight is a scalar or one per row."""
+
+    def loss_grad(probs):
+        b = probs.shape[-2]
+        ce, g = nn.ce_values_and_prob_grad(probs, y, ce_w, _checked=True)
+        h_w_rows = np.broadcast_to(h_w, probs.shape[:-1])
+        g += (h_w_rows / b)[..., None] * nn.entropy_grad(probs)
+        return (ce_w * ce).sum(axis=-1) / b + (h_w_rows * nn.entropy_rows(probs)).sum(axis=-1) / b, g
+
+    return loss_grad
 
 
 def blobs_and_model(seed=0, num_classes=3, dim=2, separation=4, hidden=(16,)):

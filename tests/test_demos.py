@@ -1,6 +1,7 @@
 """Every demo script runs to completion: they use the Model-level
-nn.backward/adam_step API and the attack, training and analysis entry
-points the way a reader would."""
+nn.backward/adam_step API (backward taking a loss_grad such as
+lambda p: nn.ce_values_and_prob_grad(p, y)) and the attack, training and
+analysis entry points the way a reader would."""
 
 import os
 import subprocess

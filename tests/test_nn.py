@@ -6,7 +6,8 @@ import pytest
 
 from advens import nn
 from advens.ensembles import Ensemble, load_ensemble, save_ensemble
-from advens.errors import DomainError, FormatError, ShapeError, UnsupportedLossError
+from advens.errors import DomainError, FormatError, ShapeError
+from helpers import weighted_ce_and_entropy
 
 
 def tiny_model(seed=0, dims=(3, 5, 4), acts=None):
@@ -218,7 +219,6 @@ def test_a_label_index_of_another_layout_raises_shape_error():
         for call in (
             lambda: nn.ce_values_and_prob_grad(probs, wrong, _checked=True),
             lambda: nn.cross_entropy_per_example(probs, wrong),
-            lambda: nn.accumulate_terms(probs, [nn.LossTerm(kind="ce", labels=wrong)]),
             lambda: nn.label_probs(probs, wrong),
         ):
             with pytest.raises(ShapeError, match="labels indexed for probabilities of shape"):
@@ -239,20 +239,12 @@ def test_entropy_hand_values():
 # backward: finite-difference oracle
 
 
-def fd_gradients(model, batch, terms, h=1e-4):
-    """Central finite differences of the composite loss w.r.t. every
+def fd_gradients(model, batch, loss_of, h=1e-4):
+    """Central finite differences of the loss loss_of(probs) w.r.t. every
     parameter and every input coordinate."""
 
     def loss_for(m, x):
-        probs = nn.forward(m, x)
-        total = 0.0
-        for t in terms:
-            w = np.broadcast_to(np.asarray(t.weight, dtype=float), (x.shape[0],))
-            if t.kind == "ce":
-                total += float(np.mean(w * nn.cross_entropy_per_example(probs, t.labels)))
-            else:
-                total += float(np.mean(w * nn.entropy(probs)))
-        return total
+        return float(loss_of(nn.forward(m, x)))
 
     def rebuilt(li, wi, delta, is_bias):
         layers = list(model.layers)
@@ -315,23 +307,24 @@ def test_gradients_match_finite_differences():
         x = rng.random((bsz, depth_dims[0]))
         y = rng.integers(0, depth_dims[-1], size=bsz)
         per_ex = rng.random(bsz)
-        terms = [
-            nn.LossTerm(kind="ce", labels=y),
-            nn.LossTerm(kind="entropy", weight=-0.5),
-            nn.LossTerm(kind="ce", labels=y, weight=per_ex),
-            nn.LossTerm(kind="entropy", weight=per_ex * 0.3),
-        ]
-        res = nn.backward(model, x, terms)
-        fd_params, fd_x = fd_gradients(model, x, terms)
+        # CE and entropy terms, with scalar and with per-example weights
+        scalar, per_row = weighted_ce_and_entropy(y, 1.0, -0.5), weighted_ce_and_entropy(y, per_ex, per_ex * 0.3)
+
+        def loss_grad(p):
+            (v1, g1), (v2, g2) = scalar(p), per_row(p)
+            return v1 + v2, g1 + g2
+
+        res = nn.backward(model, x, loss_grad)
+        fd_params, fd_x = fd_gradients(model, x, lambda p: loss_grad(p)[0])
         for (gw, gb), (fw, fb) in zip(res.param_grads, fd_params):
             worst = max(worst, max_rel_err(gw, fw), max_rel_err(gb, fb))
         worst = max(worst, max_rel_err(res.input_grad, fd_x))
     assert worst < 1e-3, f"worst relative error {worst}"
 
 
-def test_backward_builds_its_terms_from_its_own_probabilities():
-    # a callable gets the pass's probabilities once; its weights act as
-    # constants, as the same weights handed in precomputed do
+def test_backward_takes_its_loss_gradient_from_its_own_probabilities():
+    # loss_grad gets the pass's probabilities once; weights it forms from
+    # them act as constants, as the same weights formed beforehand do
     model = tiny_model(2)
     rng = np.random.default_rng(2)
     x, y = rng.random((6, 3)), rng.integers(0, 4, size=6)
@@ -340,26 +333,39 @@ def test_backward_builds_its_terms_from_its_own_probabilities():
     def gated(p):
         seen.append(p)
         gate = nn.label_probs(p, y)
-        return [nn.LossTerm(kind="ce", labels=y, weight=gate), nn.LossTerm(kind="entropy", weight=gate - 1.0)]
+        return weighted_ce_and_entropy(y, gate, gate - 1.0)(p)
 
     seen = []
     got = nn.backward(model, x, gated)
     assert len(seen) == 1 and np.array_equal(seen[0], probs)
-    want = nn.backward(model, x, gated(probs))
-    assert got.loss == want.loss and np.array_equal(got.input_grad, want.input_grad)
+    gate = nn.label_probs(probs, y)
+    want = nn.backward(model, x, weighted_ce_and_entropy(y, gate, gate - 1.0))
+    assert got.values == want.values and np.array_equal(got.input_grad, want.input_grad)
     for (gw, gb), (ww, wb) in zip(got.param_grads, want.param_grads):
         assert np.array_equal(gw, ww) and np.array_equal(gb, wb)
-    # the unweighted rows of each term, as the public functions give them
-    assert np.array_equal(got.rows[0], nn.cross_entropy_per_example(probs, y))
-    assert np.array_equal(got.rows[1], nn.entropy(probs))
+
+
+def test_loss_functions_values_and_weights():
+    # the CE values are the public per-example CE whatever the weight; the
+    # default weight is 1 to the bit, and weight w scales the label entries
+    rng = np.random.default_rng(4)
+    probs = nn.softmax(rng.normal(size=(2, 5, 3)))
+    y = rng.integers(0, 3, size=5)
+    w = rng.random((2, 5))
+    values, g = nn.ce_values_and_prob_grad(probs, y)
+    assert values.tobytes() == nn.cross_entropy_per_example(probs, y).tobytes()
+    assert g.tobytes() == nn.ce_values_and_prob_grad(probs, y, np.ones((2, 5)))[1].tobytes()
+    weighted = nn.ce_values_and_prob_grad(probs, y, w)
+    assert weighted[0].tobytes() == values.tobytes()
+    assert np.allclose(weighted[1], g * w[..., None], rtol=1e-15, atol=0.0)
+    assert np.array_equal(nn.entropy_grad(np.array([[0.0, 1.0]])), [[0.0, -1.0]])
 
 
 def test_backward_zero_weight_gives_zero_gradients():
     model = tiny_model(0)
     x = np.random.default_rng(0).random((3, 3))
     y = np.array([0, 1, 2])
-    res = nn.backward(model, x, [nn.LossTerm(kind="ce", labels=y, weight=0.0)])
-    assert res.loss == 0.0
+    res = nn.backward(model, x, lambda p: nn.ce_values_and_prob_grad(p, y, 0.0))
     assert all(np.all(gw == 0) and np.all(gb == 0) for gw, gb in res.param_grads)
     assert np.all(res.input_grad == 0)
 
@@ -371,7 +377,7 @@ def test_backward_linear_input_gradient_sign():
     model = nn.Model(layers=(nn.Layer(w=w, b=np.zeros(4), act="id"),), num_classes=4)
     x = rng.random((5, 1))
     y = rng.integers(0, 4, size=5)
-    res = nn.backward(model, x, [nn.LossTerm(kind="ce", labels=y)])
+    res = nn.backward(model, x, lambda p: nn.ce_values_and_prob_grad(p, y))
     probs = nn.forward(model, x)
     expected = -(w[0, y] - probs @ w[0]) / x.shape[0]
     assert np.allclose(res.input_grad[:, 0], expected, atol=1e-12)
@@ -398,15 +404,6 @@ def test_backprop_of_a_masks_cache_forms_the_input_gradient_alone(stacked):
     assert no_grads is None
     assert got.shape == ((3, 7, 3) if stacked else (7, 3))
     assert got.tobytes() == want.tobytes()
-
-
-def test_backward_rejects_unknown_term():
-    model = tiny_model(0)
-    x = np.zeros((1, 3))
-    with pytest.raises(UnsupportedLossError):
-        nn.backward(model, x, [nn.LossTerm(kind="huber")])
-    with pytest.raises(UnsupportedLossError):
-        nn.backward(model, x, [nn.LossTerm(kind="ce")])  # labels missing
 
 
 # ---------------------------------------------------------------------------

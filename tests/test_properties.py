@@ -31,6 +31,7 @@ from helpers import (
     oracle_forward,
     oracle_terms,
     reference_diversity,
+    weighted_ce_and_entropy,
 )
 
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
@@ -380,22 +381,15 @@ def test_backward_of_a_stack_equals_each_models_own(hidden, k, shared, classes, 
     x = rng.random((b, d)) if shared else rng.random((k, b, d))
     y = rng.integers(0, classes, size=b)
     weights = rng.random((2, k, b)) * 2.0 - 0.5
-    stacked = nn.backward(nn.stack_models(models), x, [
-        nn.LossTerm(kind="ce", labels=y, weight=weights[0]),
-        nn.LossTerm(kind="entropy", weight=weights[1]),
-    ])
-    assert stacked.loss.shape == (k,)
+    stacked = nn.backward(nn.stack_models(models), x, weighted_ce_and_entropy(y, weights[0], weights[1]))
+    assert stacked.values.shape == (k,)
     for i, model in enumerate(models):
         xi = x if shared else x[i]
         cache = oracle_forward(model, xi)
         loss, g_probs = oracle_terms(cache[0], y, [("ce", weights[0, i]), ("entropy", weights[1, i])])
         grads, input_grad = oracle_backprop(model, cache, g_probs)
-        alone = nn.backward(model, xi, [
-            nn.LossTerm(kind="ce", labels=y, weight=weights[0, i]),
-            nn.LossTerm(kind="entropy", weight=weights[1, i]),
-        ])
-        assert isinstance(alone.loss, float)
-        assert same_bits(alone.loss, loss) and same_bits(stacked.loss[i], loss)
+        alone = nn.backward(model, xi, weighted_ce_and_entropy(y, weights[0, i], weights[1, i]))
+        assert same_bits(alone.values, loss) and same_bits(stacked.values[i], loss)
         assert same_bits(alone.input_grad, input_grad) and same_bits(stacked.input_grad[i], input_grad)
         for (gw, gb), (sw, sb), (ow, ob) in zip(alone.param_grads, stacked.param_grads, grads):
             assert gw.shape == ow.shape and gb.shape == ob.shape

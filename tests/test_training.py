@@ -51,6 +51,18 @@ def test_mode_table():
         TrainConfig(attack=quick_attack(), epochs=0, batch_size=8, seed=0, mode="RM")
 
 
+@pytest.mark.parametrize("field, value", [
+    ("seed", 1.5), ("batch_size", True), ("epochs", 1.5), ("lambda_pm", math.nan),
+    ("lambda_dm", math.inf), ("alpha", math.nan), ("beta", "0.5"), ("lr", math.inf),
+])
+def test_config_numbers_must_be_integers_or_finite_reals(field, value):
+    # a float seed would train as its integer part and a nan lambda or alpha
+    # end in DivergenceError: each is a ConfigError that names its field
+    args = dict(attack=quick_attack(), epochs=1, batch_size=8, seed=0, lambda_pm=1.0, lambda_dm=1.0)
+    with pytest.raises(ConfigError, match=f"^{field} must be"):
+        TrainConfig(**(args | {field: value}))
+
+
 # ---------------------------------------------------------------------------
 # the collaborative step (ADV/CCE)
 
@@ -78,6 +90,32 @@ def test_promote_and_demote_loss_values():
     assert parts["do_h"] == pytest.approx(2.0 * 0.9 * math.log(10), abs=1e-12)
     # same arithmetic as the nn primitives
     assert parts["clean_ce"] == nn.cross_entropy(nn.forward(flat, x), y0)
+
+
+def test_a_batch_of_certain_rows_reports_zero_ce_not_negative_zero():
+    # p_y is exactly 1 on every row, so every CE row is -log(1) = -0.0; the
+    # step reports the batch means as +0.0, with and without crossing
+    x = np.full((4, 2), 0.5)
+    certain = linear_model([[100.0, -100.0], [100.0, -100.0]])
+    for crossing in (True, False):
+        stack = nn.stack_models([certain, certain])
+        terms, _ = training._collab_step(stack, x, np.zeros(4, dtype=np.int64), [x, x], 1.0, 1.0, crossing)
+        for _, parts in terms:
+            assert [math.copysign(1.0, parts[k]) for k in ("clean_ce", "dpo_ce")] == [1.0, 1.0]
+            assert parts["clean_ce"] == parts["dpo_ce"] == 0.0
+
+
+def test_zero_weight_crossings_pass_positive_zero_probability_gradients(monkeypatch):
+    # CCE-Base weighs every crossing 0: each entry of their dLoss/dprobs is
+    # +0.0, as a sum of the terms from +0.0 gives it, never -0.0
+    seen, backprop = [], nn.backprop
+    monkeypatch.setattr(nn, "backprop", lambda model, cache, g: seen.append(g) or backprop(model, cache, g))
+    members = [nn.init_model(3, [6], 4, seed=s) for s in range(3)]
+    rng = np.random.default_rng(0)
+    x, y = rng.random((5, 3)), rng.integers(0, 4, size=5)
+    training._collab_step(nn.stack_models(members), x, y, [x, 1.0 - x, x / 2], 0.0, 0.0)
+    crossings = seen[0].reshape(3, 4, 5, 4)[:, 2:]
+    assert np.all(crossings == 0.0) and not np.signbit(crossings).any()
 
 
 def test_soft_indicator_values():
