@@ -21,8 +21,8 @@ def fit_quick(ds, seed=0):
     model = nn.init_model(ds.dim, [16], ds.num_classes, seed=seed)
     state = nn.adam_init(model, lr=0.05)
     for _ in range(300):
-        res = nn.backward(model, ds.inputs, lambda p: nn.ce_values_and_prob_grad(p, ds.labels))
-        model, state = nn.adam_step(model, res.param_grads, state)
+        _, grads = nn.backward(model, ds.inputs, lambda p: nn.ce_values_and_prob_grad(p, ds.labels))
+        model, state = nn.adam_step(model, grads, state)
     return model
 
 

@@ -55,7 +55,8 @@ FAMILIES = ("pgd", "bim", "mim", "spsa")
 def check_numbers(config, integers, reals):
     """ConfigError naming the first field of config, among integers, that
     is not an integer, or, among reals, that is not a finite real number
-    (a bool is neither)."""
+    (a bool is neither). A numpy number is stored as the Python number
+    (which JSON takes); a Python number stays as given."""
     for name in (*integers, *reals):
         v = getattr(config, name)
         kinds = (int, np.integer) if name in integers else (int, float, np.integer, np.floating)
@@ -63,6 +64,8 @@ def check_numbers(config, integers, reals):
             raise ConfigError(f"{name} must be {'an integer' if name in integers else 'a real number'}, got {v!r}")
         if not math.isfinite(v):
             raise ConfigError(f"{name} must be finite")
+        if isinstance(v, np.generic):
+            object.__setattr__(config, name, v.item())
 
 
 @dataclass(frozen=True)
@@ -83,6 +86,7 @@ class AttackSpec:
         check_numbers(self, ("steps", "spsa_samples", "seed"), ("epsilon", "eta", "momentum", "spsa_delta"))
         if not isinstance(self.random_start, (bool, np.bool_)):
             raise ConfigError(f"random_start must be true or false, got {self.random_start!r}")
+        object.__setattr__(self, "random_start", bool(self.random_start))
         if self.steps < 1:
             raise ConfigError("steps must be >= 1")
         if self.seed < 0:

@@ -462,33 +462,27 @@ def cmd_surface(args):
 # entry point
 
 
-def build_parser():
+def build_parser(commands):
+    """One parser for every command: the command's name, one of commands'
+    keys, and the four options the commands share."""
     parser = argparse.ArgumentParser(prog="advens", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (
-        ("train", cmd_train),
-        ("eval", cmd_eval),
-        ("transfer", cmd_transfer),
-        ("detect", cmd_detect),
-        ("surface", cmd_surface),
-    ):
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="experiment JSON")
-        p.add_argument("--out", default=None, help="output directory (overrides config)")
-        p.add_argument("--seed", type=int, default=None, help="master seed (overrides config)")
-        p.add_argument(
-            "--checkpoint", action="append", default=None, help="ensemble checkpoint (repeatable)"
-        )
-        p.set_defaults(func=fn)
+    parser.add_argument("command", choices=commands)
+    parser.add_argument("--config", required=True, help="experiment JSON")
+    parser.add_argument("--out", default=None, help="output directory (overrides config)")
+    parser.add_argument("--seed", type=int, default=None, help="master seed (overrides config)")
+    parser.add_argument("--checkpoint", action="append", default=None, help="ensemble checkpoint (repeatable)")
     return parser
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    # read at each call, so that a wrapper rebound over a cmd_ function is the one called
+    commands = {"train": cmd_train, "eval": cmd_eval, "transfer": cmd_transfer, "detect": cmd_detect,
+                "surface": cmd_surface}
+    args = build_parser(commands).parse_args(argv)
     try:
         # non-finite values surface as errors (exit 2, or 3 from train), not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            return args.func(args)
+            return commands[args.command](args)
     except DivergenceError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

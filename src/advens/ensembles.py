@@ -265,7 +265,7 @@ def ce_values_and_input_grad(target, x, labels, *, _checked=False):
     heads, cur = (target, x) if _checked else as_heads(target, nn._as_f64(x, "batch"))
     probs, cache = nn.forward_cached(heads.slots, heads.batch(cur), "masks", _checked=True)
     values, g_probs = nn.ce_values_and_prob_grad(heads.average(probs), labels, _checked=True)
-    grad = heads.head_grads(nn.backprop(heads.slots, cache, heads.slot_grads(g_probs))[1])
+    grad = heads.head_grads(nn.backprop(heads.slots, cache, heads.slot_grads(g_probs)))
     return (values, grad) if heads is target else (values[0], grad[0])
 
 

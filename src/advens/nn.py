@@ -16,8 +16,9 @@ are one ModelStack, whose len and num_classes come from its weights. The
 forward, the loss terms, the backward and Adam take a Model or a
 ModelStack: a stack runs all K at once, slice k has the bits of model k
 on its own, and the losses come one per slice. The backward (backprop)
-forms the parameter and input gradients, or the input gradient alone
-from a cache of boolean relu masks (for attacks).
+forms one gradient: the parameter gradients from a cache of layer inputs
+(a training step), the input gradient from a cache of boolean relu masks
+(an attack step).
 
 Label-taking functions accept integer labels, checked on every call, or a
 LabelIndex of them, checked once for the many calls of a loop over one
@@ -25,11 +26,11 @@ batch (an attack's steps): one flat index of the label entries of
 probability rows of one layout, rows of another layout raising ShapeError.
 Callers take a large batch through a pass in row blocks (row_blocks); a
 block's LabelIndex keeps the whole batch's mean. over_blocks runs a pass's
-blocks on the calling thread and on helper threads, one per further core:
-a block's bits depend on neither its thread nor the order the blocks run
-in. The softmax checks its own rows, so the package's own consumers of
-forward output skip the probability check (_checked=True) that
-caller-supplied probabilities get.
+blocks on the calling thread and on helper threads, one per further core,
+numpy's OpenBLAS on one thread meanwhile: a block's bits depend on neither
+its thread nor the order the blocks run in. The softmax checks its own
+rows, so the package's own consumers of forward output skip the
+probability check (_checked=True) that caller-supplied probabilities get.
 
 Log arguments are clamped at ``LOG_FLOOR``; the clamp only matters where a
 probability has underflowed to ~0, and the reported gradient is the exact
@@ -272,10 +273,32 @@ _HELPERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") els
 _pool = None
 _pool_lock = threading.Lock()
 _local = threading.local()  # .helper is set on the pool's threads
+# OpenBLAS's own threads would compete with the helpers for the cores, so
+# passes with helpers run it on one thread: the (get, set) functions of the
+# thread count of numpy's OpenBLAS, () where numpy's BLAS exports none,
+# looked up at the first pass with helpers; the passes with helpers running
+# now; and the count before the first of them, restored after the last.
+_blas = None
+_blas_passes = 0
+_blas_count = 0
 
 
 def _mark_helper():
     _local.helper = True
+
+
+def _blas_threads():
+    """The (get, set) thread-count functions of numpy's OpenBLAS, or ()."""
+    import ctypes  # not at import: most runs never need it
+
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)  # its symbols and its BLAS's
+        get, set_count = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return ()
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_count.argtypes, set_count.restype = [ctypes.c_int], None
+    return get, set_count
 
 
 def over_blocks(fn, blocks):
@@ -286,8 +309,10 @@ def over_blocks(fn, blocks):
     taking of further blocks; once every started block has finished, the
     exception of the lowest-indexed failing block is raised, as the serial
     loop would raise it. One block, no helper, or a call from a helper
-    (which must not wait on the pool) takes the serial loop."""
-    global _pool
+    (which must not wait on the pool) takes the serial loop. While helpers
+    run, OpenBLAS runs on one thread; its count is restored once no pass
+    with helpers runs."""
+    global _pool, _blas, _blas_passes, _blas_count
     helpers = min(_HELPERS, len(blocks) - 1)
     if helpers < 1 or getattr(_local, "helper", False):
         return [fn(lo, hi) for lo, hi in blocks]
@@ -296,6 +321,12 @@ def over_blocks(fn, blocks):
             from concurrent.futures import ThreadPoolExecutor  # not at import: most runs never need it
 
             _pool = ThreadPoolExecutor(_HELPERS, "advens-block", initializer=_mark_helper)
+        if _blas is None:
+            _blas = _blas_threads()
+        if _blas and not _blas_passes:
+            _blas_count = _blas[0]()
+            _blas[1](1)
+        _blas_passes += 1
         pool = _pool
     results, errors, taken = [None] * len(blocks), {}, itertools.count()
 
@@ -309,11 +340,17 @@ def over_blocks(fn, blocks):
             except BaseException as e:  # raised by the caller, once all have finished
                 errors[i] = e
 
-    futures = [pool.submit(contextvars.copy_context().run, work) for _ in range(helpers)]
-    work()
-    for f in futures:
-        if not f.cancel():  # a helper that never started has nothing to wait for
-            f.result()
+    try:
+        futures = [pool.submit(contextvars.copy_context().run, work) for _ in range(helpers)]
+        work()
+        for f in futures:
+            if not f.cancel():  # a helper that never started has nothing to wait for
+                f.result()
+    finally:
+        with _pool_lock:
+            _blas_passes -= 1
+            if _blas and not _blas_passes:
+                _blas[1](_blas_count)
     if errors:
         raise errors[min(errors)]
     return results
@@ -366,8 +403,9 @@ def forward_cached(model, batch, keep="inputs", *, _checked=False):
     k has the bits of model k's own forward on its batch.
 
     keep says what the cache holds: "inputs" every layer's input and relu
-    mask (for backprop), "masks" the relu masks alone (for backprop of the
-    input gradient alone), None nothing (a plain forward).
+    mask (for backprop of the parameter gradients), "masks" the relu masks
+    alone (for backprop of the input gradient), None nothing (a plain
+    forward).
 
     The batch is checked to be finite and to fit the first layer unless
     the caller vouches for it (_checked: a float64 array of the right shape
@@ -528,52 +566,46 @@ def entropy_grad(p):
 # backward
 
 
-@dataclass(frozen=True)
-class BackwardResult:
-    values: object  # what loss_grad returned beside dLoss/dprobs
-    param_grads: tuple  # (gw, gb) per layer, shaped like the layer's w and b
-    input_grad: np.ndarray
-
-
 def backprop(model, cache, g_probs):
     """Backpropagate dLoss/dprobs through softmax and every layer of a
     Model or a ModelStack; cache comes from forward_cached(model, ...).
     g_probs has the shape of the probs; for a stack it may also be one
     (B, M) shared by every slice.
 
-    Returns ((gw, gb) per layer, shaped like the layer's w and b,
-    dLoss/dinputs). For a stack, slice k of each is model k's gradient of
-    slice k's loss, with the bits of model k's own backprop. A cache of
-    keep="masks" holds no layer inputs: the input gradient alone is formed
-    (an attack's step), and the parameter gradients come back as None.
+    Returns the gradient the cache was kept for: from keep="inputs" (a
+    training step) the parameter gradients, (gw, gb) per layer shaped like
+    the layer's w and b; from keep="masks" (an attack step) dLoss/dinputs.
+    For a stack, slice k of either is model k's gradient of slice k's
+    loss, with the bits of model k's own backprop.
     """
     p, inputs = cache.probs, cache.layer_inputs
     if g_probs.shape not in (p.shape, p.shape[-2:]):
         raise ShapeError(f"g_probs shape {g_probs.shape} != probs shape {p.shape}")
     g = p * (g_probs - _row_sum(g_probs * p))  # through the softmax
-    param_grads = [None] * len(model.layers)
-    for i in range(len(param_grads) - 1, -1, -1):
+    param_grads = []
+    for i in range(len(model.layers) - 1, -1, -1):
         if cache.masks[i] is not None:
             g *= cache.masks[i]
         layer = model.layers[i]
         if inputs is not None:
-            param_grads[i] = (inputs[i].swapaxes(-1, -2) @ g, g.sum(axis=-2).reshape(layer.b.shape))
-        g = g @ layer.w.swapaxes(-1, -2)
-    return (None if inputs is None else tuple(param_grads)), g
+            param_grads.insert(0, (inputs[i].swapaxes(-1, -2) @ g, g.sum(axis=-2).reshape(layer.b.shape)))
+        if i or inputs is None:  # a training step forms no input gradient
+            g = g @ layer.w.swapaxes(-1, -2)
+    return g if inputs is None else tuple(param_grads)
 
 
 def backward(model, batch, loss_grad):
-    """Exact parameter and input gradients of a loss of a Model's, or of
-    each slice of a ModelStack's, probabilities (see forward_cached for the
-    batch forms). loss_grad(probs) gets this pass's probabilities and
-    returns (values, dLoss/dprobs), values being what the caller wants back
-    (per-example losses, say); a weight it forms from probs is a constant
-    to the gradient. Plain CE is lambda p: ce_values_and_prob_grad(p, y).
+    """(values, param_grads): the exact parameter gradients of a loss of a
+    Model's, or of each slice of a ModelStack's, probabilities (see
+    forward_cached for the batch forms). loss_grad(probs) gets this pass's
+    probabilities and returns (values, dLoss/dprobs), values being what
+    the caller wants back (per-example losses, say); a weight it forms
+    from probs is a constant to the gradient. Plain CE is
+    lambda p: ce_values_and_prob_grad(p, y).
     """
     probs, cache = forward_cached(model, batch)
     values, g_probs = loss_grad(probs)
-    param_grads, input_grad = backprop(model, cache, g_probs)
-    return BackwardResult(values=values, param_grads=param_grads, input_grad=input_grad)
+    return values, backprop(model, cache, g_probs)
 
 
 # ---------------------------------------------------------------------------

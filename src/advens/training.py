@@ -190,13 +190,12 @@ def _collab_step(stack, x, y, adv_set, lambda_pm, lambda_dm, crossing=True, gate
         g.reshape(n, s, b, m)[:, 2:] += (h_w / b)[..., None] * nn.entropy_grad(cross) + 0.0
         return (ce.reshape(n, s, b), nn.entropy_rows(cross), gate), g
 
-    res = nn.backward(
+    (ce, h, gate), param_grads = nn.backward(
         stack.take([k for k in range(n) for _ in range(s)]),
         np.stack([a for k in range(n) for a in (x, adv_set[k], *(adv_set[i] for i in others[k]))]),
         loss_grad,
     )
-    ce, h, gate = res.values
-    slice_grads = [[(gw[j::s], gb[j::s]) for gw, gb in res.param_grads] for j in range(s)]
+    slice_grads = [[(gw[j::s], gb[j::s]) for gw, gb in param_grads] for j in range(s)]
     # each a mean as np.mean takes it: the sum of a row, then one division by B
     # (+ 0.0: a batch of p_y = 1 reports 0.0, not -0.0)
     clean, own = (ce[:, j].sum(axis=-1) / b + 0.0 for j in (0, 1))
@@ -230,7 +229,7 @@ def _ensemble_adv_step(stack, x, y, x_a_en, adp=None):
     for probs, cache in passes:
         values, g_probs = nn.ce_values_and_prob_grad(heads.average(probs), y, _checked=True)
         ce.append(float(np.mean(values)))
-        slices.append(nn.backprop(stack, cache, heads.slot_grads(g_probs))[0])
+        slices.append(nn.backprop(stack, cache, heads.slot_grads(g_probs)))
     clean, adv = ce
     total, parts = clean + adv, {"clean_ce": clean, "dpo_ce": adv, "cpo_ce": 0.0, "do_h": 0.0}
     clamped = 0
@@ -239,7 +238,7 @@ def _ensemble_adv_step(stack, x, y, x_a_en, adp=None):
         clamped += flag
         parts[f"adp_reg_{tag}"] = value
         total -= value
-        slices.append(nn.backprop(stack, cache, -g_probs)[0])
+        slices.append(nn.backprop(stack, cache, -g_probs))
     return total, parts, _sum_slices(slices), clamped
 
 

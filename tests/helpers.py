@@ -27,8 +27,8 @@ def fit_plain(dataset, hidden=(16,), steps=400, lr=0.05, seed=0, batch=None):
         else:
             idx = rng.integers(0, n, size=batch)
             bx, by = x[idx], y[idx]
-        res = nn.backward(model, bx, lambda p: nn.ce_values_and_prob_grad(p, by))
-        model, state = nn.adam_step(model, res.param_grads, state)
+        _, grads = nn.backward(model, bx, lambda p: nn.ce_values_and_prob_grad(p, by))
+        model, state = nn.adam_step(model, grads, state)
     return model
 
 
@@ -45,6 +45,15 @@ def weighted_ce_and_entropy(y, ce_w, h_w):
         return (ce_w * ce).sum(axis=-1) / b + (h_w_rows * nn.entropy_rows(probs)).sum(axis=-1) / b, g
 
     return loss_grad
+
+
+def input_grad(model, x, loss_grad):
+    """(values, dLoss/dx) of a loss_grad's loss of a Model's or a
+    ModelStack's probabilities on x, by the attacks' path: a keep="masks"
+    forward and its backprop."""
+    probs, cache = nn.forward_cached(model, x, "masks")
+    values, g_probs = loss_grad(probs)
+    return values, nn.backprop(model, cache, g_probs)
 
 
 def blobs_and_model(seed=0, num_classes=3, dim=2, separation=4, hidden=(16,)):

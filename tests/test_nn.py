@@ -7,7 +7,7 @@ import pytest
 from advens import nn
 from advens.ensembles import Ensemble, load_ensemble, save_ensemble
 from advens.errors import DomainError, FormatError, ShapeError
-from helpers import weighted_ce_and_entropy
+from helpers import input_grad, oracle_backprop, oracle_forward, weighted_ce_and_entropy
 
 
 def tiny_model(seed=0, dims=(3, 5, 4), acts=None):
@@ -314,11 +314,11 @@ def test_gradients_match_finite_differences():
             (v1, g1), (v2, g2) = scalar(p), per_row(p)
             return v1 + v2, g1 + g2
 
-        res = nn.backward(model, x, loss_grad)
+        _, param_grads = nn.backward(model, x, loss_grad)
         fd_params, fd_x = fd_gradients(model, x, lambda p: loss_grad(p)[0])
-        for (gw, gb), (fw, fb) in zip(res.param_grads, fd_params):
+        for (gw, gb), (fw, fb) in zip(param_grads, fd_params):
             worst = max(worst, max_rel_err(gw, fw), max_rel_err(gb, fb))
-        worst = max(worst, max_rel_err(res.input_grad, fd_x))
+        worst = max(worst, max_rel_err(input_grad(model, x, loss_grad)[1], fd_x))
     assert worst < 1e-3, f"worst relative error {worst}"
 
 
@@ -340,8 +340,8 @@ def test_backward_takes_its_loss_gradient_from_its_own_probabilities():
     assert len(seen) == 1 and np.array_equal(seen[0], probs)
     gate = nn.label_probs(probs, y)
     want = nn.backward(model, x, weighted_ce_and_entropy(y, gate, gate - 1.0))
-    assert got.values == want.values and np.array_equal(got.input_grad, want.input_grad)
-    for (gw, gb), (ww, wb) in zip(got.param_grads, want.param_grads):
+    assert got[0] == want[0]
+    for (gw, gb), (ww, wb) in zip(got[1], want[1]):
         assert np.array_equal(gw, ww) and np.array_equal(gb, wb)
 
 
@@ -365,9 +365,12 @@ def test_backward_zero_weight_gives_zero_gradients():
     model = tiny_model(0)
     x = np.random.default_rng(0).random((3, 3))
     y = np.array([0, 1, 2])
-    res = nn.backward(model, x, lambda p: nn.ce_values_and_prob_grad(p, y, 0.0))
-    assert all(np.all(gw == 0) and np.all(gb == 0) for gw, gb in res.param_grads)
-    assert np.all(res.input_grad == 0)
+
+    def zero_weight(p):
+        return nn.ce_values_and_prob_grad(p, y, 0.0)
+
+    assert all(np.all(gw == 0) and np.all(gb == 0) for gw, gb in nn.backward(model, x, zero_weight)[1])
+    assert np.all(input_grad(model, x, zero_weight)[1] == 0)
 
 
 def test_backward_linear_input_gradient_sign():
@@ -377,19 +380,22 @@ def test_backward_linear_input_gradient_sign():
     model = nn.Model(layers=(nn.Layer(w=w, b=np.zeros(4), act="id"),), num_classes=4)
     x = rng.random((5, 1))
     y = rng.integers(0, 4, size=5)
-    res = nn.backward(model, x, lambda p: nn.ce_values_and_prob_grad(p, y))
+    _, gx = input_grad(model, x, lambda p: nn.ce_values_and_prob_grad(p, y))
     probs = nn.forward(model, x)
     expected = -(w[0, y] - probs @ w[0]) / x.shape[0]
-    assert np.allclose(res.input_grad[:, 0], expected, atol=1e-12)
-    assert np.array_equal(np.sign(res.input_grad[:, 0]), np.sign(expected))
+    assert np.allclose(gx[:, 0], expected, atol=1e-12)
+    assert np.array_equal(np.sign(gx[:, 0]), np.sign(expected))
 
 
 @pytest.mark.parametrize("stacked", [False, True])
 def test_backprop_of_a_masks_cache_forms_the_input_gradient_alone(stacked):
-    # an attack's cache keeps only the relu masks: backprop then forms no
-    # parameter gradient and the input gradient of a full cache, bit for bit
+    # backprop forms the gradient its cache was kept for: an attack's cache
+    # keeps only the relu masks and gets the input gradient, a training
+    # step's keeps the layer inputs and gets the parameter gradients; each
+    # has the bits of the one-model oracle's
     dims = (3, 5, 6, 4)
-    model = nn.stack_models([tiny_model(s, dims) for s in range(3)]) if stacked else tiny_model(0, dims)
+    models = [tiny_model(s, dims) for s in range(3)] if stacked else [tiny_model(0, dims)]
+    model = nn.stack_models(models) if stacked else models[0]
     rng = np.random.default_rng(5)
     x = rng.random((7, 3))
     y = rng.integers(0, 4, size=7)
@@ -398,12 +404,15 @@ def test_backprop_of_a_masks_cache_forms_the_input_gradient_alone(stacked):
     assert masks.layer_inputs is None
     # a stack's slices share one (B, M) gradient, as the averaged prediction's members do
     g_probs = nn.ce_values_and_prob_grad(probs.mean(axis=0) if stacked else probs, y)[1]
-    param_grads, want = nn.backprop(model, full, g_probs)
-    assert param_grads is not None
-    no_grads, got = nn.backprop(model, masks, g_probs)
-    assert no_grads is None
+    param_grads, got = nn.backprop(model, full, g_probs), nn.backprop(model, masks, g_probs)
+    assert len(param_grads) == len(dims) - 1
     assert got.shape == ((3, 7, 3) if stacked else (7, 3))
-    assert got.tobytes() == want.tobytes()
+    for k, m in enumerate(models):
+        want_params, want = oracle_backprop(m, oracle_forward(m, x), g_probs)
+        assert (got[k] if stacked else got).tobytes() == want.tobytes()
+        for (gw, gb), (ww, wb) in zip(param_grads, want_params):
+            assert (gw[k] if stacked else gw).tobytes() == ww.tobytes()
+            assert (gb[k, 0] if stacked else gb).tobytes() == wb.tobytes()
 
 
 # ---------------------------------------------------------------------------

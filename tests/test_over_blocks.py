@@ -1,7 +1,8 @@
 """Row blocks on helper threads (nn.over_blocks): every blocked pass, attack
 and CLI artifact keeps its bits with helpers on and off; numpy's error state
-and a block's exception cross the threads; nested calls do not wait on the
-pool; and nothing starts a thread before a pass has more than one block."""
+and a block's exception cross the threads; OpenBLAS runs on one thread
+while helpers run; nested calls do not wait on the pool; and nothing starts
+a thread before a pass has more than one block."""
 
 import json
 import os
@@ -178,6 +179,54 @@ def test_over_blocks_returns_in_block_order_and_raises_as_the_serial_loop(helper
         nn.over_blocks(fn, blocks)
     assert e.value.args == (2,)  # the lowest failing block, as the serial loop raises
     assert started == finished and {0, 1, 2} <= started  # every started block finished
+
+
+def test_a_pass_with_helpers_runs_blas_on_one_thread(helpers):
+    # OpenBLAS's own threads would compete with the helpers: while helpers
+    # take a pass's blocks it runs on one thread, and it gets its count back
+    # after the pass, also after a block that raises
+    blas = nn._blas_threads()
+    if not blas:
+        pytest.skip("numpy's BLAS exports no OpenBLAS thread-count functions")
+    get, set_count = blas
+    before = get()
+    try:
+        set_count(2)
+        helpers(ON)
+        blocks = [(i, i + 1) for i in range(8)]
+        assert nn.over_blocks(lambda lo, hi: get(), blocks) == [1] * 8
+        assert get() == 2
+
+        def fn(lo, hi):
+            if lo == 3:
+                raise ValueError(lo)
+            return get()
+
+        with pytest.raises(ValueError):
+            nn.over_blocks(fn, blocks)
+        assert get() == 2
+        assert nn.over_blocks(lambda lo, hi: get(), blocks[:1]) == [2]  # one block: no helper
+        # passes on two threads, the first ending while the second runs: one
+        # thread until the second ends, then the count before the first
+        second_in, first_out, seen = threading.Event(), threading.Event(), []
+
+        def second(lo, hi):
+            second_in.set()
+            assert first_out.wait(timeout=10)
+            seen.append(get())
+
+        def first(lo, hi):
+            if lo == 0:
+                other.start()
+            assert second_in.wait(timeout=10)
+
+        other = threading.Thread(target=nn.over_blocks, args=(second, blocks[:2]))
+        nn.over_blocks(first, blocks[:2])
+        first_out.set()
+        other.join(timeout=10)
+        assert not other.is_alive() and seen == [1, 1] and get() == 2
+    finally:
+        set_count(before)
 
 
 def test_a_nested_call_on_a_helper_runs_its_blocks_there(helpers):

@@ -24,6 +24,7 @@ from advens.attacks import (
 from advens.ensembles import Ensemble, Heads, ce_values_and_input_grad
 from advens.errors import ConfigError, ConsistencyError, DomainError, FormatError, ShapeError, TruncatedFileError
 from helpers import (
+    input_grad,
     member_grads,
     oracle_backprop,
     oracle_collab,
@@ -224,7 +225,7 @@ def test_member_attacks_equal_lone_attacks(family, random_start, widths, classes
 def reference_input_grads(members, x, y):
     """Per-member forward_cached and backprop of the CE of the averaged
     probability rows, summed in member order: the unstacked definition."""
-    caches = [nn.forward_cached(m, x)[1] for m in members]
+    caches = [nn.forward_cached(m, x, "masks")[1] for m in members]
     probs = np.mean([c.probs for c in caches], axis=0)
     values = nn.cross_entropy_per_example(probs, y)
     b = len(y)
@@ -235,7 +236,7 @@ def reference_input_grads(members, x, y):
     )
     if len(members) > 1:
         g_probs = g_probs / len(members)
-    grads = [nn.backprop(m, c, g_probs)[1] for m, c in zip(members, caches)]
+    grads = [nn.backprop(m, c, g_probs) for m, c in zip(members, caches)]
     grad = grads[0]
     for g in grads[1:]:
         grad += g
@@ -381,17 +382,23 @@ def test_backward_of_a_stack_equals_each_models_own(hidden, k, shared, classes, 
     x = rng.random((b, d)) if shared else rng.random((k, b, d))
     y = rng.integers(0, classes, size=b)
     weights = rng.random((2, k, b)) * 2.0 - 0.5
-    stacked = nn.backward(nn.stack_models(models), x, weighted_ce_and_entropy(y, weights[0], weights[1]))
-    assert stacked.values.shape == (k,)
+    stack, loss_grad = nn.stack_models(models), weighted_ce_and_entropy(y, weights[0], weights[1])
+    values, stacked = nn.backward(stack, x, loss_grad)
+    assert values.shape == (k,)
+    # the input gradients by the attacks' path, a keep="masks" backprop
+    stacked_values, stacked_input = input_grad(stack, x, loss_grad)
+    assert same_bits(stacked_values, values)
     for i, model in enumerate(models):
         xi = x if shared else x[i]
         cache = oracle_forward(model, xi)
         loss, g_probs = oracle_terms(cache[0], y, [("ce", weights[0, i]), ("entropy", weights[1, i])])
-        grads, input_grad = oracle_backprop(model, cache, g_probs)
-        alone = nn.backward(model, xi, weighted_ce_and_entropy(y, weights[0, i], weights[1, i]))
-        assert same_bits(alone.values, loss) and same_bits(stacked.values[i], loss)
-        assert same_bits(alone.input_grad, input_grad) and same_bits(stacked.input_grad[i], input_grad)
-        for (gw, gb), (sw, sb), (ow, ob) in zip(alone.param_grads, stacked.param_grads, grads):
+        grads, want_input = oracle_backprop(model, cache, g_probs)
+        alone_loss_grad = weighted_ce_and_entropy(y, weights[0, i], weights[1, i])
+        alone_values, alone = nn.backward(model, xi, alone_loss_grad)
+        assert same_bits(alone_values, loss) and same_bits(values[i], loss)
+        assert same_bits(input_grad(model, xi, alone_loss_grad)[1], want_input)
+        assert same_bits(stacked_input[i], want_input)
+        for (gw, gb), (sw, sb), (ow, ob) in zip(alone, stacked, grads):
             assert gw.shape == ow.shape and gb.shape == ob.shape
             assert same_bits(gw, ow) and same_bits(gb, ob)
             assert same_bits(sw[i], ow) and same_bits(sb[i, 0], ob)

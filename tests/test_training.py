@@ -1,3 +1,4 @@
+import json
 import math
 from types import SimpleNamespace
 
@@ -406,6 +407,23 @@ def test_train_smoke_all_methods():
             assert 0.0 <= ep.nat_acc <= 100.0 and 0.0 <= ep.rob_acc <= 100.0
             for terms in ep.member_terms:
                 assert all(np.isfinite(v) for v in terms.values())
+
+
+@pytest.mark.parametrize("numpy_in", ["train", "attack"])
+def test_numpy_numbers_in_the_configs_give_the_report_of_python_numbers(numpy_in):
+    # numpy numbers are stored as Python ones, so the report dumps to JSON
+    # and equals the report of the same run configured with Python numbers
+    ds, ens = small_setup()
+
+    def report(kinds):
+        i, r, flag = kinds.get("attack", (int, float, bool))
+        attack = quick_attack(steps=i(2), epsilon=r(0.05), seed=i(3), random_start=flag(True))
+        i, r, _ = kinds.get("train", (int, float, bool))
+        cfg = TrainConfig(attack=attack, epochs=i(1), batch_size=i(8), seed=i(1), mode="RM", lr=r(0.01))
+        return training.report_to_dict(training.train(ens, ds, cfg, "CCE"))
+
+    got = report({numpy_in: (np.int64, np.float64, np.bool_)})
+    assert json.dumps(got) == json.dumps(report({}))
 
 
 def test_train_is_deterministic():
