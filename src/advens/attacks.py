@@ -24,8 +24,8 @@ bounds in place. A large batch takes each step row block by row block
 (nn.row_blocks), the blocks on every core (nn.over_blocks), each block's
 bounds made from its rows at each step. The iterate is clipped into finite
 bounds and every gradient is checked, so the forwards skip the checks of
-their batch. Every seed has its own generator, which the heads of that seed
-share, so each result equals a lone run_attack bit for bit.
+their batch. Every head draws from its own generator of its seed, as its
+lone run_attack does, so each result equals that attack bit for bit.
 
 The final check (one more forward of the iterate, for the success mask,
 the loss trace and the member rows) is made by _results alone, for every
@@ -168,27 +168,13 @@ def _validate_inputs(heads, x, y):
     return x, nn.label_index(y, (len(heads), len(x), heads.num_classes))
 
 
-def _generators(seeds):
-    """One generator per attack, seeded seeds[h]; attacks of one seed share
-    one generator, made once, whose draws each of them would make alone."""
-    seeded = {s: np.random.default_rng(s) for s in dict.fromkeys(seeds)}
-    return [seeded[s] for s in seeds]
-
-
-def _distinct(rngs):
-    """The distinct generators of rngs, in order, and each entry's index
-    among them: a shared generator draws once for all its attacks."""
-    gens = list({id(r): r for r in rngs}.values())
-    return gens, [gens.index(r) for r in rngs]
-
-
 def _search(heads, x, labels, spec, seeds, ascent):
     """The one iterative search behind every protocol: each head of heads
     (ensembles.Heads) attacked with spec in lockstep, head h drawing from
-    seeds[h]'s generator in the order a lone attack would. Each step is
-    one forward of the heads' slots, one input-gradient backward and one
-    sign step of the (H, B, d) iterate clipped into the finite ball ∩ box
-    bounds of x, so the step vouches for the iterate (_checked).
+    its own generator of seed seeds[h], as its lone attack does. Each step
+    is one forward of the heads' slots, one input-gradient backward and
+    one sign step of the (H, B, d) iterate clipped into the finite ball ∩
+    box bounds of x, so the step vouches for the iterate (_checked).
 
     A batch of one row block steps whole, against one (B, d) pair of
     bounds made once. A batch of several (nn.row_blocks) steps block by
@@ -205,18 +191,14 @@ def _search(heads, x, labels, spec, seeds, ascent):
     gradient step's per-example objective (H, B) and the queries of each
     attack's steps; the final check is left to the callers that read it.
     """
-    rngs = _generators(seeds)
+    rngs = [np.random.default_rng(s) for s in seeds]
     blocks = nn.row_blocks(x)
     if spec.family == "pgd" and spec.random_start:
-        gens, which = _distinct(rngs)
-        starts = [r.uniform(-spec.epsilon, spec.epsilon, size=x.shape) for r in gens]
-        for s in starts:
-            s += x
-            s.clip(0.0, 1.0, out=s)
-        cur = np.stack(starts) if len(starts) > 1 else starts[0][None]
-        if len(gens) < len(rngs):
-            cur = cur[which]
+        starts = [r.uniform(-spec.epsilon, spec.epsilon, size=(1, *x.shape)) for r in rngs]
+        cur = np.concatenate(starts) if len(starts) > 1 else starts[0]
         del starts
+        cur += x
+        cur.clip(0.0, 1.0, out=cur)
         for lo, hi in blocks:  # into the ball, without whole-batch bounds
             np.clip(cur[:, lo:hi], x[lo:hi] - spec.epsilon, x[lo:hi] + spec.epsilon, out=cur[:, lo:hi])
     else:
@@ -312,11 +294,12 @@ def run_heads(heads, x, y, spec):
     """run_attack with spec against each head of heads (ensembles.Heads),
     in lockstep: each step is one forward of the heads' slots. Returns an
     iterator of H AttackResults, each equal bit for bit to the lone
-    run_attack on its head's averaged prediction (all of them draw from
-    spec.seed, as the lone attacks do); Heads.of(targets) makes one head
-    per Model or Ensemble. A batch of more than one row block
-    (nn.row_blocks) attacks its heads one after another instead, each when
-    its result is asked for, so that one iterate of it is held at a time."""
+    run_attack on its head's averaged prediction (each head draws from its
+    own generator of spec.seed, as its lone attack does); Heads.of(targets)
+    makes one head per Model or Ensemble. A batch of more than one row
+    block (nn.row_blocks) attacks its heads one after another instead, each
+    when its result is asked for, so that one iterate of it is held at a
+    time."""
     x, labels = _validate_inputs(heads, x, y)
     if len(heads) == 1 or len(nn.row_blocks(x)) == 1:
         return iter(_results(heads, x, labels, spec, ascent=True))
@@ -417,11 +400,12 @@ def spsa_gradient_estimate(target, x, labels, samples, delta, rng, *, _checked=F
     ce_values_and_input_grad, x is the iterate (H, B, d) of Heads, slice
     h's bumps drawn from the generator rng[h], or one batch (B, d) against
     the averaged prediction of any other target, with one generator rng.
-    Sample s's bump is its generator's s-th integers(0, 2, size=(B, d),
-    dtype=np.int32) * 2 - 1, shared by the slices of that generator. x is
-    checked unless the caller vouches for it (_checked); generators other
-    than one PCG64 per head, samples not an integer >= 1 and delta not
-    finite and > 0 raise ConfigError.
+    Slice h's bump of sample s is rng[h]'s s-th integers(0, 2, size=(B,
+    d), dtype=np.int32) * 2 - 1. x is checked unless the caller vouches
+    for it (_checked); generators other than one PCG64 per head (one
+    generator object passed for two heads would be advanced twice),
+    samples not an integer >= 1 and delta not finite and > 0 raise
+    ConfigError and leave the generators unmoved.
 
     One pass goes row block by row block (nn.row_blocks), on every core
     (nn.over_blocks): a block draws its rows of each bump (_draws), then
@@ -436,11 +420,12 @@ def spsa_gradient_estimate(target, x, labels, samples, delta, rng, *, _checked=F
     real = isinstance(delta, (int, float, np.integer, np.floating)) and not isinstance(delta, bool)
     if not (real and 0 < delta < math.inf):
         raise ConfigError(f"SPSA delta must be finite and > 0, got {delta!r}")
-    gens, which = _distinct(rngs)
-    for r in gens:
+    for r in rngs:
         if type(bitgen := getattr(r, "bit_generator", r)) is not np.random.PCG64:
             raise ConfigError(f"SPSA draws from PCG64 generators, not {type(bitgen).__name__}")
-    states = [r.bit_generator.state for r in gens]
+    if len({id(r) for r in rngs}) < len(rngs):
+        raise ConfigError("SPSA takes its own generator for each head, not one for several")
+    states = [r.bit_generator.state for r in rngs]
     labels = nn.label_index(labels, (len(heads), cur.shape[-2], heads.num_classes))
     d, n = cur.shape[-1], cur[0].size  # n: the entries of one draw
 
@@ -450,21 +435,19 @@ def spsa_gradient_estimate(target, x, labels, samples, delta, rng, *, _checked=F
 
     def block(lo, hi):  # every sample on rows lo:hi
         rows, rows_labels, acc = cur[:, lo:hi], labels.block(lo, hi), est[:, lo:hi]
-        bump = np.empty((len(gens), hi - lo, d))
+        bump = np.empty_like(rows)  # each slice's: its generator's
         for entries in zip(*(_draws(state, n, lo * d, hi * d, samples) for state in states)):
             for e, out in zip(entries, bump):
                 np.subtract(np.multiply(e.reshape(out.shape), 2.0, out=out), 1.0, out=out)
-            # each slice's bump: its generator's
-            b = bump[which] if 1 < len(gens) < len(rngs) else np.broadcast_to(bump, rows.shape)
-            step = delta * b
+            step = delta * bump
             lp = loss_at(rows + step, rows_labels)
             ln = loss_at(np.subtract(rows, step, out=step), rows_labels)
             # Rademacher entries are +-1 so the elementwise inverse is bump itself
-            acc += np.multiply(((lp - ln) / (2.0 * delta))[..., None], b, out=step)
+            acc += np.multiply(((lp - ln) / (2.0 * delta))[..., None], bump, out=step)
 
     est = np.zeros_like(cur)
     nn.over_blocks(block, nn.row_blocks(cur))
-    for r, state in zip(gens, states if n else ()):  # past the draws, if any; an odd count leaves a half pending
+    for r, state in zip(rngs, states if n else ()):  # past the draws, if any; an odd count leaves a half pending
         left = samples * n - state["has_uint32"]  # the halves after a pending one
         r.bit_generator.advance(left // 2)
         r.integers(0, 2, size=left % 2, dtype=np.int32)

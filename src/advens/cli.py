@@ -31,7 +31,7 @@ import numpy as np
 from . import analysis, data, training
 from .atomic import write_json, write_table
 from .attacks import AttackSpec, run_attack, run_heads
-from .ensembles import Heads, load_ensemble, partition, partition_summary, save_ensemble, save_partition_csv
+from .ensembles import Heads, load_ensemble, partition, save_ensemble, save_partition_csv
 from .errors import ConfigError, DivergenceError
 from .training import MODES
 
@@ -406,7 +406,7 @@ def cmd_transfer(args):
         metrics["T"] = metrics.pop("T_1_2")
         metrics["nT"] = analysis.non_transferable_nT(mat.a[-1, -1], part.cardinalities["S00"])
         metrics["a_single"] = analysis.single_correct_a_single(mat.a[-1, -1], part.cardinalities["S11"])
-        metrics.update(partition_summary(part))
+        metrics.update(part.cardinalities)
 
     mat_csv = os.path.join(out, "transfer.csv")
     analysis.save_cross_csv(mat, mat_csv, preamble=preamble)

@@ -393,7 +393,3 @@ def load_ensemble(path):
         )
     return ens
 
-
-def partition_summary(part):
-    """JSON-ready cardinality summary (percentages at full precision)."""
-    return {tag: part.cardinalities[tag] for tag in TAGS}

@@ -612,25 +612,27 @@ def backward(model, batch, loss_grad):
 # Adam
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass(frozen=True)
 class OptimState:
     lr: float
-    beta1: float
-    beta2: float
-    eps: float
     step: int
     m: tuple
     v: tuple
 
 
-def adam_init(model, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
-    """Zero moments for a Model or a ModelStack."""
-    if not np.isfinite(lr) or lr < 0:
-        raise DomainError(f"lr must be a finite non-negative real, got {lr}")
+def adam_init(model, lr=0.001):
+    """Zero moments for a Model or a ModelStack; lr a finite real >= 0
+    (not a bool), else DomainError."""
+    real = isinstance(lr, (int, float, np.integer, np.floating)) and not isinstance(lr, bool)
+    if not (real and 0 <= lr < math.inf):
+        raise DomainError(f"lr must be a finite non-negative real, got {lr!r}")
     zeros = tuple(
         (np.zeros_like(layer.w), np.zeros_like(layer.b)) for layer in model.layers
     )
-    return OptimState(lr=lr, beta1=beta1, beta2=beta2, eps=eps, step=0, m=zeros, v=zeros)
+    return OptimState(lr=lr, step=0, m=zeros, v=zeros)
 
 
 def adam_step(model, param_grads, state):
@@ -647,7 +649,7 @@ def adam_step(model, param_grads, state):
     if len(param_grads) != len(model.layers):
         raise ShapeError("gradient list length does not match layer count")
     t = state.step + 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1**t
     bc2 = 1.0 - b2**t
     new_layers, new_m, new_v = [], [], []
@@ -662,8 +664,8 @@ def adam_step(model, param_grads, state):
         mb2 = b1 * mb + (1 - b1) * gb
         vw2 = b2 * vw + (1 - b2) * gw**2
         vb2 = b2 * vb + (1 - b2) * gb**2
-        w2 = layer.w - state.lr * (mw2 / bc1) / (np.sqrt(vw2 / bc2) + state.eps)
-        bb2 = layer.b - state.lr * (mb2 / bc1) / (np.sqrt(vb2 / bc2) + state.eps)
+        w2 = layer.w - state.lr * (mw2 / bc1) / (np.sqrt(vw2 / bc2) + ADAM_EPS)
+        bb2 = layer.b - state.lr * (mb2 / bc1) / (np.sqrt(vb2 / bc2) + ADAM_EPS)
         new_layers.append(Layer(w=w2, b=bb2, act=layer.act))
         new_m.append((mw2, mb2))
         new_v.append((vw2, vb2))

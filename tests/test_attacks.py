@@ -314,16 +314,24 @@ def test_spsa_estimate_takes_one_generator_per_head(count, bare):
         spsa_of_two_members(rngs[0] if bare else rngs)
 
 
+def test_spsa_estimate_refuses_one_generator_for_two_heads():
+    # it would be advanced twice; it is left unread
+    rng, fresh = np.random.default_rng(0), np.random.default_rng(0)
+    with pytest.raises(ConfigError, match="^SPSA takes its own generator for each head, not one for several$"):
+        spsa_of_two_members([rng, rng])
+    assert read_on(rng) == read_on(fresh)
+
+
 @pytest.mark.parametrize("samples", [0, -1, 1.5, True])
 def test_spsa_estimate_takes_an_integer_sample_count_of_at_least_one(samples):
     with pytest.raises(ConfigError, match="SPSA samples must be an integer >= 1"):
-        spsa_of_two_members([np.random.default_rng(0)] * 2, samples=samples)
+        spsa_of_two_members([np.random.default_rng(0), np.random.default_rng(1)], samples=samples)
 
 
 @pytest.mark.parametrize("delta", [0.0, -0.01, np.nan, np.inf, "0.01", True])
 def test_spsa_estimate_takes_a_finite_positive_delta(delta):
     with pytest.raises(ConfigError, match="SPSA delta must be finite and > 0"):
-        spsa_of_two_members([np.random.default_rng(0)] * 2, delta=delta)
+        spsa_of_two_members([np.random.default_rng(0), np.random.default_rng(1)], delta=delta)
 
 
 @pytest.mark.parametrize("bitgen", [np.random.MT19937, np.random.Philox, np.random.PCG64DXSM])
@@ -525,29 +533,15 @@ def test_an_attack_checks_x_once_and_vouches_for_its_iterate(monkeypatch):
         attacks.run_heads(Heads.of([*ens.members, ens]), bad, y, spec)
 
 
-@pytest.mark.parametrize("family", ["pgd", "spsa"])
-def test_member_attacks_of_a_shared_seed_draw_once_and_equal_lone_attacks(family):
-    # members 0 and 1 share a seed (one generator's draws serve both), member
-    # 2 has its own: the random start and each SPSA bump are each lone attack's
-    ds, model = blobs_and_model(seed=13)
-    x, y = ds.inputs[:20], ds.labels[:20]
-    members = (model, fit_plain(ds, seed=14, steps=5), fit_plain(ds, seed=15, steps=5))
-    spec = AttackSpec(family=family, steps=3, epsilon=0.05, eta=0.02, spsa_samples=2)
-    seeds = (5, 5, 6)
-    got = attacks.adversarial_batches(Heads.each(Ensemble(members=members).stack), x, y, spec, seeds)
-    want = [attacks.run_attack(m, x, y, replace(spec, seed=s)).adversarial for m, s in zip(members, seeds)]
-    assert_same_bytes(got, want)
-
-
 def test_heads_of_one_seed_make_one_generator(monkeypatch):
-    # f1, f2 and en of one spec draw from one generator: it is made once
+    # f1, f2 and en of one spec each make one generator of its seed and draw from it alone
     ens, x, y = ensemble_and_batch(30)
     made = []
     default_rng = np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng", lambda *a: made.append(a) or default_rng(*a))
     spec = AttackSpec(family="pgd", steps=2, epsilon=0.1, eta=0.04, seed=3)
     list(attacks.run_heads(Heads.of([*ens.members, ens]), x, y, spec))
-    assert made == [(3,)]
+    assert made == [(3,)] * 3
 
 
 @pytest.mark.parametrize("rows", [30, 4096])  # one row block, two
@@ -555,12 +549,14 @@ def test_heads_of_one_seed_make_one_generator(monkeypatch):
 def test_the_steps_alone_give_each_results_adversarial(family, rows):
     # adversarial_batches runs a search's steps without its final check:
     # each head's batch is the adversarial of the lone attack of its seed on
-    # its member (Heads.each) or on the averaged prediction (Heads.whole)
+    # its member (Heads.each) or on the averaged prediction (Heads.whole);
+    # two heads of one seed each draw from their own generator of it
     ens, x, y = ensemble_and_batch(rows)
     spec = AttackSpec(family=family, steps=2, epsilon=0.1, eta=0.04, spsa_samples=2, seed=3)
-    got = attacks.adversarial_batches(Heads.each(ens.stack), x, y, spec, [5, 9])
-    want = [attacks.run_attack(m, x, y, replace(spec, seed=s)).adversarial for m, s in zip(ens.members, (5, 9))]
-    assert_same_bytes(got, want)
+    for seeds in ([5, 9], [5, 5]):
+        got = attacks.adversarial_batches(Heads.each(ens.stack), x, y, spec, seeds)
+        want = [attacks.run_attack(m, x, y, replace(spec, seed=s)).adversarial for m, s in zip(ens.members, seeds)]
+        assert_same_bytes(got, want)
     got = attacks.adversarial_batches(Heads.whole(ens.stack), x, y, spec, [3])
     assert_same_bytes(got, [attacks.run_attack(ens, x, y, spec).adversarial])
     with pytest.raises(ConfigError, match="1 attack seeds for 2 heads"):

@@ -439,21 +439,21 @@ def test_adam_zero_lr_is_noop():
 
 
 def test_adam_matches_hand_rolled_scalar_trace():
-    # 1-input 2-class layer, constant gradient 1.0 on w[0, 0], two steps
+    # 1-input 2-class layer, gradient 1.0 then 3.0 on w[0, 0] (a constant
+    # one leaves beta2 out of the update), two steps
     w0 = 0.5
     layers = (nn.Layer(w=np.array([[w0, 0.0]]), b=np.zeros(2), act="id"),)
     model = nn.Model(layers=layers, num_classes=2)
-    lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
-    state = nn.adam_init(model, lr=lr, beta1=b1, beta2=b2, eps=eps)
-    g = np.zeros((1, 2))
-    g[0, 0] = 1.0
-    grads = [(g, np.zeros(2))]
+    lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8  # the betas and eps: Adam's own
+    state = nn.adam_init(model, lr=lr)
 
     theta, m, v = w0, 0.0, 0.0
-    for t in (1, 2):
-        model, state = nn.adam_step(model, grads, state)
-        m = b1 * m + (1 - b1) * 1.0
-        v = b2 * v + (1 - b2) * 1.0
+    for t, gt in ((1, 1.0), (2, 3.0)):
+        g = np.zeros((1, 2))
+        g[0, 0] = gt
+        model, state = nn.adam_step(model, [(g, np.zeros(2))], state)
+        m = b1 * m + (1 - b1) * gt
+        v = b2 * v + (1 - b2) * gt**2
         mhat = m / (1 - b1**t)
         vhat = v / (1 - b2**t)
         theta = theta - lr * mhat / (math.sqrt(vhat) + eps)
@@ -468,8 +468,9 @@ def test_adam_validation():
     bad = [(np.zeros((2, 2)), np.zeros(2))] * len(model.layers)
     with pytest.raises(ShapeError):
         nn.adam_step(model, bad, state)
-    with pytest.raises(DomainError):
-        nn.adam_init(model, lr=-1.0)
+    for lr in (-1.0, np.nan, np.inf, True, np.bool_(True), "a", None):
+        with pytest.raises(DomainError, match="lr must be a finite non-negative real"):
+            nn.adam_init(model, lr=lr)
     nan_grads = [(np.full_like(l.w, np.nan), np.zeros_like(l.b)) for l in model.layers]
     with pytest.raises(DomainError):
         nn.adam_step(model, nan_grads, state)

@@ -94,9 +94,9 @@ def test_blocked_spsa_draws_keep_the_generator_stream(helpers, n_helpers, pendin
     stacked = np.stack([x, np.roll(x, 1, axis=0)])
     taken = helpers(n_helpers)
 
-    def generators(seeds):  # one per distinct seed, after 2 + pending int32 draws and a raw one
-        made = {s: np.random.default_rng(s) for s in seeds}
-        for r in made.values():
+    def generators(seeds):  # one per seed, after 2 + pending int32 draws and a raw one
+        made = [np.random.default_rng(s) for s in seeds]
+        for r in made:
             r.integers(0, 2, size=2 + pending, dtype=np.int32)
             r.bit_generator.random_raw()
         return made
@@ -104,14 +104,14 @@ def test_blocked_spsa_draws_keep_the_generator_stream(helpers, n_helpers, pendin
     for target, batch, probs_of, seeds in (
         (ens, x, lambda b: ensemble_predict(ens, b), (9,)),
         (Heads.each(ens.stack), stacked, lambda b: member_probs(ens.stack, b), (9, 10)),
-        (Heads.each(ens.stack), stacked, lambda b: member_probs(ens.stack, b), (9, 9)),  # one shared
+        (Heads.each(ens.stack), stacked, lambda b: member_probs(ens.stack, b), (9, 9)),  # two of one seed
     ):
-        got = generators(seeds)
-        want = [generators((s,))[s] for s in seeds]  # a shared generator's draw, made once per slice
-        rng = got[9] if target is ens else [got[s] for s in seeds]
-        est, _ = spsa_gradient_estimate(target, batch, labels, 3, 0.02, rng)
+        # want[h] draws slice h's bumps alone: each slice gets its lone
+        # estimate's bumps, and each generator ends where that leaves it
+        got, want = generators(seeds), generators(seeds)
+        est, _ = spsa_gradient_estimate(target, batch, labels, 3, 0.02, got[0] if target is ens else got)
         assert est.tobytes() == reference_spsa(probs_of, batch, labels, 3, 0.02, want).tobytes()
-        assert [read_on(r) for r in got.values()] == [read_on(want[seeds.index(s)]) for s in got]
+        assert [read_on(r) for r in got] == [read_on(r) for r in want]
     assert taken.is_set() == bool(n_helpers)
 
 
