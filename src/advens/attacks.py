@@ -3,7 +3,9 @@
 One search loop serves every protocol: run_attack (untargeted), targeted,
 multi_targeted, run_heads and adversarial_batches all call it, and
 spec.family picks how it steps (PGD / BIM / MIM sign-gradient steps, or
-gradient-free SPSA estimates). Targets may be a single Model or an
+gradient-free SPSA estimates, whose +-1 bumps are the bits of a PCG64's
+raw outputs, whole outputs per row, so that a row block reads its own
+rows of them). Targets may be a single Model or an
 Ensemble; against an ensemble the objective is the cross-entropy of the
 *averaged* probability, so the attacker differentiates through the
 combination rule (the adaptive attack).
@@ -373,44 +375,26 @@ def multi_targeted(target, x, y, spec):
     )
 
 
-def _draws(state, n, lo, hi, samples):
-    """Entries lo:hi of each of samples successive draws of n int32 entries
-    integers(0, 2) from PCG64 state: the top bits of uint32s (Lemire's method
-    never rejects at range 2), each output's low half first, read from one
-    copy of state advanced between draws. A pending half (has_uint32) stands
-    for the high half of the output before state's."""
-    copy, pending = np.random.PCG64(0), state["has_uint32"]
-    copy.state = state
-    at = pending  # the copy's place, in outputs after the one before state's
-    for s in range(samples):
-        half = s * n + lo + pending
-        if half // 2 != at:
-            copy.advance(half // 2 - at)  # back by one, modulo 2**128, to reread an output's high half
-        raw = copy.random_raw((half % 2 + hi - lo + 1) // 2)
-        at = half // 2 + len(raw)
-        halves = raw.astype("<u8", copy=False).view("<u4")[half % 2 : half % 2 + hi - lo]
-        if half == 1 and pending:
-            halves[:1] = state["uinteger"]  # a slice: an empty batch has no entry 0
-        yield halves.view(np.int32) < 0  # the top bit set
-
-
 def spsa_gradient_estimate(target, x, labels, samples, delta, rng, *, _checked=False):
     """Two-point Rademacher estimate of the input gradient of the mean
     cross-entropy. Returns (estimate, loss_evaluations). As in
     ce_values_and_input_grad, x is the iterate (H, B, d) of Heads, slice
     h's bumps drawn from the generator rng[h], or one batch (B, d) against
     the averaged prediction of any other target, with one generator rng.
-    Slice h's bump of sample s is rng[h]'s s-th integers(0, 2, size=(B,
-    d), dtype=np.int32) * 2 - 1. x is checked unless the caller vouches
-    for it (_checked); generators other than one PCG64 per head (one
-    generator object passed for two heads would be advanced twice),
-    samples not an integer >= 1 and delta not finite and > 0 raise
-    ConfigError and leave the generators unmoved.
+    Row r of slice h's bump of sample s is bits 0 .. d-1, least significant
+    first, of rng[h]'s raw 64-bit outputs [(s*B + r)*W, (s*B + r + 1)*W),
+    W = ceil(d/64): a set bit gives +1, a clear one -1. x is checked
+    unless the caller vouches for it (_checked); generators other than one
+    PCG64 per head (one generator object passed for two heads would be
+    advanced twice), samples not an integer >= 1 and delta not finite and
+    > 0 raise ConfigError and leave the generators unmoved.
 
     One pass goes row block by row block (nn.row_blocks), on every core
-    (nn.over_blocks): a block draws its rows of each bump (_draws), then
-    evaluates its bumped rows both ways and adds each sample to its rows of
-    the estimate, in order. Each generator is then moved past the draws."""
+    (nn.over_blocks): a block reads its rows of each bump from a copy of
+    each generator advanced to them, then evaluates its bumped rows both
+    ways and adds each sample to its rows of the estimate, in order. Each
+    generator then ends where random_raw(samples*B*W) leaves it: a pending
+    uint32 half stays pending."""
     heads, cur = as_heads(target, x if _checked else nn._as_f64(x, "batch"))
     rngs = list(rng) if heads is target and not isinstance(rng, np.random.Generator) else [rng]
     if len(rngs) != len(heads):
@@ -426,8 +410,9 @@ def spsa_gradient_estimate(target, x, labels, samples, delta, rng, *, _checked=F
     if len({id(r) for r in rngs}) < len(rngs):
         raise ConfigError("SPSA takes its own generator for each head, not one for several")
     states = [r.bit_generator.state for r in rngs]
-    labels = nn.label_index(labels, (len(heads), cur.shape[-2], heads.num_classes))
-    d, n = cur.shape[-1], cur[0].size  # n: the entries of one draw
+    b, d = cur.shape[-2:]
+    w = -(-d // 64)  # raw outputs per row of a bump
+    labels = nn.label_index(labels, (len(heads), b, heads.num_classes))
 
     def loss_at(bumped, rows_labels):  # clipped in place
         probs = member_probs(heads.slots, heads.batch(bumped.clip(0.0, 1.0, out=bumped)), _checked=True)
@@ -435,10 +420,17 @@ def spsa_gradient_estimate(target, x, labels, samples, delta, rng, *, _checked=F
 
     def block(lo, hi):  # every sample on rows lo:hi
         rows, rows_labels, acc = cur[:, lo:hi], labels.block(lo, hi), est[:, lo:hi]
+        copies = [np.random.PCG64(0) for _ in states]
+        for copy, state in zip(copies, states):  # at its rows of sample 0
+            copy.state = state
+            copy.advance(lo * w)
         bump = np.empty_like(rows)  # each slice's: its generator's
-        for entries in zip(*(_draws(state, n, lo * d, hi * d, samples) for state in states)):
-            for e, out in zip(entries, bump):
-                np.subtract(np.multiply(e.reshape(out.shape), 2.0, out=out), 1.0, out=out)
+        for _ in range(samples):
+            for copy, out in zip(copies, bump):
+                raw = copy.random_raw((hi - lo) * w).astype("<u8", copy=False).view(np.uint8)
+                bits = np.unpackbits(raw.reshape(hi - lo, 8 * w), axis=-1, count=d, bitorder="little")
+                np.subtract(np.multiply(bits, 2.0, out=out), 1.0, out=out)
+                copy.advance((b - hi + lo) * w)  # to its rows of the next sample
             step = delta * bump
             lp = loss_at(rows + step, rows_labels)
             ln = loss_at(np.subtract(rows, step, out=step), rows_labels)
@@ -447,10 +439,9 @@ def spsa_gradient_estimate(target, x, labels, samples, delta, rng, *, _checked=F
 
     est = np.zeros_like(cur)
     nn.over_blocks(block, nn.row_blocks(cur))
-    for r, state in zip(rngs, states if n else ()):  # past the draws, if any; an odd count leaves a half pending
-        left = samples * n - state["has_uint32"]  # the halves after a pending one
-        r.bit_generator.advance(left // 2)
-        r.integers(0, 2, size=left % 2, dtype=np.int32)
+    for r, state in zip(rngs, states):  # past the bumps; advance drops a pending half, so it is put back
+        r.bit_generator.advance(samples * b * w)
+        r.bit_generator.state = r.bit_generator.state | {k: state[k] for k in ("has_uint32", "uinteger")}
     est /= samples
     return (est if heads is target else est[0]), 2 * samples
 

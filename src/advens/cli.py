@@ -239,21 +239,18 @@ def parse_config(path, seed_override=None, out_override=None):
     return normalize_config(obj, seed_override, out_override)
 
 
-def config_digest(cfg):
+def config_digest(cfg, dataset=None):
     """Digest of everything that can change results (the output directory
     does not). An IDX dataset counts by its two files' bytes (their
-    sha256), not by their paths: the same data at another path keeps the
-    digest, and changed data at the same path changes it."""
+    sha256, as load_idx read them: for dataset, the one built from cfg, or
+    else for a fresh build), not by their paths: the same data at another
+    path keeps the digest, and changed data at the same path changes it."""
     payload = {k: v for k, v in cfg.items() if k != "out"}
     if "idx_images" in cfg["dataset"]:
-        payload["dataset"] = {k: _file_sha256(path) for k, path in cfg["dataset"].items()}
+        files = (build_dataset(cfg) if dataset is None else dataset).sha256
+        payload["dataset"] = dict(zip(("idx_images", "idx_labels"), files))
     canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
-
-
-def _file_sha256(path):
-    with open(path, "rb") as f:
-        return hashlib.sha256(f.read()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -289,11 +286,11 @@ def build_train_config(cfg):
     return training.TrainConfig(**kwargs)
 
 
-def _stamps(cfg):
+def _stamps(cfg, dataset):
     """The line every CSV artifact opens with and the keys every JSON
-    artifact carries (seed and config digest), from one digest of cfg per
-    command."""
-    meta = {"seed": cfg["seed"], "config_digest": config_digest(cfg)}
+    artifact carries (seed and config digest), from one digest of cfg and
+    the dataset the command built from it, per command."""
+    meta = {"seed": cfg["seed"], "config_digest": config_digest(cfg, dataset)}
     return f"# seed={meta['seed']}, config_digest={meta['config_digest']}\n", meta
 
 
@@ -346,7 +343,7 @@ def cmd_train(args):
     report = training.train(init, ds, build_train_config(cfg), cfg["method"]["name"])
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
-    preamble, meta = _stamps(cfg)
+    preamble, meta = _stamps(cfg, ds)
     ckpt = os.path.join(out, "ensemble.json")
     save_ensemble(report.ensemble, ckpt, meta=meta)
     report_json = os.path.join(out, "report.json")
@@ -360,7 +357,7 @@ def cmd_train(args):
 
 def cmd_eval(args):
     cfg, ds, (ens,), _ = _analysis_setup(args)
-    out, preamble = cfg["out"], _stamps(cfg)[0]
+    out, preamble = cfg["out"], _stamps(cfg, ds)[0]
     targets = [*ens.members, ens]
     names, heads = analysis._default_labels(targets), Heads.of(targets)  # f1 .. fK and en
     predicted = analysis.head_labels(heads, ds.inputs)  # one pass for every target
@@ -381,7 +378,7 @@ def cmd_eval(args):
 
 def cmd_transfer(args):
     cfg, ds, ensembles, spec = _analysis_setup(args, single=False)
-    out, (preamble, meta) = cfg["out"], _stamps(cfg)
+    out, (preamble, meta) = cfg["out"], _stamps(cfg, ds)
     emitted = []
     ens = ensembles[0]
     if len(ensembles) == 1:  # f1 .. fK and en, cross_matrix's default labels
@@ -422,7 +419,7 @@ def cmd_detect(args):
     result = run_attack(ens, ds.inputs, ds.labels, spec)
     # the attack's final check already forwarded the members on its batch
     report = analysis.detect(ens, ds.inputs, result.adversarial, adv_probs=result.member_probs)
-    out, (preamble, meta) = cfg["out"], _stamps(cfg)
+    out, (preamble, meta) = cfg["out"], _stamps(cfg, ds)
     roc_csv = os.path.join(out, "detect_roc.csv")
     analysis.save_detection_csv(report, roc_csv, preamble=preamble)
     summary_json = os.path.join(out, "detect.json")
@@ -453,7 +450,7 @@ def cmd_surface(args):
         step=float(sconf["step"]), seed=cfg["seed"],
     )
     path = os.path.join(cfg["out"], "surface.csv")
-    analysis.save_surface_csv(grid, path, preamble=_stamps(cfg)[0])
+    analysis.save_surface_csv(grid, path, preamble=_stamps(cfg, ds)[0])
     print(path)
     return 0
 

@@ -6,6 +6,7 @@ MNIST-format files. Every dataset this module emits has inputs in [0,1]^d.
 """
 from __future__ import annotations
 
+import hashlib
 import os
 import struct
 from dataclasses import dataclass
@@ -21,13 +22,16 @@ IDX_LABELS_MAGIC = 0x00000801
 
 @dataclass(frozen=True)
 class Dataset:
-    """Immutable (inputs, labels) pair with inputs in the unit box."""
+    """Immutable (inputs, labels) pair with inputs in the unit box; sha256
+    holds the hex sha256 of each file it was read from (load_idx: the
+    images', then the labels'), empty for any other."""
 
     inputs: np.ndarray
     labels: np.ndarray
     num_classes: int
     name: str
     seed: int
+    sha256: tuple = ()
 
     def __post_init__(self):
         x, y = self.inputs, self.labels
@@ -122,45 +126,50 @@ def gen_rings(seed, n_per_class, num_classes, noise):
 # IDX files
 
 
-def _read_exact(f, n, path):
+def _read_exact(f, n, path, seen):
     # check a header-declared size against the file before asking for it,
-    # so an untrusted header cannot request an arbitrary allocation
+    # so an untrusted header cannot request an arbitrary allocation; seen
+    # (a hash) takes the bytes read
     left = os.fstat(f.fileno()).st_size - f.tell()
     if left < n:
         raise TruncatedFileError(f"{path}: expected {n} more bytes, got {left}")
-    return f.read(n)
+    chunk = f.read(n)
+    seen.update(chunk)
+    return chunk
 
 
-def _read_payload(f, n, path):
+def _read_payload(f, n, path, seen):
     # the payload the header declares must end the file: a header that
     # under-counts would otherwise drop the records past it
     extra = os.fstat(f.fileno()).st_size - f.tell() - n
     if extra > 0:
         raise FormatError(f"{path}: {extra} byte(s) past the {n}-byte payload its header declares")
-    return _read_exact(f, n, path)
+    return _read_exact(f, n, path, seen)
 
 
 def load_idx(images_path, labels_path):
     """Read an IDX image/label file pair into a Dataset.
 
     Pixels are scaled by 1/255 into [0,1]; images are flattened row-major.
-    num_classes is taken as max(label)+1 (at least 2).
+    num_classes is taken as max(label)+1 (at least 2). Each file is read
+    once, start to end, and the Dataset's sha256 is of those bytes.
     """
+    seen = hashlib.sha256(), hashlib.sha256()
     with open(images_path, "rb") as f:
         # >II: magic, image count; then rows, cols (all big-endian uint32)
-        magic, count = struct.unpack(">II", _read_exact(f, 8, images_path))
+        magic, count = struct.unpack(">II", _read_exact(f, 8, images_path, seen[0]))
         if magic != IDX_IMAGES_MAGIC:
             raise FormatError(f"{images_path}: bad images magic 0x{magic:08x}")
-        rows, cols = struct.unpack(">II", _read_exact(f, 8, images_path))
+        rows, cols = struct.unpack(">II", _read_exact(f, 8, images_path, seen[0]))
         if 0 in (count, rows, cols):
             raise FormatError(f"{images_path}: header declares {count} images of {rows}x{cols} pixels")
-        raw = _read_payload(f, count * rows * cols, images_path)
+        raw = _read_payload(f, count * rows * cols, images_path, seen[0])
         pixels = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols)
     with open(labels_path, "rb") as f:
-        magic, label_count = struct.unpack(">II", _read_exact(f, 8, labels_path))
+        magic, label_count = struct.unpack(">II", _read_exact(f, 8, labels_path, seen[1]))
         if magic != IDX_LABELS_MAGIC:
             raise FormatError(f"{labels_path}: bad labels magic 0x{magic:08x}")
-        labels = np.frombuffer(_read_payload(f, label_count, labels_path), dtype=np.uint8)
+        labels = np.frombuffer(_read_payload(f, label_count, labels_path, seen[1]), dtype=np.uint8)
     if count != label_count:
         raise ConsistencyError(
             f"{count} images in {images_path} but {label_count} labels in {labels_path}"
@@ -173,6 +182,7 @@ def load_idx(images_path, labels_path):
         num_classes=num_classes,
         name="idx",
         seed=0,
+        sha256=tuple(h.hexdigest() for h in seen),
     )
 
 

@@ -367,7 +367,7 @@ def save_ensemble(ens, path, meta=None):
     if meta:
         obj.update(meta)
     with atomic_write(path) as f:
-        json.dump(obj, f)
+        f.write(json.dumps(obj))  # json.dump's bytes, by the C encoder
 
 
 def load_ensemble(path):

@@ -78,12 +78,18 @@ def assert_same_bytes(got, want):
 
 
 def reference_spsa(probs_of, x, labels, samples, delta, rngs):
-    """The two-point estimate as defined: int64 draws mapped to +-1, both
-    bumped batches whole, one generator per batch slice; probs_of gives
-    the probability rows of a batch shaped like x."""
+    """The two-point estimate as defined, both bumped batches whole, one
+    generator per batch slice: row r of a slice's bump is bits 0 .. d-1 of
+    its r-th W = ceil(d/64) raw 64-bit outputs of the sample, low bits
+    first, a set bit +1 and a clear one -1; probs_of gives the probability
+    rows of a batch shaped like x."""
+    b, d = x.shape[-2:]
+    w = -(-d // 64)
     est = np.zeros_like(x)
     for _ in range(samples):
-        bump = np.reshape([r.integers(0, 2, size=x.shape[-2:]) for r in rngs], x.shape) * 2.0 - 1.0
+        raw = np.stack([r.bit_generator.random_raw((b, w)) for r in rngs])  # (H, B, W) uint64
+        bits = (raw[..., None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
+        bump = np.reshape(bits.reshape(len(rngs), b, 64 * w)[..., :d], x.shape) * 2.0 - 1.0
         lp = nn.cross_entropy_per_example(probs_of(np.clip(x + delta * bump, 0.0, 1.0)), labels)
         ln = nn.cross_entropy_per_example(probs_of(np.clip(x - delta * bump, 0.0, 1.0)), labels)
         est += ((lp - ln) / (2.0 * delta))[..., None] * bump
@@ -91,9 +97,10 @@ def reference_spsa(probs_of, x, labels, samples, delta, rngs):
 
 
 def read_on(r):
-    """What generator r draws next: three int32 entries of integers(0, 2),
-    each the top bit of a uint32 half (a pending one first), then a 64-bit
-    draw."""
+    """What generator r gives next: three int32 entries of integers(0, 2),
+    the first of them a pending uint32 half if r holds one, then a 64-bit
+    draw; two generators read on alike where they are at one place of their
+    stream with one pending half, or none."""
     return r.integers(0, 2, size=3, dtype=np.int32).tolist(), r.integers(0, 2**62)
 
 

@@ -1,6 +1,7 @@
 """Experiment runner: config handling, artifacts, reproducibility, exits."""
 
 import copy
+import hashlib
 import json
 import os
 import struct
@@ -117,6 +118,29 @@ def test_idx_digest_tracks_the_files_bytes_not_their_paths(tmp_path):
         assert cli.config_digest(cfgs[1]) != same
         path.write_bytes(blob)
         assert cli.config_digest(cfgs[1]) == same
+
+
+def test_each_command_opens_each_idx_file_once(tmp_path, monkeypatch):
+    ds = data.gen_blobs(seed=3, n_per_class=20, num_classes=3, dim=4, separation=4.0)
+    pair = tmp_path / "x.idx", tmp_path / "y.idx"
+    files = tuple(map(str, pair))
+    data.save_idx(ds, *files, rows=2, cols=2)
+    assert data.load_idx(*files).sha256 == tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in pair)
+    path, cfg, ckpt = trained(tmp_path, dataset={"idx_images": files[0], "idx_labels": files[1]})
+    opened, real_open = [], open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    for command in ("train", "eval", "transfer", "detect", "surface"):
+        opened.clear()
+        argv = [command, "--config", path, "--out", str(tmp_path / command)]
+        assert run(argv + ([] if command == "train" else ["--checkpoint", ckpt])) == 0
+        assert [opened.count(f) for f in files] == [1, 1], command
+        digest = cli.config_digest(cli.parse_config(path))  # a fresh read's digest: the command's stamp
+        assert read_lines(next(tmp_path.glob(f"{command}/*.csv")))[0] == f"# seed=7, config_digest={digest}"
 
 
 def test_named_mode_shorthand_expands_to_cce():

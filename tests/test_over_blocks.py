@@ -82,14 +82,16 @@ def test_blocked_passes_keep_their_bits_on_helpers(helpers, b):
     assert taken.is_set()
 
 
-@pytest.mark.parametrize("pending", [0, 1])
-@pytest.mark.parametrize("n_helpers", [0, ON])
-def test_blocked_spsa_draws_keep_the_generator_stream(helpers, n_helpers, pending):
-    # 4,099 rows of 5 features: blocks (0, 2049) and (2049, 4099), so a
-    # block's rows of a sample's draw start at odd and even uint32 entries;
+def check_spsa_stream(helpers, n_helpers, pending, d):
+    """The blocked estimate of 4,099 rows of d features equals the oracle's
+    bit for bit, and each generator ends where the oracle's random_raw
+    reads leave it, its pending uint32 half (if any) still pending."""
+    # blocks (0, 2049) and (2049, 4099), so the second block's rows of sample
+    # s start at raw output (4099*s + 2049)*W, within the sample's outputs;
     # pending leaves half of a generator's last uint32 output unread, and a
-    # raw read after it makes that half no part of the output before its state
-    ens, x, labels = ensemble_and_batch(4099, d=5)
+    # raw read after it makes that half no part of the output before its
+    # state; the bumps are raw reads too, so the half must outlast them
+    ens, x, labels = ensemble_and_batch(4099, d=d)
     assert nn.row_blocks(x) == [(0, 2049), (2049, 4099)]
     stacked = np.stack([x, np.roll(x, 1, axis=0)])
     taken = helpers(n_helpers)
@@ -113,6 +115,18 @@ def test_blocked_spsa_draws_keep_the_generator_stream(helpers, n_helpers, pendin
         assert est.tobytes() == reference_spsa(probs_of, batch, labels, 3, 0.02, want).tobytes()
         assert [read_on(r) for r in got] == [read_on(r) for r in want]
     assert taken.is_set() == bool(n_helpers)
+
+
+@pytest.mark.parametrize("pending", [0, 1])
+@pytest.mark.parametrize("n_helpers", [0, ON])
+def test_blocked_spsa_draws_keep_the_generator_stream(helpers, n_helpers, pending):
+    check_spsa_stream(helpers, n_helpers, pending, d=5)  # one raw output per row, 59 bits unread
+
+
+@pytest.mark.parametrize("pending", [0, 1])
+@pytest.mark.parametrize("n_helpers", [0, ON])
+def test_blocked_spsa_rows_of_two_raw_outputs_keep_the_generator_stream(helpers, n_helpers, pending):
+    check_spsa_stream(helpers, n_helpers, pending, d=70)  # W = 2: bits 6 .. 63 of each row's second output unread
 
 
 @pytest.mark.parametrize("family", FAMILIES)
